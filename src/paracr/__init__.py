@@ -3,7 +3,8 @@ structures and their para-CR geometry.
 
 Public surface:
 
-- ``paracr.jets``: nestable forward-mode jets (derivatives to order 3);
+- ``paracr.jets``: batched Taylor-array jets (derivatives to order 3)
+  and the scalar nested duals they are checked against;
 - ``paracr.expr``: the expression grammar (parse, eval_expr, render);
 - ``paracr.geometry``: charts, structures, and PointFrame (pointwise
   curvature and structure tensors);

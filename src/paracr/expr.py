@@ -15,10 +15,11 @@ tanh, exp, ln, sqrt); any other identifier must be a chart coordinate, and
 unknown identifiers are rejected rather than treated as implicit variables.
 
 ASTs are immutable (frozen dataclasses) and compare structurally; evaluation
-is structural recursion over any scalar type the jets module accepts, so
-``eval_expr`` over plain floats is bitwise identical to order-0 jet
-evaluation.  There is no simplification pass: expressions evaluate exactly
-as written.
+is structural recursion over any scalar type the jets module accepts:
+plain floats, batched Taylor jets (one walk of the tree serves a whole
+batch of points), or scalar duals.  There is no simplification pass:
+expressions evaluate exactly as written.  :func:`diff` builds the AST of
+a partial derivative, folding zeros and constants as it goes.
 """
 
 import re
@@ -41,6 +42,7 @@ __all__ = [
     "render",
     "eval_expr",
     "variables",
+    "diff",
 ]
 
 FUNCTIONS = {
@@ -135,6 +137,89 @@ def variables(e):
     if isinstance(e, Pow):
         return variables(e.base)
     return set()
+
+
+# -- symbolic differentiation --------------------------------------------
+
+_ZERO = Const(0.0)
+_ONE = Const(1.0)
+
+
+def _is(e, value):
+    return isinstance(e, Const) and e.value == value
+
+
+def _add(a, b):
+    if _is(a, 0.0):
+        return b
+    if _is(b, 0.0):
+        return a
+    if isinstance(a, Const) and isinstance(b, Const):
+        return Const(a.value + b.value)
+    return Bin("+", a, b)
+
+
+def _neg(a):
+    if isinstance(a, Const):
+        return Const(-a.value)
+    return a.arg if isinstance(a, Neg) else Neg(a)
+
+
+def _sub(a, b):
+    return _add(a, _neg(b))
+
+
+def _mul(a, b):
+    if _is(a, 0.0) or _is(b, 0.0):
+        return _ZERO
+    if _is(a, 1.0):
+        return b
+    if _is(b, 1.0):
+        return a
+    if isinstance(a, Const) and isinstance(b, Const):
+        return Const(a.value * b.value)
+    return Bin("*", a, b)
+
+
+def _div(a, b):
+    if _is(a, 0.0):
+        return _ZERO
+    return a if _is(b, 1.0) else Bin("/", a, b)
+
+
+# d f(u) / du for each function of the grammar, as an AST in e = f(u)
+_OUTER = {
+    "sinh": lambda e: Call("cosh", e.arg),
+    "cosh": lambda e: Call("sinh", e.arg),
+    "tanh": lambda e: _sub(_ONE, Pow(e, 2)),
+    "exp": lambda e: e,
+    "ln": lambda e: _div(_ONE, e.arg),
+    "sqrt": lambda e: _div(Const(0.5), e),
+}
+
+
+def diff(e, index):
+    """AST of the partial derivative of ``e`` along coordinate ``index``."""
+    if isinstance(e, Const):
+        return _ZERO
+    if isinstance(e, Var):
+        return _ONE if e.index == index else _ZERO
+    if isinstance(e, Neg):
+        return _neg(diff(e.arg, index))
+    if isinstance(e, Call):
+        return _mul(_OUTER[e.fn](e), diff(e.arg, index))
+    if isinstance(e, Pow):
+        k = e.exponent
+        power = {0: _ZERO, 1: _ONE, 2: e.base}.get(k) or Pow(e.base, k - 1)
+        return _mul(_mul(Const(float(k)), power), diff(e.base, index))
+    du, dv = diff(e.left, index), diff(e.right, index)
+    if e.op == "+":
+        return _add(du, dv)
+    if e.op == "-":
+        return _sub(du, dv)
+    if e.op == "*":
+        return _add(_mul(du, e.right), _mul(e.left, dv))
+    return _div(_sub(du, _mul(e, dv)), e.right)
 
 
 # -- tokenizer ------------------------------------------------------------

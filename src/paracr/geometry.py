@@ -2,24 +2,26 @@
 
 A *structure* object carries a chart and produces the quadruplet
 (g, phi, xi, eta) — metric, (1,1)-endomorphism, Reeb vector, contact
-1-form — at any chart point, evaluated over plain floats or over nested
-dual numbers so that derivatives of every component are available to the
-caller.  Three realizations exist:
+1-form — as batched Taylor jets (:mod:`paracr.jets`): one pass over a
+batch of chart points yields the values and the partial derivatives of
+every component at all of them.  Three realizations exist:
 
 - :class:`CoordinateStructure`: components given directly in the
-  coordinate basis as parsed expressions (or callables).
+  coordinate basis as parsed expressions.
 - :class:`FrameStructure`: a moving frame E with constant frame-basis
-  tensors; coordinate components are obtained by linear algebra over
-  dual numbers at each point.
+  tensors; coordinate components come from Gauss-Jordan elimination
+  of E on the jets of a whole batch, which carries the partials
+  ∂(E⁻¹) = −E⁻¹(∂E)E⁻¹ and their higher analogues through.
 - :class:`HyperboloidStructure`: the structure induced on the unit
   pseudosphere of a flat para-Kahler ambient space, pulled back through
-  an explicit graph parametrization.
+  an explicit graph parametrization with a closed-form tangent basis.
 
-A :class:`PointFrame` freezes one structure at one point: it extracts
-component values and first/second partial derivatives by jet seeding,
-then derives the Levi-Civita connection, curvature tensors, covariant
-derivatives of the structure tensors, the h-operator, differential
-forms, and projectors — everything downstream residual checks consume.
+:func:`structure_arrays` evaluates a structure at a batch of points and
+decides for each point whether it is rejected.  A :class:`PointFrame`
+freezes one point of such a batch and derives the Levi-Civita
+connection, curvature tensors, covariant derivatives of the structure
+tensors, the h-operator, differential forms, and projectors —
+everything downstream residual checks consume.
 
 Index conventions (fixed throughout the package):
   g[i,j]        metric g(e_i, e_j) for coordinate fields e_i
@@ -33,6 +35,7 @@ Index conventions (fixed throughout the package):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,13 +44,14 @@ import numpy as np
 from .errors import (
     DegenerateMetric,
     DegeneratePlane,
+    DomainError,
     OutsidePatch,
     SingularFrame,
     ValidationError,
     WrongDimension,
 )
 from .expr import eval_expr
-from .jets import Dual, depth_of, nth_tangent, seed_multi, sqrt, value_of
+from .jets import Jet, coordinate_jets, sqrt, tensor
 
 _MIN_METRIC_DET = 1e-10
 _MIN_FRAME_DET = 1e-6
@@ -82,175 +86,193 @@ class Chart:
         return (self.dim - 1) // 2
 
 
-def _evaluator(entry):
-    """Turn an expression node or a callable into a point function."""
-    if callable(entry):
-        return entry
-    return lambda xs, e=entry: eval_expr(e, xs)
+def _evaluate(entries, xs):
+    """Evaluate a nested list of expression nodes at coordinate scalars."""
+    if isinstance(entries, (list, tuple)):
+        return [_evaluate(e, xs) for e in entries]
+    return eval_expr(entries, xs)
 
 
-def _eval_matrix(fns, xs):
-    return [[f(xs) for f in row] for row in fns]
-
-
-def _eval_vector(fns, xs):
-    return [f(xs) for f in fns]
+def _flags(jet):
+    """Per-point mask of the points where ``jet`` is not a number: a
+    domain violation on the way, or a non-finite coefficient."""
+    count = jet.c.shape[0]
+    broken = ~np.isfinite(jet.c).reshape(count, -1).all(axis=1)
+    return broken if jet.bad is None else broken | jet.bad
 
 
 # ---------------------------------------------------------------------------
-# Scalar linear algebra (works on floats and nested duals alike)
+# Linear algebra on tensor jets
+#
+# Sums run left to right over the inner index and the elimination pivots
+# on the values exactly like the scalar loops these replace, so every
+# batch entry carries the rounding of a point-by-point evaluation.
 # ---------------------------------------------------------------------------
 
-def mat_mul(A, B):
-    m, inner, k = len(A), len(B), len(B[0])
-    return [[sum(A[i][e] * B[e][j] for e in range(inner)) for j in range(k)]
-            for i in range(m)]
+def _sum(terms):
+    total = None
+    for term in terms:
+        total = term if total is None else total + term
+    return total
 
 
-def mat_vec(A, v):
-    return [sum(A[i][j] * v[j] for j in range(len(v))) for i in range(len(A))]
+def _mat_mul(A, B):
+    """A @ B for tensor jets or constant arrays (m x k times k x r)."""
+    inner = A.c.shape[2] if isinstance(A, Jet) else A.shape[1]
+    return _sum(A[:, e, None] * B[None, e, :] for e in range(inner))
 
 
-def vec_mat(v, A):
-    return [sum(v[i] * A[i][j] for i in range(len(v))) for j in range(len(A[0]))]
+def _mat_vec(A, v):
+    """A @ v for a tensor jet A and a constant vector v."""
+    return _sum(A[:, j] * v[j] for j in range(len(v)))
 
 
-def transpose(A):
-    return [list(col) for col in zip(*A)]
+def _vec_mat(v, A):
+    """v @ A for a constant vector v and a tensor jet A."""
+    return _sum(v[i] * A[i] for i in range(len(v)))
 
 
-def gauss_jordan(A, B, *, min_det, exc):
-    """Solve A X = B for the columns of B by Gauss-Jordan elimination.
+def _transpose(A):
+    return Jet(A.c.swapaxes(1, 2), A.bad, A.layout)
 
-    Entries may be floats or nested duals; partial pivoting compares the
-    float value levels.  Returns (X, det) with det the float determinant
-    estimate (product of pivots with swap sign).  Raises ``exc`` when a
-    pivot is numerically zero or |det| falls below ``min_det``.
+
+def gauss_jordan(A, B, min_det):
+    """Solve A X = B at every point of a batch by Gauss-Jordan elimination
+    with partial pivoting on the values.
+
+    ``A`` is an m x m and ``B`` an m x r tensor jet.  Returns X and the
+    per-point failure mask (a numerically zero pivot, or |det A| below
+    ``min_det``) together with the determinant estimate (product of the
+    pivots with swap sign).
     """
-    m = len(A)
-    M = [list(row) for row in A]
-    X = [list(row) for row in B]
-    det = 1.0
+    M, X = A.c.copy(), B.c.copy()
+    count, m = M.shape[:2]
+    points = np.arange(count)
+    det = np.ones(count)
+    failed = np.zeros(count, dtype=bool)
+
+    def jet(c):
+        return Jet(c, A.bad, A.layout)
+
     for col in range(m):
-        piv = max(range(col, m), key=lambda r: abs(value_of(M[r][col])))
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            X[col], X[piv] = X[piv], X[col]
-            det = -det
-        pivot = M[col][col]
-        pval = value_of(pivot)
-        if abs(pval) <= 1e-300:
-            raise exc(f"singular linear system (zero pivot in column {col})")
-        det *= pval
-        for r in range(m):
-            if r == col:
-                continue
-            factor = M[r][col] / pivot
-            for c in range(col, m):
-                M[r][c] = M[r][c] - factor * M[col][c]
-            for c in range(len(X[r])):
-                X[r][c] = X[r][c] - factor * X[col][c]
-    for r in range(m):
-        pivot = M[r][r]
-        X[r] = [x / pivot for x in X[r]]
-    if abs(det) < min_det:
-        raise exc(f"determinant {det:.3e} below threshold {min_det:.1e}")
-    return X, det
-
-
-def invert_matrix(A, *, min_det, exc):
-    m = len(A)
-    identity = [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
-    inv, det = gauss_jordan(A, identity, min_det=min_det, exc=exc)
-    return inv, det
+        piv = col + np.argmax(np.abs(M[:, col:, col, 0]), axis=1)
+        for arr in (M, X):
+            arr[points, col], arr[points, piv] = arr[points, piv], \
+                arr[points, col]
+        det = np.where(piv != col, -det, det)
+        pval = M[:, col, col, 0]
+        failed |= ~(np.abs(pval) > 1e-300)
+        det = det * pval
+        others = [r for r in range(m) if r != col]
+        factor = jet(M[:, others, col]) / jet(M[:, None, col, col])
+        M[:, others, col:] = (jet(M[:, others, col:]) - factor[:, None]
+                              * jet(M[:, None, col, col:])).c
+        X[:, others] = (jet(X[:, others]) - factor[:, None]
+                        * jet(X[:, None, col])).c
+    diag = np.arange(m)
+    X = jet(X) / jet(M[:, diag, diag])[:, None]
+    failed |= ~(np.abs(det) >= min_det)
+    return X, failed, det
 
 
 # ---------------------------------------------------------------------------
 # Structure realizations
 # ---------------------------------------------------------------------------
 
-class CoordinateStructure:
+class _Structure:
+    """Chart accessors shared by the realizations.
+
+    A realization's ``component_jets(xs)`` maps the coordinate jets of a
+    batch to ``((g, phi, xi, eta), checks)``: the components as tensor
+    jets, and its own rejection tests as ``(mask, error class,
+    message(i))`` in priority order.
+    """
+
+    @property
+    def dim(self):
+        return self.chart.dim
+
+    @property
+    def n(self):
+        return self.chart.n
+
+    def components(self, point):
+        """Values of (g, phi, xi, eta) at one point; raises the point's
+        rejection."""
+        parts, rejected = structure_jets(self, [point], order=0)
+        if rejected[0] is not None:
+            raise rejected[0]
+        return tuple(part.v[0] for part in parts)
+
+
+class CoordinateStructure(_Structure):
     """Structure whose coordinate-basis components are given directly.
 
     ``g_entries``/``phi_entries`` are m x m nested sequences and
-    ``xi_entries``/``eta_entries`` length-m sequences of expression nodes
-    or callables mapping the coordinate tuple to a scalar.
+    ``xi_entries``/``eta_entries`` length-m sequences of expression
+    nodes over the chart coordinates.
     """
 
     def __init__(self, chart, g_entries, phi_entries, xi_entries, eta_entries):
         self.chart = chart
         m = chart.dim
-        self._g = [[_evaluator(e) for e in row] for row in g_entries]
-        self._phi = [[_evaluator(e) for e in row] for row in phi_entries]
-        self._xi = [_evaluator(e) for e in xi_entries]
-        self._eta = [_evaluator(e) for e in eta_entries]
-        if len(self._g) != m or len(self._phi) != m:
+        self._entries = (g_entries, phi_entries, xi_entries, eta_entries)
+        if len(g_entries) != m or len(phi_entries) != m:
             raise ValueError("component matrices must be m x m")
 
-    @property
-    def dim(self):
-        return self.chart.dim
-
-    @property
-    def n(self):
-        return self.chart.n
-
-    def components(self, xs):
-        return (
-            _eval_matrix(self._g, xs),
-            _eval_matrix(self._phi, xs),
-            _eval_vector(self._xi, xs),
-            _eval_vector(self._eta, xs),
-        )
+    def component_jets(self, xs):
+        return tuple(tensor(_evaluate(e, xs), xs[0])
+                     for e in self._entries), []
 
 
-class FrameStructure:
+class FrameStructure(_Structure):
     """Structure given by a moving frame with constant frame-basis tensors.
 
-    ``frame`` is an m x m matrix of expression nodes or callables; column
-    ``a`` holds the coordinate components of the frame field e_a.  The
-    frame-basis metric ``g_hat``, endomorphism ``phi_hat``, vector
-    ``xi_hat`` and covector ``eta_hat`` are constant.  At each point the
-    coordinate components are
+    ``frame`` is an m x m matrix of expression nodes; column ``a`` holds
+    the coordinate components of the frame field e_a.  The frame-basis
+    metric ``g_hat``, endomorphism ``phi_hat``, vector ``xi_hat`` and
+    covector ``eta_hat`` are constant.  At each point the coordinate
+    components are
         phi = E phi_hat E^-1,  xi = E xi_hat,
         eta = eta_hat E^-1,    g = E^-T g_hat E^-1,
-    with all linear algebra carried out over dual numbers so derivatives
-    flow through.
+    with the inverse and every product carried out on jets so
+    derivatives flow through.
     """
 
     def __init__(self, chart, frame, g_hat, phi_hat, xi_hat, eta_hat):
         self.chart = chart
         m = chart.dim
-        self._frame = [[_evaluator(e) for e in row] for row in frame]
-        self.g_hat = [[float(v) for v in row] for row in g_hat]
-        self.phi_hat = [[float(v) for v in row] for row in phi_hat]
-        self.xi_hat = [float(v) for v in xi_hat]
-        self.eta_hat = [float(v) for v in eta_hat]
+        self._frame = frame
+        self.g_hat = np.array(g_hat, dtype=float)
+        self.phi_hat = np.array(phi_hat, dtype=float)
+        self.xi_hat = np.array(xi_hat, dtype=float)
+        self.eta_hat = np.array(eta_hat, dtype=float)
         if len(self._frame) != m:
             raise ValueError("frame matrix must be m x m")
 
-    @property
-    def dim(self):
-        return self.chart.dim
-
-    @property
-    def n(self):
-        return self.chart.n
-
     def frame_matrix(self, xs):
-        return _eval_matrix(self._frame, xs)
+        """The frame entries evaluated at coordinate scalars."""
+        return _evaluate(self._frame, xs)
 
-    def components(self, xs):
-        E = self.frame_matrix(xs)
-        Einv, _det = invert_matrix(E, min_det=_MIN_FRAME_DET, exc=SingularFrame)
-        phi = mat_mul(mat_mul(E, self.phi_hat), Einv)
-        xi = mat_vec(E, self.xi_hat)
-        eta = vec_mat(self.eta_hat, Einv)
-        g = mat_mul(mat_mul(transpose(Einv), self.g_hat), Einv)
-        return g, phi, xi, eta
+    def component_jets(self, xs):
+        E = tensor(self.frame_matrix(xs), xs[0])
+        identity = tensor(np.eye(self.dim).tolist(), xs[0])
+        Einv, singular, det = gauss_jordan(E, identity, _MIN_FRAME_DET)
+        phi = _mat_mul(_mat_mul(E, self.phi_hat), Einv)
+        xi = _mat_vec(E, self.xi_hat)
+        eta = _vec_mat(self.eta_hat, Einv)
+        g = _mat_mul(_mat_mul(_transpose(Einv), self.g_hat), Einv)
+        checks = [
+            (_flags(E), DomainError,
+             lambda i: "frame entries are not finite numbers here"),
+            (singular, SingularFrame,
+             lambda i: f"frame determinant {det[i]:.3e} below threshold "
+                       f"{_MIN_FRAME_DET:.1e}"),
+        ]
+        return (g, phi, xi, eta), checks
 
 
-class HyperboloidStructure:
+class HyperboloidStructure(_Structure):
     """Structure induced on the unit pseudosphere of para-Kahler flat space.
 
     The ambient space is R^(2n+2) with metric G = diag(+1 x (n+1),
@@ -258,99 +280,126 @@ class HyperboloidStructure:
     coordinates.  The hypersurface is the quadric
         sum_{A<=n+1} x_A^2 - sum_{A>n+1} x_A^2 = -1,
     parametrized on the patch x_{2n+2} > 0 as a graph over the first
-    2n+1 ambient coordinates.  With position field N (G(N,N) = -1) the
-    induced structure is
+    2n+1 ambient coordinates, x_{2n+2} = s = sqrt(arg).  With position
+    field N (G(N,N) = -1) the induced structure is
         xi = -J N,   J X = phi X - eta(X) N,   g = G restricted,
-    realized pointwise: tangent vectors T_i = d(embedding)/du_i come
-    from one extra jet level; g_ij = G(T_i, T_j); eta_i = G(T_i, xi);
-    the chart components of phi and xi solve an (m x m) linear system
-    with the metric as coefficient matrix.
+    realized on jets: the tangent vectors are T_i = e_i + (σ_i u_i / s)
+    e_last (σ_i the sign of u_i^2 in arg); g_ij = G(T_i, T_j);
+    eta_i = G(T_i, xi); phi and xi solve an (m x m) linear system with
+    the metric as coefficient matrix.
     """
 
     def __init__(self, n):
         if n < 1:
             raise ValueError("n must be >= 1")
-        self.n = n
         m = 2 * n + 1
         coords = tuple(f"u{i}" for i in range(1, m + 1))
         self.chart = Chart(coords, tuple((-0.8, 0.8) for _ in range(m)))
         self.ambient_dim = 2 * n + 2
+        half = n + 1
+        self._signs = [1.0] * half + [-1.0] * half
+        self._J = [(A + half) % self.ambient_dim
+                   for A in range(self.ambient_dim)]
 
-    @property
-    def dim(self):
-        return self.chart.dim
-
-    def _ambient_metric_sign(self, A):
-        return 1.0 if A < self.n + 1 else -1.0
-
-    def ambient_inner(self, u, v):
-        return sum(self._ambient_metric_sign(A) * u[A] * v[A]
-                   for A in range(self.ambient_dim))
-
-    def ambient_J(self, v):
-        half = self.n + 1
-        return [v[A + half] for A in range(half)] + [v[A] for A in range(half)]
-
-    def embed(self, xs):
-        """Ambient coordinates of the chart point (last one by the graph)."""
-        half = self.n + 1
+    def _graph_arg(self, xs):
         arg = 1.0
         for i, x in enumerate(xs):
-            if i < half:
+            if i < self.n + 1:
                 arg = arg + x * x
             else:
                 arg = arg - x * x
-        if value_of(arg) < _MIN_PATCH_MARGIN:
+        return arg
+
+    def _inner(self, U, V):
+        """G(U, V) summed over the ambient index (the last tensor axis)."""
+        return _sum(self._signs[A] * U[..., A] * V[..., A]
+                    for A in range(self.ambient_dim))
+
+    def embed(self, point):
+        """Ambient coordinates of the chart point (last one by the graph)."""
+        arg = self._graph_arg(point)
+        if arg < _MIN_PATCH_MARGIN:
             raise OutsidePatch(
-                f"graph-patch argument {value_of(arg):.3e} below "
+                f"graph-patch argument {arg:.3e} below "
                 f"{_MIN_PATCH_MARGIN:.1e}")
-        return list(xs) + [sqrt(arg)]
+        return list(point) + [math.sqrt(arg)]
 
-    def tangent_basis(self, xs):
-        """T_i = d(embedding)/du_i, via one extra jet level per direction."""
+    def component_jets(self, xs):
         m = self.dim
-        base_depth = max(depth_of(x) for x in xs) if xs else 0
-        level = base_depth + 1
-        basis = []
-        for i in range(m):
-            ys = [Dual(x, 1.0 if j == i else 0.0) for j, x in enumerate(xs)]
-            F = self.embed(ys)
-            basis.append([fa.t if depth_of(fa) == level else 0.0 for fa in F])
-        return basis
-
-    def components(self, xs):
-        m = self.dim
-        pos = self.embed(xs)
-        T = self.tangent_basis(xs)
-        xi_amb = [-c for c in self.ambient_J(pos)]
-        g = [[self.ambient_inner(T[i], T[j]) for j in range(m)]
-             for i in range(m)]
-        eta = [self.ambient_inner(T[j], xi_amb) for j in range(m)]
-        JT = [self.ambient_J(T[j]) for j in range(m)]
-        B = [[self.ambient_inner(T[i], JT[j]) for j in range(m)]
-             for i in range(m)]
-        rhs = [B[i] + [eta[i]] for i in range(m)]
-        sol, _det = gauss_jordan(g, rhs, min_det=_MIN_METRIC_DET,
-                                 exc=DegenerateMetric)
-        phi = [[sol[k][j] for j in range(m)] for k in range(m)]
-        xi = [sol[k][m] for k in range(m)]
-        return g, phi, xi, eta
+        arg = self._graph_arg(xs)
+        outside = ~(arg.v >= _MIN_PATCH_MARGIN)
+        s = sqrt(arg)
+        T = tensor([[1.0 if A == i else 0.0 for A in range(m)]
+                    + [self._signs[i] * xs[i] / s] for i in range(m)], s)
+        xi_amb = -tensor(list(xs) + [s], s)[self._J]
+        g = self._inner(T[:, None], T[None, :])
+        eta = self._inner(T, xi_amb[None, :])
+        B = self._inner(T[:, None], T[None, :, self._J])
+        rhs = Jet(np.concatenate([B.c, eta.c[:, :, None]], axis=2), g.bad,
+                  g.layout)
+        sol, degenerate, det = gauss_jordan(g, rhs, _MIN_METRIC_DET)
+        checks = [
+            (outside, OutsidePatch,
+             lambda i: f"graph-patch argument {arg.v[i]:.3e} below "
+                       f"{_MIN_PATCH_MARGIN:.1e}"),
+            (degenerate, DegenerateMetric,
+             lambda i: f"metric determinant {det[i]:.3e} below threshold "
+                       f"{_MIN_METRIC_DET:.1e}"),
+        ]
+        return (g, sol[:, :m], sol[:, m], eta), checks
 
     def quadric_residual(self, point):
         """|G(x,x) + 1| at the embedded point.  Since the position field is
         also the unit normal, this single number witnesses both that the
         point lies on the quadric and that G(N,N) = -1."""
         pos = self.embed(point)
-        return abs(self.ambient_inner(pos, pos) + 1.0)
+        return abs(sum(s * x * x for s, x in zip(self._signs, pos)) + 1.0)
 
 
 # ---------------------------------------------------------------------------
-# Jet extraction of component arrays
+# Batched evaluation and per-point rejection
 # ---------------------------------------------------------------------------
+
+def structure_jets(structure, points, order=2, directions=None):
+    """(g, phi, xi, eta) as jets at a batch of points, and the rejections.
+
+    ``directions`` seeds other derivative directions than the coordinate
+    axes (see :func:`paracr.jets.coordinate_jets`).  ``rejected[i]`` is
+    None for an accepted point, else the error that rejects point i: the
+    structure's own tests first, then DomainError for a domain violation
+    or a non-finite coefficient anywhere in the components.  Arithmetic
+    errors in constant subexpressions hit every point alike and raise
+    DomainError.
+    """
+    points = np.asarray(points, dtype=float)
+    xs = coordinate_jets(points, order, directions)
+    try:
+        with np.errstate(all="ignore"):
+            parts, checks = structure.component_jets(xs)
+    except ArithmeticError as exc:
+        raise DomainError(
+            f"{type(exc).__name__} in a component expression: {exc}") from exc
+    broken = np.any([_flags(part) for part in parts], axis=0)
+    checks.append((broken, DomainError,
+                   lambda i: "domain error or non-finite value in the "
+                             "structure components"))
+    rejected = [None] * len(points)
+    for mask, error, message in checks:
+        for i in np.flatnonzero(mask):
+            if rejected[i] is None:
+                rejected[i] = error(message(i))
+    return parts, rejected
+
 
 @dataclass
 class StructureArrays:
-    """Component values and first/second partials of (g, phi, xi, eta)."""
+    """Values and first/second partials of (g, phi, xi, eta) at a batch
+    of points.
+
+    Every array has the point axis first and the derivative axes next
+    (``dg[p, a, i, j]`` = ∂_a g_ij at point p).  ``rejected[p]`` is None
+    for an accepted point and otherwise the error that rejects it.
+    """
 
     g: np.ndarray
     dg: np.ndarray
@@ -364,67 +413,90 @@ class StructureArrays:
     eta: np.ndarray
     deta: np.ndarray
     d2eta: np.ndarray
+    rejected: list
 
 
-def _order_arrays(parts, order):
-    g, phi, xi, eta = parts
-    pick = lambda e: nth_tangent(e, order)
-    return (
-        np.array([[pick(e) for e in row] for row in g], dtype=float),
-        np.array([[pick(e) for e in row] for row in phi], dtype=float),
-        np.array([pick(e) for e in xi], dtype=float),
-        np.array([pick(e) for e in eta], dtype=float),
-    )
+def _partials(jet, order):
+    """Order-``order`` partials with the derivative axes moved right
+    after the point axis."""
+    block = getattr(jet, ("v", "d", "dd", "ddd")[order])
+    last = block.ndim
+    return np.ascontiguousarray(
+        np.moveaxis(block, range(last - order, last), range(1, 1 + order)))
 
 
-def structure_arrays(structure, point):
-    """Evaluate the structure and its partials to second order at a point.
-
-    One plain evaluation supplies the values, m order-1 jet runs the
-    first partials, and a full m^2 grid of order-2 runs the second
-    partials — every slot independently, so downstream symmetry checks
-    (mixed-partial commutation, Christoffel symmetry) exercise the real
-    computation instead of a mirrored copy.
-    """
-    m = len(point)
-    g0, phi0, xi0, eta0 = _order_arrays(structure.components(tuple(point)), 0)
-
-    dg = np.empty((m, m, m))
-    dphi = np.empty((m, m, m))
-    dxi = np.empty((m, m))
-    deta = np.empty((m, m))
-    for a in range(m):
-        parts = structure.components(seed_multi(point, [a]))
-        ga, pa, xa, ea = _order_arrays(parts, 1)
-        dg[a], dphi[a], dxi[a], deta[a] = ga, pa, xa, ea
-
-    d2g = np.empty((m, m, m, m))
-    d2phi = np.empty((m, m, m, m))
-    d2xi = np.empty((m, m, m))
-    d2eta = np.empty((m, m, m))
-    for a in range(m):
-        for b in range(m):
-            # innermost direction b, outermost a: peeling twice yields
-            # d/da d/db of every component
-            parts = structure.components(seed_multi(point, [b, a]))
-            gab, pab, xab, eab = _order_arrays(parts, 2)
-            d2g[a, b], d2phi[a, b], d2xi[a, b], d2eta[a, b] = gab, pab, xab, eab
-
-    return StructureArrays(g0, dg, d2g, phi0, dphi, d2phi,
-                           xi0, dxi, d2xi, eta0, deta, d2eta)
+def structure_arrays(structure, points):
+    """Evaluate the structure and its partials to second order at a batch
+    of points (P x m), one walk of every expression for the whole batch."""
+    parts, rejected = structure_jets(structure, points)
+    fields = {}
+    for name, jet in zip(("g", "phi", "xi", "eta"), parts):
+        fields[name] = _partials(jet, 0)
+        fields["d" + name] = _partials(jet, 1)
+        fields["d2" + name] = _partials(jet, 2)
+    return StructureArrays(rejected=rejected, **fields)
 
 
 def third_metric_derivatives(structure, point):
-    """d3g[a,b,c,i,j] = ∂_a ∂_b ∂_c g_ij via a full m^3 grid of order-3 runs."""
-    m = len(point)
-    d3g = np.empty((m, m, m, m, m))
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                g, _phi, _xi, _eta = structure.components(
-                    seed_multi(point, [c, b, a]))
-                d3g[a, b, c] = [[nth_tangent(e, 3) for e in row] for row in g]
-    return d3g
+    """d3g[a,b,c,i,j] = ∂_a ∂_b ∂_c g_ij from one order-3 evaluation."""
+    parts, rejected = structure_jets(structure, [point], order=3)
+    if rejected[0] is not None:
+        raise rejected[0]
+    return _partials(parts[0], 3)[0]
+
+
+# Direction rows per polarization batch: the batch's memory grows with
+# its rows, so frames of one structure are cross-checked a few at a time.
+_POLAR_ROWS = 64
+
+
+def mixed_partial_residuals(frames):
+    """Second partials of every frame against an independent polarization
+    cross-check, as worst scaled gaps.
+
+    The structure is re-evaluated at each frame's point with univariate
+    order-2 jets along e_a and e_a + e_b, whose second derivatives give
+    ∂_a∂_b = ½(D²_{a+b} − D²_a − D²_b) without any multivariate mixed
+    term.  The gap is taken against d2g, d2phi, d2xi and d2eta, scaled
+    by max(1, max |array|); a frame whose re-evaluation is rejected
+    gets NaN.
+    """
+    gaps = [[] for _ in frames]
+    groups = {}
+    for i, pf in enumerate(frames):
+        groups.setdefault(id(pf.structure), []).append(i)
+    for group in groups.values():
+        structure = frames[group[0]].structure
+        m = structure.dim
+        ia, ib = np.triu_indices(m, 1)
+        eye = np.eye(m)
+        directions = np.concatenate([eye, eye[ia] + eye[ib]])
+        rows = len(directions)
+        step = max(1, _POLAR_ROWS // rows)
+        for start in range(0, len(group), step):
+            members = group[start:start + step]
+            points = np.repeat([frames[i].point for i in members], rows,
+                               axis=0)
+            parts, rejected = structure_jets(
+                structure, points, 2,
+                np.tile(directions, (len(members), 1))[:, :, None])
+            for name, jet in zip(("d2g", "d2phi", "d2xi", "d2eta"), parts):
+                second = jet.dd[..., 0, 0].reshape(
+                    (len(members), rows) + jet.v.shape[1:])
+                diag = second[:, :m]
+                polar = np.empty((len(members), m, m) + diag.shape[2:])
+                polar[:, np.arange(m), np.arange(m)] = diag
+                polar[:, ia, ib] = polar[:, ib, ia] = 0.5 * (
+                    second[:, m:] - diag[:, ia] - diag[:, ib])
+                for j, i in enumerate(members):
+                    arr = getattr(frames[i], name)
+                    scale = max(1.0, float(np.max(np.abs(arr))))
+                    gaps[i].append(
+                        float(np.max(np.abs(arr - polar[j]))) / scale)
+            for j, i in enumerate(members):
+                if any(rejected[j * rows:(j + 1) * rows]):
+                    gaps[i].append(float("nan"))
+    return [float(np.max(g)) for g in gaps]
 
 
 # ---------------------------------------------------------------------------
@@ -462,28 +534,33 @@ def d_two_form(jac):
 class PointFrame:
     """All pointwise tensor data of a structure at a single chart point.
 
-    Derived quantities are cached properties computed on demand; nothing
-    is symmetrized by fiat — residual checks see the honestly computed
-    components.
+    Built from point ``index`` of a :class:`StructureArrays` batch, or,
+    without one, from a batch holding just this point; a rejected point
+    raises its rejection.  Derived quantities are cached properties
+    computed on demand; nothing is symmetrized by fiat — residual checks
+    see the honestly computed components.
     """
 
-    def __init__(self, structure, point):
+    def __init__(self, structure, point, batch=None, index=0):
         self.structure = structure
         self.point = tuple(float(x) for x in point)
         self.m = structure.dim
-        arrays = structure_arrays(structure, self.point)
-        self.g = arrays.g
-        self.dg = arrays.dg
-        self.d2g = arrays.d2g
-        self.phi = arrays.phi
-        self.dphi = arrays.dphi
-        self.d2phi = arrays.d2phi
-        self.xi = arrays.xi
-        self.dxi = arrays.dxi
-        self.d2xi = arrays.d2xi
-        self.eta = arrays.eta
-        self.deta = arrays.deta
-        self.d2eta = arrays.d2eta
+        if batch is None:
+            batch, index = structure_arrays(structure, [self.point]), 0
+        if batch.rejected[index] is not None:
+            raise batch.rejected[index]
+        self.g = batch.g[index]
+        self.dg = batch.dg[index]
+        self.d2g = batch.d2g[index]
+        self.phi = batch.phi[index]
+        self.dphi = batch.dphi[index]
+        self.d2phi = batch.d2phi[index]
+        self.xi = batch.xi[index]
+        self.dxi = batch.dxi[index]
+        self.d2xi = batch.d2xi[index]
+        self.eta = batch.eta[index]
+        self.deta = batch.deta[index]
+        self.d2eta = batch.d2eta[index]
 
     # -- metric inverses and their derivatives ------------------------------
 
@@ -803,11 +880,5 @@ class PointFrame:
         return float(np.max(np.abs(self.ddEta))) / scale
 
     def mixed_partial_residual(self):
-        """Commutation of independently computed second partials."""
-        res = 0.0
-        for name in ("d2g", "d2phi", "d2xi", "d2eta"):
-            arr = getattr(self, name)
-            swap = arr.transpose((1, 0) + tuple(range(2, arr.ndim)))
-            scale = max(1.0, float(np.max(np.abs(arr))))
-            res = max(res, float(np.max(np.abs(arr - swap))) / scale)
-        return res
+        """Second partials against the polarization cross-check."""
+        return mixed_partial_residuals([self])[0]

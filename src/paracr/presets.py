@@ -12,7 +12,7 @@ the theory:
   parametrized by a function f; para-CR exactly when f solves a first
   -order PDE system, with the default f a closed-form solution.
 - ``cosymplectic``: an almost para-cosymplectic family built from a
-  potential H through its Hessian (computed by jets at every point);
+  potential H through its Hessian (symbolic second partials of H);
   para-CR with para-Kahler leaves, yet not normal.
 
 Additionally :func:`random_dim3_structure` generates seeded random
@@ -28,14 +28,14 @@ import numpy as np
 
 from .conditions import CLASS_NAMES as ALL_CLASSES
 from .errors import ValidationError
-from .expr import parse, variables
+from .expr import Const, Neg, diff, parse, variables
 from .geometry import (
     Chart,
     CoordinateStructure,
     FrameStructure,
     HyperboloidStructure,
 )
-from .jets import Dual, depth_of
+from .jets import coordinate_jets, tensor
 
 PRESET_NAMES = ("flat3d", "hyperboloid", "p1", "cosymplectic")
 
@@ -239,20 +239,6 @@ def p1(n=2, f=None, c=1.0):
 # cosymplectic
 # ---------------------------------------------------------------------------
 
-def _hessian_entry(node, i, j):
-    """Callable computing ∂²(node)/∂u_i∂u_j at any point, floats or duals,
-    by stacking two fresh jet levels on top of whatever is passed in."""
-    def entry(xs):
-        base = max((depth_of(x) for x in xs), default=0)
-        ys = [Dual(x, 1.0 if k == j else 0.0) for k, x in enumerate(xs)]
-        zs = [Dual(y, 1.0 if k == i else 0.0) for k, y in enumerate(ys)]
-        from .expr import eval_expr
-        r = eval_expr(node, zs)
-        t = r.t if depth_of(r) == base + 2 else 0.0
-        return t.t if depth_of(t) == base + 1 else 0.0
-    return entry
-
-
 def default_cosymplectic_H(n):
     return "z*(" + " + ".join(f"x{a}^2" for a in range(1, n + 1)) + ")"
 
@@ -260,7 +246,7 @@ def default_cosymplectic_H(n):
 def cosymplectic(n=1, H=None):
     """Almost para-cosymplectic family from a potential H(x..., z): the
     frame couples ∂/∂x_a to the y-directions through the x-Hessian of H,
-    evaluated pointwise by nested jets."""
+    built as expressions by symbolic differentiation."""
     if n < 1:
         raise ValidationError("the cosymplectic family needs n >= 1")
     coords = tuple([f"x{a}" for a in range(1, n + 1)]
@@ -277,15 +263,13 @@ def cosymplectic(n=1, H=None):
             f"potential may depend on {sorted(allowed)} only, "
             f"found {sorted(used - allowed)}")
 
-    one = parse("1", coords)
-    zero = parse("0", coords)
+    one, zero = Const(1.0), Const(0.0)
     entries = [[zero] * m for _ in range(m)]
     for a in range(n):
         entries[a][a] = one
         entries[n + a][n + a] = one
         for w in range(n):
-            hess = _hessian_entry(H_node, w, a)
-            entries[n + w][a] = (lambda xs, h=hess: -h(xs))
+            entries[n + w][a] = Neg(diff(diff(H_node, a), w))
     entries[m - 1][m - 1] = one
 
     structure = FrameStructure(
@@ -323,6 +307,15 @@ _DIM3_PHI_HAT = [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
 _QUAD_MONOMIALS = ("x*x", "y*y", "z*z", "x*y", "x*z", "y*z")
 _CURVED_TERMS = ("sinh(x)", "sinh(y)", "sinh(z)",
                  "cosh(x)", "cosh(y)", "cosh(z)")
+
+
+def _frame_det_floor(structure, nodes=9):
+    """Smallest |det E| over a nodes^3 grid spanning the box [-1, 1]^3."""
+    axis = np.linspace(-1.0, 1.0, nodes)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1)
+    xs = coordinate_jets(grid.reshape(-1, 3), 0)
+    E = tensor(structure.frame_matrix(xs), xs[0])
+    return float(np.min(np.abs(np.linalg.det(E.v))))
 
 
 def random_dim3_structure(seed, max_attempts=200):
@@ -366,22 +359,7 @@ def random_dim3_structure(seed, max_attempts=200):
             _last_basis_vector(3),
             _last_basis_vector(3),
         )
-        grid = np.linspace(-1.0, 1.0, 9)
-        ok = True
-        for x in grid:
-            for y in grid:
-                for z in grid:
-                    E = np.array(
-                        structure.frame_matrix((float(x), float(y), float(z))),
-                        dtype=float)
-                    if abs(np.linalg.det(E)) < 0.25:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
+        if _frame_det_floor(structure) >= 0.25:
             return structure
     raise RuntimeError(
         f"no acceptable random frame found in {max_attempts} attempts "

@@ -6,7 +6,9 @@ points, tolerance).  A single ``numpy.random.default_rng(seed)`` stream
 drives every random choice, consumed in a fixed documented order:
 
 1. point sampling — each attempt (accepted or rejected) draws one
-   uniform vector in the chart box;
+   uniform vector in the chart box; attempts are drawn in waves of one
+   ``(k, dim)`` block (k the number of points still needed), which is
+   the same stream as k single draws;
 2. probe directions — one ``(probes, 4, dim)`` block of uniform [-1, 1]
    draws per accepted point, in point order;
 3. target measurement — plane-spanning vector pairs for the sectional
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -38,8 +40,8 @@ from .errors import (
     ValidationError,
 )
 from .expr import eval_expr, parse
-from .geometry import PointFrame
-from .jets import nth_tangent, seed_multi, value_of
+from .geometry import PointFrame, mixed_partial_residuals, structure_arrays
+from .jets import Jet, coordinate_jets
 
 _FD_STEP = 1e-5
 # Acceptance bound for corpus expressions: with |f|, |f'|, |f''|, |f'''|
@@ -88,18 +90,40 @@ def _random_expression_text(rng, names, max_depth):
     return node(0)
 
 
-def _jet_orders(fn, point, direction, orders=3):
-    xs = seed_multi(point, [direction] * orders)
-    y = fn(xs)
-    return [nth_tangent(y, k) for k in range(orders + 1)]
+def _stencil_jet(fn, point, direction, order):
+    """``fn`` at the central-difference stencil around ``point`` (shifted
+    by -h, 0, +h along ``direction``) as one univariate jet batch."""
+    stencil = np.tile(point, (3, 1))
+    for row, shift in enumerate((-_FD_STEP, 0.0, _FD_STEP)):
+        stencil[row, direction] += shift
+    xs = coordinate_jets(stencil, order, np.eye(len(point))[:, [direction]])
+    with np.errstate(all="ignore"):
+        return fn(xs)
 
 
-def _tame_at(fn, point, direction):
-    """All derivatives through order three finite and moderately sized."""
-    for value in _jet_orders(fn, point, direction):
-        if not np.isfinite(value) or abs(value) > _CORPUS_MAGNITUDE_CAP:
-            return False
-    return True
+def _tame(y):
+    """All derivatives through order three finite and moderately sized,
+    with no domain violation, at every stencil point."""
+    if not isinstance(y, Jet):
+        return abs(y) <= _CORPUS_MAGNITUDE_CAP
+    return y.bad is None and bool(np.all(np.abs(y.c) <= _CORPUS_MAGNITUDE_CAP))
+
+
+def _fd_gap(y):
+    """Relative gap between the jet's first derivative at the stencil
+    centre and the central difference of its stencil values."""
+    if not isinstance(y, Jet):
+        return 0.0  # constant: jet and difference are both zero
+    jet = float(y.d[1, 0])
+    fd = float(y.v[2] - y.v[0]) / (2.0 * _FD_STEP)
+    return abs(jet - fd) / max(1.0, abs(jet), abs(fd))
+
+
+class _Corpus(list):
+    """Corpus entries, plus ``gap``: the ``jet_fd_worst`` of the entries,
+    read off the jets that selected them."""
+
+    gap = 0.0
 
 
 @lru_cache(maxsize=4)
@@ -107,15 +131,17 @@ def random_expression_corpus(seed, count, max_depth):
     """Deterministic corpus of ``(expr_fn, point, direction)`` triples.
 
     Each expression is random text in the parser grammar over two to four
-    variables; ``expr_fn`` accepts a tuple of floats or of jets.  Sampling
-    rejects expressions whose value or first three directional
+    variables; ``expr_fn`` (a ``functools.partial`` of ``eval_expr`` whose
+    first argument is the AST) accepts a tuple of floats or of jets.
+    Sampling rejects expressions whose value or first three directional
     derivatives are non-finite or large at the probe point and at the
     two finite-difference stencil points, so a central difference with
     step 1e-5 is trustworthy there; agreement with the jet itself is
-    never part of the filter.
+    never part of the filter.  Each candidate is evaluated once, as an
+    order-3 jet over its three stencil points.
     """
     rng = np.random.default_rng(seed)
-    corpus = []
+    corpus = _Corpus()
     attempts = 0
     budget = 200 * count
     while len(corpus) < count:
@@ -130,43 +156,20 @@ def random_expression_corpus(seed, count, max_depth):
         point = tuple(float(v) for v in rng.uniform(0.3, 1.7, nvars))
         direction = int(rng.integers(nvars))
         try:
-            node = parse(text, names)
-        except ParseError:
+            expr_fn = partial(eval_expr, parse(text, names))
+            y = _stencil_jet(expr_fn, point, direction, 3)
+        except (ParseError, DomainError, ArithmeticError, ValueError):
             continue
-
-        def expr_fn(xs, _node=node):
-            return eval_expr(_node, xs)
-
-        try:
-            ok = True
-            for shift in (-_FD_STEP, 0.0, _FD_STEP):
-                probe = list(point)
-                probe[direction] += shift
-                if not _tame_at(expr_fn, tuple(probe), direction):
-                    ok = False
-                    break
-        except (DomainError, OverflowError, ZeroDivisionError, ValueError):
-            continue
-        if not ok:
-            continue
-        corpus.append((expr_fn, point, direction))
+        if _tame(y):
+            corpus.append((expr_fn, point, direction))
+            corpus.gap = max(corpus.gap, _fd_gap(y))
     return corpus
 
 
 def jet_fd_worst(corpus):
     """Worst relative gap between an order-1 jet and a central difference."""
-    worst = 0.0
-    for fn, point, direction in corpus:
-        xs = seed_multi(point, [direction])
-        jet = nth_tangent(fn(xs), 1)
-        plus = list(point)
-        plus[direction] += _FD_STEP
-        minus = list(point)
-        minus[direction] -= _FD_STEP
-        fd = (value_of(fn(tuple(plus))) - value_of(fn(tuple(minus)))) \
-            / (2.0 * _FD_STEP)
-        worst = max(worst, abs(jet - fd) / max(1.0, abs(jet), abs(fd)))
-    return worst
+    return max((_fd_gap(_stencil_jet(fn, point, direction, 1))
+                for fn, point, direction in corpus), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +184,11 @@ def sample_points(structure, rng, count):
 
     A draw is rejected when the structure is singular or degenerate
     there (frame not invertible, metric determinant too small, point
-    outside the patch, or a domain error in an expression).  More than
-    ten rejected-plus-accepted attempts per requested point raises
+    outside the patch, or a domain error or non-finite value in the
+    components).  Draws come in waves, each exactly as large as the
+    number of points still missing and evaluated as one batch, so the
+    attempts and the RNG stream match a one-draw-at-a-time loop.  More
+    than ten rejected-plus-accepted attempts per requested point raises
     SamplingExhausted.
     """
     chart = structure.chart
@@ -196,15 +202,20 @@ def sample_points(structure, rng, count):
             raise SamplingExhausted(
                 f"accepted {len(frames)}/{count} points after "
                 f"{attempts} attempts in the box")
-        attempts += 1
-        point = tuple(float(v)
-                      for v in lo + (hi - lo) * rng.random(chart.dim))
+        wave = min(count - len(frames), budget - attempts)
+        attempts += wave
+        points = lo + (hi - lo) * rng.random((wave, chart.dim))
         try:
-            pf = PointFrame(structure, point)
-            pf.ginv
-        except _REJECTABLE:
+            batch = structure_arrays(structure, points)
+        except DomainError:
             continue
-        frames.append(pf)
+        for index, point in enumerate(points):
+            try:
+                pf = PointFrame(structure, point, batch, index)
+                pf.ginv
+            except _REJECTABLE:
+                continue
+            frames.append(pf)
     return frames
 
 
@@ -212,21 +223,28 @@ def sample_points(structure, rng, count):
 # engine self-tests
 # ---------------------------------------------------------------------------
 
+def _worst(values):
+    """Largest value, NaN when any value is NaN, 0.0 for none."""
+    return float(np.max(values)) if len(values) else 0.0
+
+
 def engine_self_tests(frames, corpus_seed=1234, corpus_count=200,
                       corpus_depth=6):
     """Worst structural-identity residuals over the sample, plus the
     jet-versus-finite-difference property on the shared expression
     corpus.  These identities hold for any pseudo-Riemannian structure,
-    so they exercise the engine rather than the example."""
+    so they exercise the engine rather than the example; a NaN residual
+    is reported as NaN."""
     summary = {}
     for name in SELF_TEST_NAMES:
-        worst = 0.0
-        for pf in frames:
-            worst = max(worst, float(getattr(pf, name + "_residual")()))
-        summary[name] = worst
-    corpus = random_expression_corpus(corpus_seed, corpus_count,
-                                      corpus_depth)
-    summary["jet_vs_fd"] = jet_fd_worst(corpus)
+        if name == "mixed_partial":
+            values = mixed_partial_residuals(frames)
+        else:
+            values = [float(getattr(pf, name + "_residual")())
+                      for pf in frames]
+        summary[name] = _worst(values)
+    summary["jet_vs_fd"] = random_expression_corpus(
+        corpus_seed, corpus_count, corpus_depth).gap
     return summary
 
 

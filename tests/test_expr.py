@@ -16,12 +16,15 @@ from paracr.expr import (
     Neg,
     Pow,
     Var,
+    diff,
     eval_expr,
     parse,
     render,
     variables,
 )
-from paracr.jets import nth_tangent, seed, value_of
+from paracr.jets import Jet, coordinate_jets, nth_tangent, seed, value_of
+from paracr.presets import build_example
+from paracr.runner import random_expression_corpus
 
 XYZ = ("x", "y", "z")
 
@@ -215,3 +218,60 @@ class TestEvaluation:
         e = parse("ln(z)", XYZ)
         with pytest.raises(DomainError):
             eval_expr(e, (0.0, 0.0, -2.0))
+
+
+class TestDiff:
+    def test_folds_zeros_and_constants(self):
+        assert diff(parse("3*x + 2", XYZ), 0) == Const(3.0)
+        assert diff(parse("y^2 + sinh(z)", XYZ), 0) == Const(0.0)
+        assert diff(parse("x^1", XYZ), 0) == Const(1.0)
+        assert diff(parse("-(x)", XYZ), 0) == Const(-1.0)
+        assert render(diff(parse("x^3", XYZ), 0)) == "3.0 * x^2"
+        assert render(diff(parse("z*(x^2 + y^2)", XYZ), 0)) == "z * (2.0 * x)"
+
+    def test_every_function_against_hand_derivatives(self):
+        # [DERIVED] d/dx of f(2x) at x = 0.3 is 2 f'(0.6).
+        x = 0.3
+        cases = {
+            "sinh(2*x)": 2 * math.cosh(0.6),
+            "cosh(2*x)": 2 * math.sinh(0.6),
+            "tanh(2*x)": 2 * (1 - math.tanh(0.6) ** 2),
+            "exp(2*x)": 2 * math.exp(0.6),
+            "ln(2*x)": 2 / 0.6,
+            "sqrt(2*x)": 1 / math.sqrt(0.6),
+            "1/(2*x)": -2 / 0.36,
+            "(2*x)^-2": -4 / 0.216,
+        }
+        for text, want in cases.items():
+            got = eval_expr(diff(parse(text, XYZ), 0), (x, 0.0, 0.0))
+            assert got == pytest.approx(want, rel=1e-13), text
+
+    def test_matches_jets_on_the_corpus(self):
+        # first, second and mixed second partials of every corpus
+        # expression against the jet engine at its probe point
+        for fn, point, direction in random_expression_corpus(1234, 200, 6):
+            node = fn.args[0]
+            other = (direction + 1) % len(point)
+            first = diff(node, direction)
+            symbolic = [eval_expr(first, point),
+                        eval_expr(diff(first, direction), point),
+                        eval_expr(diff(first, other), point)]
+            y = eval_expr(node, coordinate_jets([point], 2))
+            if not isinstance(y, Jet):
+                assert symbolic == [0.0, 0.0, 0.0]
+                continue
+            jet = [y.d[0, direction], y.dd[0, direction, direction],
+                   y.dd[0, direction, other]]
+            for got, want in zip(symbolic, jet):
+                assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_cosymplectic_frame_is_the_symbolic_hessian(self):
+        # [DERIVED] H = z (x1^2 + x2^2): the frame couples d/dx_a to
+        # d/dy_w through -d^2H/dx_w dx_a = -2z delta_wa, as expressions.
+        st = build_example("cosymplectic", n=2).structure
+        point = (0.3, -0.2, 0.4, 0.1, -0.5)
+        E = st.frame_matrix(point)
+        for w in range(2):
+            for a in range(2):
+                assert isinstance(st._frame[2 + w][a], (Neg, Bin, Const))
+                assert E[2 + w][a] == (-2.0 * point[4] if w == a else 0.0)
