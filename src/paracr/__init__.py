@@ -6,8 +6,8 @@ Public surface:
 - ``paracr.jets``: batched Taylor-array jets (derivatives to order 3)
   and the scalar nested duals they are checked against;
 - ``paracr.expr``: the expression grammar (parse, eval_expr, render);
-- ``paracr.geometry``: charts, structures, and PointFrame (pointwise
-  curvature and structure tensors);
+- ``paracr.geometry``: charts, structures, FrameBatch (curvature and
+  structure tensors at a batch of points) and PointFrame (one row);
 - ``paracr.conditions``: the condition registry, evaluation, and
   classification;
 - ``paracr.presets``: the built-in example families and the random

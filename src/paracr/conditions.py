@@ -1,10 +1,15 @@
-"""Structure conditions as numerical residuals.
+"""Structure conditions as numerical residuals over a batch of points.
 
-Every named condition in the registry evaluates, at one point of one
-structure, to a :class:`ConditionValue` holding the worst raw residual
-together with its scale.  The scale is ``max(1, infinity-norms of the
-formula's summands)``, so ``scaled = raw / scale`` is dimensionless and
-insensitive to the overall magnitude of the inputs.
+Every named condition in the registry is one kernel over a
+:class:`~paracr.geometry.FrameBatch`: it forms the residual parts of the
+condition at all points of the batch at once, each as ``(name, res,
+terms, slots)`` with the point axis first.  A part's scale is ``max(1,
+infinity-norms of the formula's summands)``, so ``scaled = raw /
+scale`` is dimensionless and insensitive to the overall magnitude of
+the inputs.  One reduction turns the parts of a batch into the worst
+:class:`ConditionValue`: the first strict maximum of ``scaled`` in
+point-major, candidate-minor order, or the first NaN, so a NaN residual
+never hides behind a finite one.
 
 Evaluation policy by scope:
 
@@ -20,24 +25,32 @@ Evaluation policy by scope:
   the projector field, over all coordinate seed pairs and all probe
   draws.
 - ``basis``: evaluated on bracket combinations of computed
-  eigendistribution basis fields; probes are not used.
+  eigendistribution basis fields, point by point; probes are not used.
 - ``dim3``: like ``tensor`` but defined only in dimension 3; other
   dimensions raise :class:`WrongDimension`.
 
 The classifier combines scaled residuals into three-valued verdicts
-(pass / fail / ambiguous) and cross-checks independent formulations of
-the same property, raising :class:`InconsistentVerdict` on hard
-disagreement.
+(pass / fail / ambiguous, a NaN residual failing) and cross-checks
+independent formulations of the same property, raising
+:class:`InconsistentVerdict` on hard disagreement.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import InconsistentVerdict, RankDefect, WrongDimension
-from .geometry import lie_bracket
+from .geometry import (
+    _amax,
+    _mv,
+    lie_bracket,
+    phi_applied_field,
+    projected_field,
+)
 
 __all__ = [
     "CLASS_NAMES",
@@ -46,16 +59,13 @@ __all__ = [
     "BUNDLES",
     "Condition",
     "ConditionValue",
+    "evaluate_batch",
     "evaluate_condition",
     "expand_checks",
     "classify",
     "eigendistribution_bases",
     "involutivity_residual",
-    "nijenhuis_field",
-    "normality_field_residual",
-    "levi_form",
-    "levi_symmetry_residual",
-    "h_property_residuals",
+    "worse",
 ]
 
 CLASS_NAMES = (
@@ -71,7 +81,7 @@ CLASS_NAMES = (
 
 @dataclass(frozen=True)
 class ConditionValue:
-    """Worst residual part of one condition at one point."""
+    """Worst residual part of one condition."""
 
     raw: float
     scale: float
@@ -82,357 +92,336 @@ class ConditionValue:
         return self.raw / self.scale
 
 
-def _norm(arr):
-    arr = np.asarray(arr, dtype=float)
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+def worse(current, value):
+    """The worse of two ConditionValues met in this order: ``value``
+    replaces ``current`` when strictly worse, or NaN where ``current``
+    is not."""
+    if current is None or value.scaled > current.scaled or (
+            math.isnan(value.scaled) and not math.isnan(current.scaled)):
+        return value
+    return current
 
 
-@dataclass(frozen=True)
-class _Part:
-    name: str
-    res: np.ndarray
-    terms: tuple
-    slots: tuple = ()
+def _norms(x, lead):
+    """max |x| over the axes after the first ``lead``, as [P, 1 or D]."""
+    return np.max(np.abs(x), axis=tuple(range(lead, x.ndim))).reshape(
+        len(x), -1)
 
 
-def _scalar_part(name, value, *magnitudes):
-    """A scalar residual scaled by the given term magnitudes."""
-    return _Part(name, np.asarray(float(value)),
-                 tuple(np.asarray(float(v)) for v in magnitudes))
-
-
-def _contract(T, slots, draw):
-    """Contract the listed axes of T with successive rows of draw."""
-    if T.ndim < len(slots) or not slots:
-        return T
-    for ax, v in sorted(zip(slots, draw), key=lambda p: -p[0]):
-        T = np.tensordot(T, np.asarray(v, dtype=float), axes=([ax], [0]))
+def _contract(T, slots, probes):
+    """[P, D, ...]: the listed axes of T [P, ...] contracted with the
+    successive rows of each probe draw, highest axis first.  The other
+    axes are merged so each contraction is one gemv per point and draw,
+    the product ``tensordot`` forms for a single point."""
+    count, draws = probes.shape[:2]
+    T = np.broadcast_to(T[:, None], (count, draws) + T.shape[1:])
+    for row, ax in sorted(enumerate(slots), key=lambda p: -p[1]):
+        T = np.moveaxis(T, ax + 2, -1)
+        shape = T.shape[:-1]
+        T = (T.reshape(count, draws, -1, T.shape[-1])
+             @ probes[:, :, row, :, None]).reshape(shape)
     return T
 
 
-def _best(parts, probes):
-    best = None
-    for p in parts:
-        res = np.asarray(p.res, dtype=float)
-        terms = tuple(np.asarray(t, float) for t in p.terms)
-        candidates = [(res, terms, p.name)]
-        if p.slots:
-            for d, draw in enumerate(probes):
-                rc = _contract(res, p.slots, draw)
-                tc = tuple(_contract(t, p.slots, draw) if t.ndim == res.ndim
-                           else t for t in terms)
-                candidates.append((rc, tc, f"{p.name}/probe{d}"))
-        for r, ts, label in candidates:
-            raw = _norm(r)
-            scale = max([1.0] + [_norm(t) for t in ts])
-            val = ConditionValue(raw=raw, scale=scale, part=label)
-            if best is None or val.scaled > best.scaled:
-                best = val
-    return best
+def _candidates(parts, probes):
+    """raw and scale of every candidate of the parts, as [P, C] arrays,
+    and the candidate labels: each part in full, then, when it has
+    vector slots, contracted with each probe draw."""
+    raws, scales, labels = [], [], []
+    for name, res, terms, slots in parts:
+        forms = [(res, 1, [(t, 1) for t in terms])]
+        labels.append(name)
+        if slots and probes.shape[1]:
+            forms.append((_contract(res, slots, probes), 2, [
+                (_contract(t, slots, probes), 2) if t.ndim == res.ndim
+                else (t, 1) for t in terms]))
+            labels += [f"{name}/probe{d}" for d in range(probes.shape[1])]
+        for r, lead, ts in forms:
+            raw = _norms(r, lead)
+            scale = np.ones_like(raw)
+            for t, t_lead in ts:
+                scale = np.maximum(scale, _norms(t, t_lead))
+            raws.append(raw)
+            scales.append(scale)
+    return np.concatenate(raws, axis=1), np.concatenate(scales, axis=1), labels
 
 
 # ---------------------------------------------------------------------------
-# building blocks
+# building blocks (arrays over [P, ...])
 # ---------------------------------------------------------------------------
 
-def _phi_nabla_xi(pf):
+def _T(A):
+    return np.swapaxes(A, -1, -2)
+
+
+def _outer(u, v):
+    return u[:, :, None] * v[:, None, :]
+
+
+def _dot(u, v):
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _phi_nabla_xi(fb):
     """v[x, a] = (phi nabla_{e_x} xi)^a."""
-    return np.einsum('ab,xb->xa', pf.phi, pf.nabla_xi)
+    return np.einsum('pab,pxb->pxa', fb.phi, fb.nabla_xi)
 
 
-def _nphi_kxy(pf):
+def _nphi_kxy(fb):
     """(nabla_{e_x} phi)^k_y arranged as [k, x, y]."""
-    return pf.nabla_phi.transpose(1, 0, 2)
+    return fb.nabla_phi.transpose(0, 2, 1, 3)
 
 
 def _project_slots(T, P, slots):
-    """Compose the listed vector-argument axes of T with the projector."""
+    """Compose the listed vector-argument axes of T with the projector,
+    one gemm per point over the merged other axes."""
     for ax in slots:
-        T = np.moveaxis(np.tensordot(T, P, axes=([ax], [0])), -1, ax)
+        moved = np.moveaxis(T, ax + 1, -1)
+        T = np.moveaxis((moved.reshape(len(T), -1, moved.shape[-1]) @ P)
+                        .reshape(moved.shape), -1, ax + 1)
     return T
 
 
-def _nijenhuis_array(pf):
+def _projected_part(name, terms, P):
+    return (name, _project_slots(sum(terms), P, (1, 2)),
+            tuple(_project_slots(t, P, (1, 2)) for t in terms), (1, 2))
+
+
+def _nijenhuis_array(fb):
     """N[k, i, j]: torsion of phi on coordinate fields."""
-    return (np.einsum('ai,akj->kij', pf.phi, pf.dphi)
-            - np.einsum('aj,aki->kij', pf.phi, pf.dphi)
-            - np.einsum('ka,iaj->kij', pf.phi, pf.dphi)
-            + np.einsum('ka,jai->kij', pf.phi, pf.dphi))
+    return (np.einsum('pai,pakj->pkij', fb.phi, fb.dphi)
+            - np.einsum('paj,paki->pkij', fb.phi, fb.dphi)
+            - np.einsum('pka,piaj->pkij', fb.phi, fb.dphi)
+            + np.einsum('pka,pjai->pkij', fb.phi, fb.dphi))
+
+
+def _reeb_commutator(fb, sign):
+    """phi nabla_X xi - sign * nabla_{phi X} xi as [k, x], and its two
+    terms."""
+    a = np.einsum('pax,pak->pkx', fb.phi, fb.nabla_xi)
+    b = np.einsum('pka,pxa->pkx', fb.phi, fb.nabla_xi)
+    return (a - b if sign > 0 else a + b), (a, b)
+
+
+def _twisted_nabla_phi(fb):
+    """(nabla_{phi X} phi)(phi Y) as [k, x, y]."""
+    return np.einsum('pax,pakb,pby->pkxy', fb.phi, fb.nabla_phi, fb.phi)
+
+
+def _along_reeb(fb):
+    """(nabla_xi xi, nabla_xi phi) parts shared by wlasn and dacko."""
+    along = np.einsum('pi,pik->pk', fb.xi, fb.nabla_xi)
+    return (("reeb_geodesic", along, (_amax(fb.xi) * _amax(fb.nabla_xi),),
+             ()),
+            ("phi_parallel_along_reeb",
+             np.einsum('pi,pikj->pkj', fb.xi, fb.nabla_phi),
+             (_amax(fb.xi) * _amax(fb.nabla_phi),), (1,)))
 
 
 # ---------------------------------------------------------------------------
 # tensor / distribution conditions
 # ---------------------------------------------------------------------------
 
-def _cond_axioms(pf, probes):
-    m = pf.m
-    eye = np.eye(m)
-    phi2 = pf.phi @ pf.phi
-    bias = np.outer(pf.xi, pf.eta)
-    parts = [
-        _Part("phi_squared", phi2 - eye + bias, (phi2, eye, bias), (1,)),
-        _scalar_part("eta_of_xi", float(pf.eta @ pf.xi) - 1.0,
-                     float(pf.eta @ pf.xi), 1.0),
-        _Part("phi_xi", pf.phi @ pf.xi,
-              (_norm(pf.phi) * _norm(pf.xi),)),
-        _Part("eta_phi", pf.eta @ pf.phi,
-              (_norm(pf.eta) * _norm(pf.phi),)),
-        _Part("eta_metric_dual", pf.eta - pf.g @ pf.xi,
-              (pf.eta, pf.g @ pf.xi)),
-        _Part("form_skew", pf.Phi + pf.Phi.T, (pf.Phi, pf.Phi.T), (0, 1)),
+def _cond_axioms(fb, probes):
+    phi2 = fb.phi @ fb.phi
+    eye = np.broadcast_to(np.eye(fb.m), phi2.shape)
+    bias = _outer(fb.xi, fb.eta)
+    eta_xi = _dot(fb.eta, fb.xi)
+    gxi = _mv(fb.g, fb.xi)
+    Phi_T = _T(fb.Phi)
+    return [
+        ("phi_squared", phi2 - eye + bias, (phi2, eye, bias), (1,)),
+        ("eta_of_xi", eta_xi - 1.0, (eta_xi,), ()),
+        ("phi_xi", _mv(fb.phi, fb.xi), (_amax(fb.phi) * _amax(fb.xi),), ()),
+        ("eta_phi", (fb.eta[:, None, :] @ fb.phi)[:, 0],
+         (_amax(fb.eta) * _amax(fb.phi),), ()),
+        ("eta_metric_dual", fb.eta - gxi, (fb.eta, gxi), ()),
+        ("form_skew", fb.Phi + Phi_T, (fb.Phi, Phi_T), (0, 1)),
     ]
-    return _best(parts, probes)
 
 
-def _cond_compat(pf, probes):
-    twisted = np.einsum('ai,ab,bj->ij', pf.phi, pf.g, pf.phi)
-    bias = np.outer(pf.eta, pf.eta)
-    res = twisted + pf.g - bias
-    return _best([_Part("compat", res, (twisted, pf.g, bias), (0, 1))], probes)
+def _cond_compat(fb, probes):
+    twisted = np.einsum('pai,pab,pbj->pij', fb.phi, fb.g, fb.phi)
+    bias = _outer(fb.eta, fb.eta)
+    return [("compat", twisted + fb.g - bias, (twisted, fb.g, bias), (0, 1))]
 
 
-def _cond_normal(pf, probes):
-    N = _nijenhuis_array(pf)
-    contact = 2.0 * np.einsum('ij,k->kij', pf.dEta, pf.xi)
-    return _best([_Part("normality_tensor", N - contact, (N, contact),
-                        (1, 2))], probes)
+def _cond_normal(fb, probes):
+    N = _nijenhuis_array(fb)
+    contact = 2.0 * np.einsum('pij,pk->pkij', fb.dEta, fb.xi)
+    return [("normality_tensor", N - contact, (N, contact), (1, 2))]
 
 
-def _cond_pcm(pf, probes):
-    return _best([_Part("form_vs_deta", pf.Phi - pf.dEta,
-                        (pf.Phi, pf.dEta), (0, 1))], probes)
+def _cond_pcm(fb, probes):
+    return [("form_vs_deta", fb.Phi - fb.dEta, (fb.Phi, fb.dEta), (0, 1))]
 
 
-def _cond_apcos(pf, probes):
-    half = 0.5 * pf.deta
-    jac = pf.dPhi_partial
-    thirds = (jac / 3.0, jac.transpose(1, 2, 0) / 3.0,
-              jac.transpose(2, 0, 1) / 3.0)
-    parts = [
-        _Part("deta_closed", pf.dEta, (half, half.transpose(1, 0)), (0, 1)),
-        _Part("dform_closed", pf.dPhi, thirds, (0, 1, 2)),
+def _cond_apcos(fb, probes):
+    half = 0.5 * fb.deta
+    jac = fb.dPhi_partial
+    thirds = (jac / 3.0, jac.transpose(0, 2, 3, 1) / 3.0,
+              jac.transpose(0, 3, 1, 2) / 3.0)
+    return [
+        ("deta_closed", fb.dEta, (half, _T(half)), (0, 1)),
+        ("dform_closed", fb.dPhi, thirds, (0, 1, 2)),
     ]
-    return _best(parts, probes)
 
 
-def _cond_news00(pf, probes):
-    P = pf.P
-    M = P.T @ (pf.dEta @ pf.phi) @ P
-    return _best([_Part("levi_symmetry", M - M.T, (M, M.T), (0, 1))], probes)
+def _symmetry_part(name, M):
+    return (name, M - _T(M), (M, _T(M)), (0, 1))
 
 
-def _cond_news01(pf, probes):
-    P = pf.P
-    B = pf.nabla_eta @ pf.phi + pf.phi.T @ pf.nabla_eta
-    Bp = P.T @ B @ P
-    return _best([_Part("nabla_eta_symmetry", Bp - Bp.T, (Bp, Bp.T),
-                        (0, 1))], probes)
+def _cond_news00(fb, probes):
+    return [_symmetry_part("levi_symmetry",
+                           _T(fb.P) @ (fb.dEta @ fb.phi) @ fb.P)]
 
 
-def _cond_thm1(pf, probes):
-    P = pf.P
-    t1 = _nphi_kxy(pf)
-    t2 = np.einsum('ax,akb,by->kxy', pf.phi, pf.nabla_phi, pf.phi)
-    S = (np.einsum('ya,ax->xy', pf.nabla_eta, pf.phi)
-         + np.einsum('ay,ax->xy', pf.phi, pf.nabla_eta))
-    t3 = np.einsum('xy,k->kxy', S, pf.xi)
-    parts = [_Part("symmetric_nabla_phi",
-                   _project_slots(t1 + t2 + t3, P, (1, 2)),
-                   tuple(_project_slots(t, P, (1, 2)) for t in (t1, t2, t3)),
-                   (1, 2))]
-    return _best(parts, probes)
+def _cond_news01(fb, probes):
+    B = fb.nabla_eta @ fb.phi + _T(fb.phi) @ fb.nabla_eta
+    return [_symmetry_part("nabla_eta_symmetry", _T(fb.P) @ B @ fb.P)]
 
 
-def _reeb_gradient_shape(pf):
-    """The common right-hand side g(phi nabla_X xi, Y) xi - eta(Y) phi
-    nabla_X xi, as [k, x, y] terms (returned separately)."""
-    v = _phi_nabla_xi(pf)
-    t2 = -np.einsum('xa,ay,k->kxy', v, pf.g, pf.xi)
-    t3 = np.einsum('y,xk->kxy', pf.eta, v)
-    return t2, t3
+def _cond_thm1(fb, probes):
+    S = (np.einsum('pya,pax->pxy', fb.nabla_eta, fb.phi)
+         + np.einsum('pay,pax->pxy', fb.phi, fb.nabla_eta))
+    t3 = np.einsum('pxy,pk->pkxy', S, fb.xi)
+    return [_projected_part("symmetric_nabla_phi",
+                            (_nphi_kxy(fb), _twisted_nabla_phi(fb), t3),
+                            fb.P)]
 
 
-def _cond_jw3d(pf, probes):
-    if pf.m != 3:
-        raise WrongDimension(
-            f"this identity is specific to dimension 3, got {pf.m}")
-    t1 = _nphi_kxy(pf)
-    t2, t3 = _reeb_gradient_shape(pf)
-    return _best([_Part("dim3_nabla_phi", t1 + t2 + t3, (t1, t2, t3),
-                        (1, 2))], probes)
+def _nabla_phi_from_reeb_gradient(name, fb, probes):
+    """(nabla_X phi)Y = g(phi nabla_X xi, Y) xi - eta(Y) phi nabla_X xi:
+    jw3d, wzor1 and wzor2 under their own part names."""
+    v = _phi_nabla_xi(fb)
+    t1 = _nphi_kxy(fb)
+    t2 = -np.einsum('pxa,pay,pk->pkxy', v, fb.g, fb.xi)
+    t3 = np.einsum('py,pxk->pkxy', fb.eta, v)
+    return [(name, t1 + t2 + t3, (t1, t2, t3), (1, 2))]
 
 
-def _cond_normal_nabla(pf, probes):
-    t1 = np.einsum('ka,xay->kxy', pf.phi, pf.nabla_phi)
-    t2 = -np.einsum('ax,aky->kxy', pf.phi, pf.nabla_phi)
-    t3 = np.einsum('xy,k->kxy', pf.nabla_eta, pf.xi)
-    return _best([_Part("normal_nabla", t1 + t2 + t3, (t1, t2, t3),
-                        (1, 2))], probes)
+def _cond_normal_nabla(fb, probes):
+    t1 = np.einsum('pka,pxay->pkxy', fb.phi, fb.nabla_phi)
+    t2 = -np.einsum('pax,paky->pkxy', fb.phi, fb.nabla_phi)
+    t3 = np.einsum('pxy,pk->pkxy', fb.nabla_eta, fb.xi)
+    return [("normal_nabla", t1 + t2 + t3, (t1, t2, t3), (1, 2))]
 
 
-def _cond_wlasn(pf, probes):
-    along = np.einsum('i,ik->k', pf.xi, pf.nabla_xi)
-    eta_along = np.einsum('i,ij->j', pf.xi, pf.nabla_eta)
-    r3 = (np.einsum('ax,ak->kx', pf.phi, pf.nabla_xi)
-          - np.einsum('ka,xa->kx', pf.phi, pf.nabla_xi))
-    r4 = np.einsum('i,ikj->kj', pf.xi, pf.nabla_phi)
-    parts = [
-        _Part("reeb_geodesic", along,
-              (_norm(pf.xi) * _norm(pf.nabla_xi),)),
-        _Part("eta_parallel_along_reeb", eta_along,
-              (_norm(pf.xi) * _norm(pf.nabla_eta),)),
-        _Part("phi_commutes_with_reeb_gradient", r3,
-              (np.einsum('ax,ak->kx', pf.phi, pf.nabla_xi),
-               np.einsum('ka,xa->kx', pf.phi, pf.nabla_xi)), (1,)),
-        _Part("phi_parallel_along_reeb", r4,
-              (_norm(pf.xi) * _norm(pf.nabla_phi),), (1,)),
+def _cond_wlasn(fb, probes):
+    geodesic, parallel = _along_reeb(fb)
+    r3, r3_terms = _reeb_commutator(fb, +1)
+    return [
+        geodesic,
+        ("eta_parallel_along_reeb",
+         np.einsum('pi,pij->pj', fb.xi, fb.nabla_eta),
+         (_amax(fb.xi) * _amax(fb.nabla_eta),), ()),
+        ("phi_commutes_with_reeb_gradient", r3, r3_terms, (1,)),
+        parallel,
     ]
-    return _best(parts, probes)
 
 
-def _cond_h_rel(pf, probes):
-    t1 = pf.nabla_xi.T
-    t2 = pf.phi
-    t3 = -pf.phi @ pf.h
-    return _best([_Part("reeb_gradient_vs_h", t1 + t2 + t3, (t1, t2, t3),
-                        (1,))], probes)
+def _cond_h_rel(fb, probes):
+    t1 = _T(fb.nabla_xi)
+    t2 = fb.phi
+    t3 = -fb.phi @ fb.h
+    return [("reeb_gradient_vs_h", t1 + t2 + t3, (t1, t2, t3), (1,))]
 
 
-def _cond_lemat(pf, probes):
-    t1 = np.einsum('ax,akb,by->kxy', pf.phi, pf.nabla_phi, pf.phi)
-    t2 = -_nphi_kxy(pf)
-    t3 = -2.0 * np.einsum('xy,k->kxy', pf.g, pf.xi)
-    W = np.eye(pf.m) - pf.h + np.outer(pf.xi, pf.eta)
-    t4 = np.einsum('y,kx->kxy', pf.eta, W)
-    return _best([_Part("twisted_nabla_phi", t1 + t2 + t3 + t4,
-                        (t1, t2, t3, t4), (1, 2))], probes)
+def _cond_lemat(fb, probes):
+    t1 = _twisted_nabla_phi(fb)
+    t2 = -_nphi_kxy(fb)
+    t3 = -2.0 * np.einsum('pxy,pk->pkxy', fb.g, fb.xi)
+    W = np.eye(fb.m) - fb.h + _outer(fb.xi, fb.eta)
+    t4 = np.einsum('py,pkx->pkxy', fb.eta, W)
+    return [("twisted_nabla_phi", t1 + t2 + t3 + t4, (t1, t2, t3, t4),
+             (1, 2))]
 
 
-def _cond_sas(pf, probes):
-    t1 = _nphi_kxy(pf)
-    t2 = np.einsum('xy,k->kxy', pf.g, pf.xi)
-    t3 = -np.einsum('y,kx->kxy', pf.eta, np.eye(pf.m))
-    return _best([_Part("defining_equation", t1 + t2 + t3, (t1, t2, t3),
-                        (1, 2))], probes)
+def _cond_sas(fb, probes):
+    t1 = _nphi_kxy(fb)
+    t2 = np.einsum('pxy,pk->pkxy', fb.g, fb.xi)
+    t3 = -np.einsum('py,kx->pkxy', fb.eta, np.eye(fb.m))
+    return [("defining_equation", t1 + t2 + t3, (t1, t2, t3), (1, 2))]
 
 
-def _cond_wzor1(pf, probes):
-    t1 = _nphi_kxy(pf)
-    t2, t3 = _reeb_gradient_shape(pf)
-    return _best([_Part("nabla_phi_from_reeb_gradient", t1 + t2 + t3,
-                        (t1, t2, t3), (1, 2))], probes)
+def _h_shape(fb):
+    """nabla phi and g(X - hX, Y) xi as [k, x, y], and B = id - h."""
+    B = np.eye(fb.m) - fb.h
+    return (_nphi_kxy(fb),
+            np.einsum('pax,pay,pk->pkxy', B, fb.g, fb.xi), B)
 
 
-def _cond_wzorzamk(pf, probes):
-    B = np.eye(pf.m) - pf.h
-    t1 = _nphi_kxy(pf)
-    t2 = np.einsum('ax,ay,k->kxy', B, pf.g, pf.xi)
-    t3 = -np.einsum('y,kx->kxy', pf.eta, B)
-    return _best([_Part("nabla_phi_from_h", t1 + t2 + t3, (t1, t2, t3),
-                        (1, 2))], probes)
+def _cond_wzorzamk(fb, probes):
+    t1, t2, B = _h_shape(fb)
+    t3 = -np.einsum('py,pkx->pkxy', fb.eta, B)
+    return [("nabla_phi_from_h", t1 + t2 + t3, (t1, t2, t3), (1, 2))]
 
 
-def _cond_contparacr(pf, probes):
-    B = np.eye(pf.m) - pf.h
-    t1 = _nphi_kxy(pf)
-    t2 = np.einsum('ax,ay,k->kxy', B, pf.g, pf.xi)
-    P = pf.P
-    parts = [_Part("kernel_nabla_phi_from_h",
-                   _project_slots(t1 + t2, P, (1, 2)),
-                   (_project_slots(t1, P, (1, 2)),
-                    _project_slots(t2, P, (1, 2))), (1, 2))]
-    return _best(parts, probes)
+def _cond_contparacr(fb, probes):
+    t1, t2, _ = _h_shape(fb)
+    return [_projected_part("kernel_nabla_phi_from_h", (t1, t2), fb.P)]
 
 
-def _cond_dacko(pf, probes):
-    along = np.einsum('i,ik->k', pf.xi, pf.nabla_xi)
-    r2 = np.einsum('i,ikj->kj', pf.xi, pf.nabla_phi)
-    r3 = (np.einsum('ax,ak->kx', pf.phi, pf.nabla_xi)
-          + np.einsum('ka,xa->kx', pf.phi, pf.nabla_xi))
-    v = _phi_nabla_xi(pf)
-    t1 = np.einsum('ax,akb,by->kxy', pf.phi, pf.nabla_phi, pf.phi)
-    t2 = -_nphi_kxy(pf)
-    t3 = -np.einsum('y,xk->kxy', pf.eta, v)
-    parts = [
-        _Part("reeb_geodesic", along,
-              (_norm(pf.xi) * _norm(pf.nabla_xi),)),
-        _Part("phi_parallel_along_reeb", r2,
-              (_norm(pf.xi) * _norm(pf.nabla_phi),), (1,)),
-        _Part("phi_anticommutes_with_reeb_gradient", r3,
-              (np.einsum('ax,ak->kx', pf.phi, pf.nabla_xi),
-               np.einsum('ka,xa->kx', pf.phi, pf.nabla_xi)), (1,)),
-        _Part("twisted_nabla_phi", t1 + t2 + t3, (t1, t2, t3), (1, 2)),
+def _cond_dacko(fb, probes):
+    geodesic, parallel = _along_reeb(fb)
+    r3, r3_terms = _reeb_commutator(fb, -1)
+    t1 = _twisted_nabla_phi(fb)
+    t2 = -_nphi_kxy(fb)
+    t3 = -np.einsum('py,pxk->pkxy', fb.eta, _phi_nabla_xi(fb))
+    return [
+        geodesic,
+        parallel,
+        ("phi_anticommutes_with_reeb_gradient", r3, r3_terms, (1,)),
+        ("twisted_nabla_phi", t1 + t2 + t3, (t1, t2, t3), (1, 2)),
     ]
-    return _best(parts, probes)
 
 
-def _cond_wzor2(pf, probes):
-    t1 = _nphi_kxy(pf)
-    t2, t3 = _reeb_gradient_shape(pf)
-    return _best([_Part("nabla_phi_from_reeb_gradient", t1 + t2 + t3,
-                        (t1, t2, t3), (1, 2))], probes)
-
-
-def _cond_paracrcos(pf, probes):
-    v = _phi_nabla_xi(pf)
-    t1 = _nphi_kxy(pf)
-    t2 = -np.einsum('xa,ay,k->kxy', v, pf.g, pf.xi)
-    P = pf.P
-    parts = [_Part("kernel_nabla_phi_from_reeb_gradient",
-                   _project_slots(t1 + t2, P, (1, 2)),
-                   (_project_slots(t1, P, (1, 2)),
-                    _project_slots(t2, P, (1, 2))), (1, 2))]
-    return _best(parts, probes)
+def _cond_paracrcos(fb, probes):
+    t2 = -np.einsum('pxa,pay,pk->pkxy', _phi_nabla_xi(fb), fb.g, fb.xi)
+    return [_projected_part("kernel_nabla_phi_from_reeb_gradient",
+                            (_nphi_kxy(fb), t2), fb.P)]
 
 
 # ---------------------------------------------------------------------------
 # field conditions (need derivatives of their arguments)
 # ---------------------------------------------------------------------------
 
-def _field_draws(pf, probes):
-    """Coordinate seed pairs plus the supplied probe pairs."""
-    m = pf.m
-    eye = np.eye(m)
-    draws = [(eye[i], eye[j]) for i in range(m) for j in range(i + 1, m)]
-    draws += [(draw[0], draw[1]) for draw in probes]
-    return draws
+def _field_pairs(fb, probes):
+    """Sections X, Y = P u, P v and phi X, phi Y over (point, pair): the
+    coordinate seed pairs u = e_i, v = e_j (i < j), then the probe
+    pairs (first two rows of each draw)."""
+    i, j = np.triu_indices(fb.m, 1)
+    eye = np.broadcast_to(np.eye(fb.m), (len(fb), fb.m, fb.m))
+    u = np.concatenate([eye[:, i], probes[:, :, 0]], axis=1)
+    v = np.concatenate([eye[:, j], probes[:, :, 1]], axis=1)
+    P, dP = fb.P[:, None], fb.dP[:, None]
+    phi, dphi = fb.phi[:, None], fb.dphi[:, None]
+    X, Y = projected_field(P, dP, u), projected_field(P, dP, v)
+    return (X, Y, phi_applied_field(phi, dphi, *X),
+            phi_applied_field(phi, dphi, *Y))
 
 
-def _cond_s0(pf, probes):
-    best = None
-    for d, (u, v) in enumerate(_field_draws(pf, probes)):
-        X = pf.projected_field(pf.P, pf.dP, u)
-        Y = pf.projected_field(pf.P, pf.dP, v)
-        pX = pf.phi_applied_field(*X)
-        pY = pf.phi_applied_field(*Y)
-        t1 = float(pf.eta @ lie_bracket(*pX, *Y))
-        t2 = float(pf.eta @ lie_bracket(*X, *pY))
-        val = ConditionValue(raw=abs(t1 + t2),
-                             scale=max(1.0, abs(t1), abs(t2)),
-                             part=f"pair{d}")
-        if best is None or val.scaled > best.scaled:
-            best = val
-    return best
+def _pair_parts(res, terms):
+    return [(f"pair{d}", res[:, d], tuple(t[:, d] for t in terms), ())
+            for d in range(res.shape[1])]
 
 
-def _cond_s1(pf, probes):
-    best = None
-    for d, (u, v) in enumerate(_field_draws(pf, probes)):
-        X = pf.projected_field(pf.P, pf.dP, u)
-        Y = pf.projected_field(pf.P, pf.dP, v)
-        pX = pf.phi_applied_field(*X)
-        pY = pf.phi_applied_field(*Y)
-        t1 = lie_bracket(*X, *Y)
-        t2 = lie_bracket(*pX, *pY)
-        t3 = -pf.phi @ lie_bracket(*X, *pY)
-        t4 = -pf.phi @ lie_bracket(*pX, *Y)
-        val = ConditionValue(
-            raw=_norm(t1 + t2 + t3 + t4),
-            scale=max(1.0, _norm(t1), _norm(t2), _norm(t3), _norm(t4)),
-            part=f"pair{d}")
-        if best is None or val.scaled > best.scaled:
-            best = val
-    return best
+def _cond_s0(fb, probes):
+    X, Y, pX, pY = _field_pairs(fb, probes)
+    eta = fb.eta[:, None]
+    t1 = _dot(eta, lie_bracket(*pX, *Y))
+    t2 = _dot(eta, lie_bracket(*X, *pY))
+    return _pair_parts(t1 + t2, (t1, t2))
+
+
+def _cond_s1(fb, probes):
+    X, Y, pX, pY = _field_pairs(fb, probes)
+    phi = fb.phi[:, None]
+    t1 = lie_bracket(*X, *Y)
+    t2 = lie_bracket(*pX, *pY)
+    t3 = _mv(-phi, lie_bracket(*X, *pY))
+    t4 = _mv(-phi, lie_bracket(*pX, *Y))
+    return _pair_parts(t1 + t2 + t3 + t4, (t1, t2, t3, t4))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +431,7 @@ def _cond_s1(pf, probes):
 def _distribution_basis(Q, n, label, tol=1e-7):
     """Orthonormal basis of the column space of Q by sequential
     Gram-Schmidt over the coordinate images; RankDefect unless rank n."""
-    scale = max(1.0, _norm(Q))
+    scale = max(1.0, float(np.max(np.abs(Q))))
     basis = []
     for j in range(Q.shape[0]):
         v = np.array(Q[:, j], dtype=float)
@@ -466,81 +455,76 @@ def eigendistribution_bases(pf, tol=1e-7):
     return plus, minus
 
 
+def _involutivity(sign, fb, probes):
+    """Non-tangential components (eta(w), Qop w) of the brackets w of
+    basis fields of the +1 (sign > 0) or -1 eigendistribution, point by
+    point; the basis is computed per point."""
+    n = (fb.m - 1) // 2
+    if sign > 0:
+        Q, dQ, Qop, label = fb.Qplus, fb.dQplus, fb.Qminus, "+1"
+    else:
+        Q, dQ, Qop, label = fb.Qminus, fb.dQminus, fb.Qplus, "-1"
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    res = np.empty((len(fb), len(pairs), fb.m + 1))
+    brackets = np.empty((len(fb), len(pairs), fb.m))
+    for p in range(len(fb)):
+        basis = _distribution_basis(Q[p], n, label)
+        for k, (i, j) in enumerate(pairs):
+            w = lie_bracket(*projected_field(Q[p], dQ[p], basis[i]),
+                            *projected_field(Q[p], dQ[p], basis[j]))
+            res[p, k] = [fb.eta[p] @ w, *(Qop[p] @ w)]
+            brackets[p, k] = w
+    return [("trivial", np.zeros(len(fb)), (), ())] + [
+        (f"bracket{i}{j}", res[:, k], (brackets[:, k],), ())
+        for k, (i, j) in enumerate(pairs)]
+
+
 def involutivity_residual(pf, sign):
     """Worst non-tangential component of brackets of basis fields of the
-    +1 (sign > 0) or -1 eigendistribution, as a ConditionValue."""
-    n = (pf.m - 1) // 2
-    if sign > 0:
-        Q, dQ, Qop, label = pf.Qplus, pf.dQplus, pf.Qminus, "+1"
-    else:
-        Q, dQ, Qop, label = pf.Qminus, pf.dQminus, pf.Qplus, "-1"
-    basis = _distribution_basis(Q, n, label)
-    best = ConditionValue(raw=0.0, scale=1.0, part="trivial")
-    for i in range(n):
-        for j in range(i + 1, n):
-            U = pf.projected_field(Q, dQ, basis[i])
-            V = pf.projected_field(Q, dQ, basis[j])
-            w = lie_bracket(*U, *V)
-            raw = max(abs(float(pf.eta @ w)), _norm(Qop @ w))
-            val = ConditionValue(raw=raw, scale=max(1.0, _norm(w)),
-                                 part=f"bracket{i}{j}")
-            if val.scaled > best.scaled:
-                best = val
-    return best
-
-
-def _cond_inv_plus(pf, probes):
-    return involutivity_residual(pf, +1)
-
-
-def _cond_inv_minus(pf, probes):
-    return involutivity_residual(pf, -1)
+    +1 (sign > 0) or -1 eigendistribution at one point."""
+    return evaluate_condition("inv-plus" if sign > 0 else "inv-minus", pf)
 
 
 # ---------------------------------------------------------------------------
 # curvature identities
 # ---------------------------------------------------------------------------
 
-def _cond_k1(pf, probes):
-    A = pf.h - np.eye(pf.m)
-    phiA = pf.phi @ A
-    nh = pf.nabla_h
-    D = nh.transpose(1, 0, 2) - nh.transpose(1, 2, 0)
-    gD = np.einsum('awx,ay->wxy', D, pf.g)
-    gA = np.einsum('ax,ay->xy', A, pf.g)
-    gphiA = np.einsum('ax,ay->xy', phiA, pf.g)
-    l1 = np.einsum('kwxa,ay->kwxy', pf.Riem, pf.phi)
-    l2 = -np.einsum('ka,awxy->kwxy', pf.phi, pf.Riem)
-    r1 = -np.einsum('wxy,k->kwxy', gD, pf.xi)
-    r2 = -np.einsum('xy,kw->kwxy', gA, phiA)
-    r3 = np.einsum('wy,kx->kwxy', gA, phiA)
-    r4 = np.einsum('wy,kx->kwxy', gphiA, A)
-    r5 = -np.einsum('xy,kw->kwxy', gphiA, A)
-    r6 = np.einsum('y,kwx->kwxy', pf.eta, D)
-    terms = (l1, l2, r1, r2, r3, r4, r5, r6)
-    res = sum(terms)
-    return _best([_Part("curvature_vs_h", res, terms, (1, 2, 3))], probes)
+def _h_curvature_blocks(fb):
+    """A = h - id, phi A, the antisymmetrized nabla h D, g D and
+    g(phi A ., .)."""
+    A = fb.h - np.eye(fb.m)
+    phiA = fb.phi @ A
+    nh = fb.nabla_h
+    D = nh.transpose(0, 2, 1, 3) - nh.transpose(0, 2, 3, 1)
+    gD = np.einsum('pawx,pay->pwxy', D, fb.g)
+    gphiA = np.einsum('pax,pay->pxy', phiA, fb.g)
+    return A, phiA, D, gD, gphiA
 
 
-def _cond_k2(pf, probes):
-    A = pf.h - np.eye(pf.m)
-    phiA = pf.phi @ A
-    nh = pf.nabla_h
-    D = nh.transpose(1, 0, 2) - nh.transpose(1, 2, 0)
-    gD = np.einsum('awx,ay->wxy', D, pf.g)
-    gphiA = np.einsum('ax,ay->xy', phiA, pf.g)
-    gxi = pf.g @ pf.xi
-    phih2 = pf.phi @ pf.h @ pf.h
-    M = np.einsum('aw,ax->wx', phih2, pf.g)
-    l1 = np.einsum('kwxa,ay,k->wxy', pf.Riem, pf.phi, gxi)
-    r1 = -gD
-    r2 = 2.0 * np.einsum('y,wx->wxy', pf.eta, M)
-    r3 = -np.einsum('x,wy->wxy', pf.eta, gphiA)
-    r4 = np.einsum('w,xy->wxy', pf.eta, gphiA)
-    terms = (l1, r1, r2, r3, r4)
-    res = sum(terms)
-    return _best([_Part("reeb_component_of_curvature", res, terms,
-                        (0, 1, 2))], probes)
+def _cond_k1(fb, probes):
+    A, phiA, D, gD, gphiA = _h_curvature_blocks(fb)
+    gA = np.einsum('pax,pay->pxy', A, fb.g)
+    terms = (np.einsum('pkwxa,pay->pkwxy', fb.Riem, fb.phi),
+             -np.einsum('pka,pawxy->pkwxy', fb.phi, fb.Riem),
+             -np.einsum('pwxy,pk->pkwxy', gD, fb.xi),
+             -np.einsum('pxy,pkw->pkwxy', gA, phiA),
+             np.einsum('pwy,pkx->pkwxy', gA, phiA),
+             np.einsum('pwy,pkx->pkwxy', gphiA, A),
+             -np.einsum('pxy,pkw->pkwxy', gphiA, A),
+             np.einsum('py,pkwx->pkwxy', fb.eta, D))
+    return [("curvature_vs_h", sum(terms), terms, (1, 2, 3))]
+
+
+def _cond_k2(fb, probes):
+    A, phiA, D, gD, gphiA = _h_curvature_blocks(fb)
+    gxi = _mv(fb.g, fb.xi)
+    M = np.einsum('paw,pax->pwx', fb.phi @ fb.h @ fb.h, fb.g)
+    terms = (np.einsum('pkwxa,pay,pk->pwxy', fb.Riem, fb.phi, gxi),
+             -gD,
+             2.0 * np.einsum('py,pwx->pwxy', fb.eta, M),
+             -np.einsum('px,pwy->pwxy', fb.eta, gphiA),
+             np.einsum('pw,pxy->pwxy', fb.eta, gphiA))
+    return [("reeb_component_of_curvature", sum(terms), terms, (0, 1, 2))]
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +582,8 @@ _REGISTRY = (
     Condition("jw3d",
               "dimension-3 identity (nabla_X phi)Y "
               "= g(phi nabla_X xi, Y) xi - eta(Y) phi nabla_X xi",
-              "dim3", _cond_jw3d),
+              "dim3", partial(_nabla_phi_from_reeb_gradient,
+                              "dim3_nabla_phi")),
     Condition("normal-nabla",
               "phi((nabla_X phi)Y) - (nabla_{phi X} phi)Y "
               "+ (nabla_X eta)(Y) xi = 0 (covariant form of normality)",
@@ -621,7 +606,8 @@ _REGISTRY = (
     Condition("wzor1",
               "(nabla_X phi)Y = g(phi nabla_X xi, Y) xi "
               "- eta(Y) phi nabla_X xi (paracontact metric setting)",
-              "tensor", _cond_wzor1),
+              "tensor", partial(_nabla_phi_from_reeb_gradient,
+                                "nabla_phi_from_reeb_gradient")),
     Condition("wzorzamk",
               "(nabla_X phi)Y = -g(X - h X, Y) xi + eta(Y)(X - h X) "
               "(paracontact metric setting)",
@@ -638,7 +624,8 @@ _REGISTRY = (
     Condition("wzor2",
               "(nabla_X phi)Y = g(phi nabla_X xi, Y) xi "
               "- eta(Y) phi nabla_X xi (almost para-cosymplectic setting)",
-              "tensor", _cond_wzor2),
+              "tensor", partial(_nabla_phi_from_reeb_gradient,
+                                "nabla_phi_from_reeb_gradient")),
     Condition("paracrcos",
               "(nabla_X phi)Y = g(phi nabla_X xi, Y) xi for X, Y in "
               "ker(eta) (para-CR test in the almost para-cosymplectic "
@@ -647,11 +634,11 @@ _REGISTRY = (
     Condition("inv-plus",
               "involutivity of the +1 eigendistribution of phi inside "
               "ker(eta)",
-              "basis", _cond_inv_plus),
+              "basis", partial(_involutivity, +1)),
     Condition("inv-minus",
               "involutivity of the -1 eigendistribution of phi inside "
               "ker(eta)",
-              "basis", _cond_inv_minus),
+              "basis", partial(_involutivity, -1)),
     Condition("k1",
               "curvature identity expressing R(W,X)(phi Y) "
               "- phi(R(W,X)Y) through A = h - id, phi A, and the "
@@ -672,11 +659,32 @@ BUNDLES = {
 }
 
 
-def evaluate_condition(cond_id, pf, probes=()):
+def evaluate_batch(cond_id, batch, probes):
+    """Worst value of one condition over a FrameBatch.
+
+    ``probes`` holds every point's probe draws, [P, draws, 4, m].  The
+    worst is the first strict maximum of ``scaled`` in point-major,
+    candidate-minor order, or the first NaN.
+    """
     cond = CONDITIONS.get(cond_id)
     if cond is None:
         raise KeyError(f"unknown condition id {cond_id!r}")
-    return cond.fn(pf, probes)
+    if cond.scope == "dim3" and batch.m != 3:
+        raise WrongDimension(
+            f"this identity is specific to dimension 3, got {batch.m}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        raws, scales, labels = _candidates(cond.fn(batch, probes), probes)
+        point, cand = divmod(int(np.argmax(raws / scales)), len(labels))
+    return ConditionValue(raw=float(raws[point, cand]),
+                          scale=float(scales[point, cand]),
+                          part=labels[cand])
+
+
+def evaluate_condition(cond_id, pf, probes=()):
+    """Worst value of one condition at one PointFrame (probes [draws, 4,
+    m])."""
+    probes = np.asarray(probes, dtype=float).reshape(1, -1, 4, pf.m)
+    return evaluate_batch(cond_id, pf.single, probes)
 
 
 def expand_checks(requested, dim):
@@ -704,71 +712,18 @@ def expand_checks(requested, dim):
 
 
 # ---------------------------------------------------------------------------
-# invariant helpers used by tests and the classifier's callers
-# ---------------------------------------------------------------------------
-
-def nijenhuis_field(pf, X, Y):
-    """Torsion of phi on the vector fields X, Y given as (values,
-    jacobian) pairs: phi^2[X,Y] + [phi X, phi Y] - phi[phi X, Y]
-    - phi[X, phi Y]."""
-    pX = pf.phi_applied_field(*X)
-    pY = pf.phi_applied_field(*Y)
-    return (pf.phi @ (pf.phi @ lie_bracket(*X, *Y))
-            + lie_bracket(*pX, *pY)
-            - pf.phi @ lie_bracket(*pX, *Y)
-            - pf.phi @ lie_bracket(*X, *pY))
-
-
-def normality_field_residual(pf, X, Y):
-    """The normality tensor on two fields: nijenhuis - 2 d(eta)(X,Y) xi."""
-    w = nijenhuis_field(pf, X, Y)
-    return w - 2.0 * float(X[0] @ pf.dEta @ Y[0]) * pf.xi
-
-
-def levi_form(pf):
-    """L(X,Y) = -d(eta)(X, phi Y) with both slots restricted to
-    ker(eta), as a coordinate-slot matrix."""
-    M = -pf.dEta @ pf.phi
-    return pf.P.T @ M @ pf.P
-
-
-def levi_symmetry_residual(pf):
-    L = levi_form(pf)
-    return _norm(L - L.T) / max(1.0, _norm(L))
-
-
-def h_property_residuals(pf):
-    """Scaled residuals of the algebraic identities of h on paracontact
-    metric structures: g-symmetry, anticommutation with phi,
-    tracelessness, h xi = 0, and eta o h = 0."""
-    gh = pf.g @ pf.h
-    ph = pf.phi @ pf.h
-    hp = pf.h @ pf.phi
-    hnorm = max(1.0, _norm(pf.h))
-    return {
-        "g_symmetric": _norm(gh - gh.T) / max(1.0, _norm(gh)),
-        "anticommutes_with_phi": _norm(ph + hp)
-        / max(1.0, _norm(ph), _norm(hp)),
-        "traceless": abs(float(np.trace(pf.h))) / hnorm,
-        "kills_reeb": _norm(pf.h @ pf.xi)
-        / max(1.0, _norm(pf.h) * _norm(pf.xi)),
-        "eta_annihilated": _norm(pf.eta @ pf.h)
-        / max(1.0, _norm(pf.eta) * _norm(pf.h)),
-    }
-
-
-# ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
 
 def trit(value, tol, separation):
     """Three-valued verdict for a scaled residual: True below tol, False
-    above separation, None in the ambiguous band (or for a None value)."""
+    above separation or for NaN, None in the ambiguous band (or for a
+    None value)."""
     if value is None:
         return None
     if value <= tol:
         return True
-    if value >= separation:
+    if value >= separation or math.isnan(value):
         return False
     return None
 

@@ -1,4 +1,4 @@
-"""Pointwise pseudo-Riemannian machinery.
+"""Batched pseudo-Riemannian machinery.
 
 A *structure* object carries a chart and produces the quadruplet
 (g, phi, xi, eta) — metric, (1,1)-endomorphism, Reeb vector, contact
@@ -17,13 +17,15 @@ every component at all of them.  Three realizations exist:
   an explicit graph parametrization with a closed-form tangent basis.
 
 :func:`structure_arrays` evaluates a structure at a batch of points and
-decides for each point whether it is rejected.  A :class:`PointFrame`
-freezes one point of such a batch and derives the Levi-Civita
-connection, curvature tensors, covariant derivatives of the structure
-tensors, the h-operator, differential forms, and projectors —
-everything downstream residual checks consume.
+decides for each point whether it is rejected.  A :class:`FrameBatch`
+holds the accepted points and derives, for all of them at once, the
+Levi-Civita connection, curvature tensors, covariant derivatives of the
+structure tensors, the h-operator, differential forms, and projectors —
+everything downstream residual checks consume.  A :class:`PointFrame`
+is one row of a batch.
 
-Index conventions (fixed throughout the package):
+Index conventions (fixed throughout the package; a batch array puts
+the point axis in front, ``Gamma[p, k, i, j]``):
   g[i,j]        metric g(e_i, e_j) for coordinate fields e_i
   dg[a,i,j]     ∂_a g_ij;   d2g[a,b,i,j] = ∂_a ∂_b g_ij
   phi[i,j]      the (1,1) tensor component phi^i_j  (phi(e_j) = phi^i_j e_i)
@@ -391,31 +393,6 @@ def structure_jets(structure, points, order=2, directions=None):
     return parts, rejected
 
 
-@dataclass
-class StructureArrays:
-    """Values and first/second partials of (g, phi, xi, eta) at a batch
-    of points.
-
-    Every array has the point axis first and the derivative axes next
-    (``dg[p, a, i, j]`` = ∂_a g_ij at point p).  ``rejected[p]`` is None
-    for an accepted point and otherwise the error that rejects it.
-    """
-
-    g: np.ndarray
-    dg: np.ndarray
-    d2g: np.ndarray
-    phi: np.ndarray
-    dphi: np.ndarray
-    d2phi: np.ndarray
-    xi: np.ndarray
-    dxi: np.ndarray
-    d2xi: np.ndarray
-    eta: np.ndarray
-    deta: np.ndarray
-    d2eta: np.ndarray
-    rejected: list
-
-
 def _partials(jet, order):
     """Order-``order`` partials with the derivative axes moved right
     after the point axis."""
@@ -427,162 +404,233 @@ def _partials(jet, order):
 
 def structure_arrays(structure, points):
     """Evaluate the structure and its partials to second order at a batch
-    of points (P x m), one walk of every expression for the whole batch."""
+    of points (P x m), one walk of every expression for the whole batch.
+
+    Returns a FrameBatch over all the points whose ``rejected[p]`` is
+    None for an accepted point and otherwise the error that rejects it.
+    """
     parts, rejected = structure_jets(structure, points)
     fields = {}
     for name, jet in zip(("g", "phi", "xi", "eta"), parts):
         fields[name] = _partials(jet, 0)
         fields["d" + name] = _partials(jet, 1)
         fields["d2" + name] = _partials(jet, 2)
-    return StructureArrays(rejected=rejected, **fields)
+    batch = FrameBatch(structure, points, fields)
+    batch.rejected = rejected
+    return batch
+
+
+def _third_partials(structure, points):
+    """d3g[p, a, b, c, i, j] = ∂_a ∂_b ∂_c g_ij from one order-3
+    evaluation of the batch; raises the first rejection."""
+    parts, rejected = structure_jets(structure, points, order=3)
+    for error in rejected:
+        if error is not None:
+            raise error
+    return _partials(parts[0], 3)
 
 
 def third_metric_derivatives(structure, point):
-    """d3g[a,b,c,i,j] = ∂_a ∂_b ∂_c g_ij from one order-3 evaluation."""
-    parts, rejected = structure_jets(structure, [point], order=3)
-    if rejected[0] is not None:
-        raise rejected[0]
-    return _partials(parts[0], 3)[0]
+    """d3g[a,b,c,i,j] = ∂_a ∂_b ∂_c g_ij at one point."""
+    return _third_partials(structure, [point])[0]
 
 
-# Direction rows per polarization batch: the batch's memory grows with
-# its rows, so frames of one structure are cross-checked a few at a time.
-_POLAR_ROWS = 64
+def degenerate_metric(g):
+    """Per-point mask of metrics whose |det| is below the threshold."""
+    return np.abs(np.linalg.det(g)) < _MIN_METRIC_DET
 
 
-def mixed_partial_residuals(frames):
-    """Second partials of every frame against an independent polarization
-    cross-check, as worst scaled gaps.
+def _amax(x):
+    """max |x| over every axis but the leading point axis."""
+    return np.max(np.abs(x), axis=tuple(range(1, np.ndim(x))))
 
-    The structure is re-evaluated at each frame's point with univariate
-    order-2 jets along e_a and e_a + e_b, whose second derivatives give
+
+def _mv(A, v):
+    """A @ v over leading batch axes: one gemv per point, as for 2-D A."""
+    return (A @ v[..., None])[..., 0]
+
+
+# Array elements per polarization batch (direction rows times component
+# entries of each point).  The batch's peak memory grows with them, about
+# 160 bytes each, so a large sample is cross-checked a slice of points at
+# a time; 8192 lets one batch take 56 points at m = 3 and 9 at m = 5, and
+# keeps m = 7 and 9 at the 56 and 45 rows of a 64-row cap.
+_POLAR_ELEMENTS = 8192
+
+
+def mixed_partial_residuals(batch):
+    """Second partials at every point of a :class:`FrameBatch` against an
+    independent polarization cross-check, as worst scaled gaps ([P]).
+
+    The structure is re-evaluated at each point with univariate order-2
+    jets along e_a and e_a + e_b, whose second derivatives give
     ∂_a∂_b = ½(D²_{a+b} − D²_a − D²_b) without any multivariate mixed
     term.  The gap is taken against d2g, d2phi, d2xi and d2eta, scaled
-    by max(1, max |array|); a frame whose re-evaluation is rejected
+    by max(1, max |array|); a point whose re-evaluation is rejected
     gets NaN.
     """
-    gaps = [[] for _ in frames]
-    groups = {}
-    for i, pf in enumerate(frames):
-        groups.setdefault(id(pf.structure), []).append(i)
-    for group in groups.values():
-        structure = frames[group[0]].structure
-        m = structure.dim
-        ia, ib = np.triu_indices(m, 1)
-        eye = np.eye(m)
-        directions = np.concatenate([eye, eye[ia] + eye[ib]])
-        rows = len(directions)
-        step = max(1, _POLAR_ROWS // rows)
-        for start in range(0, len(group), step):
-            members = group[start:start + step]
-            points = np.repeat([frames[i].point for i in members], rows,
-                               axis=0)
-            parts, rejected = structure_jets(
-                structure, points, 2,
-                np.tile(directions, (len(members), 1))[:, :, None])
-            for name, jet in zip(("d2g", "d2phi", "d2xi", "d2eta"), parts):
-                second = jet.dd[..., 0, 0].reshape(
-                    (len(members), rows) + jet.v.shape[1:])
-                diag = second[:, :m]
-                polar = np.empty((len(members), m, m) + diag.shape[2:])
-                polar[:, np.arange(m), np.arange(m)] = diag
-                polar[:, ia, ib] = polar[:, ib, ia] = 0.5 * (
-                    second[:, m:] - diag[:, ia] - diag[:, ib])
-                for j, i in enumerate(members):
-                    arr = getattr(frames[i], name)
-                    scale = max(1.0, float(np.max(np.abs(arr))))
-                    gaps[i].append(
-                        float(np.max(np.abs(arr - polar[j]))) / scale)
-            for j, i in enumerate(members):
-                if any(rejected[j * rows:(j + 1) * rows]):
-                    gaps[i].append(float("nan"))
-    return [float(np.max(g)) for g in gaps]
+    m = batch.m
+    ia, ib = np.triu_indices(m, 1)
+    eye = np.eye(m)
+    directions = np.concatenate([eye, eye[ia] + eye[ib]])
+    rows = len(directions)
+    step = max(1, _POLAR_ELEMENTS // (rows * 2 * m * (m + 1)))
+    gaps = np.empty(len(batch))
+    for start in range(0, len(batch), step):
+        points = batch.points[start:start + step]
+        count = len(points)
+        parts, rejected = structure_jets(
+            batch.structure, np.repeat(points, rows, axis=0), 2,
+            np.tile(directions, (count, 1))[:, :, None])
+        worst = []
+        for name, jet in zip(("d2g", "d2phi", "d2xi", "d2eta"), parts):
+            second = jet.dd[..., 0, 0].reshape((count, rows) + jet.v.shape[1:])
+            diag = second[:, :m]
+            polar = np.empty((count, m, m) + diag.shape[2:])
+            polar[:, np.arange(m), np.arange(m)] = diag
+            polar[:, ia, ib] = polar[:, ib, ia] = 0.5 * (
+                second[:, m:] - diag[:, ia] - diag[:, ib])
+            arr = getattr(batch, name)[start:start + count]
+            worst.append(_amax(arr - polar) / np.maximum(1.0, _amax(arr)))
+        failed = np.reshape([r is not None for r in rejected],
+                            (count, rows)).any(axis=1)
+        gaps[start:start + count] = np.where(failed, np.nan,
+                                             np.max(worst, axis=0))
+    return gaps
 
 
 # ---------------------------------------------------------------------------
-# Field helpers (values + jacobians as numpy arrays)
+# Field helpers (values + jacobians; leading axes are batch axes)
 # ---------------------------------------------------------------------------
 
 def lie_bracket(X_vals, X_jac, Y_vals, Y_jac):
     """[X,Y]^k = X^a ∂_a Y^k − Y^a ∂_a X^k  (jac[a,k] = ∂_a field^k)."""
-    return np.einsum('a,ak->k', X_vals, Y_jac) - np.einsum(
-        'a,ak->k', Y_vals, X_jac)
+    return (np.einsum('...a,...ak->...k', X_vals, Y_jac)
+            - np.einsum('...a,...ak->...k', Y_vals, X_jac))
 
 
 def lie_derivative_11(V_vals, V_jac, T_vals, T_jac):
     """(L_V T)^k_j = V^a ∂_a T^k_j − T^a_j ∂_a V^k + T^k_a ∂_j V^a."""
-    return (np.einsum('a,akj->kj', V_vals, T_jac)
-            - np.einsum('aj,ak->kj', T_vals, V_jac)
-            + np.einsum('ka,ja->kj', T_vals, V_jac))
+    return (np.einsum('...a,...akj->...kj', V_vals, T_jac)
+            - np.einsum('...aj,...ak->...kj', T_vals, V_jac)
+            + np.einsum('...ka,...ja->...kj', T_vals, V_jac))
 
 
 def d_one_form(jac):
     """Exterior derivative of a 1-form: dω[i,j] = ½(∂_i ω_j − ∂_j ω_i)."""
-    return 0.5 * (jac - jac.T)
+    return 0.5 * (jac - np.swapaxes(jac, -1, -2))
 
 
 def d_two_form(jac):
     """Exterior derivative of an antisymmetric 2-form over coordinate fields:
     dΩ[i,j,k] = ⅓(∂_i Ω_jk + ∂_j Ω_ki + ∂_k Ω_ij)."""
-    return (jac + np.einsum('jki->ijk', jac) + np.einsum('kij->ijk', jac)) / 3.0
+    return (jac + np.einsum('...jki->...ijk', jac)
+            + np.einsum('...kij->...ijk', jac)) / 3.0
+
+
+def projected_field(proj, dproj, u):
+    """Field q ↦ proj(q)·u for constant u: values and jacobian."""
+    return _mv(proj, u), np.einsum('...akb,...b->...ak', dproj, u)
+
+
+def phi_applied_field(phi, dphi, vals, jac):
+    """Values and jacobian of q ↦ phi(q)·X(q) given those of X."""
+    return (_mv(phi, vals),
+            np.einsum('...akb,...b->...ak', dphi, vals)
+            + np.einsum('...kb,...ab->...ak', phi, jac))
 
 
 # ---------------------------------------------------------------------------
-# PointFrame: one structure frozen at one point
+# FrameBatch: one structure at a batch of points
 # ---------------------------------------------------------------------------
 
-class PointFrame:
-    """All pointwise tensor data of a structure at a single chart point.
+ARRAY_NAMES = ("g", "dg", "d2g", "phi", "dphi", "d2phi",
+               "xi", "dxi", "d2xi", "eta", "deta", "d2eta")
 
-    Built from point ``index`` of a :class:`StructureArrays` batch, or,
-    without one, from a batch holding just this point; a rejected point
-    raises its rejection.  Derived quantities are cached properties
-    computed on demand; nothing is symmetrized by fiat — residual checks
-    see the honestly computed components.
+
+class FrameBatch:
+    """All tensor data of a structure at a batch of points.
+
+    Holds the base arrays -- values and first/second partials of g, phi,
+    xi, eta, with the point axis first and the derivative axes next
+    (``dg[p, a, i, j]`` = ∂_a g_ij at point p) -- and derives the
+    Levi-Civita connection, curvature tensors, covariant derivatives of
+    the structure tensors, the h-operator, differential forms,
+    projectors and the engine self-test residuals for the whole batch
+    at once, as cached properties with the point axis first.  Every
+    point gets the arithmetic of a one-point batch; nothing is
+    symmetrized by fiat.
     """
 
-    def __init__(self, structure, point, batch=None, index=0):
+    def __init__(self, structure, points, arrays):
         self.structure = structure
-        self.point = tuple(float(x) for x in point)
         self.m = structure.dim
-        if batch is None:
-            batch, index = structure_arrays(structure, [self.point]), 0
-        if batch.rejected[index] is not None:
-            raise batch.rejected[index]
-        self.g = batch.g[index]
-        self.dg = batch.dg[index]
-        self.d2g = batch.d2g[index]
-        self.phi = batch.phi[index]
-        self.dphi = batch.dphi[index]
-        self.d2phi = batch.d2phi[index]
-        self.xi = batch.xi[index]
-        self.dxi = batch.dxi[index]
-        self.d2xi = batch.d2xi[index]
-        self.eta = batch.eta[index]
-        self.deta = batch.deta[index]
-        self.d2eta = batch.d2eta[index]
+        self.points = np.asarray(points, dtype=float).reshape(-1, self.m)
+        for name in ARRAY_NAMES:
+            setattr(self, name, arrays[name])
+
+    @classmethod
+    def concat(cls, batches):
+        """One batch over the points of ``batches`` (of one structure)."""
+        structure = batches[0].structure
+        if any(b.structure is not structure for b in batches):
+            raise ValueError("batches of different structures")
+        return cls(structure, np.concatenate([b.points for b in batches]),
+                   {name: np.concatenate([getattr(b, name) for b in batches])
+                    for name in ARRAY_NAMES})
+
+    @classmethod
+    def stack(cls, frames):
+        """The batch of ``frames`` (PointFrames) in order: their own batch
+        when they are all its rows, else a new one."""
+        batch = frames[0].batch
+        if [pf.index for pf in frames if pf.batch is batch] == \
+                list(range(len(batch))) == list(range(len(frames))):
+            return batch
+        return cls.concat([pf.single for pf in frames])
+
+    def __len__(self):
+        return len(self.points)
+
+    def rows(self, index):
+        """The batch restricted to ``index`` (a slice or an index array),
+        keeping the arrays computed so far."""
+        sub = object.__new__(FrameBatch)
+        sub.structure, sub.m = self.structure, self.m
+        for key, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                vars(sub)[key] = value[index]
+        return sub
+
+    def row(self, index):
+        return PointFrame(self.structure, self.points[index], self, index)
 
     # -- metric inverses and their derivatives ------------------------------
 
     @cached_property
     def ginv(self):
-        det = np.linalg.det(self.g)
-        if abs(det) < _MIN_METRIC_DET:
+        bad = np.flatnonzero(degenerate_metric(self.g))
+        if len(bad):
+            det = np.linalg.det(self.g[bad[0]])
+            point = tuple(float(x) for x in self.points[bad[0]])
             raise DegenerateMetric(
                 f"|det g| = {abs(det):.3e} below {_MIN_METRIC_DET:.1e} "
-                f"at point {self.point}")
+                f"at point {point}")
         return np.linalg.inv(self.g)
 
     @cached_property
     def dginv(self):
-        return -np.einsum('ij,ajk,kl->ail', self.ginv, self.dg, self.ginv)
+        return -np.einsum('pij,pajk,pkl->pail', self.ginv, self.dg, self.ginv)
 
     @cached_property
     def d2ginv(self):
         # ∂_a of dginv[b]
-        return -(np.einsum('aij,bjk,kl->abil', self.dginv, self.dg, self.ginv)
-                 + np.einsum('ij,abjk,kl->abil', self.ginv, self.d2g, self.ginv)
-                 + np.einsum('ij,bjk,akl->abil', self.ginv, self.dg, self.dginv))
+        return -(np.einsum('paij,pbjk,pkl->pabil',
+                           self.dginv, self.dg, self.ginv)
+                 + np.einsum('pij,pabjk,pkl->pabil',
+                             self.ginv, self.d2g, self.ginv)
+                 + np.einsum('pij,pbjk,pakl->pabil',
+                             self.ginv, self.dg, self.dginv))
 
     # -- Levi-Civita connection ---------------------------------------------
 
@@ -590,108 +638,100 @@ class PointFrame:
     def _dg_comb(self):
         # A[i,j,l] = ∂_i g_jl + ∂_j g_il − ∂_l g_ij
         dg = self.dg
-        return dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+        return dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
 
     @cached_property
     def _ddg_comb(self):
         d2g = self.d2g
-        return d2g + d2g.transpose(0, 2, 1, 3) - d2g.transpose(0, 2, 3, 1)
+        return (d2g + d2g.transpose(0, 1, 3, 2, 4)
+                - d2g.transpose(0, 1, 3, 4, 2))
 
     @cached_property
     def Gamma(self):
-        return 0.5 * np.einsum('kl,ijl->kij', self.ginv, self._dg_comb)
+        return 0.5 * np.einsum('pkl,pijl->pkij', self.ginv, self._dg_comb)
 
     @cached_property
     def dGamma(self):
-        return 0.5 * (np.einsum('akl,ijl->akij', self.dginv, self._dg_comb)
-                      + np.einsum('kl,aijl->akij', self.ginv, self._ddg_comb))
+        return 0.5 * (
+            np.einsum('pakl,pijl->pakij', self.dginv, self._dg_comb)
+            + np.einsum('pkl,paijl->pakij', self.ginv, self._ddg_comb))
 
     @cached_property
     def d3g(self):
-        return third_metric_derivatives(self.structure, self.point)
+        return _third_partials(self.structure, self.points)
 
     @cached_property
     def d2Gamma(self):
         d3 = self.d3g
-        d3_comb = d3 + d3.transpose(0, 1, 3, 2, 4) - d3.transpose(0, 1, 3, 4, 2)
+        d3_comb = (d3 + d3.transpose(0, 1, 2, 4, 3, 5)
+                   - d3.transpose(0, 1, 2, 4, 5, 3))
         return 0.5 * (
-            np.einsum('abkl,ijl->abkij', self.d2ginv, self._dg_comb)
-            + np.einsum('bkl,aijl->abkij', self.dginv, self._ddg_comb)
-            + np.einsum('akl,bijl->abkij', self.dginv, self._ddg_comb)
-            + np.einsum('kl,abijl->abkij', self.ginv, d3_comb))
+            np.einsum('pabkl,pijl->pabkij', self.d2ginv, self._dg_comb)
+            + np.einsum('pbkl,paijl->pabkij', self.dginv, self._ddg_comb)
+            + np.einsum('pakl,pbijl->pabkij', self.dginv, self._ddg_comb)
+            + np.einsum('pkl,pabijl->pabkij', self.ginv, d3_comb))
 
     # -- curvature ----------------------------------------------------------
 
     @cached_property
     def Riem(self):
         G = self.Gamma
-        return (np.einsum('akbj->kabj', self.dGamma)
-                - np.einsum('bkaj->kabj', self.dGamma)
-                + np.einsum('kae,ebj->kabj', G, G)
-                - np.einsum('kbe,eaj->kabj', G, G))
+        return (np.einsum('pakbj->pkabj', self.dGamma)
+                - np.einsum('pbkaj->pkabj', self.dGamma)
+                + np.einsum('pkae,pebj->pkabj', G, G)
+                - np.einsum('pkbe,peaj->pkabj', G, G))
 
     @cached_property
     def dRiem(self):
         G, dG = self.Gamma, self.dGamma
-        return (np.einsum('cakbj->ckabj', self.d2Gamma)
-                - np.einsum('cbkaj->ckabj', self.d2Gamma)
-                + np.einsum('ckae,ebj->ckabj', dG, G)
-                + np.einsum('kae,cebj->ckabj', G, dG)
-                - np.einsum('ckbe,eaj->ckabj', dG, G)
-                - np.einsum('kbe,ceaj->ckabj', G, dG))
+        return (np.einsum('pcakbj->pckabj', self.d2Gamma)
+                - np.einsum('pcbkaj->pckabj', self.d2Gamma)
+                + np.einsum('pckae,pebj->pckabj', dG, G)
+                + np.einsum('pkae,pcebj->pckabj', G, dG)
+                - np.einsum('pckbe,peaj->pckabj', dG, G)
+                - np.einsum('pkbe,pceaj->pckabj', G, dG))
 
     @cached_property
     def Ric(self):
-        return np.einsum('aayz->yz', self.Riem)
+        return np.einsum('paayz->pyz', self.Riem)
 
     @cached_property
     def dRic(self):
-        return np.einsum('caayz->cyz', self.dRiem)
+        return np.einsum('pcaayz->pcyz', self.dRiem)
 
     @cached_property
     def r(self):
-        return float(np.einsum('yz,yz->', self.ginv, self.Ric))
+        return np.einsum('pyz,pyz->p', self.ginv, self.Ric)
 
     @cached_property
     def dr(self):
-        return (np.einsum('cyz,yz->c', self.dginv, self.Ric)
-                + np.einsum('yz,cyz->c', self.ginv, self.dRic))
+        return (np.einsum('pcyz,pyz->pc', self.dginv, self.Ric)
+                + np.einsum('pyz,pcyz->pc', self.ginv, self.dRic))
 
     @cached_property
     def Ric_star(self):
-        return -np.einsum('ak,kayc,cz->yz', self.phi, self.Riem, self.phi)
+        return -np.einsum('pak,pkayc,pcz->pyz', self.phi, self.Riem, self.phi)
 
     @cached_property
     def r_star(self):
-        return float(np.einsum('zy,yz->', self.ginv, self.Ric_star))
+        return np.einsum('pzy,pyz->p', self.ginv, self.Ric_star)
 
     # -- covariant derivatives ----------------------------------------------
 
-    def covariant_vector(self, vals, jac):
-        """∇V[i,k] = ∂_i V^k + Γ^k_ie V^e."""
-        return jac + np.einsum('kie,e->ik', self.Gamma, vals)
-
-    def covariant_covector(self, vals, jac):
-        """∇ω[i,j] = ∂_i ω_j − Γ^k_ij ω_k."""
-        return jac - np.einsum('kij,k->ij', self.Gamma, vals)
-
     def covariant_11(self, vals, jac):
         """∇T[i,k,j] = ∂_i T^k_j + Γ^k_ie T^e_j − Γ^e_ij T^k_e."""
-        return (jac + np.einsum('kie,ej->ikj', self.Gamma, vals)
-                - np.einsum('eij,ke->ikj', self.Gamma, vals))
-
-    def covariant_02(self, vals, jac):
-        """∇T[a,y,z] = ∂_a T_yz − Γ^e_ay T_ez − Γ^e_az T_ye."""
-        return (jac - np.einsum('eay,ez->ayz', self.Gamma, vals)
-                - np.einsum('eaz,ye->ayz', self.Gamma, vals))
+        return (jac + np.einsum('pkie,pej->pikj', self.Gamma, vals)
+                - np.einsum('peij,pke->pikj', self.Gamma, vals))
 
     @cached_property
     def nabla_eta(self):
-        return self.covariant_covector(self.eta, self.deta)
+        """∇η[i,j] = ∂_i η_j − Γ^k_ij η_k."""
+        return self.deta - np.einsum('pkij,pk->pij', self.Gamma, self.eta)
 
     @cached_property
     def nabla_xi(self):
-        return self.covariant_vector(self.xi, self.dxi)
+        """∇ξ[i,k] = ∂_i ξ^k + Γ^k_ie ξ^e."""
+        return self.dxi + np.einsum('pkie,pe->pik', self.Gamma, self.xi)
 
     @cached_property
     def nabla_phi(self):
@@ -702,18 +742,18 @@ class PointFrame:
     @cached_property
     def h(self):
         """h = ½ (Lie derivative of phi along xi)."""
-        return 0.5 * (np.einsum('a,akj->kj', self.xi, self.dphi)
-                      - np.einsum('aj,ak->kj', self.phi, self.dxi)
-                      + np.einsum('ka,ja->kj', self.phi, self.dxi))
+        return 0.5 * (np.einsum('pa,pakj->pkj', self.xi, self.dphi)
+                      - np.einsum('paj,pak->pkj', self.phi, self.dxi)
+                      + np.einsum('pka,pja->pkj', self.phi, self.dxi))
 
     @cached_property
     def dh(self):
-        return 0.5 * (np.einsum('ia,akj->ikj', self.dxi, self.dphi)
-                      + np.einsum('a,iakj->ikj', self.xi, self.d2phi)
-                      - np.einsum('iaj,ak->ikj', self.dphi, self.dxi)
-                      - np.einsum('aj,iak->ikj', self.phi, self.d2xi)
-                      + np.einsum('ika,ja->ikj', self.dphi, self.dxi)
-                      + np.einsum('ka,ija->ikj', self.phi, self.d2xi))
+        return 0.5 * (np.einsum('pia,pakj->pikj', self.dxi, self.dphi)
+                      + np.einsum('pa,piakj->pikj', self.xi, self.d2phi)
+                      - np.einsum('piaj,pak->pikj', self.dphi, self.dxi)
+                      - np.einsum('paj,piak->pikj', self.phi, self.d2xi)
+                      + np.einsum('pika,pja->pikj', self.dphi, self.dxi)
+                      + np.einsum('pka,pija->pikj', self.phi, self.d2xi))
 
     @cached_property
     def nabla_h(self):
@@ -729,12 +769,12 @@ class PointFrame:
     @cached_property
     def Phi(self):
         """Fundamental 2-form Φ[i,j] = g(e_i, phi e_j)."""
-        return np.einsum('ik,kj->ij', self.g, self.phi)
+        return np.einsum('pik,pkj->pij', self.g, self.phi)
 
     @cached_property
     def dPhi_partial(self):
-        return (np.einsum('aik,kj->aij', self.dg, self.phi)
-                + np.einsum('ik,akj->aij', self.g, self.dphi))
+        return (np.einsum('paik,pkj->paij', self.dg, self.phi)
+                + np.einsum('pik,pakj->paij', self.g, self.dphi))
 
     @cached_property
     def dPhi(self):
@@ -744,20 +784,19 @@ class PointFrame:
     def ddEta(self):
         """d(dη): must vanish — an engine self-test with real teeth, since
         every partial is computed independently."""
-        jac = 0.5 * (self.d2eta - self.d2eta.transpose(0, 2, 1))
-        return d_two_form(jac)
+        return d_two_form(d_one_form(self.d2eta))
 
     # -- projectors onto the contact distribution ----------------------------
 
     @cached_property
     def P(self):
         """Projector onto D = ker η along ξ: P = I − ξ⊗η."""
-        return np.eye(self.m) - np.outer(self.xi, self.eta)
+        return np.eye(self.m) - self.xi[:, :, None] * self.eta[:, None, :]
 
     @cached_property
     def dP(self):
-        return -(np.einsum('ak,j->akj', self.dxi, self.eta)
-                 + np.einsum('k,aj->akj', self.xi, self.deta))
+        return -(np.einsum('pak,pj->pakj', self.dxi, self.eta)
+                 + np.einsum('pk,paj->pakj', self.xi, self.deta))
 
     @cached_property
     def Qplus(self):
@@ -776,20 +815,131 @@ class PointFrame:
     def dQminus(self):
         return 0.5 * (self.dP - self.dphi)
 
-    def projected_field(self, proj, dproj, u):
-        """Field q ↦ proj(q)·u for constant u: values and jacobian at p."""
-        vals = proj @ u
-        jac = np.einsum('akb,b->ak', dproj, u)
-        return vals, jac
+    # -- conformal-flatness obstructions (order-3 path) ----------------------
 
-    def phi_applied_field(self, vals, jac):
-        """Values and jacobian of q ↦ phi(q)·X(q) given those of X."""
-        out_vals = self.phi @ vals
-        out_jac = (np.einsum('akb,b->ak', self.dphi, vals)
-                   + np.einsum('kb,ab->ak', self.phi, jac))
-        return out_vals, out_jac
+    @cached_property
+    def weyl(self):
+        """Max-abs component of the Weyl-type obstruction (dim >= 5)."""
+        m = self.m
+        if m < 5:
+            raise WrongDimension("Weyl obstruction needs dimension >= 5")
+        n2 = m - 1  # 2n
+        ric_op = np.einsum('pke,pex->pkx', self.ginv, self.Ric)
+        eye = np.eye(m)
+        schouten = (np.einsum('pyz,pkx->pkxyz', self.g, ric_op)
+                    + np.einsum('pyz,kx->pkxyz', self.Ric, eye)
+                    - np.einsum('pxz,pky->pkxyz', self.g, ric_op)
+                    - np.einsum('pxz,ky->pkxyz', self.Ric, eye))
+        volume = (np.einsum('pyz,kx->pkxyz', self.g, eye)
+                  - np.einsum('pxz,ky->pkxyz', self.g, eye))
+        curv = (self.r / (n2 * (n2 - 1)))[:, None, None, None, None]
+        return _amax(self.Riem - (schouten / (n2 - 1) - curv * volume))
 
-    # -- curvature scalars ---------------------------------------------------
+    @cached_property
+    def cotton(self):
+        """Max-abs component of the third-order conformal-flatness
+        obstruction in dimension 3 (needs third metric derivatives)."""
+        if self.m != 3:
+            raise WrongDimension(
+                "the divergence-type obstruction applies in dimension 3 only")
+        # ∇Ric[a,y,z] = ∂_a Ric_yz − Γ^e_ay Ric_ez − Γ^e_az Ric_ye
+        nabla_ric = (self.dRic
+                     - np.einsum('peay,pez->payz', self.Gamma, self.Ric)
+                     - np.einsum('peaz,pye->payz', self.Gamma, self.Ric))
+        return _amax(nabla_ric - nabla_ric.transpose(0, 3, 2, 1)
+                     - 0.25 * (np.einsum('pi,pjk->pijk', self.dr, self.g)
+                               - np.einsum('pk,pji->pijk', self.dr, self.g)))
+
+    # -- engine self-test residuals ([P] each) -------------------------------
+
+    @cached_property
+    def metric_symmetry(self):
+        return _amax(self.g - self.g.transpose(0, 2, 1))
+
+    @cached_property
+    def inverse_identity(self):
+        return _amax(self.g @ self.ginv - np.eye(self.m))
+
+    @cached_property
+    def gamma_symmetry(self):
+        return _amax(self.Gamma - self.Gamma.transpose(0, 1, 3, 2))
+
+    @cached_property
+    def nabla_g(self):
+        return _amax(self.dg
+                     - np.einsum('peai,pej->paij', self.Gamma, self.g)
+                     - np.einsum('peaj,pie->paij', self.Gamma, self.g))
+
+    @cached_property
+    def bianchi(self):
+        """First Bianchi identity, scaled by the curvature magnitude."""
+        R = self.Riem
+        cyc = R + R.transpose(0, 1, 3, 4, 2) + R.transpose(0, 1, 4, 2, 3)
+        return _amax(cyc) / np.maximum(1.0, _amax(R))
+
+    @cached_property
+    def riemann_skew(self):
+        """g(R(A,B)C, D) + g(R(A,B)D, C), scaled."""
+        low = np.einsum('pck,pkabj->pcabj', self.g, self.Riem)
+        return (_amax(low + low.transpose(0, 4, 2, 3, 1))
+                / np.maximum(1.0, _amax(low)))
+
+    @cached_property
+    def dd_eta(self):
+        return _amax(self.ddEta) / np.maximum(1.0, _amax(self.d2eta))
+
+    @cached_property
+    def mixed_partial(self):
+        """Second partials against the polarization cross-check."""
+        return mixed_partial_residuals(self)
+
+
+# ---------------------------------------------------------------------------
+# PointFrame: one point of a batch
+# ---------------------------------------------------------------------------
+
+class PointFrame:
+    """One structure at one chart point: a row of a :class:`FrameBatch`.
+
+    Every array of the batch reads as this point's row (``pf.Riem`` is
+    ``pf.batch.Riem[pf.index]``, a 0-d row as a float, and a self-test
+    residual or conformal obstruction ``x`` as ``pf.x_residual()``), so
+    each formula exists once, for the batch.  Without a batch the frame
+    builds a one-point batch of its own; a rejected point raises its
+    rejection.
+    """
+
+    def __init__(self, structure, point, batch=None, index=0):
+        if batch is None:
+            batch, index = structure_arrays(structure, [point]), 0
+            if batch.rejected[0] is not None:
+                raise batch.rejected[0]
+        self.structure = structure
+        self.point = tuple(float(x) for x in point)
+        self.m = structure.dim
+        self.batch = batch
+        self.index = index
+
+    def __getattr__(self, name):
+        if name.startswith("_") or name == "batch":
+            raise AttributeError(name)
+        if name.endswith("_residual"):  # pf.bianchi_residual() -> row
+            return lambda: getattr(self, name[:-len("_residual")])
+        value = getattr(self.batch, name)
+        if not isinstance(value, np.ndarray):
+            raise AttributeError(name)
+        row = value[self.index]
+        row = float(row) if row.ndim == 0 else row
+        vars(self)[name] = row
+        return row
+
+    @cached_property
+    def single(self):
+        """This point alone as a one-row batch, sharing what the batch has
+        computed so far."""
+        if len(self.batch) == 1:
+            return self.batch
+        return self.batch.rows(slice(self.index, self.index + 1))
 
     def sectional(self, X, Y):
         """Sectional curvature of span(X, Y); the plane must be
@@ -811,74 +961,5 @@ class PointFrame:
         RXYY = np.einsum('kabj,a,b,j->k', self.Riem, X, Y, Y)
         return float((RXYY @ self.g @ X) / denom)
 
-    def weyl_residual(self):
-        """Max-abs component of the Weyl-type obstruction (dim >= 5)."""
-        m = self.m
-        if m < 5:
-            raise WrongDimension("Weyl obstruction needs dimension >= 5")
-        n2 = m - 1  # 2n
-        ric_op = np.einsum('ke,ex->kx', self.ginv, self.Ric)
-        eye = np.eye(m)
-        schouten = (np.einsum('yz,kx->kxyz', self.g, ric_op)
-                    + np.einsum('yz,kx->kxyz', self.Ric, eye)
-                    - np.einsum('xz,ky->kxyz', self.g, ric_op)
-                    - np.einsum('xz,ky->kxyz', self.Ric, eye))
-        volume = (np.einsum('yz,kx->kxyz', self.g, eye)
-                  - np.einsum('xz,ky->kxyz', self.g, eye))
-        expected = schouten / (n2 - 1) - (self.r / (n2 * (n2 - 1))) * volume
-        return float(np.max(np.abs(self.Riem - expected)))
-
-    def cotton_residual(self):
-        """Max-abs component of the third-order conformal-flatness
-        obstruction in dimension 3 (needs third metric derivatives)."""
-        if self.m != 3:
-            raise WrongDimension(
-                "the divergence-type obstruction applies in dimension 3 only")
-        nabla_ric = self.covariant_02(self.Ric, self.dRic)
-        cotton = (nabla_ric - nabla_ric.transpose(2, 1, 0)
-                  - 0.25 * (np.einsum('i,jk->ijk', self.dr, self.g)
-                            - np.einsum('k,ji->ijk', self.dr, self.g)))
-        return float(np.max(np.abs(cotton)))
-
     def conformal_flatness(self):
-        if self.m == 3:
-            return self.cotton_residual()
-        return self.weyl_residual()
-
-    # -- engine self-test residuals -----------------------------------------
-
-    def metric_symmetry_residual(self):
-        return float(np.max(np.abs(self.g - self.g.T)))
-
-    def inverse_identity_residual(self):
-        return float(np.max(np.abs(self.g @ self.ginv - np.eye(self.m))))
-
-    def gamma_symmetry_residual(self):
-        return float(np.max(np.abs(self.Gamma - self.Gamma.transpose(0, 2, 1))))
-
-    def nabla_g_residual(self):
-        nabla_g = (self.dg
-                   - np.einsum('eai,ej->aij', self.Gamma, self.g)
-                   - np.einsum('eaj,ie->aij', self.Gamma, self.g))
-        return float(np.max(np.abs(nabla_g)))
-
-    def bianchi_residual(self):
-        """First Bianchi identity, scaled by the curvature magnitude."""
-        R = self.Riem
-        cyc = R + R.transpose(0, 2, 3, 1) + R.transpose(0, 3, 1, 2)
-        scale = max(1.0, float(np.max(np.abs(R))))
-        return float(np.max(np.abs(cyc))) / scale
-
-    def riemann_skew_residual(self):
-        """g(R(A,B)C, D) + g(R(A,B)D, C), scaled."""
-        low = np.einsum('ck,kabj->cabj', self.g, self.Riem)
-        scale = max(1.0, float(np.max(np.abs(low))))
-        return float(np.max(np.abs(low + low.transpose(3, 1, 2, 0)))) / scale
-
-    def dd_eta_residual(self):
-        scale = max(1.0, float(np.max(np.abs(self.d2eta))))
-        return float(np.max(np.abs(self.ddEta))) / scale
-
-    def mixed_partial_residual(self):
-        """Second partials against the polarization cross-check."""
-        return mixed_partial_residuals([self])[0]
+        return self.cotton if self.m == 3 else self.weyl

@@ -27,20 +27,18 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .conditions import CONDITIONS, classify, evaluate_condition, \
-    expand_checks, trit
+from .conditions import CONDITIONS, classify, evaluate_batch, \
+    expand_checks, trit, worse
 from .errors import (
-    DegenerateMetric,
     DegeneratePlane,
     DomainError,
-    OutsidePatch,
+    ParacrError,
     ParseError,
     SamplingExhausted,
-    SingularFrame,
     ValidationError,
 )
 from .expr import eval_expr, parse
-from .geometry import PointFrame, mixed_partial_residuals, structure_arrays
+from .geometry import FrameBatch, degenerate_metric, structure_arrays
 from .jets import Jet, coordinate_jets
 
 _FD_STEP = 1e-5
@@ -176,9 +174,6 @@ def jet_fd_worst(corpus):
 # point sampling
 # ---------------------------------------------------------------------------
 
-_REJECTABLE = (SingularFrame, DegenerateMetric, OutsidePatch, DomainError)
-
-
 def sample_points(structure, rng, count):
     """``count`` PointFrames at uniform box points, resampling rejects.
 
@@ -189,44 +184,67 @@ def sample_points(structure, rng, count):
     number of points still missing and evaluated as one batch, so the
     attempts and the RNG stream match a one-draw-at-a-time loop.  More
     than ten rejected-plus-accepted attempts per requested point raises
-    SamplingExhausted.
+    SamplingExhausted.  The accepted rows of all waves form one
+    FrameBatch; the frames are its rows.
     """
     chart = structure.chart
     lo = np.array([b[0] for b in chart.box])
     hi = np.array([b[1] for b in chart.box])
-    frames = []
-    attempts = 0
+    waves = []
+    accepted = attempts = 0
     budget = 10 * count
-    while len(frames) < count:
+    while accepted < count:
         if attempts >= budget:
             raise SamplingExhausted(
-                f"accepted {len(frames)}/{count} points after "
+                f"accepted {accepted}/{count} points after "
                 f"{attempts} attempts in the box")
-        wave = min(count - len(frames), budget - attempts)
+        wave = min(count - accepted, budget - attempts)
         attempts += wave
         points = lo + (hi - lo) * rng.random((wave, chart.dim))
         try:
             batch = structure_arrays(structure, points)
         except DomainError:
             continue
-        for index, point in enumerate(points):
-            try:
-                pf = PointFrame(structure, point, batch, index)
-                pf.ginv
-            except _REJECTABLE:
-                continue
-            frames.append(pf)
-    return frames
+        keep = np.array([error is None for error in batch.rejected])
+        keep[keep] = ~degenerate_metric(batch.g[keep])
+        waves.append(batch.rows(keep))
+        accepted += int(keep.sum())
+    batch = FrameBatch.concat(waves)
+    return [batch.row(i) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
-# engine self-tests
+# batches of the sample
 # ---------------------------------------------------------------------------
+
+# Points per evaluation chunk: the derived tensors and check candidates
+# of one chunk are alive at a time, so memory stays bounded for large
+# samples; a smaller sample is one chunk, its batch itself.
+_CHUNK = 64
+
+
+def _chunks(frames):
+    """(offset, FrameBatch) pieces of the sample, in point order.  Frames
+    that are all the rows of one batch (as from ``sample_points``) use
+    it; any other list is stacked into a batch first."""
+    if not frames:
+        return
+    batch = FrameBatch.stack(frames)
+    if len(batch) <= _CHUNK:
+        yield 0, batch
+        return
+    for lo in range(0, len(batch), _CHUNK):
+        yield lo, batch.rows(slice(lo, lo + _CHUNK))
+
 
 def _worst(values):
     """Largest value, NaN when any value is NaN, 0.0 for none."""
     return float(np.max(values)) if len(values) else 0.0
 
+
+# ---------------------------------------------------------------------------
+# engine self-tests
+# ---------------------------------------------------------------------------
 
 def engine_self_tests(frames, corpus_seed=1234, corpus_count=200,
                       corpus_depth=6):
@@ -235,14 +253,11 @@ def engine_self_tests(frames, corpus_seed=1234, corpus_count=200,
     corpus.  These identities hold for any pseudo-Riemannian structure,
     so they exercise the engine rather than the example; a NaN residual
     is reported as NaN."""
-    summary = {}
-    for name in SELF_TEST_NAMES:
-        if name == "mixed_partial":
-            values = mixed_partial_residuals(frames)
-        else:
-            values = [float(getattr(pf, name + "_residual")())
-                      for pf in frames]
-        summary[name] = _worst(values)
+    values = {name: [] for name in SELF_TEST_NAMES}
+    for _, batch in _chunks(frames):
+        for name in SELF_TEST_NAMES:
+            values[name].extend(getattr(batch, name))
+    summary = {name: _worst(values[name]) for name in SELF_TEST_NAMES}
     summary["jet_vs_fd"] = random_expression_corpus(
         corpus_seed, corpus_count, corpus_depth).gap
     return summary
@@ -265,27 +280,38 @@ def evaluate_checks(check_ids, frames, probe_sets, tolerance, separation):
     """Worst-case evaluation of every requested check over the sample.
 
     Returns (rows, worst) where rows are report entries in request order
-    and worst maps condition id to its worst scaled residual.
+    and worst maps condition id to its worst scaled residual: the first
+    strict maximum in point order, or the first NaN.  The sample is
+    evaluated chunk by chunk; when checks raise, the error raised is the
+    one of the first such check in request order at its first raising
+    point, as in a check-by-check, point-by-point loop.
     """
+    probes = np.asarray(probe_sets, dtype=float)
+    worst, errors = {}, {}
+    for lo, batch in _chunks(frames):
+        chunk_probes = probes[lo:lo + len(batch)]
+        for cid in check_ids:
+            if cid in errors:
+                continue
+            try:
+                value = evaluate_batch(cid, batch, chunk_probes)
+            except ParacrError as exc:
+                errors[cid] = exc
+                continue
+            worst[cid] = worse(worst.get(cid), value)
     rows = []
-    worst_scaled = {}
     for cid in check_ids:
-        cond = CONDITIONS[cid]
-        worst = None
-        for pf, probes in zip(frames, probe_sets):
-            cv = evaluate_condition(cid, pf, probes)
-            if worst is None or cv.scaled > worst.scaled:
-                worst = cv
-        worst_scaled[cid] = worst.scaled
+        if cid in errors:
+            raise errors[cid]
         rows.append({
             "id": cid,
-            "scope": cond.scope,
-            "raw": worst.raw,
-            "scaled": worst.scaled,
-            "part": worst.part,
-            "verdict": _verdict(worst.scaled, tolerance, separation),
+            "scope": CONDITIONS[cid].scope,
+            "raw": worst[cid].raw,
+            "scaled": worst[cid].scaled,
+            "part": worst[cid].part,
+            "verdict": _verdict(worst[cid].scaled, tolerance, separation),
         })
-    return rows, worst_scaled
+    return rows, {cid: worst[cid].scaled for cid in check_ids}
 
 
 # ---------------------------------------------------------------------------
@@ -304,34 +330,37 @@ def _random_plane(pf, rng, max_tries=100):
         f"no nondegenerate plane found in {max_tries} draws at {pf.point}")
 
 
+def _target_deviations(name, expected, batch, rng, planes_per_point):
+    """Per-point deviations of one target over a batch."""
+    if name == "sectional":
+        return [abs(_random_plane(batch.row(i), rng) - expected)
+                for i in range(len(batch)) for _ in range(planes_per_point)]
+    if name == "r":
+        return np.abs(batch.r - expected)
+    if name == "r_star":
+        return np.abs(batch.r_star - expected)
+    if name == "riemann_max":
+        return np.max(np.abs(batch.Riem), axis=(1, 2, 3, 4)) - expected
+    e_last = np.zeros(batch.m)
+    e_last[-1] = 1.0
+    if name == "h_on_dz":
+        return np.max(np.abs((batch.h @ e_last) - expected * e_last), axis=1)
+    if name == "h_squared_max":
+        return np.max(np.abs(batch.h @ batch.h), axis=(1, 2)) - expected
+    raise ValidationError(f"unknown target {name!r}")
+
+
 def measure_targets(descriptor, frames, rng, planes_per_point=4):
     """Deviation of measured invariants from the preset's known values."""
     if descriptor is None or not descriptor.targets:
         return None
     out = {}
     for name, expected in descriptor.targets.items():
-        dev = 0.0
-        for pf in frames:
-            if name == "sectional":
-                for _ in range(planes_per_point):
-                    dev = max(dev, abs(_random_plane(pf, rng) - expected))
-            elif name == "r":
-                dev = max(dev, abs(pf.r - expected))
-            elif name == "r_star":
-                dev = max(dev, abs(pf.r_star - expected))
-            elif name == "riemann_max":
-                dev = max(dev, float(np.max(np.abs(pf.Riem))) - expected)
-            elif name == "h_on_dz":
-                e_last = np.zeros(pf.m)
-                e_last[pf.m - 1] = 1.0
-                dev = max(dev, float(np.max(np.abs(
-                    pf.h @ e_last - expected * e_last))))
-            elif name == "h_squared_max":
-                dev = max(dev,
-                          float(np.max(np.abs(pf.h @ pf.h))) - expected)
-            else:
-                raise ValidationError(f"unknown target {name!r}")
-        out[name] = {"expected": expected, "max_abs_deviation": dev}
+        devs = [0.0]
+        for _, batch in _chunks(frames):
+            devs.extend(_target_deviations(name, expected, batch, rng,
+                                           planes_per_point))
+        out[name] = {"expected": expected, "max_abs_deviation": _worst(devs)}
     return out
 
 

@@ -22,11 +22,11 @@ import zlib
 import numpy as np
 import pytest
 
+from condition_reference import normality_field_residual
 from paracr.conditions import (
     classify,
     evaluate_condition,
     expand_checks,
-    normality_field_residual,
     trit,
 )
 from paracr.errors import DegeneratePlane

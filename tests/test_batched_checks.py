@@ -1,0 +1,265 @@
+"""The batched conditions against their point-by-point reference, the
+NaN-honest reduction, and chunked evaluation.
+
+Oracle provenance markers:
+- [REFERENCE]: ``condition_reference`` evaluates every derived tensor
+  and every condition one point at a time with the per-point formulas,
+  ``tensordot`` probe contractions and a ``>`` running maximum.  The
+  batched kernels perform the same floating-point operations per point
+  (batched ``matmul`` gives one gemv or gemm per point, as ``tensordot``
+  does), so raw, scale, part and verdict must agree exactly.
+- [TRIVIAL]: forced by the documented reduction and reporting contracts.
+"""
+
+import json
+import math
+import pathlib
+
+import numpy as np
+import pytest
+
+import condition_reference as ref
+from paracr import geometry, runner
+from paracr.conditions import (
+    CONDITIONS,
+    classify,
+    evaluate_condition,
+    expand_checks,
+    trit,
+)
+from paracr.errors import ParacrError, RankDefect
+from paracr.expr import parse
+from paracr.geometry import Chart, CoordinateStructure, PointFrame
+from paracr.presets import build_example, random_dim3_structure
+from paracr.runner import evaluate_checks, run, sample_points
+from paracr.spec_io import load_spec, spec_from_dict
+
+SPECS = pathlib.Path(__file__).parents[1] / "bench" / "specs"
+TOL, SEP = 1e-6, 1e-2
+
+CASES = {
+    "flat3d": lambda: build_example("flat3d").structure,
+    **{f"{name}_n{n}": (lambda name=name, n=n:
+                      build_example(name, n=n).structure)
+       for name, ns in (("hyperboloid", (1, 2, 3)), ("p1", (2, 3)),
+                        ("cosymplectic", (1, 2, 3)))
+       for n in ns},
+    **{f"random{s}": (lambda s=s: random_dim3_structure(s))
+       for s in range(3)},
+    **{f"spec_{path.stem}": (lambda path=path:
+                             load_spec(str(path)).structure)
+       for path in sorted(SPECS.glob("*.json"))},
+}
+
+REFERENCE_TENSORS = ("ginv", "dginv", "Gamma", "dGamma", "Riem",
+                     "nabla_eta", "nabla_xi", "nabla_phi", "h", "dh",
+                     "nabla_h", "dEta", "Phi", "dPhi_partial", "dPhi", "P",
+                     "dP", "Qplus", "dQplus", "Qminus", "dQminus")
+
+
+def sample(case, seed, count=5):
+    st = CASES[case]()
+    rng = np.random.default_rng(seed)
+    frames = sample_points(st, rng, count)
+    probes = rng.uniform(-1.0, 1.0, (len(frames), 4, 4, st.dim))
+    return st, frames, probes
+
+
+def outcome(fn):
+    """A call's result, or the class and message of its ParacrError."""
+    try:
+        return fn()
+    except ParacrError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_equal_the_per_point_reference(self, case, seed):
+        # [REFERENCE] every row, and every (point, check) value
+        st, frames, probes = sample(case, seed)
+        refs = [ref.ReferenceFrame(pf) for pf in frames]
+        for cid in expand_checks("all", st.dim):
+            got = outcome(lambda: evaluate_checks(
+                [cid], frames, probes, TOL, SEP)[0][0])
+            want = outcome(lambda: ref.worst_over_points(cid, refs, probes))
+            if isinstance(want, tuple):
+                assert got == want, cid
+                continue
+            assert (got["raw"], got["scaled"], got["part"]) == \
+                (want.raw, want.scaled, want.part), (cid, got, want)
+            assert got["verdict"] == runner._verdict(want.scaled, TOL, SEP)
+            for pf, rf, pr in zip(frames, refs, probes):
+                assert evaluate_condition(cid, pf, pr) == \
+                    ref.evaluate(cid, rf, pr), (cid, pf.point)
+
+    @pytest.mark.parametrize("case", ["flat3d", "hyperboloid_n2", "p1_n3",
+                                      "cosymplectic_n3", "random1",
+                                      "spec_flat3d_sqrt"])
+    def test_batch_tensors_equal_the_per_point_reference(self, case):
+        # [REFERENCE]
+        _, frames, _ = sample(case, 0)
+        for pf in frames:
+            rf = ref.ReferenceFrame(pf)
+            for name in REFERENCE_TENSORS:
+                np.testing.assert_array_equal(getattr(pf, name),
+                                              getattr(rf, name), name)
+
+    def test_probeless_points_and_extra_draws(self):
+        # [REFERENCE] no probes, and more draws than a run uses
+        st, frames, _ = sample("p1_n2", 1, 3)
+        extra = np.random.default_rng(4).uniform(-1.0, 1.0, (8, 4, st.dim))
+        for cid in expand_checks("all", st.dim):
+            for pf in frames:
+                rf = ref.ReferenceFrame(pf)
+                for probes in ((), extra):
+                    assert evaluate_condition(cid, pf, probes) == \
+                        ref.evaluate(cid, rf, probes), cid
+
+    def test_shared_kernel_keeps_ids_parts_and_guard(self):
+        # [TRIVIAL] jw3d, wzor1 and wzor2 are one formula
+        st, frames, probes = sample("flat3d", 2)
+        values = {cid: evaluate_condition(cid, frames[0], probes[0])
+                  for cid in ("jw3d", "wzor1", "wzor2")}
+        assert values["wzor1"] == values["wzor2"]
+        assert values["jw3d"].scaled == values["wzor1"].scaled
+        assert values["jw3d"].part.startswith("dim3_nabla_phi")
+        assert values["wzor1"].part.startswith("nabla_phi_from_reeb_gradient")
+        assert CONDITIONS["jw3d"].scope == "dim3"
+
+
+# ---------------------------------------------------------------------------
+# NaN honesty
+# ---------------------------------------------------------------------------
+
+def overflow_structure(lo):
+    """g = 10 I and phi^0_1 = exp(x + 708): every component and partial is
+    finite, but 10 * ∂phi overflows in dΦ once x > -0.5 (about), so the
+    second part of apcos (dform_closed) is inf / inf = NaN there while
+    its first part (deta_closed, eta constant) is exactly 0."""
+    coords = ("x", "y", "z")
+    chart = Chart(coords, ((lo, 1.0), (-1.0, 1.0), (-1.0, 1.0)))
+
+    def entries(texts):
+        return [[parse(t, coords) for t in row] for row in texts]
+    g = entries([["10", "0", "0"], ["0", "10", "0"], ["0", "0", "10"]])
+    phi = entries([["0", "exp(x + 708)", "0"], ["0", "0", "0"],
+                   ["0", "0", "0"]])
+    vec = entries([["0", "0", "1"]])[0]
+    return CoordinateStructure(chart, g, phi, vec, vec)
+
+
+class TestNaNHonesty:
+    def test_nan_part_after_a_finite_part_is_reported(self):
+        # [TRIVIAL] the per-point reduction keeps the NaN
+        pf = PointFrame(overflow_structure(0.0), (0.5, 0.1, 0.2))
+        probes = np.random.default_rng(0).uniform(-1.0, 1.0, (4, 4, 3))
+        for draws in ((), probes):
+            value = evaluate_condition("apcos", pf, draws)
+            assert math.isnan(value.scaled), value
+            assert value.part == "dform_closed"
+
+    def test_nan_point_after_a_finite_point_is_reported(self):
+        # [TRIVIAL] the cross-point reduction keeps the NaN too
+        st = overflow_structure(-1.0)
+        finite = PointFrame(st, (-0.9, 0.1, 0.2))
+        broken = PointFrame(st, (0.5, 0.1, 0.2))
+        assert evaluate_condition("apcos", finite).scaled >= SEP
+        probes = np.zeros((2, 0, 4, 3))
+        rows, worst = evaluate_checks(["apcos"], [finite, broken], probes,
+                                      TOL, SEP)
+        assert math.isnan(worst["apcos"])
+        assert rows[0]["verdict"] == "fail"
+
+    def test_nan_fails_and_classifies_false(self):
+        # [TRIVIAL] never pass, never ambiguous
+        nan = float("nan")
+        assert trit(nan, TOL, SEP) is False
+        values = {"axioms": 0.0, "compat": 0.0, "apcos": nan}
+        assert classify(values)["almost_para_cosymplectic"] is False
+        assert runner._verdict(nan, TOL, SEP) == "fail"
+
+    def test_run_reports_the_nan_row_as_a_failure(self):
+        coords = ["x", "y", "z"]
+        spec = spec_from_dict({
+            "chart": {"coordinates": coords,
+                      "box": [[0.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]]},
+            "structure": {"coordinate": {
+                "g": [["10", "0", "0"], ["0", "10", "0"], ["0", "0", "10"]],
+                "phi": [["0", "exp(x + 708)", "0"], ["0", "0", "0"],
+                        ["0", "0", "0"]],
+                "xi": ["0", "0", "1"], "eta": ["0", "0", "1"]}},
+            "checks": ["apcos"]})
+        row = run(spec, points=3).checks[0]
+        assert math.isnan(row["scaled"]) and row["verdict"] == "fail"
+
+
+# ---------------------------------------------------------------------------
+# chunked evaluation
+# ---------------------------------------------------------------------------
+
+class TestChunking:
+    @pytest.mark.parametrize("name,params", [
+        ("hyperboloid", {"n": 1}), ("p1", {"n": 2}), ("flat3d", {})])
+    def test_report_body_is_independent_of_the_chunk_size(
+            self, monkeypatch, name, params):
+        # [TRIVIAL] chunks only bound memory; targets draw their planes
+        # in point order across chunks
+        spec = spec_from_dict(build_example(name, **params).spec_dict)
+        bodies = []
+        for chunk in (1, 3, 10 ** 6):
+            monkeypatch.setattr(runner, "_CHUNK", chunk)
+            bodies.append(run(spec, checks="all", points=7).body_json())
+        assert bodies[0] == bodies[1] == bodies[2]
+
+    def test_chunked_sample_with_rejections(self, monkeypatch):
+        spec = load_spec(str(SPECS / "flat3d_sqrt.json"))
+        bodies = []
+        for chunk in (1, 3, 10 ** 6):
+            monkeypatch.setattr(runner, "_CHUNK", chunk)
+            bodies.append(run(spec, checks="all", points=9,
+                              seed=3).body_json())
+        assert bodies[0] == bodies[1] == bodies[2]
+        assert json.loads(bodies[0])["checks"]
+
+    def test_first_failing_check_in_request_order_raises(self, monkeypatch):
+        # [TRIVIAL] a check that raises at a later chunk still raises
+        # before a later check that raises at an earlier chunk
+        st = build_example("p1", n=2).structure
+        frames = sample_points(st, np.random.default_rng(0), 4)
+        probes = np.zeros((4, 0, 4, st.dim))
+
+        def flaky(cid, batch, chunk_probes):
+            if cid == "axioms" and batch.points[0][0] == frames[3].point[0]:
+                raise RankDefect("late")
+            if cid == "compat":
+                raise RankDefect("early")
+            return original(cid, batch, chunk_probes)
+
+        original = runner.evaluate_batch
+        monkeypatch.setattr(runner, "evaluate_batch", flaky)
+        monkeypatch.setattr(runner, "_CHUNK", 1)
+        with pytest.raises(RankDefect, match="late"):
+            evaluate_checks(["axioms", "compat"], frames, probes, TOL, SEP)
+
+
+# ---------------------------------------------------------------------------
+# polarization self-test batches
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,params", [("p1", {"n": 2}),
+                                         ("hyperboloid", {"n": 2}),
+                                         ("cosymplectic", {"n": 1})])
+def test_polarization_batches_do_not_change_values(monkeypatch, name,
+                                                   params):
+    # [TRIVIAL] every value is per point and elementwise
+    st = build_example(name, **params).structure
+    values = []
+    for cap in (1, 500, 1 << 40):
+        monkeypatch.setattr(geometry, "_POLAR_ELEMENTS", cap)
+        frames = sample_points(st, np.random.default_rng(5), 6)
+        values.append(frames[0].batch.mixed_partial)
+    np.testing.assert_array_equal(values[0], values[1])
+    np.testing.assert_array_equal(values[0], values[2])
+    assert np.all(values[0] <= 1e-9)

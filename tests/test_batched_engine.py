@@ -235,7 +235,7 @@ class TestFailureSurface:
     def test_self_tests_report_nan(self):
         frames = sample_points(build_example("flat3d").structure,
                                np.random.default_rng(2), 2)
-        frames[0].d2eta = frames[0].d2eta.copy()
+        # a frame's arrays are views of its row in the sample's batch
         frames[0].d2eta[0, 1, 2] = math.nan
         summary = engine_self_tests(frames)
         assert math.isnan(summary["dd_eta"])

@@ -9,6 +9,13 @@ reductions, explicit obstruction functions) and frozen here.
 import numpy as np
 import pytest
 
+from condition_reference import (
+    h_property_residuals,
+    levi_form,
+    levi_symmetry_residual,
+    nijenhuis_field,
+    normality_field_residual,
+)
 from paracr import conditions
 from paracr.conditions import (
     BUNDLES,
@@ -19,12 +26,7 @@ from paracr.conditions import (
     eigendistribution_bases,
     evaluate_condition,
     expand_checks,
-    h_property_residuals,
     involutivity_residual,
-    levi_form,
-    levi_symmetry_residual,
-    nijenhuis_field,
-    normality_field_residual,
     trit,
 )
 from paracr.errors import (
