@@ -3,8 +3,7 @@ structures and their para-CR geometry.
 
 Public surface:
 
-- ``paracr.jets``: batched Taylor-array jets (derivatives to order 3)
-  and the scalar nested duals they are checked against;
+- ``paracr.jets``: batched Taylor-array jets (derivatives to order 3);
 - ``paracr.expr``: the expression grammar (parse, eval_expr, render);
 - ``paracr.geometry``: charts, structures, FrameBatch (curvature and
   structure tensors at a batch of points) and PointFrame (one row);

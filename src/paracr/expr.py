@@ -15,13 +15,16 @@ tanh, exp, ln, sqrt); any other identifier must be a chart coordinate, and
 unknown identifiers are rejected rather than treated as implicit variables.
 
 ASTs are immutable (frozen dataclasses) and compare structurally; evaluation
-is structural recursion over any scalar type the jets module accepts:
-plain floats, batched Taylor jets (one walk of the tree serves a whole
-batch of points), or scalar duals.  There is no simplification pass:
-expressions evaluate exactly as written.  :func:`diff` builds the AST of
-a partial derivative, folding zeros and constants as it goes.
+is structural recursion over plain floats or batched Taylor jets (one
+walk of the tree serves a whole batch of points).  Each operator node's
+``apply`` performs its own operation on already evaluated operands, so
+the jet forest of :mod:`paracr.runner` applies the same operations.
+There is no simplification pass: expressions evaluate exactly as
+written.  :func:`diff` builds the AST of a partial derivative, folding
+zeros and constants as it goes.
 """
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -54,6 +57,13 @@ FUNCTIONS = {
     "sqrt": jets.sqrt,
 }
 
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": jets.div,
+}
+
 _MAX_EXPONENT = 1000
 
 
@@ -78,8 +88,11 @@ class Var:
 class Neg:
     arg: "Expr"
 
+    def apply(self, a):
+        return -a
+
     def eval(self, xs):
-        return -self.arg.eval(xs)
+        return self.apply(self.arg.eval(xs))
 
 
 @dataclass(frozen=True)
@@ -87,8 +100,11 @@ class Call:
     fn: str
     arg: "Expr"
 
+    def apply(self, a):
+        return FUNCTIONS[self.fn](a)
+
     def eval(self, xs):
-        return FUNCTIONS[self.fn](self.arg.eval(xs))
+        return self.apply(self.arg.eval(xs))
 
 
 @dataclass(frozen=True)
@@ -97,16 +113,11 @@ class Bin:
     left: "Expr"
     right: "Expr"
 
+    def apply(self, a, b):
+        return _BINARY[self.op](a, b)
+
     def eval(self, xs):
-        a = self.left.eval(xs)
-        b = self.right.eval(xs)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        return jets.div(a, b)
+        return self.apply(self.left.eval(xs), self.right.eval(xs))
 
 
 @dataclass(frozen=True)
@@ -114,8 +125,11 @@ class Pow:
     base: "Expr"
     exponent: int
 
+    def apply(self, a):
+        return jets.powi(a, self.exponent)
+
     def eval(self, xs):
-        return jets.powi(self.base.eval(xs), self.exponent)
+        return self.apply(self.base.eval(xs))
 
 
 Expr = Union[Const, Var, Neg, Call, Bin, Pow]

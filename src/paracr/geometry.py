@@ -37,7 +37,6 @@ the point axis in front, ``Gamma[p, k, i, j]``):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -317,15 +316,6 @@ class HyperboloidStructure(_Structure):
         return _sum(self._signs[A] * U[..., A] * V[..., A]
                     for A in range(self.ambient_dim))
 
-    def embed(self, point):
-        """Ambient coordinates of the chart point (last one by the graph)."""
-        arg = self._graph_arg(point)
-        if arg < _MIN_PATCH_MARGIN:
-            raise OutsidePatch(
-                f"graph-patch argument {arg:.3e} below "
-                f"{_MIN_PATCH_MARGIN:.1e}")
-        return list(point) + [math.sqrt(arg)]
-
     def component_jets(self, xs):
         m = self.dim
         arg = self._graph_arg(xs)
@@ -349,13 +339,6 @@ class HyperboloidStructure(_Structure):
                        f"{_MIN_METRIC_DET:.1e}"),
         ]
         return (g, sol[:, :m], sol[:, m], eta), checks
-
-    def quadric_residual(self, point):
-        """|G(x,x) + 1| at the embedded point.  Since the position field is
-        also the unit normal, this single number witnesses both that the
-        point lies on the quadric and that G(N,N) = -1."""
-        pos = self.embed(point)
-        return abs(sum(s * x * x for s, x in zip(self._signs, pos)) + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +411,6 @@ def _third_partials(structure, points):
         if error is not None:
             raise error
     return _partials(parts[0], 3)
-
-
-def third_metric_derivatives(structure, point):
-    """d3g[a,b,c,i,j] = ∂_a ∂_b ∂_c g_ij at one point."""
-    return _third_partials(structure, [point])[0]
 
 
 def degenerate_metric(g):

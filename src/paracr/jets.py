@@ -15,10 +15,11 @@ tensor shape between the point and direction axes).
 Every rule is Taylor-mode forward differentiation (Griewank & Walther,
 *Evaluating Derivatives*, ch. 13), arranged so that each coefficient is
 the very same sequence of floating-point operations that k nested dual
-numbers perform for one point and one choice of directions (``Dual``
-below): a product sums the Leibniz terms ∂_U u · ∂_{T∖U} w of slot T
-pairwise in nested order, and a function or quotient is extended one
-order at a time, f(u) = f(u_low) + ε·f'(u_low)·∂u.  Values of sinh,
+numbers perform for one point and one choice of directions (the scalar
+reference the tests hold the engine to): a product sums the Leibniz
+terms ∂_U u · ∂_{T∖U} w of slot T pairwise in nested order, and a
+function or quotient is extended one order at a time,
+f(u) = f(u_low) + ε·f'(u_low)·∂u.  Values of sinh,
 cosh, tanh, exp and ln come from the ``math`` module.  A batch is
 therefore bit-for-bit what a point-by-point evaluation gives.
 
@@ -27,13 +28,8 @@ non-positive value) do not raise: each jet carries a per-point mask
 ``bad`` that every operation propagates, so a point is rejected even
 when its NaN is later hidden (``x^0`` of a NaN is 1).  Operations on
 plain floats (constant subexpressions) still raise :class:`DomainError`.
-
-Scalar nested duals (the reference)
------------------------------------
-:class:`Dual` realizes a jet of order k along a direction as k nested
-first-order dual numbers, one point at a time.  It is kept as an
-independent oracle for the batched engine and is not used by the
-engine itself.  Order 0 is a plain ``float``.
+Every operation acts on each point of the batch alone, so a batch may
+hold the points of unrelated evaluations side by side.
 """
 
 import itertools
@@ -48,13 +44,6 @@ __all__ = [
     "Jet",
     "coordinate_jets",
     "tensor",
-    "Dual",
-    "seed",
-    "seed_multi",
-    "value_of",
-    "depth_of",
-    "nth_tangent",
-    "coefficients",
     "sinh",
     "cosh",
     "tanh",
@@ -430,15 +419,15 @@ def tensor(entries, like):
 
 
 # ---------------------------------------------------------------------------
-# Elementary functions on floats, batched jets and scalar duals
+# Elementary functions on floats and batched jets
 # ---------------------------------------------------------------------------
 
 def div(a, b):
-    """Guarded division for floats, duals and jets alike."""
+    """Guarded division for floats and jets alike."""
     if isinstance(a, Jet) or isinstance(b, Jet):
         return a / b
-    if abs(value_of(b)) <= _DIV_GUARD:
-        raise DomainError(f"division by {value_of(b)!r} inside guard band")
+    if abs(b) <= _DIV_GUARD:
+        raise DomainError(f"division by {b!r} inside guard band")
     return a / b
 
 
@@ -462,209 +451,32 @@ def powi(x, k):
 
 
 def sinh(x):
-    if isinstance(x, Jet):
-        return x.sinh()
-    if isinstance(x, Dual):
-        return Dual(sinh(x.p), cosh(x.p) * x.t)
-    return math.sinh(x)
+    return x.sinh() if isinstance(x, Jet) else math.sinh(x)
 
 
 def cosh(x):
-    if isinstance(x, Jet):
-        return x.cosh()
-    if isinstance(x, Dual):
-        return Dual(cosh(x.p), sinh(x.p) * x.t)
-    return math.cosh(x)
+    return x.cosh() if isinstance(x, Jet) else math.cosh(x)
 
 
 def tanh(x):
-    if isinstance(x, Jet):
-        return x.tanh()
-    if isinstance(x, Dual):
-        tp = tanh(x.p)
-        return Dual(tp, (1.0 - tp * tp) * x.t)
-    return math.tanh(x)
+    return x.tanh() if isinstance(x, Jet) else math.tanh(x)
 
 
 def exp(x):
-    if isinstance(x, Jet):
-        return x.exp()
-    if isinstance(x, Dual):
-        ep = exp(x.p)
-        return Dual(ep, ep * x.t)
-    return math.exp(x)
+    return x.exp() if isinstance(x, Jet) else math.exp(x)
 
 
 def ln(x):
     if isinstance(x, Jet):
         return x.ln()
-    if value_of(x) <= 0.0:
-        raise DomainError(f"ln of non-positive value {value_of(x)!r}")
-    if isinstance(x, Dual):
-        return Dual(ln(x.p), x.t / x.p)
+    if x <= 0.0:
+        raise DomainError(f"ln of non-positive value {x!r}")
     return math.log(x)
 
 
 def sqrt(x):
     if isinstance(x, Jet):
         return x.sqrt()
-    if isinstance(x, Dual):
-        if value_of(x) <= 0.0:
-            raise DomainError(
-                f"sqrt of {value_of(x)!r} with derivatives requested"
-            )
-        s = sqrt(x.p)
-        return Dual(s, x.t / (2.0 * s))
     if x < 0.0:
         raise DomainError(f"sqrt of negative value {x!r}")
     return math.sqrt(x)
-
-
-# ---------------------------------------------------------------------------
-# Scalar nested duals (reference oracle)
-# ---------------------------------------------------------------------------
-
-def depth_of(x):
-    """Nesting depth of a scalar: 0 for a plain float, k for k nested duals."""
-    return x.d if isinstance(x, Dual) else 0
-
-
-def value_of(x):
-    """Collapse a (possibly nested) dual to its underlying value slot."""
-    while isinstance(x, Dual):
-        x = x.p
-    return x
-
-
-class Dual(object):
-    """First-order dual number a + eps*b where eps**2 = 0.
-
-    Slots p (primal) and t (tangent) may themselves hold Dual values; the
-    cached depth d orders levels so that arithmetic between operands of
-    unequal depth treats the shallower one as a constant.  Seeding always
-    adds levels outermost, so depths inside one evaluation are consecutive
-    and this rule is exact.
-    """
-
-    __slots__ = ("p", "t", "d")
-
-    def __init__(self, p, t):
-        self.p = p
-        self.t = t
-        self.d = depth_of(p) + 1
-
-    def __repr__(self):
-        return f"Dual({self.p!r}, {self.t!r})"
-
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, o):
-        od = depth_of(o)
-        if od < self.d:
-            return Dual(self.p + o, self.t)
-        if od > self.d:
-            return Dual(self + o.p, o.t)
-        return Dual(self.p + o.p, self.t + o.t)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Dual(-self.p, -self.t)
-
-    def __sub__(self, o):
-        od = depth_of(o)
-        if od < self.d:
-            return Dual(self.p - o, self.t)
-        if od > self.d:
-            return Dual(self - o.p, -o.t)
-        return Dual(self.p - o.p, self.t - o.t)
-
-    def __rsub__(self, o):
-        # o has depth < self.d here (otherwise o.__sub__ would have run).
-        return Dual(o - self.p, -self.t)
-
-    def __mul__(self, o):
-        od = depth_of(o)
-        if od < self.d:
-            return Dual(self.p * o, self.t * o)
-        if od > self.d:
-            return Dual(self * o.p, self * o.t)
-        return Dual(self.p * o.p, self.p * o.t + self.t * o.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        if abs(value_of(o)) <= _DIV_GUARD:
-            raise DomainError(f"division by {value_of(o)!r} inside guard band")
-        od = depth_of(o)
-        if od < self.d:
-            return Dual(self.p / o, self.t / o)
-        if od > self.d:
-            q = self / o.p
-            return Dual(q, -(q * o.t) / o.p)
-        q = self.p / o.p
-        return Dual(q, (self.t - q * o.t) / o.p)
-
-    def __rtruediv__(self, o):
-        if abs(value_of(self)) <= _DIV_GUARD:
-            raise DomainError(f"division by {value_of(self)!r} inside guard band")
-        q = o / self.p
-        return Dual(q, -(q * self.t) / self.p)
-
-    def __pow__(self, k):
-        return powi(self, k)
-
-
-def seed_multi(point, directions):
-    """Lift a coordinate tuple through one dual level per direction.
-
-    ``directions`` lists coordinate indices, innermost level first; the last
-    entry becomes the outermost (top) level.  Evaluating a function on the
-    result and peeling k tangent slots from the top yields the mixed
-    derivative along the last k directions.
-    """
-    m = len(point)
-    for d_idx in directions:
-        if not 0 <= d_idx < m:
-            raise IndexError(
-                f"direction index {d_idx} out of range for dimension {m}"
-            )
-    xs = [float(c) for c in point]
-    for d_idx in directions:
-        xs = [Dual(x, 1.0 if i == d_idx else 0.0) for i, x in enumerate(xs)]
-    return tuple(xs)
-
-
-def seed(point, index, order):
-    """Seed all coordinates at ``point`` along one direction to ``order``.
-
-    Returns one scalar per coordinate: plain floats at order 0, nested duals
-    with a unit tangent on the seeded coordinate otherwise.
-    """
-    if not 0 <= order <= 3:
-        raise ValueError(f"order must be in 0..3, got {order}")
-    if order == 0:
-        m = len(point)
-        if not 0 <= index < m:
-            raise IndexError(f"direction index {index} out of range for dimension {m}")
-        return tuple(float(c) for c in point)
-    return seed_multi(point, [index] * order)
-
-
-def nth_tangent(x, k):
-    """Peel k tangent slots from the top, then collapse to the value slot.
-
-    With a full seeding of depth k this is the k-th directional (or mixed)
-    derivative; a shallower constant contributes zero.
-    """
-    for _ in range(k):
-        if isinstance(x, Dual):
-            x = x.t
-        else:
-            return 0.0
-    return value_of(x)
-
-
-def coefficients(x, order):
-    """Value and derivative coefficients [f, f', .., f^(order)] of a jet."""
-    return [nth_tangent(x, k) for k in range(order + 1)]

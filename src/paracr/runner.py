@@ -7,8 +7,8 @@ drives every random choice, consumed in a fixed documented order:
 
 1. point sampling — each attempt (accepted or rejected) draws one
    uniform vector in the chart box; attempts are drawn in waves of one
-   ``(k, dim)`` block (k the number of points still needed), which is
-   the same stream as k single draws;
+   ``(k, dim)`` block (k the number of points still needed, at most
+   ``_CHUNK``), which is the same stream as k single draws;
 2. probe directions — one ``(probes, 4, dim)`` block of uniform [-1, 1]
    draws per accepted point, in point order;
 3. target measurement — plane-spanning vector pairs for the sectional
@@ -21,6 +21,7 @@ serialization) is an ordered deterministic reduction.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -37,11 +38,12 @@ from .errors import (
     SamplingExhausted,
     ValidationError,
 )
-from .expr import eval_expr, parse
+from .expr import Bin, Const, Pow, Var, eval_expr, parse
 from .geometry import FrameBatch, degenerate_metric, structure_arrays
-from .jets import Jet, coordinate_jets
+from .jets import _DIV_GUARD, Jet, coordinate_jets
 
 _FD_STEP = 1e-5
+_STENCIL = np.array([-_FD_STEP, 0.0, _FD_STEP])
 # Acceptance bound for corpus expressions: with |f|, |f'|, |f''|, |f'''|
 # all below this at the probe points, the central-difference truncation
 # error (h^2/6 * f''') and the subtraction roundoff (eps * |f| / 2h) both
@@ -88,38 +90,132 @@ def _random_expression_text(rng, names, max_depth):
     return node(0)
 
 
-def _stencil_jet(fn, point, direction, order):
-    """``fn`` at the central-difference stencil around ``point`` (shifted
-    by -h, 0, +h along ``direction``) as one univariate jet batch."""
-    stencil = np.tile(point, (3, 1))
-    for row, shift in enumerate((-_FD_STEP, 0.0, _FD_STEP)):
-        stencil[row, direction] += shift
-    xs = coordinate_jets(stencil, order, np.eye(len(point))[:, [direction]])
+class _Forest:
+    """The jet-valued nodes of a set of ASTs: numbered, with their
+    heights, the Var leaves, and the groups of nodes that share a
+    height and a kind (operator and operand kinds)."""
+
+    def __init__(self):
+        self.height = []   # per node id
+        self.leaves = []   # (node id, tree, coordinate index)
+        self.groups = {}   # (height, kind...) -> (node, ids, operand columns)
+
+    def add(self, t, e):
+        """Node id of a jet-valued ``e`` of tree ``t`` (an int), or its
+        folded value.  A tree that raises leaves nodes behind that
+        nothing reads."""
+        height = self.height
+        if isinstance(e, Var):
+            self.leaves.append((len(height), t, e.index))
+            height.append(0)
+            return len(height) - 1
+        if isinstance(e, Const):
+            return e.value
+        children = (e.left, e.right) if isinstance(e, Bin) else \
+            (e.base if isinstance(e, Pow) else e.arg,)
+        args = [self.add(t, child) for child in children]
+        jet = tuple(isinstance(a, int) for a in args)
+        if not any(jet):
+            return e.apply(*args)
+        if isinstance(e, Bin) and e.op == "/" and not jet[1] \
+                and abs(args[1]) <= _DIV_GUARD:
+            raise DomainError("constant divisor inside the guard band")
+        height.append(1 + max(height[a] for a, j in zip(args, jet) if j))
+        key = (height[-1], type(e), getattr(e, "op", None),
+               getattr(e, "fn", None), getattr(e, "exponent", None), jet)
+        if key not in self.groups:
+            self.groups[key] = (e, [], tuple([] for _ in args))
+        _, ids, operands = self.groups[key]
+        ids.append(len(height) - 1)
+        for column, a in zip(operands, args):
+            column.append(a)
+        return ids[-1]
+
+
+def _stencil_forest(trees, points, directions):
+    """Order-3 jets of the ASTs ``trees`` at their central-difference
+    stencils, evaluated as one forest.
+
+    Tree t is a univariate jet along coordinate ``directions[t]`` at
+    ``points[t]`` shifted by -h, 0 and +h along it.  Constant subtrees
+    fold to floats with the nodes' own ``apply``; every other node joins
+    the nodes of its height and kind (operator and operand kinds) across
+    the forest, and each such group is one call of its ``apply`` on the
+    concatenated stencil rows of its members, a constant operand as one
+    value per row.  Jet operations act row by row, so every coefficient
+    is the float operation sequence of evaluating the tree alone.
+
+    Returns ``(c, bad, failed)``: ``c[t, row, slot]`` the root's
+    coefficients (a constant root holds its value in slot 0), ``bad[t,
+    row]`` its domain mask, and ``failed[t]`` true where evaluating the
+    tree alone raises: an arithmetic or domain error in a constant
+    subtree, or a constant divisor inside the guard band.
+    """
+    count = len(trees)
+    failed = np.zeros(count, dtype=bool)
+    roots = [None] * count
+    forest = _Forest()
+    for t, tree in enumerate(trees):
+        try:
+            roots[t] = forest.add(t, tree)
+        except (DomainError, ArithmeticError, ValueError):
+            failed[t] = True
+
+    nodes = len(forest.height)
+    store = np.zeros((nodes, 3, 4))
+    bad = np.zeros((nodes, 3), dtype=bool)
+    layout = None
+    if forest.leaves:
+        ids, tree_of, var = np.array(forest.leaves).T
+        on = var == np.asarray(directions)[tree_of]
+        centre = np.array([points[t][i] for t, i in zip(tree_of, var)])
+        rows = centre[:, None] + np.where(on[:, None], _STENCIL, 0.0)
+        xs = coordinate_jets(rows.reshape(-1, 1), 3,
+                             np.repeat(on, 3).astype(float)[:, None, None])
+        store[ids] = xs[0].c.reshape(len(ids), 3, 4)
+        layout = xs[0].layout
     with np.errstate(all="ignore"):
-        return fn(xs)
+        for key in sorted(forest.groups, key=lambda key: key[0]):
+            node, ids, columns = forest.groups[key]
+            operands = []
+            for pos, (is_jet, column) in enumerate(zip(key[-1], columns)):
+                if is_jet:
+                    mask = bad[column].ravel()
+                    operands.append(Jet(store[column].reshape(-1, 4),
+                                        mask if mask.any() else None, layout))
+                else:
+                    const = np.repeat(column, 3)
+                    # const / jet runs Jet.__rtruediv__, which divides the
+                    # constant by the order-0 coefficients [rows, 1]
+                    operands.append(const[:, None] if pos == 0 and
+                                    key[2] == "/" else const)
+            out = node.apply(*operands)
+            store[ids] = out.c.reshape(len(ids), 3, 4)
+            if out.bad is not None:
+                bad[ids] = out.bad.reshape(len(ids), 3)
+
+    c = np.zeros((count, 3, 4))
+    root_bad = np.zeros((count, 3), dtype=bool)
+    for t, root in enumerate(roots):
+        if isinstance(root, int):
+            c[t], root_bad[t] = store[root], bad[root]
+        elif root is not None:
+            c[t, :, 0] = root
+    return c, root_bad, failed
 
 
-def _tame(y):
-    """All derivatives through order three finite and moderately sized,
-    with no domain violation, at every stencil point."""
-    if not isinstance(y, Jet):
-        return abs(y) <= _CORPUS_MAGNITUDE_CAP
-    return y.bad is None and bool(np.all(np.abs(y.c) <= _CORPUS_MAGNITUDE_CAP))
-
-
-def _fd_gap(y):
+def _fd_gap(c):
     """Relative gap between the jet's first derivative at the stencil
     centre and the central difference of its stencil values."""
-    if not isinstance(y, Jet):
-        return 0.0  # constant: jet and difference are both zero
-    jet = float(y.d[1, 0])
-    fd = float(y.v[2] - y.v[0]) / (2.0 * _FD_STEP)
+    jet = float(c[1, 1])
+    fd = float(c[2, 0] - c[0, 0]) / (2.0 * _FD_STEP)
     return abs(jet - fd) / max(1.0, abs(jet), abs(fd))
 
 
 class _Corpus(list):
-    """Corpus entries, plus ``gap``: the ``jet_fd_worst`` of the entries,
-    read off the jets that selected them."""
+    """Corpus entries, plus ``gap``: the worst relative gap between the
+    first-order jet and the central difference over the entries, read
+    off the jets that selected them."""
 
     gap = 0.0
 
@@ -135,8 +231,13 @@ def random_expression_corpus(seed, count, max_depth):
     derivatives are non-finite or large at the probe point and at the
     two finite-difference stencil points, so a central difference with
     step 1e-5 is trustworthy there; agreement with the jet itself is
-    never part of the filter.  Each candidate is evaluated once, as an
-    order-3 jet over its three stencil points.
+    never part of the filter.
+
+    Candidates come in waves, each as large as the number of entries
+    still missing (within the budget), and a wave is evaluated as one
+    jet forest (:func:`_stencil_forest`).  No draw depends on whether an
+    earlier candidate was accepted, so the entries, their order and
+    ``gap`` are those of trying one candidate at a time.
     """
     rng = np.random.default_rng(seed)
     corpus = _Corpus()
@@ -147,27 +248,28 @@ def random_expression_corpus(seed, count, max_depth):
             raise RuntimeError(
                 f"expression corpus: accepted {len(corpus)}/{count} "
                 f"after {attempts} attempts")
-        attempts += 1
-        nvars = int(rng.integers(2, 5))
-        names = tuple(f"x{i}" for i in range(1, nvars + 1))
-        text = _random_expression_text(rng, names, max_depth)
-        point = tuple(float(v) for v in rng.uniform(0.3, 1.7, nvars))
-        direction = int(rng.integers(nvars))
-        try:
-            expr_fn = partial(eval_expr, parse(text, names))
-            y = _stencil_jet(expr_fn, point, direction, 3)
-        except (ParseError, DomainError, ArithmeticError, ValueError):
-            continue
-        if _tame(y):
-            corpus.append((expr_fn, point, direction))
-            corpus.gap = max(corpus.gap, _fd_gap(y))
+        wave = min(count - len(corpus), budget - attempts)
+        attempts += wave
+        drawn = []
+        for _ in range(wave):
+            nvars = int(rng.integers(2, 5))
+            names = tuple(f"x{i}" for i in range(1, nvars + 1))
+            text = _random_expression_text(rng, names, max_depth)
+            point = tuple(float(v) for v in rng.uniform(0.3, 1.7, nvars))
+            direction = int(rng.integers(nvars))
+            try:
+                drawn.append((parse(text, names), point, direction))
+            except ParseError:
+                continue
+        trees, points, directions = zip(*drawn) if drawn else ((), (), ())
+        c, bad, failed = _stencil_forest(trees, points, directions)
+        tame = ~failed & ~bad.any(axis=1) & np.all(
+            np.abs(c) <= _CORPUS_MAGNITUDE_CAP, axis=(1, 2))
+        for t in np.flatnonzero(tame):
+            corpus.append((partial(eval_expr, trees[t]), points[t],
+                           directions[t]))
+            corpus.gap = max(corpus.gap, _fd_gap(c[t]))
     return corpus
-
-
-def jet_fd_worst(corpus):
-    """Worst relative gap between an order-1 jet and a central difference."""
-    return max((_fd_gap(_stencil_jet(fn, point, direction, 1))
-                for fn, point, direction in corpus), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +282,10 @@ def sample_points(structure, rng, count):
     A draw is rejected when the structure is singular or degenerate
     there (frame not invertible, metric determinant too small, point
     outside the patch, or a domain error or non-finite value in the
-    components).  Draws come in waves, each exactly as large as the
-    number of points still missing and evaluated as one batch, so the
-    attempts and the RNG stream match a one-draw-at-a-time loop.  More
+    components).  Draws come in waves, each as large as the number of
+    points still missing but at most ``_CHUNK``, and each wave is
+    evaluated as one batch, so memory stays bounded and the attempts
+    and the RNG stream match a one-draw-at-a-time loop.  More
     than ten rejected-plus-accepted attempts per requested point raises
     SamplingExhausted.  The accepted rows of all waves form one
     FrameBatch; the frames are its rows.
@@ -198,7 +301,7 @@ def sample_points(structure, rng, count):
             raise SamplingExhausted(
                 f"accepted {accepted}/{count} points after "
                 f"{attempts} attempts in the box")
-        wave = min(count - accepted, budget - attempts)
+        wave = min(count - accepted, budget - attempts, _CHUNK)
         attempts += wave
         points = lo + (hi - lo) * rng.random((wave, chart.dim))
         try:
@@ -217,9 +320,10 @@ def sample_points(structure, rng, count):
 # batches of the sample
 # ---------------------------------------------------------------------------
 
-# Points per evaluation chunk: the derived tensors and check candidates
-# of one chunk are alive at a time, so memory stays bounded for large
-# samples; a smaller sample is one chunk, its batch itself.
+# Points per evaluation chunk (and at most per sampling wave): the jets,
+# derived tensors and check candidates of one chunk are alive at a time,
+# so memory stays bounded for large samples; a smaller sample is one
+# chunk, its batch itself.
 _CHUNK = 64
 
 
@@ -368,6 +472,27 @@ def measure_targets(descriptor, frames, rng, planes_per_point=4):
 # report
 # ---------------------------------------------------------------------------
 
+_NON_FINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def _strict(value):
+    """``value`` with every non-finite float written as the string
+    "NaN", "Infinity" or "-Infinity"."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_strict(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return _NON_FINITE.get(value, "NaN")
+    return value
+
+
+def _dumps(data):
+    """Strict JSON (no bare NaN or Infinity tokens), indented, one
+    trailing newline."""
+    return json.dumps(_strict(data), indent=2, allow_nan=False) + "\n"
+
+
 @dataclass
 class Report:
     """One verification run; the body (everything except wall clock) is
@@ -392,10 +517,10 @@ class Report:
         return {key: getattr(self, key) for key in REPORT_KEY_ORDER}
 
     def json(self):
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return _dumps(self.to_dict())
 
     def body_json(self):
-        return json.dumps(self.body(), indent=2) + "\n"
+        return _dumps(self.body())
 
     @property
     def all_passed(self):

@@ -1,0 +1,89 @@
+"""One-candidate-at-a-time reference for the expression corpus.
+
+This is the definition ``paracr.runner.random_expression_corpus``
+reproduces with one jet forest per wave: each candidate is parsed,
+evaluated alone as an order-3 jet over its three central-difference
+stencil points, and accepted when that jet is tame.  Also the order-1
+jet-versus-difference gap of a corpus, recomputed from scratch.
+"""
+
+from functools import partial
+
+import numpy as np
+
+from paracr.errors import DomainError, ParseError
+from paracr.expr import eval_expr, parse
+from paracr.jets import Jet, coordinate_jets
+from paracr.runner import (
+    _CORPUS_MAGNITUDE_CAP,
+    _FD_STEP,
+    _random_expression_text,
+)
+
+EVAL_ERRORS = (ParseError, DomainError, ArithmeticError, ValueError)
+
+
+def stencil_jet(tree, point, direction, order):
+    """``tree`` at the central-difference stencil around ``point``
+    (shifted by -h, 0, +h along ``direction``) as one univariate jet
+    batch; a float for a constant tree."""
+    stencil = np.tile(point, (3, 1))
+    for row, shift in enumerate((-_FD_STEP, 0.0, _FD_STEP)):
+        stencil[row, direction] += shift
+    xs = coordinate_jets(stencil, order, np.eye(len(point))[:, [direction]])
+    with np.errstate(all="ignore"):
+        return eval_expr(tree, xs)
+
+
+def tame(y):
+    """All derivatives through order three finite and moderately sized,
+    with no domain violation, at every stencil point."""
+    if not isinstance(y, Jet):
+        return abs(y) <= _CORPUS_MAGNITUDE_CAP
+    return y.bad is None and bool(np.all(np.abs(y.c) <= _CORPUS_MAGNITUDE_CAP))
+
+
+def fd_gap(y):
+    """Relative gap between the jet's first derivative at the stencil
+    centre and the central difference of its stencil values."""
+    if not isinstance(y, Jet):
+        return 0.0  # constant: jet and difference are both zero
+    jet = float(y.d[1, 0])
+    fd = float(y.v[2] - y.v[0]) / (2.0 * _FD_STEP)
+    return abs(jet - fd) / max(1.0, abs(jet), abs(fd))
+
+
+def reference_corpus(seed, count, max_depth):
+    """(entries, gap): the corpus built one candidate at a time, each
+    entry ``(tree, point, direction)``."""
+    rng = np.random.default_rng(seed)
+    entries, gap = [], 0.0
+    attempts = 0
+    budget = 200 * count
+    while len(entries) < count:
+        if attempts >= budget:
+            raise RuntimeError(
+                f"expression corpus: accepted {len(entries)}/{count} "
+                f"after {attempts} attempts")
+        attempts += 1
+        nvars = int(rng.integers(2, 5))
+        names = tuple(f"x{i}" for i in range(1, nvars + 1))
+        text = _random_expression_text(rng, names, max_depth)
+        point = tuple(float(v) for v in rng.uniform(0.3, 1.7, nvars))
+        direction = int(rng.integers(nvars))
+        try:
+            tree = parse(text, names)
+            y = stencil_jet(tree, point, direction, 3)
+        except EVAL_ERRORS:
+            continue
+        if tame(y):
+            entries.append((tree, point, direction))
+            gap = max(gap, fd_gap(y))
+    return entries, gap
+
+
+def jet_fd_worst(corpus):
+    """Worst relative gap between an order-1 jet and a central difference
+    over ``(expr_fn, point, direction)`` corpus entries."""
+    return max((fd_gap(stencil_jet(fn.args[0], point, direction, 1))
+                for fn, point, direction in corpus), default=0.0)

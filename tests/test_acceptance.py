@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from condition_reference import normality_field_residual
+from corpus_reference import jet_fd_worst
 from paracr.conditions import (
     classify,
     evaluate_condition,
@@ -31,10 +32,10 @@ from paracr.conditions import (
 )
 from paracr.errors import DegeneratePlane
 from paracr.geometry import PointFrame
-from paracr.jets import Dual, depth_of
 from paracr.presets import build_example, random_dim3_structure
 from paracr.runner import random_expression_corpus, run, sample_points
 from paracr.spec_io import spec_from_dict
+from scalar_reference import Dual, depth_of, frame_matrix
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -118,7 +119,7 @@ def _tangent(v):
 def field_pair(structure, col, point):
     """Frame field number ``col`` as a (values, jacobian) pair."""
     def fn(xs):
-        return [row[col] for row in structure.frame_matrix(xs)]
+        return [row[col] for row in frame_matrix(structure, xs)]
     vals = np.array([float(v) for v in fn(list(point))])
     m = len(point)
     jac = np.zeros((m, m))
@@ -414,7 +415,6 @@ def test_criterion_09_engine_self_tests():
     # jets against central differences over 200 random expressions
     corpus = random_expression_corpus(seed=1234, count=200, max_depth=6)
     assert len(corpus) == 200
-    from paracr.runner import jet_fd_worst
     assert jet_fd_worst(corpus) <= 1e-5
     # [DERIVED] constant-curvature spaces are conformally flat: the
     # dimension-appropriate obstruction vanishes.

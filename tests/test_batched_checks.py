@@ -206,22 +206,50 @@ class TestChunking:
             self, monkeypatch, name, params):
         # [TRIVIAL] chunks only bound memory; targets draw their planes
         # in point order across chunks
+        # (sampling waves included)
         spec = spec_from_dict(build_example(name, **params).spec_dict)
         bodies = []
-        for chunk in (1, 3, 10 ** 6):
+        for chunk in (1, 3, runner._CHUNK, 10 ** 6):
             monkeypatch.setattr(runner, "_CHUNK", chunk)
             bodies.append(run(spec, checks="all", points=7).body_json())
-        assert bodies[0] == bodies[1] == bodies[2]
+        assert bodies[0] == bodies[1] == bodies[2] == bodies[3]
 
     def test_chunked_sample_with_rejections(self, monkeypatch):
         spec = load_spec(str(SPECS / "flat3d_sqrt.json"))
         bodies = []
-        for chunk in (1, 3, 10 ** 6):
+        for chunk in (1, 3, runner._CHUNK, 10 ** 6):
             monkeypatch.setattr(runner, "_CHUNK", chunk)
             bodies.append(run(spec, checks="all", points=9,
                               seed=3).body_json())
-        assert bodies[0] == bodies[1] == bodies[2]
+        assert bodies[0] == bodies[1] == bodies[2] == bodies[3]
         assert json.loads(bodies[0])["checks"]
+
+    @pytest.mark.parametrize("chunk", [3, None])
+    def test_sampling_waves_hold_at_most_one_chunk(self, monkeypatch, chunk):
+        # [TRIVIAL] no structure_arrays call sees more than _CHUNK draws,
+        # and the capped waves accept the same points from the same RNG
+        # stream as uncapped ones
+        st = load_spec(str(SPECS / "flat3d_sqrt.json")).structure
+        monkeypatch.setattr(runner, "_CHUNK", 10 ** 6)
+        rng_whole = np.random.default_rng(3)
+        whole = sample_points(st, rng_whole, 150)
+        if chunk is not None:
+            monkeypatch.setattr(runner, "_CHUNK", chunk)
+        else:
+            monkeypatch.undo()
+        sizes = []
+
+        def counted(structure, points):
+            sizes.append(len(points))
+            return original(structure, points)
+
+        original = runner.structure_arrays
+        monkeypatch.setattr(runner, "structure_arrays", counted)
+        rng = np.random.default_rng(3)
+        frames = sample_points(st, rng, 150)
+        assert max(sizes) == runner._CHUNK and len(sizes) > 150 // max(sizes)
+        assert [pf.point for pf in frames] == [pf.point for pf in whole]
+        assert rng.bit_generator.state == rng_whole.bit_generator.state
 
     def test_first_failing_check_in_request_order_raises(self, monkeypatch):
         # [TRIVIAL] a check that raises at a later chunk still raises

@@ -41,7 +41,6 @@ from paracr.geometry import (
     FrameStructure,
     PointFrame,
 )
-from paracr.jets import Dual, depth_of
 from paracr.presets import (
     cosymplectic,
     default_p1_f,
@@ -50,6 +49,7 @@ from paracr.presets import (
     p1,
     random_dim3_structure,
 )
+from scalar_reference import Dual, depth_of, frame_matrix
 
 PASS = 1e-7
 FAIL = 1e-2
@@ -80,7 +80,7 @@ def field_jacobian(fn, point):
 
 
 def frame_column(structure, col):
-    return lambda xs: [row[col] for row in structure.frame_matrix(xs)]
+    return lambda xs: [row[col] for row in frame_matrix(structure, xs)]
 
 
 def field_pair(structure, col, point):

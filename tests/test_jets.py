@@ -1,4 +1,6 @@
-"""Tests for the nested-dual scalar AD module.
+"""Tests for the nested-dual scalar reference (``scalar_reference``), the
+oracle the batched jet engine is held to, and the float guards it
+shares with ``paracr.jets``.
 
 Oracles used here:
   * hand-evaluated calculus facts (polynomials, hyperbolic functions),
@@ -12,14 +14,15 @@ import numpy as np
 import pytest
 
 from paracr.errors import DomainError
-from paracr.jets import (
+from paracr.jets import powi
+from scalar_reference import (
     Dual,
     coefficients,
     cosh,
+    eval_dual,
     exp,
     ln,
     nth_tangent,
-    powi,
     seed,
     seed_multi,
     sinh,
@@ -200,7 +203,7 @@ class TestFiniteDifferenceProperty:
         assert len(corpus) == 200
         for expr_fn, point, direction in corpus:
             xs = seed_multi(point, [direction])
-            jet = nth_tangent(expr_fn(xs), 1)
+            jet = nth_tangent(eval_dual(expr_fn.args[0], xs), 1)
 
             def univariate(t):
                 shifted = list(point)

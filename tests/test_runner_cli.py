@@ -14,24 +14,24 @@ import pathlib
 import numpy as np
 import pytest
 
+from corpus_reference import jet_fd_worst
 from paracr import cli
 from paracr.conditions import CONDITIONS, expand_checks
 from paracr.errors import SamplingExhausted, ValidationError
 from paracr.expr import parse
 from paracr.geometry import Chart, CoordinateStructure, FrameStructure
-from paracr.jets import nth_tangent, seed_multi
 from paracr.presets import PRESET_NAMES, build_example
 from paracr.runner import (
     Report,
     REPORT_KEY_ORDER,
     SELF_TEST_NAMES,
     engine_self_tests,
-    jet_fd_worst,
     random_expression_corpus,
     run,
     sample_points,
 )
 from paracr.spec_io import spec_from_dict
+from scalar_reference import eval_dual, nth_tangent, seed_multi
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -79,7 +79,7 @@ class TestExpressionCorpus:
         corpus = random_expression_corpus(seed=5, count=20, max_depth=6)
         for fn, point, direction in corpus:
             xs = seed_multi(point, [direction] * 3)
-            y = fn(xs)
+            y = eval_dual(fn.args[0], xs)
             for k in range(4):
                 assert abs(nth_tangent(y, k)) <= 1e4
 
@@ -336,6 +336,48 @@ class TestCli:
         assert tuple(data) == REPORT_KEY_ORDER
         assert [r["id"] for r in data["checks"]] == \
             expand_checks(["para-cr"], 3)
+
+    def test_verify_json_is_strict_for_non_finite_residuals(self, tmp_path,
+                                                            capsys):
+        # phi^0_1 = exp(x + 708) overflows the apcos and axioms residuals
+        # to inf and NaN; strict JSON has no NaN or Infinity token, so
+        # they are written as strings
+        spec = {"chart": {"coordinates": ["x", "y", "z"],
+                          "box": [[-1.0, 1.0]] * 3},
+                "structure": {"coordinate": {
+                    "g": [["10", "0", "0"], ["0", "10", "0"],
+                          ["0", "0", "10"]],
+                    "phi": [["0", "exp(x + 708)", "0"], ["0", "0", "0"],
+                            ["0", "0", "0"]],
+                    "xi": ["0", "0", "0"], "eta": ["0", "0", "0"]}}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code = cli.main(["verify", "--spec", str(path), "--checks",
+                         "axioms,apcos", "--points", "4", "--format", "json"])
+        assert code == 1
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        data = json.loads(capsys.readouterr().out, parse_constant=reject)
+        rows = {row["id"]: row for row in data["checks"]}
+        assert rows["apcos"]["raw"] == "Infinity"
+        assert rows["apcos"]["scaled"] == "NaN"
+        assert rows["apcos"]["verdict"] == "fail"
+
+    def test_report_json_writes_every_non_finite_float_as_a_string(self):
+        report = Report(spec_digest="d", seed=0, points=1, tolerance=1e-6,
+                        engine={"a": float("nan"), "b": 1.5},
+                        checks=[{"raw": float("inf"),
+                                 "scaled": -float("inf")}],
+                        classification={"x": None}, targets=None,
+                        wall_clock_seconds=0.25)
+        data = json.loads(report.json())
+        assert data["engine"] == {"a": "NaN", "b": 1.5}
+        assert data["checks"] == [{"raw": "Infinity", "scaled": "-Infinity"}]
+        assert json.loads(report.body_json()) == {
+            key: value for key, value in data.items()
+            if key != "wall_clock_seconds"}
 
     def test_verify_is_deterministic_through_the_cli(self, tmp_path,
                                                      capsys):
