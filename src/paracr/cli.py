@@ -15,7 +15,7 @@ from .conditions import BUNDLES, CONDITIONS
 from .errors import ParacrError
 from .presets import PRESET_NAMES, build_example
 from .runner import run
-from .spec_io import load_spec, spec_text
+from .spec_io import emit_spec, load_spec, spec_text
 
 
 def _build_parser():
@@ -85,12 +85,10 @@ def _cmd_example(args):
     if args.n is not None:
         params["n"] = args.n
     descriptor = build_example(args.name, **params)
-    text = spec_text(descriptor.spec_dict)
     if args.emit_spec is not None:
-        with open(args.emit_spec, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        emit_spec(descriptor.spec_dict, args.emit_spec)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(spec_text(descriptor.spec_dict))
     return 0
 
 

@@ -64,7 +64,6 @@ __all__ = [
     "expand_checks",
     "classify",
     "eigendistribution_bases",
-    "involutivity_residual",
     "worse",
 ]
 
@@ -477,12 +476,6 @@ def _involutivity(sign, fb, probes):
     return [("trivial", np.zeros(len(fb)), (), ())] + [
         (f"bracket{i}{j}", res[:, k], (brackets[:, k],), ())
         for k, (i, j) in enumerate(pairs)]
-
-
-def involutivity_residual(pf, sign):
-    """Worst non-tangential component of brackets of basis fields of the
-    +1 (sign > 0) or -1 eigendistribution at one point."""
-    return evaluate_condition("inv-plus" if sign > 0 else "inv-minus", pf)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ decides for each point whether it is rejected.  A :class:`FrameBatch`
 holds the accepted points and derives, for all of them at once, the
 Levi-Civita connection, curvature tensors, covariant derivatives of the
 structure tensors, the h-operator, differential forms, and projectors —
-everything downstream residual checks consume.  A :class:`PointFrame`
-is one row of a batch.
+everything downstream residual checks consume.  A batch is a sequence
+of its rows: ``batch[i]`` is the :class:`PointFrame` of point i, and
+iterating a batch yields them in point order.
 
 Index conventions (fixed throughout the package; a batch array puts
 the point axis in front, ``Gamma[p, k, i, j]``):
@@ -557,18 +558,14 @@ class FrameBatch:
                    {name: np.concatenate([getattr(b, name) for b in batches])
                     for name in ARRAY_NAMES})
 
-    @classmethod
-    def stack(cls, frames):
-        """The batch of ``frames`` (PointFrames) in order: their own batch
-        when they are all its rows, else a new one."""
-        batch = frames[0].batch
-        if [pf.index for pf in frames if pf.batch is batch] == \
-                list(range(len(batch))) == list(range(len(frames))):
-            return batch
-        return cls.concat([pf.single for pf in frames])
-
     def __len__(self):
         return len(self.points)
+
+    def __getitem__(self, index):
+        """Row ``index`` as a PointFrame; iterating a batch yields its
+        rows in point order."""
+        index = range(len(self))[index]
+        return PointFrame(self.structure, self.points[index], self, index)
 
     def rows(self, index):
         """The batch restricted to ``index`` (a slice or an index array),
@@ -579,9 +576,6 @@ class FrameBatch:
             if isinstance(value, np.ndarray):
                 vars(sub)[key] = value[index]
         return sub
-
-    def row(self, index):
-        return PointFrame(self.structure, self.points[index], self, index)
 
     # -- metric inverses and their derivatives ------------------------------
 
@@ -880,11 +874,10 @@ class PointFrame:
     """One structure at one chart point: a row of a :class:`FrameBatch`.
 
     Every array of the batch reads as this point's row (``pf.Riem`` is
-    ``pf.batch.Riem[pf.index]``, a 0-d row as a float, and a self-test
-    residual or conformal obstruction ``x`` as ``pf.x_residual()``), so
-    each formula exists once, for the batch.  Without a batch the frame
-    builds a one-point batch of its own; a rejected point raises its
-    rejection.
+    ``pf.batch.Riem[pf.index]``, and a 0-d row such as the self-test
+    residual ``pf.bianchi`` as a float), so each formula exists once,
+    for the batch.  Without a batch the frame builds a one-point batch
+    of its own; a rejected point raises its rejection.
     """
 
     def __init__(self, structure, point, batch=None, index=0):
@@ -901,8 +894,6 @@ class PointFrame:
     def __getattr__(self, name):
         if name.startswith("_") or name == "batch":
             raise AttributeError(name)
-        if name.endswith("_residual"):  # pf.bianchi_residual() -> row
-            return lambda: getattr(self, name[:-len("_residual")])
         value = getattr(self.batch, name)
         if not isinstance(value, np.ndarray):
             raise AttributeError(name)

@@ -9,8 +9,9 @@ drives every random choice, consumed in a fixed documented order:
    uniform vector in the chart box; attempts are drawn in waves of one
    ``(k, dim)`` block (k the number of points still needed, at most
    ``_CHUNK``), which is the same stream as k single draws;
-2. probe directions — one ``(probes, 4, dim)`` block of uniform [-1, 1]
-   draws per accepted point, in point order;
+2. probe directions — one ``(points, probes, 4, dim)`` block of
+   uniform [-1, 1] draws, which is the same stream as one
+   ``(probes, 4, dim)`` block per point in point order;
 3. target measurement — plane-spanning vector pairs for the sectional
    curvature target, drawn per point as needed.
 
@@ -34,11 +35,10 @@ from .errors import (
     DegeneratePlane,
     DomainError,
     ParacrError,
-    ParseError,
     SamplingExhausted,
     ValidationError,
 )
-from .expr import Bin, Const, Pow, Var, eval_expr, parse
+from .expr import Bin, Call, Const, Neg, Pow, Var, eval_expr
 from .geometry import FrameBatch, degenerate_metric, structure_arrays
 from .jets import _DIV_GUARD, Jet, coordinate_jets
 
@@ -65,13 +65,20 @@ SELF_TEST_NAMES = (
 # random expression corpus (shared by the jet/finite-difference self-test)
 # ---------------------------------------------------------------------------
 
-def _random_expression_text(rng, names, max_depth):
-    """One random expression string over ``names`` in the parser grammar."""
+def _random_expression(rng, names, max_depth):
+    """One random expression AST over the coordinates ``names``."""
     def leaf():
         if rng.random() < 0.7:
-            return names[int(rng.integers(len(names)))]
-        return format(float(rng.uniform(-2.0, 2.0)), ".3f")
+            index = int(rng.integers(len(names)))
+            return Var(names[index], index)
+        # a constant is rounded to three decimals; a negative one is the
+        # negation of its magnitude, as the parser reads "-0.125"
+        text = format(float(rng.uniform(-2.0, 2.0)), ".3f")
+        if text.startswith("-"):
+            return Neg(Const(float(text[1:])))
+        return Const(float(text))
 
+    # operands are drawn left to right, a power's base before its exponent
     def node(depth):
         if depth >= max_depth or rng.random() < 0.25:
             return leaf()
@@ -79,13 +86,13 @@ def _random_expression_text(rng, names, max_depth):
         if roll < 0.15:
             fn = ("sinh", "cosh", "tanh", "exp", "sqrt",
                   "ln")[int(rng.integers(6))]
-            return f"{fn}({node(depth + 1)})"
+            return Call(fn, node(depth + 1))
         if roll < 0.22:
-            return f"-({node(depth + 1)})"
+            return Neg(node(depth + 1))
         if roll < 0.30:
-            return f"({node(depth + 1)})^{int(rng.integers(2, 4))}"
+            return Pow(node(depth + 1), int(rng.integers(2, 4)))
         op = ("+", "-", "*", "/")[int(rng.integers(4))]
-        return f"({node(depth + 1)} {op} {node(depth + 1)})"
+        return Bin(op, node(depth + 1), node(depth + 1))
 
     return node(0)
 
@@ -224,8 +231,8 @@ class _Corpus(list):
 def random_expression_corpus(seed, count, max_depth):
     """Deterministic corpus of ``(expr_fn, point, direction)`` triples.
 
-    Each expression is random text in the parser grammar over two to four
-    variables; ``expr_fn`` (a ``functools.partial`` of ``eval_expr`` whose
+    Each expression is a random AST over two to four variables;
+    ``expr_fn`` (a ``functools.partial`` of ``eval_expr`` whose
     first argument is the AST) accepts a tuple of floats or of jets.
     Sampling rejects expressions whose value or first three directional
     derivatives are non-finite or large at the probe point and at the
@@ -250,18 +257,14 @@ def random_expression_corpus(seed, count, max_depth):
                 f"after {attempts} attempts")
         wave = min(count - len(corpus), budget - attempts)
         attempts += wave
-        drawn = []
+        trees, points, directions = [], [], []
         for _ in range(wave):
             nvars = int(rng.integers(2, 5))
             names = tuple(f"x{i}" for i in range(1, nvars + 1))
-            text = _random_expression_text(rng, names, max_depth)
-            point = tuple(float(v) for v in rng.uniform(0.3, 1.7, nvars))
-            direction = int(rng.integers(nvars))
-            try:
-                drawn.append((parse(text, names), point, direction))
-            except ParseError:
-                continue
-        trees, points, directions = zip(*drawn) if drawn else ((), (), ())
+            trees.append(_random_expression(rng, names, max_depth))
+            points.append(tuple(float(v)
+                                for v in rng.uniform(0.3, 1.7, nvars)))
+            directions.append(int(rng.integers(nvars)))
         c, bad, failed = _stencil_forest(trees, points, directions)
         tame = ~failed & ~bad.any(axis=1) & np.all(
             np.abs(c) <= _CORPUS_MAGNITUDE_CAP, axis=(1, 2))
@@ -277,7 +280,7 @@ def random_expression_corpus(seed, count, max_depth):
 # ---------------------------------------------------------------------------
 
 def sample_points(structure, rng, count):
-    """``count`` PointFrames at uniform box points, resampling rejects.
+    """A FrameBatch of ``count`` uniform box points, resampling rejects.
 
     A draw is rejected when the structure is singular or degenerate
     there (frame not invertible, metric determinant too small, point
@@ -287,8 +290,7 @@ def sample_points(structure, rng, count):
     evaluated as one batch, so memory stays bounded and the attempts
     and the RNG stream match a one-draw-at-a-time loop.  More
     than ten rejected-plus-accepted attempts per requested point raises
-    SamplingExhausted.  The accepted rows of all waves form one
-    FrameBatch; the frames are its rows.
+    SamplingExhausted.  The accepted rows of all waves form the batch.
     """
     chart = structure.chart
     lo = np.array([b[0] for b in chart.box])
@@ -312,8 +314,7 @@ def sample_points(structure, rng, count):
         keep[keep] = ~degenerate_metric(batch.g[keep])
         waves.append(batch.rows(keep))
         accepted += int(keep.sum())
-    batch = FrameBatch.concat(waves)
-    return [batch.row(i) for i in range(count)]
+    return FrameBatch.concat(waves)
 
 
 # ---------------------------------------------------------------------------
@@ -327,41 +328,30 @@ def sample_points(structure, rng, count):
 _CHUNK = 64
 
 
-def _chunks(frames):
-    """(offset, FrameBatch) pieces of the sample, in point order.  Frames
-    that are all the rows of one batch (as from ``sample_points``) use
-    it; any other list is stacked into a batch first."""
-    if not frames:
-        return
-    batch = FrameBatch.stack(frames)
-    if len(batch) <= _CHUNK:
-        yield 0, batch
-        return
-    for lo in range(0, len(batch), _CHUNK):
-        yield lo, batch.rows(slice(lo, lo + _CHUNK))
-
-
-def _worst(values):
-    """Largest value, NaN when any value is NaN, 0.0 for none."""
-    return float(np.max(values)) if len(values) else 0.0
+def _chunks(sample):
+    """(offset, FrameBatch) pieces of the sample batch, in point order;
+    a sample of at most ``_CHUNK`` points is its own single piece."""
+    for lo in range(0, len(sample), _CHUNK):
+        yield lo, (sample if len(sample) <= _CHUNK
+                   else sample.rows(slice(lo, lo + _CHUNK)))
 
 
 # ---------------------------------------------------------------------------
 # engine self-tests
 # ---------------------------------------------------------------------------
 
-def engine_self_tests(frames, corpus_seed=1234, corpus_count=200,
+def engine_self_tests(sample, corpus_seed=1234, corpus_count=200,
                       corpus_depth=6):
-    """Worst structural-identity residuals over the sample, plus the
-    jet-versus-finite-difference property on the shared expression
-    corpus.  These identities hold for any pseudo-Riemannian structure,
-    so they exercise the engine rather than the example; a NaN residual
-    is reported as NaN."""
-    values = {name: [] for name in SELF_TEST_NAMES}
-    for _, batch in _chunks(frames):
+    """Worst structural-identity residuals over the sample batch (0.0
+    for none), plus the jet-versus-finite-difference property on the
+    shared expression corpus.  These identities hold for any
+    pseudo-Riemannian structure, so they exercise the engine rather than
+    the example; a NaN residual is reported as NaN."""
+    summary = dict.fromkeys(SELF_TEST_NAMES, 0.0)
+    for _, batch in _chunks(sample):
         for name in SELF_TEST_NAMES:
-            values[name].extend(getattr(batch, name))
-    summary = {name: _worst(values[name]) for name in SELF_TEST_NAMES}
+            summary[name] = float(np.max(getattr(batch, name),
+                                         initial=summary[name]))
     summary["jet_vs_fd"] = random_expression_corpus(
         corpus_seed, corpus_count, corpus_depth).gap
     return summary
@@ -380,8 +370,9 @@ def _verdict(scaled, tolerance, separation):
     return "ambiguous"
 
 
-def evaluate_checks(check_ids, frames, probe_sets, tolerance, separation):
-    """Worst-case evaluation of every requested check over the sample.
+def evaluate_checks(check_ids, sample, probe_sets, tolerance, separation):
+    """Worst-case evaluation of every requested check over the sample
+    batch, with ``probe_sets[p]`` the probe draws of its point p.
 
     Returns (rows, worst) where rows are report entries in request order
     and worst maps condition id to its worst scaled residual: the first
@@ -392,7 +383,7 @@ def evaluate_checks(check_ids, frames, probe_sets, tolerance, separation):
     """
     probes = np.asarray(probe_sets, dtype=float)
     worst, errors = {}, {}
-    for lo, batch in _chunks(frames):
+    for lo, batch in _chunks(sample):
         chunk_probes = probes[lo:lo + len(batch)]
         for cid in check_ids:
             if cid in errors:
@@ -437,8 +428,8 @@ def _random_plane(pf, rng, max_tries=100):
 def _target_deviations(name, expected, batch, rng, planes_per_point):
     """Per-point deviations of one target over a batch."""
     if name == "sectional":
-        return [abs(_random_plane(batch.row(i), rng) - expected)
-                for i in range(len(batch)) for _ in range(planes_per_point)]
+        return [abs(_random_plane(pf, rng) - expected)
+                for pf in batch for _ in range(planes_per_point)]
     if name == "r":
         return np.abs(batch.r - expected)
     if name == "r_star":
@@ -454,17 +445,18 @@ def _target_deviations(name, expected, batch, rng, planes_per_point):
     raise ValidationError(f"unknown target {name!r}")
 
 
-def measure_targets(descriptor, frames, rng, planes_per_point=4):
-    """Deviation of measured invariants from the preset's known values."""
+def measure_targets(descriptor, sample, rng, planes_per_point=4):
+    """Deviation of measured invariants from the preset's known values
+    over the sample batch (at least 0.0, NaN when any is NaN)."""
     if descriptor is None or not descriptor.targets:
         return None
     out = {}
     for name, expected in descriptor.targets.items():
-        devs = [0.0]
-        for _, batch in _chunks(frames):
-            devs.extend(_target_deviations(name, expected, batch, rng,
-                                           planes_per_point))
-        out[name] = {"expected": expected, "max_abs_deviation": _worst(devs)}
+        worst = 0.0
+        for _, batch in _chunks(sample):
+            worst = float(np.max(_target_deviations(
+                name, expected, batch, rng, planes_per_point), initial=worst))
+        out[name] = {"expected": expected, "max_abs_deviation": worst}
     return out
 
 
@@ -605,18 +597,17 @@ def run(spec, checks=None, points=None, seed=None, tolerance=None):
 
     start = time.perf_counter()
     rng = np.random.default_rng(numeric["seed"])
-    frames = sample_points(spec.structure, rng, numeric["points"])
-    probe_sets = [rng.uniform(-1.0, 1.0, (numeric["probes"], 4,
-                                          spec.chart.dim))
-                  for _ in frames]
+    sample = sample_points(spec.structure, rng, numeric["points"])
+    probe_sets = rng.uniform(-1.0, 1.0, (len(sample), numeric["probes"], 4,
+                                         spec.chart.dim))
 
-    engine = engine_self_tests(frames)
+    engine = engine_self_tests(sample)
     rows, worst_scaled = evaluate_checks(
-        check_ids, frames, probe_sets,
+        check_ids, sample, probe_sets,
         numeric["tolerance"], numeric["separation"])
     classification = classify(worst_scaled, tol=numeric["tolerance"],
                               separation=numeric["separation"])
-    targets = measure_targets(spec.descriptor, frames, rng)
+    targets = measure_targets(spec.descriptor, sample, rng)
     wall = time.perf_counter() - start
 
     return Report(

@@ -1,10 +1,12 @@
 """One-candidate-at-a-time reference for the expression corpus.
 
 This is the definition ``paracr.runner.random_expression_corpus``
-reproduces with one jet forest per wave: each candidate is parsed,
-evaluated alone as an order-3 jet over its three central-difference
-stencil points, and accepted when that jet is tame.  Also the order-1
-jet-versus-difference gap of a corpus, recomputed from scratch.
+reproduces with one jet forest per wave: each candidate is drawn as
+text in the parser grammar and parsed (the product draws the same ASTs
+directly), evaluated alone as an order-3 jet over its three
+central-difference stencil points, and accepted when that jet is tame.
+Also the order-1 jet-versus-difference gap of a corpus, recomputed from
+scratch.
 """
 
 from functools import partial
@@ -14,13 +16,35 @@ import numpy as np
 from paracr.errors import DomainError, ParseError
 from paracr.expr import eval_expr, parse
 from paracr.jets import Jet, coordinate_jets
-from paracr.runner import (
-    _CORPUS_MAGNITUDE_CAP,
-    _FD_STEP,
-    _random_expression_text,
-)
+from paracr.runner import _CORPUS_MAGNITUDE_CAP, _FD_STEP
 
 EVAL_ERRORS = (ParseError, DomainError, ArithmeticError, ValueError)
+
+
+def random_expression_text(rng, names, max_depth):
+    """One random expression string over ``names`` in the parser grammar,
+    with the draws of ``paracr.runner._random_expression``."""
+    def leaf():
+        if rng.random() < 0.7:
+            return names[int(rng.integers(len(names)))]
+        return format(float(rng.uniform(-2.0, 2.0)), ".3f")
+
+    def node(depth):
+        if depth >= max_depth or rng.random() < 0.25:
+            return leaf()
+        roll = rng.random()
+        if roll < 0.15:
+            fn = ("sinh", "cosh", "tanh", "exp", "sqrt",
+                  "ln")[int(rng.integers(6))]
+            return f"{fn}({node(depth + 1)})"
+        if roll < 0.22:
+            return f"-({node(depth + 1)})"
+        if roll < 0.30:
+            return f"({node(depth + 1)})^{int(rng.integers(2, 4))}"
+        op = ("+", "-", "*", "/")[int(rng.integers(4))]
+        return f"({node(depth + 1)} {op} {node(depth + 1)})"
+
+    return node(0)
 
 
 def stencil_jet(tree, point, direction, order):
@@ -68,7 +92,7 @@ def reference_corpus(seed, count, max_depth):
         attempts += 1
         nvars = int(rng.integers(2, 5))
         names = tuple(f"x{i}" for i in range(1, nvars + 1))
-        text = _random_expression_text(rng, names, max_depth)
+        text = random_expression_text(rng, names, max_depth)
         point = tuple(float(v) for v in rng.uniform(0.3, 1.7, nvars))
         direction = int(rng.integers(nvars))
         try:

@@ -408,10 +408,10 @@ def test_criterion_09_engine_self_tests():
     pool += sample_points(random_dim3_structure(0),
                           np.random.default_rng(9), 4)
     for pf in pool:
-        assert pf.nabla_g_residual() <= 1e-9
-        assert pf.gamma_symmetry_residual() <= 1e-12
-        assert pf.bianchi_residual() <= 1e-7
-        assert pf.dd_eta_residual() <= 1e-8
+        assert pf.nabla_g <= 1e-9
+        assert pf.gamma_symmetry <= 1e-12
+        assert pf.bianchi <= 1e-7
+        assert pf.dd_eta <= 1e-8
     # jets against central differences over 200 random expressions
     corpus = random_expression_corpus(seed=1234, count=200, max_depth=6)
     assert len(corpus) == 200
@@ -419,9 +419,9 @@ def test_criterion_09_engine_self_tests():
     # [DERIVED] constant-curvature spaces are conformally flat: the
     # dimension-appropriate obstruction vanishes.
     for pf in frames_of("hyperboloid2")[1]:
-        assert pf.weyl_residual() <= 1e-5
+        assert pf.weyl <= 1e-5
     for pf in frames_of("hyperboloid")[1]:
-        assert pf.cotton_residual() <= 1e-5
+        assert pf.cotton <= 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,12 @@ from paracr.conditions import (
 )
 from paracr.errors import ParacrError, RankDefect
 from paracr.expr import parse
-from paracr.geometry import Chart, CoordinateStructure, PointFrame
+from paracr.geometry import (
+    Chart,
+    CoordinateStructure,
+    FrameBatch,
+    PointFrame,
+)
 from paracr.presets import build_example, random_dim3_structure
 from paracr.runner import evaluate_checks, run, sample_points
 from paracr.spec_io import load_spec, spec_from_dict
@@ -167,8 +172,8 @@ class TestNaNHonesty:
         broken = PointFrame(st, (0.5, 0.1, 0.2))
         assert evaluate_condition("apcos", finite).scaled >= SEP
         probes = np.zeros((2, 0, 4, 3))
-        rows, worst = evaluate_checks(["apcos"], [finite, broken], probes,
-                                      TOL, SEP)
+        sample = FrameBatch.concat([finite.single, broken.single])
+        rows, worst = evaluate_checks(["apcos"], sample, probes, TOL, SEP)
         assert math.isnan(worst["apcos"])
         assert rows[0]["verdict"] == "fail"
 

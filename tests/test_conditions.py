@@ -26,7 +26,6 @@ from paracr.conditions import (
     eigendistribution_bases,
     evaluate_condition,
     expand_checks,
-    involutivity_residual,
     trit,
 )
 from paracr.errors import (
@@ -318,8 +317,8 @@ class TestInvolutivity:
         rng = np.random.default_rng(5)
         for pt in sample_points(st.chart, rng, 6):
             pf = PointFrame(st, pt)
-            assert involutivity_residual(pf, +1).scaled <= PASS
-            assert involutivity_residual(pf, -1).scaled <= PASS
+            assert evaluate_condition("inv-plus", pf).scaled <= PASS
+            assert evaluate_condition("inv-minus", pf).scaled <= PASS
 
     def test_fx1_breaks_plus_distribution_only(self):
         # [DERIVED] for f = x1 the integrability obstruction
@@ -327,15 +326,15 @@ class TestInvolutivity:
         # the +1 eigendistribution; the -1 one stays involutive.
         st = p1(2, f="x1").structure
         pf = PointFrame(st, (0.8, 0.3, 0.1, -0.4, 1.0))
-        assert involutivity_residual(pf, +1).scaled >= 0.1
-        assert involutivity_residual(pf, -1).scaled <= 1e-9
+        assert evaluate_condition("inv-plus", pf).scaled >= 0.1
+        assert evaluate_condition("inv-minus", pf).scaled <= 1e-9
         rng = np.random.default_rng(6)
         worst_plus = 0.0
         for pt in sample_points(st.chart, rng, 6):
             pf = PointFrame(st, pt)
             worst_plus = max(worst_plus,
-                             involutivity_residual(pf, +1).scaled)
-            assert involutivity_residual(pf, -1).scaled <= 1e-9
+                             evaluate_condition("inv-plus", pf).scaled)
+            assert evaluate_condition("inv-minus", pf).scaled <= 1e-9
         assert worst_plus >= 0.1
 
     def test_skew_breaks_minus_distribution_only(self):
@@ -344,9 +343,9 @@ class TestInvolutivity:
         worst_minus = 0.0
         for pt in sample_points(st.chart, rng, 6):
             pf = PointFrame(st, pt)
-            assert involutivity_residual(pf, +1).scaled <= PASS
+            assert evaluate_condition("inv-plus", pf).scaled <= PASS
             worst_minus = max(worst_minus,
-                              involutivity_residual(pf, -1).scaled)
+                              evaluate_condition("inv-minus", pf).scaled)
         assert worst_minus >= FAIL
 
 

@@ -12,14 +12,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from corpus_reference import EVAL_ERRORS, reference_corpus, stencil_jet
-from paracr.expr import parse
+from corpus_reference import (
+    EVAL_ERRORS,
+    random_expression_text,
+    reference_corpus,
+    stencil_jet,
+)
+from paracr.expr import parse, render
 from paracr.jets import Jet
+from paracr.presets import build_example
 from paracr.runner import (
-    _random_expression_text,
+    _random_expression,
     _stencil_forest,
     engine_self_tests,
     random_expression_corpus,
+    sample_points,
 )
 
 NAMES = ("x1", "x2", "x3")
@@ -44,9 +51,9 @@ def candidate(seed, nvars, depth):
     """One random candidate as the corpus draws it."""
     rng = np.random.default_rng(seed)
     names = tuple(f"x{i}" for i in range(1, nvars + 1))
-    text = _random_expression_text(rng, names, depth)
+    tree = _random_expression(rng, names, depth)
     point = tuple(float(v) for v in rng.uniform(0.3, 1.7, nvars))
-    return parse(text, names), point, int(rng.integers(nvars))
+    return tree, point, int(rng.integers(nvars))
 
 
 def bits(a):
@@ -63,9 +70,9 @@ def assert_forest_matches_each_tree(trees, points, directions):
         try:
             y = stencil_jet(tree, points[t], directions[t], 3)
         except EVAL_ERRORS:
-            assert failed[t], tree
+            assert failed[t], render(tree)
             continue
-        assert not failed[t], tree
+        assert not failed[t], render(tree)
         if isinstance(y, Jet):
             want = y.c
             want_bad = np.zeros(3, dtype=bool) if y.bad is None else y.bad
@@ -73,8 +80,8 @@ def assert_forest_matches_each_tree(trees, points, directions):
             want = np.zeros((3, 4))
             want[:, 0] = y
             want_bad = np.zeros(3, dtype=bool)
-        assert bits(c[t]) == bits(want), tree
-        assert bad[t].tolist() == want_bad.tolist(), tree
+        assert bits(c[t]) == bits(want), render(tree)
+        assert bad[t].tolist() == want_bad.tolist(), render(tree)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -127,4 +134,21 @@ def test_corpus_equals_the_one_at_a_time_loop(seed, count, depth):
 
 def test_default_corpus_gap_is_pinned():
     # the jet_vs_fd value every report carries
-    assert engine_self_tests([])["jet_vs_fd"] == 6.074975717954007e-09
+    sample = sample_points(build_example("flat3d").structure,
+                           np.random.default_rng(0), 1)
+    assert engine_self_tests(sample)["jet_vs_fd"] == 6.074975717954007e-09
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ast_draws_equal_the_parsed_text_draws(seed):
+    # [REFERENCE] the AST generator makes the text generator's draws and
+    # builds what the parser builds from its text, at depths 0-8
+    names = ("x1", "x2", "x3", "x4")[:2 + seed % 3]
+    ast_rng = np.random.default_rng(seed)
+    text_rng = np.random.default_rng(seed)
+    for k in range(60):
+        depth = k % 9
+        tree = _random_expression(ast_rng, names, depth)
+        text = random_expression_text(text_rng, names, depth)
+        assert tree == parse(text, names), text
+        assert ast_rng.bit_generator.state == text_rng.bit_generator.state

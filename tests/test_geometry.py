@@ -311,7 +311,7 @@ class TestDerivativeArrays:
         rng = np.random.default_rng(17)
         pt = sample_points(desc.structure.chart, rng, 1)[0]
         pf = PointFrame(desc.structure, pt)
-        assert pf.mixed_partial_residual() < 1e-12
+        assert pf.mixed_partial < 1e-12
 
 
 class TestChristoffel:
@@ -368,10 +368,10 @@ class TestChristoffel:
         rng = np.random.default_rng(19)
         for pt in sample_points(desc.structure.chart, rng, 3):
             pf = PointFrame(desc.structure, pt)
-            assert pf.nabla_g_residual() < 1e-9
-            assert pf.gamma_symmetry_residual() < 1e-12
-            assert pf.metric_symmetry_residual() < 1e-12
-            assert pf.inverse_identity_residual() < 1e-12
+            assert pf.nabla_g < 1e-9
+            assert pf.gamma_symmetry < 1e-12
+            assert pf.metric_symmetry < 1e-12
+            assert pf.inverse_identity < 1e-12
 
     def test_gamma_derivative_against_fd(self):
         # [DERIVED] dGamma and d2Gamma against finite differences of
@@ -465,8 +465,8 @@ class TestCurvature:
                   hyperboloid(1).structure):
             for pt in sample_points(s.chart, rng, 2):
                 pf = PointFrame(s, pt)
-                assert pf.bianchi_residual() < 1e-7
-                assert pf.riemann_skew_residual() < 1e-9
+                assert pf.bianchi < 1e-7
+                assert pf.riemann_skew < 1e-9
 
 
 class TestFieldCalculus:
@@ -608,7 +608,7 @@ class TestExteriorDerivatives:
         rng = np.random.default_rng(53)
         for pt in sample_points(desc.structure.chart, rng, 2):
             pf = PointFrame(desc.structure, pt)
-            assert pf.dd_eta_residual() < 1e-8
+            assert pf.dd_eta < 1e-8
 
 
 class TestSectionalAndConformal:
@@ -653,12 +653,12 @@ class TestSectionalAndConformal:
         # [DERIVED] constant-curvature spaces are conformally flat:
         # the dimension-appropriate obstruction tensor vanishes.
         pf = PointFrame(hyperboloid(2).structure, (0.1, -0.2, 0.3, 0.0, 0.2))
-        assert pf.weyl_residual() < 1e-5
+        assert pf.weyl < 1e-5
         assert pf.conformal_flatness() < 1e-5
         pf = PointFrame(hyperboloid(1).structure, (0.2, -0.1, 0.3))
-        assert pf.cotton_residual() < 1e-5
+        assert pf.cotton < 1e-5
         pf = PointFrame(flat3d().structure, (0.3, 0.1, -0.4))
-        assert pf.cotton_residual() < 1e-10
+        assert pf.cotton < 1e-10
 
     def test_nil_metric_not_conformally_flat(self):
         # [DERIVED] the nil metric dx^2 + (1+x^2) dy^2 - 2x dy dz + dz^2
@@ -670,7 +670,7 @@ class TestSectionalAndConformal:
                                     ["0", "1 + x^2", "-x"],
                                     ["0", "-x", "1"]])
         pf = PointFrame(s, (0.3, 0.1, -0.2))
-        assert pf.cotton_residual() > 1e-3
+        assert pf.cotton > 1e-3
 
     def test_curved_product_not_conformally_flat(self):
         # [DERIVED] hyperbolic plane times flat 3-space is not
@@ -688,15 +688,15 @@ class TestSectionalAndConformal:
         s = CoordinateStructure(chart, g, [[zero] * 5 for _ in range(5)],
                                 [zero] * 5, [zero] * 5)
         pf = PointFrame(s, (1.0, 0.2, 0.1, -0.3, 0.4))
-        assert pf.weyl_residual() > 1e-2
+        assert pf.weyl > 1e-2
 
     def test_wrong_dimension_raises(self):
         pf3 = PointFrame(flat3d().structure, (0.0, 0.0, 0.0))
         with pytest.raises(WrongDimension):
-            pf3.weyl_residual()
+            pf3.weyl
         pf5 = PointFrame(hyperboloid(2).structure, (0.1, 0.0, 0.0, 0.0, 0.1))
         with pytest.raises(WrongDimension):
-            pf5.cotton_residual()
+            pf5.cotton
 
 
 def quadric_residual(s, point):

@@ -19,7 +19,12 @@ from paracr import cli
 from paracr.conditions import CONDITIONS, expand_checks
 from paracr.errors import SamplingExhausted, ValidationError
 from paracr.expr import parse
-from paracr.geometry import Chart, CoordinateStructure, FrameStructure
+from paracr.geometry import (
+    Chart,
+    CoordinateStructure,
+    FrameBatch,
+    FrameStructure,
+)
 from paracr.presets import PRESET_NAMES, build_example
 from paracr.runner import (
     Report,
@@ -31,7 +36,7 @@ from paracr.runner import (
     sample_points,
 )
 from paracr.spec_io import spec_from_dict
-from scalar_reference import eval_dual, nth_tangent, seed_multi
+from scalar_reference import eval_dual, nth_tangent, sample, seed_multi
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -131,6 +136,43 @@ class TestSamplePoints:
                                np.random.default_rng(0), 20)
         assert len(frames) == 20
         assert all(pf.point[2] >= 0.0 for pf in frames)
+
+    @pytest.mark.parametrize("count", [1, 5, 70])
+    def test_sample_is_one_batch_of_its_rows(self, count):
+        # [DERIVED] a FrameBatch of exactly ``count`` rows, whose
+        # iteration yields the points the one-draw-at-a-time sampler
+        # accepts, in order, with the same RNG state after; half the
+        # draws are rejected, so 70 points take several waves
+        st = half_domain_structure()
+        rng = np.random.default_rng(3)
+        batch = sample_points(st, rng, count)
+        ref_rng = np.random.default_rng(3)
+        points, _, _ = sample(st, ref_rng, count)
+        assert isinstance(batch, FrameBatch) and len(batch) == count
+        rows = list(batch)
+        assert [pf.point for pf in rows] == points
+        assert [(pf.batch, pf.index) for pf in rows] == \
+            [(batch, i) for i in range(count)]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert batch[-1].point == points[-1]
+        with pytest.raises(IndexError):
+            batch[count]
+
+    @pytest.mark.parametrize("points,probes,dim",
+                             [(1, 4, 3), (6, 0, 3), (5, 4, 5), (3, 7, 7),
+                              (70, 2, 9)])
+    def test_probe_block_equals_per_point_draws(self, points, probes, dim):
+        # [TRIVIAL] run() draws all probes as one block; that is the
+        # stream of one (probes, 4, dim) block per point, in point order
+        for seed in range(4):
+            block_rng = np.random.default_rng(seed)
+            point_rng = np.random.default_rng(seed)
+            block = block_rng.uniform(-1.0, 1.0, (points, probes, 4, dim))
+            per_point = [point_rng.uniform(-1.0, 1.0, (probes, 4, dim))
+                         for _ in range(points)]
+            np.testing.assert_array_equal(block, np.array(per_point))
+            assert block_rng.bit_generator.state == \
+                point_rng.bit_generator.state
 
     def test_sampling_exhausted_on_singular_structure(self):
         with pytest.raises(SamplingExhausted) as err:
