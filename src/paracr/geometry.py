@@ -429,53 +429,57 @@ def _mv(A, v):
     return (A @ v[..., None])[..., 0]
 
 
-# Array elements per polarization batch (direction rows times component
-# entries of each point).  The batch's peak memory grows with them, about
-# 160 bytes each, so a large sample is cross-checked a slice of points at
-# a time; 8192 lets one batch take 56 points at m = 3 and 9 at m = 5, and
-# keeps m = 7 and 9 at the 56 and 45 rows of a 64-row cap.
-_POLAR_ELEMENTS = 8192
+# Step of the central differences in :func:`directional_residuals`: the
+# truncation error (h^2/6 times a third derivative) and the subtraction
+# roundoff (eps |f| / 2h) both stay near 1e-11 of the jets' scale.
+_FD_STEP = 1e-5
 
 
-def mixed_partial_residuals(batch):
-    """Second partials at every point of a :class:`FrameBatch` against an
-    independent polarization cross-check, as worst scaled gaps ([P]).
+def directional_residuals(batch, directions):
+    """Per-point cross-checks of a :class:`FrameBatch`'s jets along
+    ``directions[p, j]`` (P x k x m unit vectors).
 
-    The structure is re-evaluated at each point with univariate order-2
-    jets along e_a and e_a + e_b, whose second derivatives give
-    ∂_a∂_b = ½(D²_{a+b} − D²_a − D²_b) without any multivariate mixed
-    term.  The gap is taken against d2g, d2phi, d2xi and d2eta, scaled
-    by max(1, max |array|); a point whose re-evaluation is rejected
-    gets NaN.
+    The structure is re-evaluated, in one :func:`structure_jets` call,
+    with univariate order-2 jets along u = directions[p, j] at x - h u,
+    x and x + h u (x the point, h = ``_FD_STEP``).  Returns ``(mixed,
+    fd, excluded)``, each of length P:
+
+    - ``mixed``: the worst of the gap between D²_u at x and uᵀ(d2)u, and
+      of the asymmetry |d2 - d2ᵀ|, over d2g, d2phi, d2xi and d2eta, each
+      scaled by max(1, max |d2|); NaN where a centre row is rejected;
+    - ``fd``: the worst central-difference gap of the values at x ± h u
+      against D_u at x, and of D_u at x ± h u against D²_u at x, each
+      scaled by max(1, max |jet|);
+    - ``excluded``: true where any stencil row is rejected, so that
+      ``fd`` there means nothing.
     """
-    m = batch.m
-    ia, ib = np.triu_indices(m, 1)
-    eye = np.eye(m)
-    directions = np.concatenate([eye, eye[ia] + eye[ib]])
-    rows = len(directions)
-    step = max(1, _POLAR_ELEMENTS // (rows * 2 * m * (m + 1)))
-    gaps = np.empty(len(batch))
-    for start in range(0, len(batch), step):
-        points = batch.points[start:start + step]
-        count = len(points)
-        parts, rejected = structure_jets(
-            batch.structure, np.repeat(points, rows, axis=0), 2,
-            np.tile(directions, (count, 1))[:, :, None])
-        worst = []
+    count, k, m = directions.shape
+    u = directions.reshape(-1, m)
+    rows = (np.repeat(batch.points, k, axis=0)[:, None]
+            + np.array([-_FD_STEP, 0.0, _FD_STEP])[:, None] * u[:, None])
+    parts, rejected = structure_jets(batch.structure, rows.reshape(-1, m), 2,
+                                     np.repeat(u, 3, axis=0)[:, :, None])
+    failed = np.reshape([r is not None for r in rejected], (count, k, 3))
+    mixed, fd = [], []
+    with np.errstate(all="ignore"):
         for name, jet in zip(("d2g", "d2phi", "d2xi", "d2eta"), parts):
-            second = jet.dd[..., 0, 0].reshape((count, rows) + jet.v.shape[1:])
-            diag = second[:, :m]
-            polar = np.empty((count, m, m) + diag.shape[2:])
-            polar[:, np.arange(m), np.arange(m)] = diag
-            polar[:, ia, ib] = polar[:, ib, ia] = 0.5 * (
-                second[:, m:] - diag[:, ia] - diag[:, ib])
-            arr = getattr(batch, name)[start:start + count]
-            worst.append(_amax(arr - polar) / np.maximum(1.0, _amax(arr)))
-        failed = np.reshape([r is not None for r in rejected],
-                            (count, rows)).any(axis=1)
-        gaps[start:start + count] = np.where(failed, np.nan,
-                                             np.max(worst, axis=0))
-    return gaps
+            # c[p, j, row, entry, slot]: value, D_u and D²_u at each row
+            c = jet.c.reshape(count, k, 3, -1, 3)
+            arr = getattr(batch, name).reshape(count, m, m, -1)
+            scale = np.maximum(1.0, _amax(arr))
+            quad = np.sum((directions @ arr.reshape(count, m, -1)).reshape(
+                count, k, m, -1) * directions[..., None], axis=2)
+            mixed.append(np.maximum(_amax(quad - c[:, :, 1, :, 2]),
+                                    _amax(arr - arr.swapaxes(1, 2))) / scale)
+            for low in (0, 1):
+                jet_d = c[:, :, 1, :, low + 1]
+                diff = (c[:, :, 2, :, low] - c[:, :, 0, :, low]) / (
+                    2.0 * _FD_STEP)
+                fd.append(_amax(diff - jet_d)
+                          / np.maximum(1.0, _amax(jet_d)))
+    mixed = np.where(failed[:, :, 1].any(axis=1), np.nan,
+                     np.max(mixed, axis=0))
+    return mixed, np.max(fd, axis=0), failed.any(axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -859,11 +863,6 @@ class FrameBatch:
     @cached_property
     def dd_eta(self):
         return _amax(self.ddEta) / np.maximum(1.0, _amax(self.d2eta))
-
-    @cached_property
-    def mixed_partial(self):
-        """Second partials against the polarization cross-check."""
-        return mixed_partial_residuals(self)
 
 
 # ---------------------------------------------------------------------------

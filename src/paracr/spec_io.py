@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 
 from .conditions import BUNDLES, CONDITIONS
@@ -182,8 +183,11 @@ def _validate_numeric(block):
         _fail("numeric block", "probes must be >= 0")
     for key in ("tolerance", "separation"):
         value = merged[key]
-        if not isinstance(value, (int, float)) or not value > 0:
+        if not isinstance(value, (int, float)) or isinstance(value, bool) \
+                or not value > 0:
             _fail("numeric block", f"{key} must be a positive number")
+        if not value <= sys.float_info.max:
+            _fail("numeric block", f"{key} must be finite")
         merged[key] = float(value)
     if not merged["tolerance"] < merged["separation"]:
         _fail("numeric block", "tolerance must be below separation")

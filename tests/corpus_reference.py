@@ -1,6 +1,6 @@
 """One-candidate-at-a-time reference for the expression corpus.
 
-This is the definition ``paracr.runner.random_expression_corpus``
+This is the definition ``expression_corpus.random_expression_corpus``
 reproduces with one jet forest per wave: each candidate is drawn as
 text in the parser grammar and parsed (the product draws the same ASTs
 directly), evaluated alone as an order-3 jet over its three
@@ -13,17 +13,17 @@ from functools import partial
 
 import numpy as np
 
+from expression_corpus import CORPUS_MAGNITUDE_CAP, FD_STEP
 from paracr.errors import DomainError, ParseError
 from paracr.expr import eval_expr, parse
 from paracr.jets import Jet, coordinate_jets
-from paracr.runner import _CORPUS_MAGNITUDE_CAP, _FD_STEP
 
 EVAL_ERRORS = (ParseError, DomainError, ArithmeticError, ValueError)
 
 
 def random_expression_text(rng, names, max_depth):
     """One random expression string over ``names`` in the parser grammar,
-    with the draws of ``paracr.runner._random_expression``."""
+    with the draws of ``expression_corpus.random_expression``."""
     def leaf():
         if rng.random() < 0.7:
             return names[int(rng.integers(len(names)))]
@@ -52,7 +52,7 @@ def stencil_jet(tree, point, direction, order):
     (shifted by -h, 0, +h along ``direction``) as one univariate jet
     batch; a float for a constant tree."""
     stencil = np.tile(point, (3, 1))
-    for row, shift in enumerate((-_FD_STEP, 0.0, _FD_STEP)):
+    for row, shift in enumerate((-FD_STEP, 0.0, FD_STEP)):
         stencil[row, direction] += shift
     xs = coordinate_jets(stencil, order, np.eye(len(point))[:, [direction]])
     with np.errstate(all="ignore"):
@@ -63,8 +63,8 @@ def tame(y):
     """All derivatives through order three finite and moderately sized,
     with no domain violation, at every stencil point."""
     if not isinstance(y, Jet):
-        return abs(y) <= _CORPUS_MAGNITUDE_CAP
-    return y.bad is None and bool(np.all(np.abs(y.c) <= _CORPUS_MAGNITUDE_CAP))
+        return abs(y) <= CORPUS_MAGNITUDE_CAP
+    return y.bad is None and bool(np.all(np.abs(y.c) <= CORPUS_MAGNITUDE_CAP))
 
 
 def fd_gap(y):
@@ -73,7 +73,7 @@ def fd_gap(y):
     if not isinstance(y, Jet):
         return 0.0  # constant: jet and difference are both zero
     jet = float(y.d[1, 0])
-    fd = float(y.v[2] - y.v[0]) / (2.0 * _FD_STEP)
+    fd = float(y.v[2] - y.v[0]) / (2.0 * FD_STEP)
     return abs(jet - fd) / max(1.0, abs(jet), abs(fd))
 
 

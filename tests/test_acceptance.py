@@ -24,6 +24,7 @@ import pytest
 
 from condition_reference import normality_field_residual
 from corpus_reference import jet_fd_worst
+from expression_corpus import random_expression_corpus
 from paracr.conditions import (
     classify,
     evaluate_condition,
@@ -33,7 +34,7 @@ from paracr.conditions import (
 from paracr.errors import DegeneratePlane
 from paracr.geometry import PointFrame
 from paracr.presets import build_example, random_dim3_structure
-from paracr.runner import random_expression_corpus, run, sample_points
+from paracr.runner import run, sample_points
 from paracr.spec_io import spec_from_dict
 from scalar_reference import Dual, depth_of, frame_matrix
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import condition_reference as ref
-from paracr import geometry, runner
+from paracr import runner
 from paracr.conditions import (
     CONDITIONS,
     classify,
@@ -278,21 +278,37 @@ class TestChunking:
 
 
 # ---------------------------------------------------------------------------
-# polarization self-test batches
+# chunked directional self-tests
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name,params", [("p1", {"n": 2}),
                                          ("hyperboloid", {"n": 2}),
                                          ("cosymplectic", {"n": 1})])
-def test_polarization_batches_do_not_change_values(monkeypatch, name,
-                                                   params):
-    # [TRIVIAL] every value is per point and elementwise
-    st = build_example(name, **params).structure
-    values = []
-    for cap in (1, 500, 1 << 40):
-        monkeypatch.setattr(geometry, "_POLAR_ELEMENTS", cap)
-        frames = sample_points(st, np.random.default_rng(5), 6)
-        values.append(frames[0].batch.mixed_partial)
-    np.testing.assert_array_equal(values[0], values[1])
-    np.testing.assert_array_equal(values[0], values[2])
-    assert np.all(values[0] <= 1e-9)
+def test_self_test_chunks_do_not_change_values(monkeypatch, name, params):
+    # [TRIVIAL] every value is per point and elementwise, and a point's
+    # directions are its rows of the one block drawn per call: the three
+    # chunks of a 130-point sample give each point the values of one
+    # chunk or of a chunk of its own
+    sample = sample_points(build_example(name, **params).structure,
+                           np.random.default_rng(5), 130)
+    original = runner.directional_residuals
+    summaries, per_point = [], []
+    for chunk in (runner._CHUNK, 10 ** 6, 1):
+        calls = []
+
+        def recorded(batch, directions):
+            calls.append(original(batch, directions))
+            return calls[-1]
+
+        monkeypatch.setattr(runner, "directional_residuals", recorded)
+        monkeypatch.setattr(runner, "_CHUNK", chunk)
+        summaries.append(runner.engine_self_tests(sample))
+        assert len(calls) == -(-130 // chunk)
+        per_point.append([np.concatenate(parts) for parts in zip(*calls)])
+    for summary, values in zip(summaries[1:], per_point[1:]):
+        assert summary == summaries[0]
+        for got, want in zip(values, per_point[0]):
+            np.testing.assert_array_equal(got, want)
+    mixed, fd, excluded = per_point[0]
+    assert np.all(mixed <= 1e-12) and np.all(fd <= 1e-6)
+    assert not excluded.any()

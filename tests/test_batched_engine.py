@@ -20,7 +20,8 @@ import pytest
 import paracr
 import scalar_reference
 from corpus_reference import jet_fd_worst
-from paracr import cli, jets
+from expression_corpus import random_expression_corpus
+from paracr import cli, geometry, jets
 from paracr.errors import DomainError, OutsidePatch, SamplingExhausted
 from paracr.expr import eval_expr, parse
 from paracr.geometry import (
@@ -32,11 +33,7 @@ from paracr.geometry import (
 )
 from paracr.jets import coordinate_jets
 from paracr.presets import build_example, random_dim3_structure
-from paracr.runner import (
-    engine_self_tests,
-    random_expression_corpus,
-    sample_points,
-)
+from paracr.runner import SELF_TEST_NAMES, engine_self_tests, sample_points
 from paracr.spec_io import load_spec
 
 SQRT_SPEC = (pathlib.Path(__file__).parents[1] / "bench" / "specs"
@@ -164,13 +161,10 @@ class TestAgainstScalarReference:
                                               getattr(single, name))
 
     def test_corpus_gap_is_read_off_the_selecting_jets(self):
-        # the self-test value comes from the order-3 jets that built the
+        # the corpus gap comes from the order-3 jets that built the
         # corpus; order-1 jets give the same gap bit for bit
         corpus = random_expression_corpus(1234, 200, 6)
         assert corpus.gap == jet_fd_worst(corpus)
-        sample = sample_points(build_example("flat3d").structure,
-                               np.random.default_rng(0), 1)
-        assert engine_self_tests(sample)["jet_vs_fd"] == corpus.gap
 
     def test_product_modules_do_not_use_scalar_duals(self):
         # the scalar duals are the tests' reference, not product code
@@ -281,10 +275,60 @@ class TestMixedPartialTeeth:
             assert engine_self_tests(frames)["mixed_partial"] <= 1e-9
 
     def test_broken_product_rule_is_order_one(self, monkeypatch):
+        # the broken rule leaves univariate jets alone, so the quadratic
+        # forms still agree; the asymmetry of d2 catches it
         st = build_example("p1", n=2).structure
         point = (0.3, -0.2, 0.1, 0.4, 1.0)
-        assert PointFrame(st, point).mixed_partial <= 1e-12
+        assert engine_self_tests(
+            PointFrame(st, point).single)["mixed_partial"] <= 1e-12
         monkeypatch.setattr(jets, "_layout", broken_layout)
         broken = PointFrame(st, point)
-        assert broken.mixed_partial >= 0.1
         assert engine_self_tests(broken.single)["mixed_partial"] >= 0.1
+
+    def test_wrong_first_order_slot_is_order_one(self, monkeypatch):
+        # D_u scaled by 1 + 1e-3 in the directional jets: the central
+        # differences see it, the second-order cross-check does not
+        sample = sample_points(build_example("hyperboloid", n=2).structure,
+                               np.random.default_rng(3), 8)
+        assert engine_self_tests(sample)["jet_vs_fd"] <= 1e-6
+        original = geometry.structure_jets
+
+        def skewed(*args, **kwargs):
+            parts, rejected = original(*args, **kwargs)
+            for part in parts:
+                part.c[..., 1:1 + part.layout.k] *= 1 + 1e-3
+            return parts, rejected
+
+        monkeypatch.setattr(geometry, "structure_jets", skewed)
+        summary = engine_self_tests(sample)
+        assert summary["jet_vs_fd"] > 1e-4
+        assert summary["mixed_partial"] <= 1e-12
+
+
+class TestDirectionalStencils:
+    def test_rejected_stencil_is_excluded_and_counted(self):
+        # sqrt(x) at x = 1e-9 is accepted, but a step of 1e-5 along any
+        # direction with |u_x| > 1e-4 leaves its domain on one side
+        st = coordinate_structure("2 + sqrt(x)")
+        inner, edge = (0.5, 0.1, 0.2), (1e-9, 0.1, 0.2)
+        both = structure_arrays(st, [inner, edge])
+        assert both.rejected == [None, None]
+        summary = engine_self_tests(both)
+        assert summary.fd_excluded == 1
+        # the inner point alone: the same directions, the same value
+        assert summary["jet_vs_fd"] == \
+            engine_self_tests(both.rows(slice(0, 1)))["jet_vs_fd"]
+        assert 0.0 < summary["jet_vs_fd"] <= 1e-6
+        assert summary["mixed_partial"] <= 1e-12
+
+    def test_every_stencil_rejected_is_nan(self):
+        st = coordinate_structure("2 + sqrt(x)")
+        summary = engine_self_tests(structure_arrays(st, [(1e-9, 0.1, 0.2)]))
+        assert summary.fd_excluded == 1
+        assert math.isnan(summary["jet_vs_fd"])
+        assert summary["mixed_partial"] <= 1e-12
+
+    def test_empty_sample(self):
+        summary = engine_self_tests([])
+        assert tuple(summary) == SELF_TEST_NAMES + ("jet_vs_fd",)
+        assert set(summary.values()) == {0.0} and summary.fd_excluded == 0

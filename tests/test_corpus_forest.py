@@ -1,4 +1,4 @@
-"""The jet forest that builds the engine self-test corpus, against
+"""The jet forest that builds the random-expression corpus, against
 evaluating each expression alone.
 
 Oracle provenance markers:
@@ -18,16 +18,13 @@ from corpus_reference import (
     reference_corpus,
     stencil_jet,
 )
+from expression_corpus import (
+    random_expression,
+    random_expression_corpus,
+    stencil_forest,
+)
 from paracr.expr import parse, render
 from paracr.jets import Jet
-from paracr.presets import build_example
-from paracr.runner import (
-    _random_expression,
-    _stencil_forest,
-    engine_self_tests,
-    random_expression_corpus,
-    sample_points,
-)
 
 NAMES = ("x1", "x2", "x3")
 
@@ -51,7 +48,7 @@ def candidate(seed, nvars, depth):
     """One random candidate as the corpus draws it."""
     rng = np.random.default_rng(seed)
     names = tuple(f"x{i}" for i in range(1, nvars + 1))
-    tree = _random_expression(rng, names, depth)
+    tree = random_expression(rng, names, depth)
     point = tuple(float(v) for v in rng.uniform(0.3, 1.7, nvars))
     return tree, point, int(rng.integers(nvars))
 
@@ -64,7 +61,7 @@ def bits(a):
 
 
 def assert_forest_matches_each_tree(trees, points, directions):
-    c, bad, failed = _stencil_forest(trees, points, directions)
+    c, bad, failed = stencil_forest(trees, points, directions)
     assert c.shape == (len(trees), 3, 4) and bad.shape == (len(trees), 3)
     for t, tree in enumerate(trees):
         try:
@@ -107,7 +104,7 @@ def test_forest_edge_cases(direction):
         points.append(point)
         directions.append(d)
     assert_forest_matches_each_tree(trees, points, directions)
-    c, bad, failed = _stencil_forest(trees, points, directions)
+    c, bad, failed = stencil_forest(trees, points, directions)
     outcome = dict(zip(EDGE_TEXTS, zip(failed, bad.any(axis=1))))
     assert outcome["x1 / (1e-301 * 1.0)"][0] and outcome["x2 / 0"][0]
     assert outcome["x1 + exp(800)"][0] and outcome["x1 * (0.0)^-1"][0]
@@ -117,7 +114,7 @@ def test_forest_edge_cases(direction):
 
 
 def test_empty_forest():
-    c, bad, failed = _stencil_forest((), (), ())
+    c, bad, failed = stencil_forest((), (), ())
     assert c.shape == (0, 3, 4) and bad.shape == (0, 3) and not len(failed)
 
 
@@ -133,10 +130,9 @@ def test_corpus_equals_the_one_at_a_time_loop(seed, count, depth):
 
 
 def test_default_corpus_gap_is_pinned():
-    # the jet_vs_fd value every report carries
-    sample = sample_points(build_example("flat3d").structure,
-                           np.random.default_rng(0), 1)
-    assert engine_self_tests(sample)["jet_vs_fd"] == 6.074975717954007e-09
+    # the gap of the default corpus (seed 1234, 200 entries, depth 6)
+    assert random_expression_corpus(1234, 200, 6).gap == \
+        6.074975717954007e-09
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -148,7 +144,7 @@ def test_ast_draws_equal_the_parsed_text_draws(seed):
     text_rng = np.random.default_rng(seed)
     for k in range(60):
         depth = k % 9
-        tree = _random_expression(ast_rng, names, depth)
+        tree = random_expression(ast_rng, names, depth)
         text = random_expression_text(text_rng, names, depth)
         assert tree == parse(text, names), text
         assert ast_rng.bit_generator.state == text_rng.bit_generator.state

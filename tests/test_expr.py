@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from expression_corpus import random_expression_corpus
 from paracr.errors import DomainError, ParseError, UnknownVariable
 from paracr.expr import (
     Bin,
@@ -24,7 +25,6 @@ from paracr.expr import (
 )
 from paracr.jets import Jet, coordinate_jets
 from paracr.presets import build_example
-from paracr.runner import random_expression_corpus
 
 XYZ = ("x", "y", "z")
 

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from expression_corpus import random_expression_corpus
 from paracr.errors import DomainError
 from paracr.jets import powi
 from scalar_reference import (
@@ -195,10 +196,6 @@ class TestChainRule:
 
 class TestFiniteDifferenceProperty:
     def test_200_random_expressions_first_order(self):
-        # The expression corpus lives in the runner module so the CLI's
-        # self-tests and this property share one generator.
-        from paracr.runner import random_expression_corpus
-
         corpus = random_expression_corpus(seed=1234, count=200, max_depth=6)
         assert len(corpus) == 200
         for expr_fn, point, direction in corpus:

@@ -9,12 +9,14 @@ Oracle provenance markers:
 """
 
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
 from corpus_reference import jet_fd_worst
+from expression_corpus import random_expression_corpus
 from paracr import cli
 from paracr.conditions import CONDITIONS, expand_checks
 from paracr.errors import SamplingExhausted, ValidationError
@@ -31,7 +33,6 @@ from paracr.runner import (
     REPORT_KEY_ORDER,
     SELF_TEST_NAMES,
     engine_self_tests,
-    random_expression_corpus,
     run,
     sample_points,
 )
@@ -270,6 +271,19 @@ class TestRun:
         with pytest.raises(ValidationError):
             run(spec, tolerance=0.0)
 
+    @pytest.mark.parametrize("tolerance,cause", [
+        (math.inf, "tolerance must be finite"),
+        (1e308, "separation must be finite")])
+    def test_non_finite_thresholds_are_rejected(self, tolerance, cause):
+        # an infinite tolerance would pass every check, and ten times a
+        # huge one is an infinite separation
+        with pytest.raises(ValidationError, match=cause):
+            run(preset_spec("flat3d"), tolerance=tolerance)
+
+    def test_an_empty_check_request_is_rejected(self):
+        with pytest.raises(ValidationError, match="at least one check"):
+            run(preset_spec("flat3d"), checks=[])
+
     def test_loose_tolerance_keeps_the_ambiguity_band_open(self):
         # overriding tolerance above the stored separation widens the
         # separation instead of inverting the band
@@ -358,6 +372,14 @@ class TestCli:
                          "--checks", "bogus"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
+        # 2, not a vacuous pass: no check requested, or an infinite
+        # tolerance that every residual would pass
+        for flags, cause in ((["--checks", ""], "at least one check"),
+                             (["--checks", ","], "at least one check"),
+                             (["--tol", "inf"], "tolerance must be finite")):
+            assert cli.main(["verify", "--spec", str(path), "--points", "2"]
+                            + flags) == 2
+            assert cause in capsys.readouterr().err
 
     def test_verify_rejects_off_dimension_check(self, tmp_path, capsys):
         path = tmp_path / "p1.json"

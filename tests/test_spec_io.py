@@ -9,6 +9,7 @@ Oracle provenance markers:
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -276,6 +277,7 @@ class TestValidation:
             {"seed": -1},
             {"tolerance": 0.0},
             {"tolerance": -1e-6},
+            {"separation": True},        # a JSON boolean is not a number
             {"tolerance": 0.5},          # above the default separation
             {"separation": 1e-9},        # below the default tolerance
             {"budget": 3},
@@ -285,6 +287,23 @@ class TestValidation:
                 spec_from_dict(mutated(
                     FLAT3D_COORDINATE_SPEC,
                     lambda s, b=bad_numeric: s.update({"numeric": b})))
+
+    @pytest.mark.parametrize("key,value", [
+        ("separation", math.inf), ("separation", 10 ** 400),
+        ("tolerance", math.inf)])
+    def test_non_finite_thresholds_are_rejected(self, key, value):
+        # an infinite separation would make every failure ambiguous, an
+        # infinite tolerance pass every check; JSON 1e400 reads as inf
+        with pytest.raises(ValidationError, match=f"{key} must be finite"):
+            spec_from_dict(mutated(
+                FLAT3D_COORDINATE_SPEC,
+                lambda s: s.update({"numeric": {key: value}})))
+        text = json.dumps(mutated(
+            FLAT3D_COORDINATE_SPEC,
+            lambda s: s.update({"numeric": {key: 1.0}}))).replace(
+                f'"{key}": 1.0', f'"{key}": 1e400')
+        with pytest.raises(ValidationError, match=f"{key} must be finite"):
+            spec_from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
