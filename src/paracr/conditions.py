@@ -3,13 +3,30 @@
 Every named condition in the registry is one kernel over a
 :class:`~paracr.geometry.FrameBatch`: it forms the residual parts of the
 condition at all points of the batch at once, each as ``(name, res,
-terms, slots)`` with the point axis first.  A part's scale is ``max(1,
-infinity-norms of the formula's summands)``, so ``scaled = raw /
-scale`` is dimensionless and insensitive to the overall magnitude of
-the inputs.  One reduction turns the parts of a batch into the worst
-:class:`ConditionValue`: the first strict maximum of ``scaled`` in
-point-major, candidate-minor order, or the first NaN, so a NaN residual
-never hides behind a finite one.
+terms, slots)`` with the point axis first (``res`` None: the residual is
+the sum of the summands, which ``terms`` may then yield one at a time).
+A part's scale is ``max(1, infinity-norms of the formula's summands)``,
+so ``scaled = raw / scale`` is dimensionless and insensitive to the
+overall magnitude of the inputs.  The worst :class:`ConditionValue` of a
+condition is the first strict maximum of ``scaled`` over its candidates
+in point-major, candidate-minor order, or the first NaN, so a NaN
+residual never hides behind a finite one.
+
+:func:`evaluate_conditions` evaluates the requested conditions of a
+batch in one pass.  The kernels read the intermediates several of them
+need (the field brackets, the twisted nabla phi, ...) from one memo of
+the evaluation.  One grouped reduction then takes every infinity norm
+the candidates need: full norms stacked by shape, probe contractions
+stacked by (shape, strides, slots), each group contracted by one
+batched matmul with the group axis in front, so every member, point and
+draw still gets the gemv a single-point evaluation performs.  A stack
+that would not keep its members' strides is not used (another layout
+takes another BLAS path and can move the last bit); its members are
+contracted one at a time.  Groups are split at a byte budget
+(``_STACK_BYTES``), and waiting arrays are reduced once they exceed it.
+One arg-max per condition over the shared [P, candidates] table picks
+its worst.  Every value is bit-identical to a one-condition evaluation,
+and :func:`evaluate_batch` is that one-condition case.
 
 Evaluation policy by scope:
 
@@ -39,11 +56,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import InconsistentVerdict, RankDefect, WrongDimension
+from .errors import InconsistentVerdict, ParacrError, RankDefect, \
+    WrongDimension
 from .geometry import (
     _amax,
     _mv,
@@ -60,6 +78,7 @@ __all__ = [
     "Condition",
     "ConditionValue",
     "evaluate_batch",
+    "evaluate_conditions",
     "evaluate_condition",
     "expand_checks",
     "classify",
@@ -101,50 +120,6 @@ def worse(current, value):
     return current
 
 
-def _norms(x, lead):
-    """max |x| over the axes after the first ``lead``, as [P, 1 or D]."""
-    return np.max(np.abs(x), axis=tuple(range(lead, x.ndim))).reshape(
-        len(x), -1)
-
-
-def _contract(T, slots, probes):
-    """[P, D, ...]: the listed axes of T [P, ...] contracted with the
-    successive rows of each probe draw, highest axis first.  The other
-    axes are merged so each contraction is one gemv per point and draw,
-    the product ``tensordot`` forms for a single point."""
-    count, draws = probes.shape[:2]
-    T = np.broadcast_to(T[:, None], (count, draws) + T.shape[1:])
-    for row, ax in sorted(enumerate(slots), key=lambda p: -p[1]):
-        T = np.moveaxis(T, ax + 2, -1)
-        shape = T.shape[:-1]
-        T = (T.reshape(count, draws, -1, T.shape[-1])
-             @ probes[:, :, row, :, None]).reshape(shape)
-    return T
-
-
-def _candidates(parts, probes):
-    """raw and scale of every candidate of the parts, as [P, C] arrays,
-    and the candidate labels: each part in full, then, when it has
-    vector slots, contracted with each probe draw."""
-    raws, scales, labels = [], [], []
-    for name, res, terms, slots in parts:
-        forms = [(res, 1, [(t, 1) for t in terms])]
-        labels.append(name)
-        if slots and probes.shape[1]:
-            forms.append((_contract(res, slots, probes), 2, [
-                (_contract(t, slots, probes), 2) if t.ndim == res.ndim
-                else (t, 1) for t in terms]))
-            labels += [f"{name}/probe{d}" for d in range(probes.shape[1])]
-        for r, lead, ts in forms:
-            raw = _norms(r, lead)
-            scale = np.ones_like(raw)
-            for t, t_lead in ts:
-                scale = np.maximum(scale, _norms(t, t_lead))
-            raws.append(raw)
-            scales.append(scale)
-    return np.concatenate(raws, axis=1), np.concatenate(scales, axis=1), labels
-
-
 # ---------------------------------------------------------------------------
 # building blocks (arrays over [P, ...])
 # ---------------------------------------------------------------------------
@@ -161,9 +136,80 @@ def _dot(u, v):
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def _phi_nabla_xi(fb):
-    """v[x, a] = (phi nabla_{e_x} xi)^a."""
-    return np.einsum('pab,pxb->pxa', fb.phi, fb.nabla_xi)
+class _Shared:
+    """The intermediates that several kernels read, each formed at most
+    once per evaluation of a batch with its probe draws.  Every
+    evaluation makes its own, so nothing here, the probe-dependent field
+    brackets included, outlives the chunk it was formed for."""
+
+    def __init__(self, fb, probes):
+        self.fb = fb
+        self.probes = probes
+
+    @cached_property
+    def phi_nabla_xi(self):
+        """v[x, a] = (phi nabla_{e_x} xi)^a."""
+        return np.einsum('pab,pxb->pxa', self.fb.phi, self.fb.nabla_xi)
+
+    @cached_property
+    def twisted_nabla_phi(self):
+        """(nabla_{phi X} phi)(phi Y) as [k, x, y]."""
+        fb = self.fb
+        return np.einsum('pax,pakb,pby->pkxy', fb.phi, fb.nabla_phi, fb.phi)
+
+    @cached_property
+    def along_reeb(self):
+        """(nabla_xi xi, nabla_xi phi) parts shared by wlasn and dacko."""
+        fb = self.fb
+        along = np.einsum('pi,pik->pk', fb.xi, fb.nabla_xi)
+        return (("reeb_geodesic", along,
+                 (_amax(fb.xi) * _amax(fb.nabla_xi),), ()),
+                ("phi_parallel_along_reeb",
+                 np.einsum('pi,pikj->pkj', fb.xi, fb.nabla_phi),
+                 (_amax(fb.xi) * _amax(fb.nabla_phi),), (1,)))
+
+    @cached_property
+    def reeb_gradient_form(self):
+        """(nabla_X phi)Y - g(phi nabla_X xi, Y) xi + eta(Y) phi nabla_X
+        xi as [k, x, y], and its three terms (jw3d, wzor1, wzor2)."""
+        fb, v = self.fb, self.phi_nabla_xi
+        t1 = _nphi_kxy(fb)
+        t2 = -np.einsum('pxa,pay,pk->pkxy', v, fb.g, fb.xi)
+        t3 = np.einsum('py,pxk->pkxy', fb.eta, v)
+        return t1 + t2 + t3, (t1, t2, t3)
+
+    @cached_property
+    def field_brackets(self):
+        """Brackets [X, Y], [phi X, phi Y], [X, phi Y] and [phi X, Y] of
+        the sections X, Y = P u, P v over (point, pair): the coordinate
+        seed pairs u = e_i, v = e_j (i < j), then the probe pairs (first
+        two rows of each draw).  Only the brackets are kept: the
+        sections' jacobians are m times larger."""
+        fb, probes = self.fb, self.probes
+        i, j = np.triu_indices(fb.m, 1)
+        eye = np.broadcast_to(np.eye(fb.m), (len(fb), fb.m, fb.m))
+        u = np.concatenate([eye[:, i], probes[:, :, 0]], axis=1)
+        v = np.concatenate([eye[:, j], probes[:, :, 1]], axis=1)
+        P, dP = fb.P[:, None], fb.dP[:, None]
+        phi, dphi = fb.phi[:, None], fb.dphi[:, None]
+        X, Y = projected_field(P, dP, u), projected_field(P, dP, v)
+        pX, pY = phi_applied_field(phi, dphi, *X), \
+            phi_applied_field(phi, dphi, *Y)
+        return (lie_bracket(*X, *Y), lie_bracket(*pX, *pY),
+                lie_bracket(*X, *pY), lie_bracket(*pX, *Y))
+
+    @cached_property
+    def h_curvature_blocks(self):
+        """A = h - id, phi A, the antisymmetrized nabla h D, g D and
+        g(phi A ., .)."""
+        fb = self.fb
+        A = fb.h - np.eye(fb.m)
+        phiA = fb.phi @ A
+        nh = fb.nabla_h
+        D = nh.transpose(0, 2, 1, 3) - nh.transpose(0, 2, 3, 1)
+        gD = np.einsum('pawx,pay->pwxy', D, fb.g)
+        gphiA = np.einsum('pax,pay->pxy', phiA, fb.g)
+        return A, phiA, D, gD, gphiA
 
 
 def _nphi_kxy(fb):
@@ -202,26 +248,11 @@ def _reeb_commutator(fb, sign):
     return (a - b if sign > 0 else a + b), (a, b)
 
 
-def _twisted_nabla_phi(fb):
-    """(nabla_{phi X} phi)(phi Y) as [k, x, y]."""
-    return np.einsum('pax,pakb,pby->pkxy', fb.phi, fb.nabla_phi, fb.phi)
-
-
-def _along_reeb(fb):
-    """(nabla_xi xi, nabla_xi phi) parts shared by wlasn and dacko."""
-    along = np.einsum('pi,pik->pk', fb.xi, fb.nabla_xi)
-    return (("reeb_geodesic", along, (_amax(fb.xi) * _amax(fb.nabla_xi),),
-             ()),
-            ("phi_parallel_along_reeb",
-             np.einsum('pi,pikj->pkj', fb.xi, fb.nabla_phi),
-             (_amax(fb.xi) * _amax(fb.nabla_phi),), (1,)))
-
-
 # ---------------------------------------------------------------------------
 # tensor / distribution conditions
 # ---------------------------------------------------------------------------
 
-def _cond_axioms(fb, probes):
+def _cond_axioms(fb, shared):
     phi2 = fb.phi @ fb.phi
     eye = np.broadcast_to(np.eye(fb.m), phi2.shape)
     bias = _outer(fb.xi, fb.eta)
@@ -239,23 +270,23 @@ def _cond_axioms(fb, probes):
     ]
 
 
-def _cond_compat(fb, probes):
+def _cond_compat(fb, shared):
     twisted = np.einsum('pai,pab,pbj->pij', fb.phi, fb.g, fb.phi)
     bias = _outer(fb.eta, fb.eta)
     return [("compat", twisted + fb.g - bias, (twisted, fb.g, bias), (0, 1))]
 
 
-def _cond_normal(fb, probes):
+def _cond_normal(fb, shared):
     N = _nijenhuis_array(fb)
     contact = 2.0 * np.einsum('pij,pk->pkij', fb.dEta, fb.xi)
     return [("normality_tensor", N - contact, (N, contact), (1, 2))]
 
 
-def _cond_pcm(fb, probes):
+def _cond_pcm(fb, shared):
     return [("form_vs_deta", fb.Phi - fb.dEta, (fb.Phi, fb.dEta), (0, 1))]
 
 
-def _cond_apcos(fb, probes):
+def _cond_apcos(fb, shared):
     half = 0.5 * fb.deta
     jac = fb.dPhi_partial
     thirds = (jac / 3.0, jac.transpose(0, 2, 3, 1) / 3.0,
@@ -270,44 +301,41 @@ def _symmetry_part(name, M):
     return (name, M - _T(M), (M, _T(M)), (0, 1))
 
 
-def _cond_news00(fb, probes):
+def _cond_news00(fb, shared):
     return [_symmetry_part("levi_symmetry",
                            _T(fb.P) @ (fb.dEta @ fb.phi) @ fb.P)]
 
 
-def _cond_news01(fb, probes):
+def _cond_news01(fb, shared):
     B = fb.nabla_eta @ fb.phi + _T(fb.phi) @ fb.nabla_eta
     return [_symmetry_part("nabla_eta_symmetry", _T(fb.P) @ B @ fb.P)]
 
 
-def _cond_thm1(fb, probes):
+def _cond_thm1(fb, shared):
     S = (np.einsum('pya,pax->pxy', fb.nabla_eta, fb.phi)
          + np.einsum('pay,pax->pxy', fb.phi, fb.nabla_eta))
     t3 = np.einsum('pxy,pk->pkxy', S, fb.xi)
     return [_projected_part("symmetric_nabla_phi",
-                            (_nphi_kxy(fb), _twisted_nabla_phi(fb), t3),
+                            (_nphi_kxy(fb), shared.twisted_nabla_phi, t3),
                             fb.P)]
 
 
-def _nabla_phi_from_reeb_gradient(name, fb, probes):
+def _nabla_phi_from_reeb_gradient(name, fb, shared):
     """(nabla_X phi)Y = g(phi nabla_X xi, Y) xi - eta(Y) phi nabla_X xi:
     jw3d, wzor1 and wzor2 under their own part names."""
-    v = _phi_nabla_xi(fb)
-    t1 = _nphi_kxy(fb)
-    t2 = -np.einsum('pxa,pay,pk->pkxy', v, fb.g, fb.xi)
-    t3 = np.einsum('py,pxk->pkxy', fb.eta, v)
-    return [(name, t1 + t2 + t3, (t1, t2, t3), (1, 2))]
+    res, terms = shared.reeb_gradient_form
+    return [(name, res, terms, (1, 2))]
 
 
-def _cond_normal_nabla(fb, probes):
+def _cond_normal_nabla(fb, shared):
     t1 = np.einsum('pka,pxay->pkxy', fb.phi, fb.nabla_phi)
     t2 = -np.einsum('pax,paky->pkxy', fb.phi, fb.nabla_phi)
     t3 = np.einsum('pxy,pk->pkxy', fb.nabla_eta, fb.xi)
     return [("normal_nabla", t1 + t2 + t3, (t1, t2, t3), (1, 2))]
 
 
-def _cond_wlasn(fb, probes):
-    geodesic, parallel = _along_reeb(fb)
+def _cond_wlasn(fb, shared):
+    geodesic, parallel = shared.along_reeb
     r3, r3_terms = _reeb_commutator(fb, +1)
     return [
         geodesic,
@@ -319,15 +347,15 @@ def _cond_wlasn(fb, probes):
     ]
 
 
-def _cond_h_rel(fb, probes):
+def _cond_h_rel(fb, shared):
     t1 = _T(fb.nabla_xi)
     t2 = fb.phi
     t3 = -fb.phi @ fb.h
     return [("reeb_gradient_vs_h", t1 + t2 + t3, (t1, t2, t3), (1,))]
 
 
-def _cond_lemat(fb, probes):
-    t1 = _twisted_nabla_phi(fb)
+def _cond_lemat(fb, shared):
+    t1 = shared.twisted_nabla_phi
     t2 = -_nphi_kxy(fb)
     t3 = -2.0 * np.einsum('pxy,pk->pkxy', fb.g, fb.xi)
     W = np.eye(fb.m) - fb.h + _outer(fb.xi, fb.eta)
@@ -336,7 +364,7 @@ def _cond_lemat(fb, probes):
              (1, 2))]
 
 
-def _cond_sas(fb, probes):
+def _cond_sas(fb, shared):
     t1 = _nphi_kxy(fb)
     t2 = np.einsum('pxy,pk->pkxy', fb.g, fb.xi)
     t3 = -np.einsum('py,kx->pkxy', fb.eta, np.eye(fb.m))
@@ -350,23 +378,23 @@ def _h_shape(fb):
             np.einsum('pax,pay,pk->pkxy', B, fb.g, fb.xi), B)
 
 
-def _cond_wzorzamk(fb, probes):
+def _cond_wzorzamk(fb, shared):
     t1, t2, B = _h_shape(fb)
     t3 = -np.einsum('py,pkx->pkxy', fb.eta, B)
     return [("nabla_phi_from_h", t1 + t2 + t3, (t1, t2, t3), (1, 2))]
 
 
-def _cond_contparacr(fb, probes):
+def _cond_contparacr(fb, shared):
     t1, t2, _ = _h_shape(fb)
     return [_projected_part("kernel_nabla_phi_from_h", (t1, t2), fb.P)]
 
 
-def _cond_dacko(fb, probes):
-    geodesic, parallel = _along_reeb(fb)
+def _cond_dacko(fb, shared):
+    geodesic, parallel = shared.along_reeb
     r3, r3_terms = _reeb_commutator(fb, -1)
-    t1 = _twisted_nabla_phi(fb)
+    t1 = shared.twisted_nabla_phi
     t2 = -_nphi_kxy(fb)
-    t3 = -np.einsum('py,pxk->pkxy', fb.eta, _phi_nabla_xi(fb))
+    t3 = -np.einsum('py,pxk->pkxy', fb.eta, shared.phi_nabla_xi)
     return [
         geodesic,
         parallel,
@@ -375,8 +403,8 @@ def _cond_dacko(fb, probes):
     ]
 
 
-def _cond_paracrcos(fb, probes):
-    t2 = -np.einsum('pxa,pay,pk->pkxy', _phi_nabla_xi(fb), fb.g, fb.xi)
+def _cond_paracrcos(fb, shared):
+    t2 = -np.einsum('pxa,pay,pk->pkxy', shared.phi_nabla_xi, fb.g, fb.xi)
     return [_projected_part("kernel_nabla_phi_from_reeb_gradient",
                             (_nphi_kxy(fb), t2), fb.P)]
 
@@ -385,41 +413,24 @@ def _cond_paracrcos(fb, probes):
 # field conditions (need derivatives of their arguments)
 # ---------------------------------------------------------------------------
 
-def _field_pairs(fb, probes):
-    """Sections X, Y = P u, P v and phi X, phi Y over (point, pair): the
-    coordinate seed pairs u = e_i, v = e_j (i < j), then the probe
-    pairs (first two rows of each draw)."""
-    i, j = np.triu_indices(fb.m, 1)
-    eye = np.broadcast_to(np.eye(fb.m), (len(fb), fb.m, fb.m))
-    u = np.concatenate([eye[:, i], probes[:, :, 0]], axis=1)
-    v = np.concatenate([eye[:, j], probes[:, :, 1]], axis=1)
-    P, dP = fb.P[:, None], fb.dP[:, None]
-    phi, dphi = fb.phi[:, None], fb.dphi[:, None]
-    X, Y = projected_field(P, dP, u), projected_field(P, dP, v)
-    return (X, Y, phi_applied_field(phi, dphi, *X),
-            phi_applied_field(phi, dphi, *Y))
-
-
 def _pair_parts(res, terms):
     return [(f"pair{d}", res[:, d], tuple(t[:, d] for t in terms), ())
             for d in range(res.shape[1])]
 
 
-def _cond_s0(fb, probes):
-    X, Y, pX, pY = _field_pairs(fb, probes)
+def _cond_s0(fb, shared):
+    _, _, X_pY, pX_Y = shared.field_brackets
     eta = fb.eta[:, None]
-    t1 = _dot(eta, lie_bracket(*pX, *Y))
-    t2 = _dot(eta, lie_bracket(*X, *pY))
+    t1 = _dot(eta, pX_Y)
+    t2 = _dot(eta, X_pY)
     return _pair_parts(t1 + t2, (t1, t2))
 
 
-def _cond_s1(fb, probes):
-    X, Y, pX, pY = _field_pairs(fb, probes)
+def _cond_s1(fb, shared):
+    t1, t2, X_pY, pX_Y = shared.field_brackets
     phi = fb.phi[:, None]
-    t1 = lie_bracket(*X, *Y)
-    t2 = lie_bracket(*pX, *pY)
-    t3 = _mv(-phi, lie_bracket(*X, *pY))
-    t4 = _mv(-phi, lie_bracket(*pX, *Y))
+    t3 = _mv(-phi, X_pY)
+    t4 = _mv(-phi, pX_Y)
     return _pair_parts(t1 + t2 + t3 + t4, (t1, t2, t3, t4))
 
 
@@ -454,7 +465,7 @@ def eigendistribution_bases(pf, tol=1e-7):
     return plus, minus
 
 
-def _involutivity(sign, fb, probes):
+def _involutivity(sign, fb, shared):
     """Non-tangential components (eta(w), Qop w) of the brackets w of
     basis fields of the +1 (sign > 0) or -1 eigendistribution, point by
     point; the basis is computed per point."""
@@ -482,34 +493,24 @@ def _involutivity(sign, fb, probes):
 # curvature identities
 # ---------------------------------------------------------------------------
 
-def _h_curvature_blocks(fb):
-    """A = h - id, phi A, the antisymmetrized nabla h D, g D and
-    g(phi A ., .)."""
-    A = fb.h - np.eye(fb.m)
-    phiA = fb.phi @ A
-    nh = fb.nabla_h
-    D = nh.transpose(0, 2, 1, 3) - nh.transpose(0, 2, 3, 1)
-    gD = np.einsum('pawx,pay->pwxy', D, fb.g)
-    gphiA = np.einsum('pax,pay->pxy', phiA, fb.g)
-    return A, phiA, D, gD, gphiA
-
-
-def _cond_k1(fb, probes):
-    A, phiA, D, gD, gphiA = _h_curvature_blocks(fb)
+def _cond_k1(fb, shared):
+    A, phiA, D, gD, gphiA = shared.h_curvature_blocks
     gA = np.einsum('pax,pay->pxy', A, fb.g)
-    terms = (np.einsum('pkwxa,pay->pkwxy', fb.Riem, fb.phi),
-             -np.einsum('pka,pawxy->pkwxy', fb.phi, fb.Riem),
-             -np.einsum('pwxy,pk->pkwxy', gD, fb.xi),
-             -np.einsum('pxy,pkw->pkwxy', gA, phiA),
-             np.einsum('pwy,pkx->pkwxy', gA, phiA),
-             np.einsum('pwy,pkx->pkwxy', gphiA, A),
-             -np.einsum('pxy,pkw->pkwxy', gphiA, A),
-             np.einsum('py,pkwx->pkwxy', fb.eta, D))
-    return [("curvature_vs_h", sum(terms), terms, (1, 2, 3))]
+
+    def terms():  # m^4 per point each: formed one at a time
+        yield np.einsum('pkwxa,pay->pkwxy', fb.Riem, fb.phi)
+        yield -np.einsum('pka,pawxy->pkwxy', fb.phi, fb.Riem)
+        yield -np.einsum('pwxy,pk->pkwxy', gD, fb.xi)
+        yield -np.einsum('pxy,pkw->pkwxy', gA, phiA)
+        yield np.einsum('pwy,pkx->pkwxy', gA, phiA)
+        yield np.einsum('pwy,pkx->pkwxy', gphiA, A)
+        yield -np.einsum('pxy,pkw->pkwxy', gphiA, A)
+        yield np.einsum('py,pkwx->pkwxy', fb.eta, D)
+    return [("curvature_vs_h", None, terms(), (1, 2, 3))]
 
 
-def _cond_k2(fb, probes):
-    A, phiA, D, gD, gphiA = _h_curvature_blocks(fb)
+def _cond_k2(fb, shared):
+    A, phiA, D, gD, gphiA = shared.h_curvature_blocks
     gxi = _mv(fb.g, fb.xi)
     M = np.einsum('paw,pax->pwx', fb.phi @ fb.h @ fb.h, fb.g)
     terms = (np.einsum('pkwxa,pay,pk->pwxy', fb.Riem, fb.phi, gxi),
@@ -652,25 +653,219 @@ BUNDLES = {
 }
 
 
-def evaluate_batch(cond_id, batch, probes):
-    """Worst value of one condition over a FrameBatch.
+# ---------------------------------------------------------------------------
+# evaluation: one grouped reduction over the parts of every condition
+# ---------------------------------------------------------------------------
+
+# Byte budget of the grouped reduction.  A stacked group is split so
+# that its probe temporary (members x draws x one member's bytes, the
+# size of its broadcast over the draws) stays within it, and the arrays
+# waiting for their group are reduced as soon as they hold more, so an
+# evaluation keeps at most one condition's large arrays alive.
+_STACK_BYTES = 1 << 19
+
+
+def _stack(arrays):
+    """[G, P, ...]: one array as a view that keeps its strides, or a
+    stack of several, which keeps a dense layout they share (that of a
+    transposed view, say) and is C-ordered otherwise."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _norms(stack):
+    """[G, P]: max |x| of each member of ``stack`` at each point."""
+    return np.max(np.abs(stack), axis=tuple(range(2, stack.ndim)))
+
+
+def _probe_norms(stack, slots, probes):
+    """[G, P, D]: max |x| of each member of ``stack`` [G, P, ...] with
+    the listed axes contracted with the successive rows of each probe
+    draw, highest axis first.  The other axes are merged, so each
+    contraction is one gemv per member, point and draw, the product
+    ``tensordot`` forms for a single point; the member axis stays in
+    front and never joins the merged rows."""
+    groups, count = stack.shape[:2]
+    draws = probes.shape[1]
+    T = np.broadcast_to(stack[:, :, None],
+                        (groups, count, draws) + stack.shape[2:])
+    for row, ax in sorted(enumerate(slots), key=lambda p: -p[1]):
+        if ax + 4 < T.ndim:
+            T = np.moveaxis(T, ax + 3, -1)
+        shape = T.shape[:-1]
+        T = (T.reshape(groups, count, draws, -1, T.shape[-1])
+             @ probes[:, :, row, :, None]).reshape(shape)
+    return np.max(np.abs(T), axis=tuple(range(3, T.ndim)))
+
+
+class _Reduction:
+    """The raw and scale of every candidate of the parts of many
+    conditions, as one [P, candidates] pair of arrays.
+
+    A part's candidates are the part in full, then, when it has vector
+    slots, the part contracted with each probe draw.  Every infinity
+    norm they need is a column of one [P, columns] table whose column 0
+    holds ones.  Arrays are reduced in groups: the full norms by shape,
+    the probe contractions by (shape, strides, slots), each group by one
+    stacked call.  A contraction stack is used only when its members keep
+    their strides there, because another layout takes another gemv path,
+    which can move the last bit; otherwise each member is contracted
+    alone through a view that keeps its strides.  An array met again
+    while its group waits (an intermediate two conditions share) reuses
+    its columns.
+    """
+
+    def __init__(self, probes):
+        self.probes = probes
+        self.draws = probes.shape[1]
+        self.width = 1
+        self.done = []
+        self.norm_groups = {}
+        self.probe_groups = {}
+        self.seen = {}
+        self.pending = 0
+        self.raw, self.terms, self.labels = [], [], []
+
+    def add(self, parts):
+        """Register the candidates of one condition's parts; returns
+        their span (first, end) among all candidates."""
+        first = len(self.labels)
+        for name, res, terms, slots in parts:
+            if res is None:
+                res, cols = self._summed(terms, slots)
+            else:
+                cols = [self._columns(t, slots if t.ndim == res.ndim
+                                      else ()) for t in terms]
+            raw, raw_probe = self._columns(res, slots)
+            self.raw.append(raw)
+            self.terms.append([full for full, _ in cols])
+            self.labels.append(name)
+            if raw_probe is None:
+                continue
+            for d in range(self.draws):
+                self.raw.append(raw_probe + d)
+                self.terms.append([full if probe is None else probe + d
+                                   for full, probe in cols])
+                self.labels.append(f"{name}/probe{d}")
+        return first, len(self.labels)
+
+    def _summed(self, terms, slots):
+        """The sum of the summands ``terms`` yields, and their columns;
+        each is taken as it comes, so that a large one is reduced and
+        freed before the next is formed."""
+        res, cols = 0, []
+        for t in terms:
+            cols.append(self._columns(t, slots))
+            res = res + t
+        return res, cols
+
+    def _columns(self, a, slots):
+        """(column of the full norm of ``a``, first of its draws'
+        columns or None)."""
+        key = id(a), slots
+        if key in self.seen:
+            return self.seen[key][1]
+        contract = bool(slots) and self.draws > 0
+        full = self.width
+        probe = full + 1 if contract else None
+        self.width += 1 + self.draws * contract
+        self.norm_groups.setdefault(a.shape, []).append((a, full))
+        if contract:
+            self.probe_groups.setdefault(
+                (a.shape, a.strides, slots), []).append((a, probe))
+        self.seen[key] = a, (full, probe)  # holding a keeps its id unique
+        self.pending += a.nbytes
+        if self.pending > _STACK_BYTES:
+            self._flush()
+        return full, probe
+
+    def _flush(self):
+        """Reduce the pending groups, each split so that its stack stays
+        within the byte budget."""
+        for members in self.norm_groups.values():
+            size = max(1, _STACK_BYTES // members[0][0].nbytes)
+            for lo in range(0, len(members), size):
+                self._reduce_norms(members[lo:lo + size])
+        for (_, _, slots), members in self.probe_groups.items():
+            size = max(1, _STACK_BYTES
+                       // (self.draws * members[0][0].nbytes))
+            for lo in range(0, len(members), size):
+                self._reduce_probes(slots, members[lo:lo + size])
+        self.norm_groups, self.probe_groups, self.seen = {}, {}, {}
+        self.pending = 0
+
+    def _reduce_norms(self, members):
+        self.done.append(([col for _, col in members],
+                          _norms(_stack([a for a, _ in members])).T))
+
+    def _reduce_probes(self, slots, members):
+        stack = _stack([a for a, _ in members])
+        if stack.strides[1:] != members[0][0].strides:
+            for member in members:
+                self._reduce_probes(slots, [member])
+            return
+        norms = _probe_norms(stack, slots, self.probes)
+        cols = [col + d for _, col in members for d in range(self.draws)]
+        self.done.append((cols, norms.transpose(1, 0, 2).reshape(
+            norms.shape[1], -1)))
+
+    def candidates(self, count):
+        """raw and scale of every candidate registered, as [P, C]."""
+        self._flush()
+        table = np.empty((count, self.width))
+        table[:, 0] = 1.0
+        for cols, norms in self.done:
+            table[:, cols] = norms
+        widest = 1 + max(map(len, self.terms))
+        terms = np.array([[0, *cols] + [0] * (widest - 1 - len(cols))
+                          for cols in self.terms])
+        return table[:, self.raw], np.max(table[:, terms], axis=2)
+
+
+def evaluate_conditions(cond_ids, batch, probes):
+    """Worst value of each listed condition over a FrameBatch, as a dict
+    in the given order of ConditionValue, or of the ParacrError its
+    kernel raised.
 
     ``probes`` holds every point's probe draws, [P, draws, 4, m].  The
-    worst is the first strict maximum of ``scaled`` in point-major,
-    candidate-minor order, or the first NaN.
+    kernels run in order and share one :class:`_Shared` memo; the parts
+    of those that did not raise go through one :class:`_Reduction`.  A
+    condition's worst is the first strict maximum of ``scaled`` over its
+    [P, candidates] columns in point-major, candidate-minor order, or
+    the first NaN.  Every value equals that of a one-condition call.
     """
-    cond = CONDITIONS.get(cond_id)
-    if cond is None:
-        raise KeyError(f"unknown condition id {cond_id!r}")
-    if cond.scope == "dim3" and batch.m != 3:
-        raise WrongDimension(
-            f"this identity is specific to dimension 3, got {batch.m}")
+    unknown = [cid for cid in cond_ids if cid not in CONDITIONS]
+    if unknown:
+        raise KeyError(f"unknown condition id {unknown[0]!r}")
+    conds = [CONDITIONS[cid] for cid in dict.fromkeys(cond_ids)]
+    shared, reduction = _Shared(batch, probes), _Reduction(probes)
+    out, spans = {}, {}
     with np.errstate(invalid="ignore", over="ignore"):
-        raws, scales, labels = _candidates(cond.fn(batch, probes), probes)
-        point, cand = divmod(int(np.argmax(raws / scales)), len(labels))
-    return ConditionValue(raw=float(raws[point, cand]),
-                          scale=float(scales[point, cand]),
-                          part=labels[cand])
+        for cond in conds:
+            try:
+                if cond.scope == "dim3" and batch.m != 3:
+                    raise WrongDimension(f"this identity is specific to "
+                                         f"dimension 3, got {batch.m}")
+                spans[cond.id] = reduction.add(cond.fn(batch, shared))
+            except ParacrError as exc:
+                out[cond.id] = exc
+        if spans:
+            raws, scales = reduction.candidates(len(batch))
+            scaled = raws / scales
+    for cid, (lo, hi) in spans.items():
+        point, cand = divmod(int(np.argmax(scaled[:, lo:hi])), hi - lo)
+        out[cid] = ConditionValue(raw=float(raws[point, lo + cand]),
+                                  scale=float(scales[point, lo + cand]),
+                                  part=reduction.labels[lo + cand])
+    return {cond.id: out[cond.id] for cond in conds}
+
+
+def evaluate_batch(cond_id, batch, probes):
+    """Worst value of one condition over a FrameBatch (see
+    :func:`evaluate_conditions`); raises what its kernel raised."""
+    value = evaluate_conditions([cond_id], batch, probes)[cond_id]
+    if isinstance(value, ParacrError):
+        raise value
+    return value
 
 
 def evaluate_condition(cond_id, pf, probes=()):

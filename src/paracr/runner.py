@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import CONDITIONS, classify, evaluate_batch, \
+from .conditions import CONDITIONS, classify, evaluate_conditions, \
     expand_checks, trit, worse
 from .errors import (
     DegeneratePlane,
@@ -191,23 +191,24 @@ def evaluate_checks(check_ids, sample, probe_sets, tolerance, separation):
     Returns (rows, worst) where rows are report entries in request order
     and worst maps condition id to its worst scaled residual: the first
     strict maximum in point order, or the first NaN.  The sample is
-    evaluated chunk by chunk; when checks raise, the error raised is the
-    one of the first such check in request order at its first raising
-    point, as in a check-by-check, point-by-point loop.
+    evaluated chunk by chunk, all checks of a chunk in one pass
+    (:func:`paracr.conditions.evaluate_conditions`: shared kernel
+    intermediates, one grouped reduction of every candidate), with the
+    values of check-by-check evaluation.  When checks raise, the error
+    raised is the one of the first such check in request order at its
+    first raising point, as in a check-by-check, point-by-point loop.
     """
     probes = np.asarray(probe_sets, dtype=float)
     worst, errors = {}, {}
     for lo, batch in _chunks(sample):
-        chunk_probes = probes[lo:lo + len(batch)]
-        for cid in check_ids:
-            if cid in errors:
-                continue
-            try:
-                value = evaluate_batch(cid, batch, chunk_probes)
-            except ParacrError as exc:
-                errors[cid] = exc
-                continue
-            worst[cid] = worse(worst.get(cid), value)
+        live = [cid for cid in check_ids if cid not in errors]
+        values = evaluate_conditions(live, batch,
+                                     probes[lo:lo + len(batch)])
+        for cid, value in values.items():
+            if isinstance(value, ParacrError):
+                errors[cid] = value
+            else:
+                worst[cid] = worse(worst.get(cid), value)
     rows = []
     for cid in check_ids:
         if cid in errors:

@@ -14,6 +14,8 @@ Oracle provenance markers:
 import json
 import math
 import pathlib
+import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from paracr.conditions import (
     CONDITIONS,
     classify,
     evaluate_condition,
+    evaluate_conditions,
     expand_checks,
     trit,
 )
@@ -78,26 +81,56 @@ def outcome(fn):
         return type(exc).__name__, str(exc)
 
 
+def assert_row_is(row, want):
+    """A report row carries the reference ConditionValue ``want``."""
+    assert (row["raw"], row["scaled"], row["part"]) == \
+        (want.raw, want.scaled, want.part), (row, want)
+    assert row["verdict"] == runner._verdict(want.scaled, TOL, SEP)
+
+
 class TestReferenceEquivalence:
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("seed", range(4))
     def test_rows_equal_the_per_point_reference(self, case, seed):
-        # [REFERENCE] every row, and every (point, check) value
+        # [REFERENCE] every row, one check per call and every check in
+        # one call (shared intermediates, one grouped reduction), and
+        # every (point, check) value
         st, frames, probes = sample(case, seed)
         refs = [ref.ReferenceFrame(pf) for pf in frames]
-        for cid in expand_checks("all", st.dim):
+        ids = expand_checks("all", st.dim)
+        together = outcome(lambda: evaluate_checks(ids, frames, probes, TOL,
+                                                   SEP))
+        raised = None
+        for k, cid in enumerate(ids):
             got = outcome(lambda: evaluate_checks(
                 [cid], frames, probes, TOL, SEP)[0][0])
             want = outcome(lambda: ref.worst_over_points(cid, refs, probes))
             if isinstance(want, tuple):
                 assert got == want, cid
+                raised = raised or want
                 continue
-            assert (got["raw"], got["scaled"], got["part"]) == \
-                (want.raw, want.scaled, want.part), (cid, got, want)
-            assert got["verdict"] == runner._verdict(want.scaled, TOL, SEP)
+            assert_row_is(got, want)
+            if raised is None:
+                assert_row_is(together[0][k], want)
+                assert together[1][cid] == want.scaled
             for pf, rf, pr in zip(frames, refs, probes):
                 assert evaluate_condition(cid, pf, pr) == \
                     ref.evaluate(cid, rf, pr), (cid, pf.point)
+        assert raised is None or together == raised
+
+    @pytest.mark.parametrize("case", ["p1_n3", "spec_flat3d_sqrt"])
+    def test_one_call_over_two_chunks_equals_the_reference(self, case):
+        # [REFERENCE] every check in one call on 70 points: two chunks,
+        # each with its own memo and grouped reduction
+        st, frames, probes = sample(case, 0, 70)
+        refs = [ref.ReferenceFrame(pf) for pf in frames]
+        ids = expand_checks("all", st.dim)
+        rows, worst = evaluate_checks(ids, frames, probes, TOL, SEP)
+        assert [row["id"] for row in rows] == ids
+        for row in rows:
+            want = ref.worst_over_points(row["id"], refs, probes)
+            assert_row_is(row, want)
+            assert worst[row["id"]] == want.scaled
 
     @pytest.mark.parametrize("case", ["flat3d", "hyperboloid_n2", "p1_n3",
                                       "cosymplectic_n3", "random1",
@@ -263,18 +296,114 @@ class TestChunking:
         frames = sample_points(st, np.random.default_rng(0), 4)
         probes = np.zeros((4, 0, 4, st.dim))
 
-        def flaky(cid, batch, chunk_probes):
-            if cid == "axioms" and batch.points[0][0] == frames[3].point[0]:
+        def late(batch, shared):
+            if batch.points[0][0] == frames[3].point[0]:
                 raise RankDefect("late")
-            if cid == "compat":
-                raise RankDefect("early")
-            return original(cid, batch, chunk_probes)
+            return axioms.fn(batch, shared)
 
-        original = runner.evaluate_batch
-        monkeypatch.setattr(runner, "evaluate_batch", flaky)
+        def early(batch, shared):
+            raise RankDefect("early")
+
+        axioms = CONDITIONS["axioms"]
+        monkeypatch.setitem(CONDITIONS, "axioms", replace(axioms, fn=late))
+        monkeypatch.setitem(CONDITIONS, "compat",
+                            replace(CONDITIONS["compat"], fn=early))
         monkeypatch.setattr(runner, "_CHUNK", 1)
         with pytest.raises(RankDefect, match="late"):
             evaluate_checks(["axioms", "compat"], frames, probes, TOL, SEP)
+
+
+# ---------------------------------------------------------------------------
+# one pass over the checks of a chunk
+# ---------------------------------------------------------------------------
+
+def refilled(a, rng):
+    """An array of a's shape and memory layout (its strides, for a
+    transposed view) holding dense random values of order 10."""
+    out = np.empty_like(a)
+    out[...] = 10.0 * rng.standard_normal(a.shape)
+    return out
+
+
+class TestOnePass:
+    # checks whose parts have transposed-view summands (M^T, dPhi's
+    # transposed thirds, (nabla xi)^T, Phi^T)
+    TRANSPOSED = ["news00", "news01", "apcos", "axioms", "h-rel"]
+
+    @pytest.mark.parametrize("case", ["flat3d", "hyperboloid_n2", "p1_n3",
+                                      "random1", "spec_flat3d_sqrt"])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_shared_stacks_keep_the_bits_of_transposed_summands(
+            self, monkeypatch, case, dense):
+        # [TRIVIAL] evaluated together, these checks share probe stacks;
+        # a stack that changed a member's strides would move its gemvs
+        # to another BLAS path and its last bits.  Sparse real residuals
+        # often hide that, so the dense variant refills every array with
+        # random values in its own layout.
+        st, frames, probes = sample(case, 0, 16)
+        layouts = []
+        for cid in self.TRANSPOSED if dense else ():
+            def kernel(fb, shared, fn=CONDITIONS[cid].fn, cid=cid):
+                rng = np.random.default_rng(zlib.crc32(cid.encode()))
+                parts = [(name, refilled(res, rng),
+                          tuple(refilled(t, rng) for t in terms), slots)
+                         for name, res, terms, slots in fn(fb, shared)]
+                layouts.extend(t.flags.c_contiguous
+                               for _, _, terms, slots in parts if slots
+                               for t in terms)
+                return parts
+            monkeypatch.setitem(CONDITIONS, cid,
+                                replace(CONDITIONS[cid], fn=kernel))
+        together = evaluate_conditions(self.TRANSPOSED, frames, probes)
+        for cid in self.TRANSPOSED:
+            assert together[cid] == \
+                evaluate_conditions([cid], frames, probes)[cid], cid
+        assert not dense or not all(layouts)
+
+    @pytest.mark.parametrize("cid,term", [("compat", None), ("normal", 0)])
+    def test_a_nan_stays_in_its_own_row(self, monkeypatch, cid, term):
+        # [TRIVIAL] a NaN in one condition's residual or summand fails
+        # that row; every other row, including those whose arrays share
+        # its stacks, is byte-identical to its solo evaluation
+        st, frames, probes = sample("hyperboloid_n2", 1, 8)
+        ids = expand_checks("all", st.dim)
+        solo = [runner._dumps(evaluate_checks([i], frames, probes, TOL,
+                                              SEP)[0][0]) for i in ids]
+        cond = CONDITIONS[cid]
+
+        def poisoned(fb, shared):
+            (name, res, terms, slots), = cond.fn(fb, shared)
+            terms = list(terms)
+            if term is None:
+                res = res.copy()
+                res[3, 1, 2] = np.nan
+            else:
+                terms[term] = terms[term].copy()
+                terms[term][3, 1, 2, 0] = np.nan
+            return [(name, res, tuple(terms), slots)]
+
+        monkeypatch.setitem(CONDITIONS, cid, replace(cond, fn=poisoned))
+        rows, worst = evaluate_checks(ids, frames, probes, TOL, SEP)
+        assert math.isnan(worst[cid])
+        for row, alone in zip(rows, solo):
+            if row["id"] == cid:
+                assert row["verdict"] == "fail"
+            else:
+                assert runner._dumps(row) == alone, row["id"]
+
+    @pytest.mark.parametrize("name,params", [("p1", {"n": 2}),
+                                             ("flat3d", {})])
+    def test_the_memo_does_not_outlive_its_chunk(self, monkeypatch, name,
+                                                 params):
+        # [TRIVIAL] the probe-dependent intermediates (the field brackets
+        # of s0 and s1) are formed per chunk: three chunks of a 130-point
+        # sample give the body of one
+        spec = spec_from_dict(build_example(name, **params).spec_dict)
+        bodies = []
+        for chunk in (64, 10 ** 6):
+            monkeypatch.setattr(runner, "_CHUNK", chunk)
+            bodies.append(run(spec, checks="all", points=130).body_json())
+        assert bodies[0] == bodies[1]
 
 
 # ---------------------------------------------------------------------------
