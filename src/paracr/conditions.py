@@ -26,7 +26,7 @@ contracted one at a time.  Groups are split at a byte budget
 (``_STACK_BYTES``), and waiting arrays are reduced once they exceed it.
 One arg-max per condition over the shared [P, candidates] table picks
 its worst.  Every value is bit-identical to a one-condition evaluation,
-and :func:`evaluate_batch` is that one-condition case.
+and :func:`evaluate_condition` is that case at one point.
 
 Evaluation policy by scope:
 
@@ -41,8 +41,9 @@ Evaluation policy by scope:
   is evaluated on genuine local sections P u (u constant) built from
   the projector field, over all coordinate seed pairs and all probe
   draws.
-- ``basis``: evaluated on bracket combinations of computed
-  eigendistribution basis fields, point by point; probes are not used.
+- ``basis``: evaluated on the brackets of basis fields of an
+  eigendistribution, the bases built for all points at once by one
+  Gram-Schmidt pass masked per point; probes are not used.
 - ``dim3``: like ``tensor`` but defined only in dimension 3; other
   dimensions raise :class:`WrongDimension`.
 
@@ -64,6 +65,7 @@ from .errors import InconsistentVerdict, ParacrError, RankDefect, \
     WrongDimension
 from .geometry import (
     _amax,
+    _dot,
     _mv,
     lie_bracket,
     phi_applied_field,
@@ -77,12 +79,10 @@ __all__ = [
     "BUNDLES",
     "Condition",
     "ConditionValue",
-    "evaluate_batch",
     "evaluate_conditions",
     "evaluate_condition",
     "expand_checks",
     "classify",
-    "eigendistribution_bases",
     "worse",
 ]
 
@@ -130,10 +130,6 @@ def _T(A):
 
 def _outer(u, v):
     return u[:, :, None] * v[:, None, :]
-
-
-def _dot(u, v):
-    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 class _Shared:
@@ -438,55 +434,54 @@ def _cond_s1(fb, shared):
 # eigendistributions and involutivity
 # ---------------------------------------------------------------------------
 
-def _distribution_basis(Q, n, label, tol=1e-7):
-    """Orthonormal basis of the column space of Q by sequential
-    Gram-Schmidt over the coordinate images; RankDefect unless rank n."""
-    scale = max(1.0, float(np.max(np.abs(Q))))
-    basis = []
-    for j in range(Q.shape[0]):
-        v = np.array(Q[:, j], dtype=float)
-        for b in basis:
-            v -= (b @ v) * b
-        nv = float(np.linalg.norm(v))
-        if nv > tol * scale:
-            basis.append(v / nv)
-    if len(basis) != n:
+# A coordinate image whose Gram-Schmidt remainder is no longer than this
+# times max(1, max |Q|) adds no basis vector.
+_RANK_TOL = 1e-7
+
+
+def _distribution_bases(Q, n, label):
+    """[P, n, m]: orthonormal bases of the column spaces of the Q[p] by
+    one sequential Gram-Schmidt over the coordinate images, masked per
+    point; RankDefect at the first point whose rank is not n."""
+    scale = np.fmax(1.0, _amax(Q))
+    basis, rank = np.zeros(Q.shape), np.zeros(len(Q), dtype=int)
+    images = np.ascontiguousarray(_T(Q))  # a strided dot rounds otherwise
+    for v in images.swapaxes(0, 1):
+        for slot in range(rank.max()):
+            b = basis[:, slot]
+            v = np.where((rank > slot)[:, None],
+                         v - _dot(b, v)[:, None] * b, v)
+        norm = np.sqrt(_dot(v, v))
+        keep = norm > _RANK_TOL * scale
+        basis[keep, rank[keep]] = v[keep] / norm[keep, None]
+        rank += keep
+    bad = np.flatnonzero(rank != n)
+    if len(bad):
         raise RankDefect(
-            f"{label} eigendistribution has pointwise rank {len(basis)}, "
+            f"{label} eigendistribution has pointwise rank {rank[bad[0]]}, "
             f"expected {n}")
-    return basis
-
-
-def eigendistribution_bases(pf, tol=1e-7):
-    """Bases of the +1 and -1 eigendistributions of phi inside ker(eta)."""
-    n = (pf.m - 1) // 2
-    plus = _distribution_basis(pf.Qplus, n, "+1", tol)
-    minus = _distribution_basis(pf.Qminus, n, "-1", tol)
-    return plus, minus
+    return basis[:, :n]
 
 
 def _involutivity(sign, fb, shared):
     """Non-tangential components (eta(w), Qop w) of the brackets w of
-    basis fields of the +1 (sign > 0) or -1 eigendistribution, point by
-    point; the basis is computed per point."""
+    basis fields of the +1 (sign > 0) or -1 eigendistribution, every
+    pair of fields at every point in one bracket."""
     n = (fb.m - 1) // 2
     if sign > 0:
         Q, dQ, Qop, label = fb.Qplus, fb.dQplus, fb.Qminus, "+1"
     else:
         Q, dQ, Qop, label = fb.Qminus, fb.dQminus, fb.Qplus, "-1"
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    res = np.empty((len(fb), len(pairs), fb.m + 1))
-    brackets = np.empty((len(fb), len(pairs), fb.m))
-    for p in range(len(fb)):
-        basis = _distribution_basis(Q[p], n, label)
-        for k, (i, j) in enumerate(pairs):
-            w = lie_bracket(*projected_field(Q[p], dQ[p], basis[i]),
-                            *projected_field(Q[p], dQ[p], basis[j]))
-            res[p, k] = [fb.eta[p] @ w, *(Qop[p] @ w)]
-            brackets[p, k] = w
+    basis = _distribution_bases(Q, n, label)
+    i, j = np.triu_indices(n, 1)
+    Q, dQ = Q[:, None], dQ[:, None]
+    w = lie_bracket(*projected_field(Q, dQ, basis[:, i]),
+                    *projected_field(Q, dQ, basis[:, j]))
+    res = np.concatenate([_dot(fb.eta[:, None], w)[..., None],
+                          _mv(Qop[:, None], w)], axis=2)
     return [("trivial", np.zeros(len(fb)), (), ())] + [
-        (f"bracket{i}{j}", res[:, k], (brackets[:, k],), ())
-        for k, (i, j) in enumerate(pairs)]
+        (f"bracket{a}{b}", res[:, k], (w[:, k],), ())
+        for k, (a, b) in enumerate(zip(i, j))]
 
 
 # ---------------------------------------------------------------------------
@@ -859,20 +854,15 @@ def evaluate_conditions(cond_ids, batch, probes):
     return {cond.id: out[cond.id] for cond in conds}
 
 
-def evaluate_batch(cond_id, batch, probes):
-    """Worst value of one condition over a FrameBatch (see
-    :func:`evaluate_conditions`); raises what its kernel raised."""
-    value = evaluate_conditions([cond_id], batch, probes)[cond_id]
+def evaluate_condition(cond_id, pf, probes=()):
+    """Worst value of one condition at one PointFrame (probes [draws, 4,
+    m], see :func:`evaluate_conditions`); raises what its kernel
+    raised."""
+    probes = np.asarray(probes, dtype=float).reshape(1, -1, 4, pf.m)
+    value = evaluate_conditions([cond_id], pf.single, probes)[cond_id]
     if isinstance(value, ParacrError):
         raise value
     return value
-
-
-def evaluate_condition(cond_id, pf, probes=()):
-    """Worst value of one condition at one PointFrame (probes [draws, 4,
-    m])."""
-    probes = np.asarray(probes, dtype=float).reshape(1, -1, 4, pf.m)
-    return evaluate_batch(cond_id, pf.single, probes)
 
 
 def expand_checks(requested, dim):

@@ -17,8 +17,7 @@ unknown identifiers are rejected rather than treated as implicit variables.
 ASTs are immutable (frozen dataclasses) and compare structurally; evaluation
 is structural recursion over plain floats or batched Taylor jets (one
 walk of the tree serves a whole batch of points).  Each operator node's
-``apply`` performs its own operation on already evaluated operands, so
-the jet forest of :mod:`paracr.runner` applies the same operations.
+``apply`` performs its own operation on already evaluated operands.
 There is no simplification pass: expressions evaluate exactly as
 written.  :func:`diff` builds the AST of a partial derivative, folding
 zeros and constants as it goes.

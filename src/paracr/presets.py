@@ -22,6 +22,7 @@ the structure axioms) for the dimension-3 universality property.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -371,26 +372,35 @@ def random_dim3_structure(seed, max_attempts=200):
 # ---------------------------------------------------------------------------
 
 def build_example(name, **params):
-    """Instantiate a preset by name with keyword parameters."""
+    """Instantiate a preset by name with keyword parameters: ``n`` an
+    integer, ``f`` and ``H`` expression strings, ``c`` a finite number."""
     if name == "flat3d":
-        _reject_params(name, params, ())
+        _check_params(name, params, ())
         return flat3d()
     if name == "hyperboloid":
-        _reject_params(name, params, ("n",))
+        _check_params(name, params, ("n",))
         return hyperboloid(int(params.get("n", 1)))
     if name == "p1":
-        _reject_params(name, params, ("n", "f", "c"))
+        _check_params(name, params, ("n", "f", "c"))
         return p1(int(params.get("n", 2)), params.get("f"),
                   float(params.get("c", 1.0)))
     if name == "cosymplectic":
-        _reject_params(name, params, ("n", "H"))
+        _check_params(name, params, ("n", "H"))
         return cosymplectic(int(params.get("n", 1)), params.get("H"))
     raise ValidationError(
         f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
 
 
-def _reject_params(name, params, allowed):
+def _check_params(name, params, allowed):
     extra = set(params) - set(allowed)
     if extra:
         raise ValidationError(
             f"preset {name!r} does not accept parameters {sorted(extra)}")
+    n, c = params.get("n", 0), params.get("c", 0.0)
+    if type(n) is not int:  # not a bool, a float or a string
+        raise ValidationError(f"parameter n must be an integer, not {n!r}")
+    for key in ("f", "H"):
+        if not isinstance(params.get(key, ""), str):
+            raise ValidationError(f"parameter {key} must be a string")
+    if type(c) not in (int, float) or not abs(c) <= sys.float_info.max:
+        raise ValidationError("parameter c must be a finite number")

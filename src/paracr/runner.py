@@ -12,8 +12,9 @@ drives every random choice, consumed in a fixed documented order:
 2. probe directions — one ``(points, probes, 4, dim)`` block of
    uniform [-1, 1] draws, which is the same stream as one
    ``(probes, 4, dim)`` block per point in point order;
-3. target measurement — plane-spanning vector pairs for the sectional
-   curvature target, drawn per point as needed.
+3. target measurement — plane-spanning vector pairs (X, then Y) for the
+   sectional curvature target, drawn again while degenerate, in rounds
+   that consume the stream of one try at a time.
 
 The directions of the directional engine self-tests are not drawn from
 that stream: they come from a stream of their own with a fixed seed
@@ -228,23 +229,43 @@ def evaluate_checks(check_ids, sample, probe_sets, tolerance, separation):
 # preset target measurement
 # ---------------------------------------------------------------------------
 
-def _random_plane(pf, rng, max_tries=100):
-    for _ in range(max_tries):
-        X = rng.uniform(-1.0, 1.0, pf.m)
-        Y = rng.uniform(-1.0, 1.0, pf.m)
-        try:
-            return pf.sectional(X, Y)
-        except DegeneratePlane:
-            continue
-    raise DegeneratePlane(
-        f"no nondegenerate plane found in {max_tries} draws at {pf.point}")
+# Planes per point of the sectional target, and tries per plane at most.
+_PLANES = 4
+_PLANE_TRIES = 100
 
 
-def _target_deviations(name, expected, batch, rng, planes_per_point):
+def _random_sectionals(batch, rng, planes):
+    """Sectional curvatures of ``planes`` random nondegenerate planes per
+    point, in point order, with the stream of a loop that draws one try
+    (X, then Y) at a time.  Each round draws the tries that loop is sure
+    to draw (one per open plane, no more than the current plane has
+    left), accepts them against the open planes up to the first
+    degenerate one, charges that one to its plane and keeps the rest."""
+    total = len(batch) * planes
+    out, tries = np.empty(total), np.empty((0, 2, batch.m))
+    done = used = 0  # planes found; degenerate tries of plane ``done``
+    while done < total:
+        want = min(total - done, _PLANE_TRIES - used)
+        tries = np.concatenate([tries, rng.uniform(
+            -1.0, 1.0, (want - len(tries), 2, batch.m))])
+        k, ok = batch.sectional((done + np.arange(want)) // planes,
+                                tries[:, 0], tries[:, 1])
+        found = want if ok.all() else int(np.argmin(ok))
+        out[done:done + found] = k[:found]
+        done += found
+        used = (0 if found else used) + (found < want)
+        if used == _PLANE_TRIES:
+            point = tuple(float(x) for x in batch.points[done // planes])
+            raise DegeneratePlane(f"no nondegenerate plane found in "
+                                  f"{_PLANE_TRIES} draws at {point}")
+        tries = tries[found + 1:]
+    return out
+
+
+def _target_deviations(name, expected, batch, rng):
     """Per-point deviations of one target over a batch."""
     if name == "sectional":
-        return [abs(_random_plane(pf, rng) - expected)
-                for pf in batch for _ in range(planes_per_point)]
+        return np.abs(_random_sectionals(batch, rng, _PLANES) - expected)
     if name == "r":
         return np.abs(batch.r - expected)
     if name == "r_star":
@@ -260,7 +281,7 @@ def _target_deviations(name, expected, batch, rng, planes_per_point):
     raise ValidationError(f"unknown target {name!r}")
 
 
-def measure_targets(descriptor, sample, rng, planes_per_point=4):
+def measure_targets(descriptor, sample, rng):
     """Deviation of measured invariants from the preset's known values
     over the sample batch (at least 0.0, NaN when any is NaN)."""
     if descriptor is None or not descriptor.targets:
@@ -270,7 +291,7 @@ def measure_targets(descriptor, sample, rng, planes_per_point=4):
         worst = 0.0
         for _, batch in _chunks(sample):
             worst = float(np.max(_target_deviations(
-                name, expected, batch, rng, planes_per_point), initial=worst))
+                name, expected, batch, rng), initial=worst))
         out[name] = {"expected": expected, "max_abs_deviation": worst}
     return out
 

@@ -8,7 +8,8 @@ of finite values).  Tests hold the batched kernels of
 ``paracr.conditions`` and the batched tensors of
 ``paracr.geometry.FrameBatch`` to it.  It also holds the per-point
 invariants (Nijenhuis fields, the Levi form, identities of h) that only
-tests use.
+tests use, and the sectional-curvature target drawn one plane try at a
+time.
 """
 
 from dataclasses import dataclass
@@ -16,8 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
+from paracr import geometry
 from paracr.conditions import ConditionValue
-from paracr.errors import DegenerateMetric, RankDefect, WrongDimension
+from paracr.errors import DegenerateMetric, DegeneratePlane, RankDefect, \
+    WrongDimension
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +669,50 @@ def worst_over_points(cond_id, frames, probe_sets):
         if worst is None or cv.scaled > worst.scaled:
             worst = cv
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the sectional-curvature target, one plane try at a time
+# ---------------------------------------------------------------------------
+
+def sectional(pf, X, Y):
+    """Sectional curvature of span(X, Y) at one point; DegeneratePlane
+    for a zero vector or a Gram determinant below the threshold."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    nx, ny = np.linalg.norm(X), np.linalg.norm(Y)
+    if nx == 0.0 or ny == 0.0:
+        raise DegeneratePlane("zero probe vector")
+    X, Y = X / nx, Y / ny
+    gXX = X @ pf.g @ X
+    gYY = Y @ pf.g @ Y
+    gXY = X @ pf.g @ Y
+    denom = gXX * gYY - gXY * gXY
+    if abs(denom) < geometry._MIN_PLANE_GRAM:
+        raise DegeneratePlane(
+            f"plane Gram determinant {denom:.3e} below "
+            f"{geometry._MIN_PLANE_GRAM:.1e}")
+    RXYY = np.einsum('kabj,a,b,j->k', pf.Riem, X, Y, Y)
+    return float((RXYY @ pf.g @ X) / denom)
+
+
+def random_plane(pf, rng, max_tries=100):
+    """The sectional curvature of the first nondegenerate plane of at
+    most ``max_tries`` tries, each one uniform X then one Y."""
+    for _ in range(max_tries):
+        X = rng.uniform(-1.0, 1.0, pf.m)
+        Y = rng.uniform(-1.0, 1.0, pf.m)
+        try:
+            return sectional(pf, X, Y)
+        except DegeneratePlane:
+            continue
+    raise DegeneratePlane(
+        f"no nondegenerate plane found in {max_tries} draws at {pf.point}")
+
+
+def random_sectionals(frames, rng, planes=4):
+    """``planes`` random plane curvatures per point, in point order."""
+    return [random_plane(pf, rng) for pf in frames for _ in range(planes)]
 
 
 # ---------------------------------------------------------------------------

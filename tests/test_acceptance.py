@@ -31,7 +31,6 @@ from paracr.conditions import (
     expand_checks,
     trit,
 )
-from paracr.errors import DegeneratePlane
 from paracr.geometry import PointFrame
 from paracr.presets import build_example, random_dim3_structure
 from paracr.runner import run, sample_points
@@ -150,13 +149,11 @@ def test_criterion_01_hyperboloid_curvature_and_fingerprint():
         rng = np.random.default_rng(100 + n)
         done = 0
         while done < 200:
-            pf = frames[done % len(frames)]
-            try:
-                k = pf.sectional(rng.uniform(-1, 1, pf.m),
-                                 rng.uniform(-1, 1, pf.m))
-            except DegeneratePlane:
+            X, Y = rng.uniform(-1, 1, (2, 1, st.dim))
+            k, ok = frames.sectional([done % len(frames)], X, Y)
+            if not ok[0]:
                 continue
-            assert abs(k + 1.0) <= 1e-6, (case, k)
+            assert abs(k[0] + 1.0) <= 1e-6, (case, k)
             done += 1
         # classification fingerprint
         fingerprint = build_example("hyperboloid", n=n).fingerprint

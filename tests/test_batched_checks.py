@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import condition_reference as ref
-from paracr import runner
+from paracr import geometry, runner
 from paracr.conditions import (
     CONDITIONS,
     classify,
@@ -33,6 +33,7 @@ from paracr.conditions import (
 from paracr.errors import ParacrError, RankDefect
 from paracr.expr import parse
 from paracr.geometry import (
+    ARRAY_NAMES,
     Chart,
     CoordinateStructure,
     FrameBatch,
@@ -165,6 +166,63 @@ class TestReferenceEquivalence:
         assert values["jw3d"].part.startswith("dim3_nabla_phi")
         assert values["wzor1"].part.startswith("nabla_phi_from_reeb_gradient")
         assert CONDITIONS["jw3d"].scope == "dim3"
+
+
+    def test_rank_defect_after_good_points(self):
+        # [REFERENCE] the batched bases raise at the first point whose
+        # eigendistribution has the wrong rank, with the reference's
+        # message: phi = -P at point 2 (+1 rank 0, -1 rank 2n) and phi = 0
+        # at point 4 (both rank 2n)
+        st, frames, probes = sample("p1_n2", 0)
+        arrays = {name: getattr(frames, name).copy() for name in ARRAY_NAMES}
+        arrays["phi"][2] = -frames.P[2]
+        arrays["phi"][4] = 0.0
+        broken = FrameBatch(st, frames.points, arrays)
+        refs = [ref.ReferenceFrame(pf) for pf in broken]
+        for cid, label, rank in (("inv-plus", "+1", 0),
+                                 ("inv-minus", "-1", 4)):
+            want = outcome(lambda: ref.worst_over_points(cid, refs, probes))
+            assert want == ("RankDefect", f"{label} eigendistribution has "
+                            f"pointwise rank {rank}, expected 2")
+            got = evaluate_conditions([cid], broken, probes)[cid]
+            assert isinstance(got, RankDefect) and str(got) == want[1]
+            assert outcome(lambda: evaluate_checks(
+                [cid], broken, probes, TOL, SEP)) == want
+
+
+class TestSectionalTarget:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_target_equals_the_one_try_loop(self, monkeypatch, n):
+        # [REFERENCE] 130 points (three chunks): every curvature, the
+        # deviation and the final RNG state of one try at a time, from no
+        # degenerate tries (Gram floor 1e-6) through many (0.3) to a
+        # plane that exhausts its tries (0.6, DegeneratePlane with the
+        # reference's message)
+        desc = build_example("hyperboloid", n=n)
+        batch = sample_points(desc.structure, np.random.default_rng(n), 130)
+        expected = desc.targets["sectional"]
+        original, chunks = runner._random_sectionals, []
+
+        def recorded(*args):
+            chunks.append(original(*args))
+            return chunks[-1]
+
+        monkeypatch.setattr(runner, "_random_sectionals", recorded)
+        for gram in (1e-6, 0.3, 0.6):
+            monkeypatch.setattr(geometry, "_MIN_PLANE_GRAM", gram)
+            want_rng, rng = (np.random.default_rng(7) for _ in range(2))
+            want = outcome(lambda: ref.random_sectionals(batch, want_rng))
+            chunks.clear()
+            targets = outcome(lambda: runner.measure_targets(desc, batch,
+                                                             rng))
+            assert rng.bit_generator.state == want_rng.bit_generator.state
+            if isinstance(want, tuple):
+                assert targets == want, gram
+                continue
+            assert len(chunks) == 3
+            np.testing.assert_array_equal(np.concatenate(chunks), want)
+            assert targets["sectional"]["max_abs_deviation"] == max(
+                abs(k - expected) for k in want)
 
 
 # ---------------------------------------------------------------------------

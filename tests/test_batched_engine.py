@@ -321,6 +321,15 @@ class TestDirectionalStencils:
         assert 0.0 < summary["jet_vs_fd"] <= 1e-6
         assert summary["mixed_partial"] <= 1e-12
 
+    def test_gap_is_fourth_order_near_a_singularity(self):
+        # sqrt(z + 0.5) in the bench's flat3d_sqrt spec: seed 1 samples
+        # points near z = -0.5, where a plain central difference is off
+        # by 5.6e-6 of the jets' scale (h^2/6 times a large third
+        # derivative); with the h^2 terms taken out it reads 1.3e-10
+        sample = sample_points(load_spec(str(SQRT_SPEC)).structure,
+                               np.random.default_rng(1), 64)
+        assert engine_self_tests(sample)["jet_vs_fd"] <= 1e-8
+
     def test_every_stencil_rejected_is_nan(self):
         st = coordinate_structure("2 + sqrt(x)")
         summary = engine_self_tests(structure_arrays(st, [(1e-9, 0.1, 0.2)]))

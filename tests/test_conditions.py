@@ -23,7 +23,6 @@ from paracr.conditions import (
     CONDITIONS,
     ConditionValue,
     classify,
-    eigendistribution_bases,
     evaluate_condition,
     expand_checks,
     trit,
@@ -67,6 +66,14 @@ def sample_points(chart, rng, count):
 
 def _tangent(v):
     return v.t if depth_of(v) == 1 else 0.0
+
+
+def eigendistribution_bases(pf):
+    """The +1 and -1 eigendistribution bases of phi inside ker(eta) at one
+    point: the batched builder on the point's row."""
+    n = (pf.m - 1) // 2
+    return (conditions._distribution_bases(pf.Qplus[None], n, "+1")[0],
+            conditions._distribution_bases(pf.Qminus[None], n, "-1")[0])
 
 
 def field_jacobian(fn, point):

@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from paracr import geometry
 from paracr.errors import (
     DegenerateMetric,
     DegeneratePlane,
@@ -45,7 +46,7 @@ from paracr.presets import (
     p1,
     random_dim3_structure,
 )
-from paracr.runner import engine_self_tests
+from paracr.runner import _random_sectionals, engine_self_tests
 from scalar_reference import Dual, depth_of, frame_matrix
 
 
@@ -54,6 +55,13 @@ def sample_points(chart, rng, count):
     hi = np.array([b[1] for b in chart.box])
     return [tuple(float(v) for v in lo + (hi - lo) * rng.random(len(lo)))
             for _ in range(count)]
+
+
+def sectional(pf, X, Y):
+    """FrameBatch.sectional on the row of ``pf``: (k, ok) of one plane."""
+    k, ok = pf.batch.sectional([pf.index], np.array([X], dtype=float),
+                               np.array([Y], dtype=float))
+    return k[0], ok[0]
 
 
 def _tangent(v):
@@ -360,8 +368,8 @@ class TestChristoffel:
         want[0, 1, 1] = -math.sinh(x) * math.cosh(x)
         want[1, 0, 1] = want[1, 1, 0] = math.cosh(x) / math.sinh(x)
         assert np.max(np.abs(pf.Gamma - want)) < 1e-12
-        assert abs(pf.sectional(np.array([1.0, 0, 0]),
-                                np.array([0, 1.0, 0])) + 1.0) < 1e-9
+        k, ok = sectional(pf, [1.0, 0, 0], [0, 1.0, 0])
+        assert ok and abs(k + 1.0) < 1e-9
         assert abs(pf.r + 2.0) < 1e-9
 
     @pytest.mark.parametrize("desc", ALL_PRESETS, ids=lambda d: d.name)
@@ -620,9 +628,8 @@ class TestSectionalAndConformal:
         done = 0
         while done < 10:
             X, Y = rng.standard_normal((2, 3))
-            try:
-                k = pf.sectional(X, Y)
-            except DegeneratePlane:
+            k, ok = sectional(pf, X, Y)
+            if not ok:
                 continue
             assert abs(k) < 1e-9
             done += 1
@@ -638,17 +645,21 @@ class TestSectionalAndConformal:
             done = 0
             while done < 5:
                 X, Y = rng.standard_normal((2, m))
-                try:
-                    k = pf.sectional(X, Y)
-                except DegeneratePlane:
+                k, ok = sectional(pf, X, Y)
+                if not ok:
                     continue
                 assert abs(k + 1.0) < 1e-6
                 done += 1
 
-    def test_degenerate_plane_raises(self):
+    def test_degenerate_plane_raises(self, monkeypatch):
         pf = PointFrame(flat3d().structure, (0.0, 0.0, 0.0))
-        with pytest.raises(DegeneratePlane):
-            pf.sectional(np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+        for X, Y in (([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                     ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])):
+            assert not sectional(pf, X, Y)[1]
+        # a point where every plane is degenerate exhausts its tries
+        monkeypatch.setattr(geometry, "_MIN_PLANE_GRAM", math.inf)
+        with pytest.raises(DegeneratePlane, match="in 100 draws at"):
+            _random_sectionals(pf.batch, np.random.default_rng(0), 1)
 
     def test_hyperboloid_conformally_flat(self):
         # [DERIVED] constant-curvature spaces are conformally flat:

@@ -38,6 +38,7 @@ from paracr.runner import (
 )
 from paracr.spec_io import spec_from_dict
 from scalar_reference import eval_dual, nth_tangent, sample, seed_multi
+from test_spec_io import BAD_PRESETS
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -380,6 +381,18 @@ class TestCli:
             assert cli.main(["verify", "--spec", str(path), "--points", "2"]
                             + flags) == 2
             assert cause in capsys.readouterr().err
+        # 2, not a traceback or a silent coercion: bad preset parameters
+        for n in ("0", "-1"):
+            assert cli.main(["example", "--name", "hyperboloid",
+                             "--n", n]) == 2
+            assert "error: n must be >= 1" in capsys.readouterr().err
+        for preset, cause in BAD_PRESETS:
+            path.write_text(json.dumps({"structure": {"preset": preset}}),
+                            encoding="utf-8")
+            assert cli.main(["verify", "--spec", str(path),
+                             "--points", "2"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and cause in err, preset
 
     def test_verify_rejects_off_dimension_check(self, tmp_path, capsys):
         path = tmp_path / "p1.json"

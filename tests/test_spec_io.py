@@ -27,6 +27,20 @@ from paracr.spec_io import (
 
 P1_F = "(1.0 + x1^2 + x2^2)/z"
 
+# Preset blocks with a bad parameter, and what the error says.
+BAD_PRESETS = [
+    ({"name": "hyperboloid", "n": 0}, "n must be >= 1"),
+    ({"name": "hyperboloid", "n": -1}, "n must be >= 1"),
+    ({"name": "hyperboloid", "n": "x"}, "parameter n must be an integer"),
+    ({"name": "p1", "n": 2.5}, "parameter n must be an integer"),
+    ({"name": "cosymplectic", "n": True}, "parameter n must be an integer"),
+    ({"name": "p1", "c": "abc"}, "parameter c must be a finite number"),
+    ({"name": "p1", "c": True}, "parameter c must be a finite number"),
+    ({"name": "p1", "c": math.inf}, "parameter c must be a finite number"),
+    ({"name": "p1", "f": 3}, "parameter f must be a string"),
+    ({"name": "cosymplectic", "H": 5}, "parameter H must be a string"),
+]
+
 P1_FRAME_SPEC = {
     "chart": {
         "coordinates": ["x1", "x2", "y1", "y2", "z"],
@@ -120,6 +134,15 @@ class TestPresetSpecs:
         with pytest.raises(ValidationError):
             spec_from_dict({"structure": {"preset": {"name": "flat3d",
                                                      "n": 2}}})
+
+    @pytest.mark.parametrize("preset,cause", BAD_PRESETS)
+    def test_bad_preset_parameter(self, preset, cause):
+        # [TRIVIAL] a ValidationError naming the parameter, not a
+        # ValueError or TypeError, and no silent coercion
+        with pytest.raises(ValidationError) as info:
+            spec_from_dict({"structure": {"preset": preset}})
+        assert str(info.value).startswith("structure.preset block: ")
+        assert cause in str(info.value)
 
 
 # ---------------------------------------------------------------------------
