@@ -18,13 +18,18 @@ ASTs are immutable (frozen dataclasses) and compare structurally; evaluation
 is structural recursion over plain floats or batched Taylor jets (one
 walk of the tree serves a whole batch of points).  Each operator node's
 ``apply`` performs its own operation on already evaluated operands.
-There is no simplification pass: expressions evaluate exactly as
-written.  :func:`diff` builds the AST of a partial derivative, folding
-zeros and constants as it goes.
+:class:`SharedTrees` evaluates the component expressions of one
+structure together: equal subtrees are evaluated once per batch, and
+sinh(u) and cosh(u) share one evaluation, but nothing is rewritten
+algebraically, so every value has the bits of evaluating its own tree
+as written.  :func:`diff` builds the AST of a partial derivative,
+folding zeros and constants as it goes.
 """
 
+import math
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
@@ -43,6 +48,7 @@ __all__ = [
     "parse",
     "render",
     "eval_expr",
+    "SharedTrees",
     "variables",
     "diff",
 ]
@@ -69,29 +75,26 @@ _MAX_EXPONENT = 1000
 @dataclass(frozen=True)
 class Const:
     value: float
-
-    def eval(self, xs):
-        return self.value
+    operands = ()
 
 
 @dataclass(frozen=True)
 class Var:
     name: str
     index: int
-
-    def eval(self, xs):
-        return xs[self.index]
+    operands = ()
 
 
 @dataclass(frozen=True)
 class Neg:
     arg: "Expr"
 
+    @property
+    def operands(self):
+        return (self.arg,)
+
     def apply(self, a):
         return -a
-
-    def eval(self, xs):
-        return self.apply(self.arg.eval(xs))
 
 
 @dataclass(frozen=True)
@@ -99,11 +102,12 @@ class Call:
     fn: str
     arg: "Expr"
 
+    @property
+    def operands(self):
+        return (self.arg,)
+
     def apply(self, a):
         return FUNCTIONS[self.fn](a)
-
-    def eval(self, xs):
-        return self.apply(self.arg.eval(xs))
 
 
 @dataclass(frozen=True)
@@ -112,11 +116,12 @@ class Bin:
     left: "Expr"
     right: "Expr"
 
+    @property
+    def operands(self):
+        return (self.left, self.right)
+
     def apply(self, a, b):
         return _BINARY[self.op](a, b)
-
-    def eval(self, xs):
-        return self.apply(self.left.eval(xs), self.right.eval(xs))
 
 
 @dataclass(frozen=True)
@@ -124,11 +129,12 @@ class Pow:
     base: "Expr"
     exponent: int
 
+    @property
+    def operands(self):
+        return (self.base,)
+
     def apply(self, a):
         return jets.powi(a, self.exponent)
-
-    def eval(self, xs):
-        return self.apply(self.base.eval(xs))
 
 
 Expr = Union[Const, Var, Neg, Call, Bin, Pow]
@@ -136,20 +142,123 @@ Expr = Union[Const, Var, Neg, Call, Bin, Pow]
 
 def eval_expr(e, xs):
     """Evaluate an AST at a tuple of scalars (floats or jets)."""
-    return e.eval(xs)
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return xs[e.index]
+    return e.apply(*[eval_expr(operand, xs) for operand in e.operands])
+
+
+# -- shared evaluation of a structure's trees -----------------------------
+
+_LEAVES = (Const, Var)
+_NODES = (Const, Var, Neg, Call, Bin, Pow)
+_TWINS = ("sinh", "cosh")
+
+
+def _nested(fn, entries):
+    """``fn`` applied to every node of a nested list, nested alike."""
+    if isinstance(entries, (list, tuple)):
+        return [_nested(fn, e) for e in entries]
+    return fn(entries)
+
+
+def _key(value):
+    """A key that tells apart fields of different bits (0.0 and -0.0,
+    1 and 1.0; a NaN matches only itself): an operator node by its
+    identity, a leaf or a plain value by its exact value."""
+    if isinstance(value, Const):
+        value = value.value
+    elif isinstance(value, Var):
+        return Var, value.index
+    elif isinstance(value, _NODES):
+        return id(value)
+    if isinstance(value, float):
+        return float, value, math.copysign(1.0, value)
+    return type(value), value
+
+
+def _intern(node, table):
+    """``node`` with its operator subtrees replaced by the equal ones
+    already in ``table``; leaves are left as they are, and a node object
+    met before is looked up by its identity."""
+    if isinstance(node, _LEAVES):
+        return node
+    if id(node) in table:
+        return table[id(node)]
+    fields = vars(node).values()
+    parts = [_intern(v, table) if isinstance(v, _NODES) else v
+             for v in fields]
+    key = (type(node), *map(_key, parts))
+    if key not in table:
+        same = all(p is v for p, v in zip(parts, fields))
+        table[key] = node if same else type(node)(*parts)
+    table[id(node)] = table[key]
+    return table[key]
+
+
+class SharedTrees:
+    """The component expressions of one structure, evaluated together.
+
+    ``entries`` is a nested list of ASTs.  At construction equal
+    operator subtrees become one object, and those referenced from
+    more than one place (by several parents or entries) are marked, as
+    are the arguments u of a pair sinh(u), cosh(u) (a leaf u by its
+    value).  One :meth:`evaluate` call walks every entry once: a marked
+    node is evaluated at its first visit and its value reused for the
+    rest of that call, and a marked pair comes from one
+    :func:`jets.sinh_cosh`.  Each value is the one :func:`eval_expr`
+    gives for its entry, bit for bit; nothing outlives the call.
+    """
+
+    def __init__(self, entries):
+        table = {}
+        self.entries = _nested(lambda e: _intern(e, table), entries)
+        roots = []
+        _nested(roots.append, self.entries)
+        nodes = [node for key, node in table.items() if type(key) is tuple]
+        uses = Counter(id(operand) for node in nodes
+                       for operand in node.operands)
+        uses.update(map(id, roots))
+        twins = Counter(_key(node.arg) for node in nodes
+                        if isinstance(node, Call) and node.fn in _TWINS)
+        self._shared = {key for key, n in uses.items() if n > 1}
+        self._paired = {key for key, n in twins.items() if n == 2}
+
+    def evaluate(self, xs):
+        """Every entry at a tuple of scalars (floats or jets), nested as
+        the entries are."""
+        memo = {}
+        return _nested(lambda e: self._walk(e, xs, memo), self.entries)
+
+    def _walk(self, node, xs, memo):
+        """``node`` at ``xs``; ``memo`` holds the values of this call's
+        marked nodes by id, and its marked pairs by (fn names, key of
+        the argument)."""
+        if isinstance(node, _LEAVES):
+            return eval_expr(node, xs)
+        key = id(node)
+        if key in memo:
+            return memo[key]
+        if isinstance(node, Call) and node.fn in _TWINS \
+                and _key(node.arg) in self._paired:
+            pair = (_TWINS, _key(node.arg))
+            if pair not in memo:
+                memo[pair] = jets.sinh_cosh(self._walk(node.arg, xs, memo))
+            value = memo[pair][_TWINS.index(node.fn)]
+        else:
+            value = node.apply(*[self._walk(operand, xs, memo)
+                                 for operand in node.operands])
+        if key in self._shared:
+            memo[key] = value
+        return value
 
 
 def variables(e):
     """The set of coordinate names appearing in an AST."""
     if isinstance(e, Var):
         return {e.name}
-    if isinstance(e, (Neg, Call)):
-        return variables(e.arg)
-    if isinstance(e, Bin):
-        return variables(e.left) | variables(e.right)
-    if isinstance(e, Pow):
-        return variables(e.base)
-    return set()
+    return set().union(*map(variables, e.operands))
 
 
 # -- symbolic differentiation --------------------------------------------

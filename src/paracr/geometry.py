@@ -7,9 +7,12 @@ batch of chart points yields the values and the partial derivatives of
 every component at all of them.  Three realizations exist:
 
 - :class:`CoordinateStructure`: components given directly in the
-  coordinate basis as parsed expressions.
+  coordinate basis as parsed expressions; the expressions of g, phi,
+  xi and eta are evaluated in one walk per batch
+  (:class:`paracr.expr.SharedTrees`: equal subtrees once).
 - :class:`FrameStructure`: a moving frame E with constant frame-basis
-  tensors; coordinate components come from Gauss-Jordan elimination
+  tensors; the entries of E are evaluated in one walk per batch, and
+  the coordinate components come from Gauss-Jordan elimination
   of E on the jets of a whole batch, which carries the partials
   ∂(E⁻¹) = −E⁻¹(∂E)E⁻¹ and their higher analogues through.
 - :class:`HyperboloidStructure`: the structure induced on the unit
@@ -38,6 +41,7 @@ the point axis in front, ``Gamma[p, k, i, j]``):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,7 +55,7 @@ from .errors import (
     ValidationError,
     WrongDimension,
 )
-from .expr import eval_expr
+from .expr import SharedTrees
 from .jets import Jet, coordinate_jets, sqrt, tensor
 
 _MIN_METRIC_DET = 1e-10
@@ -74,9 +78,15 @@ class Chart:
                 f"chart dimension must be odd and >= 3, got {m}")
         if len(self.box) != m:
             raise ValidationError("box must give one interval per coordinate")
-        for lo, hi in self.box:
+        for i, (lo, hi) in enumerate(self.box):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValidationError(
+                    f"box interval {i} ({lo}, {hi}) is not finite")
             if not lo < hi:
                 raise ValidationError(f"empty box interval ({lo}, {hi})")
+            if not math.isfinite(hi - lo):
+                raise ValidationError(f"box interval {i} ({lo}, {hi}) is "
+                                      f"wider than the float range")
 
     @property
     def dim(self):
@@ -85,13 +95,6 @@ class Chart:
     @property
     def n(self):
         return (self.dim - 1) // 2
-
-
-def _evaluate(entries, xs):
-    """Evaluate a nested list of expression nodes at coordinate scalars."""
-    if isinstance(entries, (list, tuple)):
-        return [_evaluate(e, xs) for e in entries]
-    return eval_expr(entries, xs)
 
 
 def _flags(jet):
@@ -217,13 +220,15 @@ class CoordinateStructure(_Structure):
     def __init__(self, chart, g_entries, phi_entries, xi_entries, eta_entries):
         self.chart = chart
         m = chart.dim
-        self._entries = (g_entries, phi_entries, xi_entries, eta_entries)
         if len(g_entries) != m or len(phi_entries) != m:
             raise ValueError("component matrices must be m x m")
+        self._trees = SharedTrees(
+            (g_entries, phi_entries, xi_entries, eta_entries))
+        self._entries = self._trees.entries
 
     def component_jets(self, xs):
-        return tuple(tensor(_evaluate(e, xs), xs[0])
-                     for e in self._entries), []
+        return tuple(tensor(part, xs[0])
+                     for part in self._trees.evaluate(xs)), []
 
 
 class FrameStructure(_Structure):
@@ -243,7 +248,8 @@ class FrameStructure(_Structure):
     def __init__(self, chart, frame, g_hat, phi_hat, xi_hat, eta_hat):
         self.chart = chart
         m = chart.dim
-        self._frame = frame
+        self._trees = SharedTrees(frame)
+        self._frame = self._trees.entries
         self.g_hat = np.array(g_hat, dtype=float)
         self.phi_hat = np.array(phi_hat, dtype=float)
         self.xi_hat = np.array(xi_hat, dtype=float)
@@ -252,8 +258,9 @@ class FrameStructure(_Structure):
             raise ValueError("frame matrix must be m x m")
 
     def frame_matrix(self, xs):
-        """The frame entries evaluated at coordinate scalars."""
-        return _evaluate(self._frame, xs)
+        """The frame entries evaluated at coordinate scalars, in one
+        walk of all of them."""
+        return self._trees.evaluate(xs)
 
     def component_jets(self, xs):
         E = tensor(self.frame_matrix(xs), xs[0])
@@ -353,15 +360,15 @@ def structure_jets(structure, points, order=2, directions=None):
     None for an accepted point, else the error that rejects point i: the
     structure's own tests first, then DomainError for a domain violation
     or a non-finite coefficient anywhere in the components.  Arithmetic
-    errors in constant subexpressions hit every point alike and raise
-    DomainError.
+    and domain errors in constant subexpressions hit every point alike
+    and raise DomainError naming the cause.
     """
     points = np.asarray(points, dtype=float)
     xs = coordinate_jets(points, order, directions)
     try:
         with np.errstate(all="ignore"):
             parts, checks = structure.component_jets(xs)
-    except ArithmeticError as exc:
+    except (ArithmeticError, DomainError) as exc:
         raise DomainError(
             f"{type(exc).__name__} in a component expression: {exc}") from exc
     broken = np.any([_flags(part) for part in parts], axis=0)

@@ -46,6 +46,7 @@ __all__ = [
     "tensor",
     "sinh",
     "cosh",
+    "sinh_cosh",
     "tanh",
     "exp",
     "ln",
@@ -456,6 +457,13 @@ def sinh(x):
 
 def cosh(x):
     return x.cosh() if isinstance(x, Jet) else math.cosh(x)
+
+
+def sinh_cosh(x):
+    """(sinh x, cosh x); a jet takes both from one pass of its rule."""
+    if isinstance(x, Jet):
+        return x._sinh_cosh()
+    return math.sinh(x), math.cosh(x)
 
 
 def tanh(x):

@@ -60,7 +60,10 @@ class ExampleDescriptor:
 
 
 def _parse_matrix(rows, coords):
-    return [[parse(text, coords) for text in row] for row in rows]
+    """The ASTs of a matrix of texts, one AST object per distinct text."""
+    parsed = {text: parse(text, coords)
+              for text in dict.fromkeys(t for row in rows for t in row)}
+    return [[parsed[text] for text in row] for row in rows]
 
 
 def _parse_vector(entries, coords):

@@ -38,7 +38,6 @@ from .conditions import CONDITIONS, classify, evaluate_conditions, \
     expand_checks, trit, worse
 from .errors import (
     DegeneratePlane,
-    DomainError,
     ParacrError,
     SamplingExhausted,
     ValidationError,
@@ -73,6 +72,8 @@ def sample_points(structure, rng, count):
     and the RNG stream match a one-draw-at-a-time loop.  More
     than ten rejected-plus-accepted attempts per requested point raises
     SamplingExhausted.  The accepted rows of all waves form the batch.
+    An error in a constant subexpression would reject every draw alike,
+    so its DomainError propagates from the first wave.
     """
     chart = structure.chart
     lo = np.array([b[0] for b in chart.box])
@@ -88,10 +89,7 @@ def sample_points(structure, rng, count):
         wave = min(count - accepted, budget - attempts, _CHUNK)
         attempts += wave
         points = lo + (hi - lo) * rng.random((wave, chart.dim))
-        try:
-            batch = structure_arrays(structure, points)
-        except DomainError:
-            continue
+        batch = structure_arrays(structure, points)
         keep = np.array([error is None for error in batch.rejected])
         keep[keep] = ~degenerate_metric(batch.g[keep])
         waves.append(batch.rows(keep))
@@ -237,19 +235,24 @@ _PLANE_TRIES = 100
 def _random_sectionals(batch, rng, planes):
     """Sectional curvatures of ``planes`` random nondegenerate planes per
     point, in point order, with the stream of a loop that draws one try
-    (X, then Y) at a time.  Each round draws the tries that loop is sure
+    (X, then Y) at a time.  Each round takes the tries that loop is sure
     to draw (one per open plane, no more than the current plane has
-    left), accepts them against the open planes up to the first
-    degenerate one, charges that one to its plane and keeps the rest."""
+    left), drawing those not yet drawn, accepts them against the open
+    planes up to the first degenerate one, charges that one to its plane
+    and keeps the rest.  A round evaluates at most one more than twice
+    the tries the previous round accepted, so frequent degenerate tries
+    do not have every kept try evaluated again in each round."""
     total = len(batch) * planes
     out, tries = np.empty(total), np.empty((0, 2, batch.m))
     done = used = 0  # planes found; degenerate tries of plane ``done``
+    cap = total
     while done < total:
-        want = min(total - done, _PLANE_TRIES - used)
-        tries = np.concatenate([tries, rng.uniform(
-            -1.0, 1.0, (want - len(tries), 2, batch.m))])
+        want = min(total - done, _PLANE_TRIES - used, cap)
+        if want > len(tries):
+            tries = np.concatenate([tries, rng.uniform(
+                -1.0, 1.0, (want - len(tries), 2, batch.m))])
         k, ok = batch.sectional((done + np.arange(want)) // planes,
-                                tries[:, 0], tries[:, 1])
+                                tries[:want, 0], tries[:want, 1])
         found = want if ok.all() else int(np.argmin(ok))
         out[done:done + found] = k[:found]
         done += found
@@ -258,7 +261,8 @@ def _random_sectionals(batch, rng, planes):
             point = tuple(float(x) for x in batch.points[done // planes])
             raise DegeneratePlane(f"no nondegenerate plane found in "
                                   f"{_PLANE_TRIES} draws at {point}")
-        tries = tries[found + 1:]
+        tries = tries[found + (found < want):]
+        cap = 2 * found + 1
     return out
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -85,12 +86,12 @@ def _chart_from_block(block):
         _fail("chart block", "coordinate names must be distinct")
     box = data.get("box")
     if not isinstance(box, list) or not all(
-            isinstance(iv, list) and len(iv) == 2
-            and all(isinstance(v, (int, float)) for v in iv) for iv in box):
+            isinstance(iv, list) and len(iv) == 2 for iv in box):
         _fail("chart block", "box must be a list of [lo, hi] pairs")
+    box = tuple(tuple(_number(v, f"chart block: box[{i}][{j}]")
+                      for j, v in enumerate(iv)) for i, iv in enumerate(box))
     try:
-        return Chart(tuple(coords),
-                     tuple((float(lo), float(hi)) for lo, hi in box))
+        return Chart(tuple(coords), box)
     except ValidationError as exc:
         _fail("chart block", str(exc))
 
@@ -129,20 +130,31 @@ def _expression_vector(entries, coords, where):
             for j in range(m)]
 
 
+def _number(value, where):
+    """A JSON number as a finite float; a boolean, a NaN, an infinity or
+    an integer beyond the float range is rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    _fail(where, f"must be a finite number, not {json.dumps(value)}")
+
+
 def _number_matrix(rows, m, where):
     if (not isinstance(rows, list) or len(rows) != m
-            or not all(isinstance(r, list) and len(r) == m
-                       and all(isinstance(v, (int, float)) for v in r)
-                       for r in rows)):
+            or not all(isinstance(r, list) and len(r) == m for r in rows)):
         _fail(where, f"must be a numeric {m} x {m} matrix")
-    return [[float(v) for v in row] for row in rows]
+    return [[_number(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
+            for i, row in enumerate(rows)]
 
 
 def _number_vector(entries, m, where):
-    if (not isinstance(entries, list) or len(entries) != m
-            or not all(isinstance(v, (int, float)) for v in entries)):
+    if not isinstance(entries, list) or len(entries) != m:
         _fail(where, f"must be a numeric list of {m} entries")
-    return [float(v) for v in entries]
+    return [_number(v, f"{where}[{j}]") for j, v in enumerate(entries)]
 
 
 def _validate_checks(checks):

@@ -213,6 +213,30 @@ class TestFailureSurface:
         with pytest.raises(SamplingExhausted):
             sample_points(st, np.random.default_rng(0), 2)
 
+    @pytest.mark.parametrize("text,cause", [
+        ("1/0", "DomainError in a component expression: division by 0.0"),
+        ("ln(0)", "DomainError in a component expression: ln of "
+                  "non-positive value 0.0"),
+        ("exp(1000)", "OverflowError in a component expression: math "
+                      "range error")])
+    def test_constant_error_stops_the_run(self, tmp_path, capsys, text,
+                                          cause):
+        # an error in a constant subexpression is the same at every draw:
+        # the first wave raises it, and the run ends in exit 2 naming it
+        rng, one_wave = (np.random.default_rng(0) for _ in range(2))
+        with pytest.raises(DomainError) as info:
+            sample_points(coordinate_structure(f"-1 + 0*{text}"), rng, 5)
+        assert str(info.value).startswith(cause)
+        one_wave.random((5, 3))
+        assert rng.bit_generator.state == one_wave.bit_generator.state
+        data = json.loads(SQRT_SPEC.read_text(encoding="utf-8"))
+        data["structure"]["coordinate"]["g"][0][0] = text
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert cli.main(["verify", "--spec", str(path), "--points",
+                         "4"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cause}")
+
     @pytest.mark.parametrize("inner,status", [("x+3", 2), ("x+2", 1)])
     def test_overflow_is_a_rejection_not_a_crash(self, tmp_path, capsys,
                                                  inner, status):

@@ -38,7 +38,7 @@ from paracr.runner import (
 )
 from paracr.spec_io import spec_from_dict
 from scalar_reference import eval_dual, nth_tangent, sample, seed_multi
-from test_spec_io import BAD_PRESETS
+from test_spec_io import BAD_NUMBERS, BAD_PRESETS, P1_FRAME_SPEC, with_value
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -393,6 +393,14 @@ class TestCli:
                              "--points", "2"]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and cause in err, preset
+        # 2, naming the field: a number in the spec that is not finite,
+        # or a JSON boolean where a number belongs
+        for where, value, cause in BAD_NUMBERS:
+            path.write_text(json.dumps(with_value(P1_FRAME_SPEC, where,
+                                                  value)), encoding="utf-8")
+            assert cli.main(["verify", "--spec", str(path),
+                             "--points", "4"]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {cause}")
 
     def test_verify_rejects_off_dimension_check(self, tmp_path, capsys):
         path = tmp_path / "p1.json"

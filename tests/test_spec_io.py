@@ -10,12 +10,13 @@ Oracle provenance markers:
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from paracr.errors import ParseError, ValidationError
-from paracr.geometry import PointFrame
+from paracr.geometry import Chart, PointFrame
 from paracr.presets import PRESET_NAMES, build_example
 from paracr.spec_io import (
     DEFAULT_NUMERIC,
@@ -84,6 +85,39 @@ def mutated(base, mutate):
     bad = copy.deepcopy(base)
     mutate(bad)
     return bad
+
+
+def with_value(base, path, value):
+    """``base`` copied, with the item at the key ``path`` set to ``value``."""
+    spec = copy.deepcopy(base)
+    *head, last = path
+    target = spec
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return spec
+
+
+# Numbers of P1_FRAME_SPEC replaced by values that are not finite floats
+# (JSON reads NaN, Infinity and -Infinity), and the start of the error.
+BAD_NUMBERS = [
+    (("chart", "box", 0, 0), -math.inf,
+     "chart block: box[0][0]: must be a finite number, not -Infinity"),
+    (("chart", "box", 4, 1), True,
+     "chart block: box[4][1]: must be a finite number, not true"),
+    (("chart", "box", 1), [-1e308, 1e308],
+     "chart block: box interval 1 (-1e+308, 1e+308) is wider than the "
+     "float range"),
+    (("structure", "frame", "g_hat", 1, 2), math.nan,
+     "structure.frame.g_hat[1][2]: must be a finite number, not NaN"),
+    (("structure", "frame", "phi_hat", 0, 0), math.inf,
+     "structure.frame.phi_hat[0][0]: must be a finite number, not "
+     "Infinity"),
+    (("structure", "frame", "xi_hat", 4), True,
+     "structure.frame.xi_hat[4]: must be a finite number, not true"),
+    (("structure", "frame", "eta_hat", 3), 10 ** 400,
+     "structure.frame.eta_hat[3]: must be a finite number, not 1000"),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +344,26 @@ class TestValidation:
                 spec_from_dict(mutated(
                     FLAT3D_COORDINATE_SPEC,
                     lambda s, b=bad_numeric: s.update({"numeric": b})))
+
+    @pytest.mark.parametrize("path,value,cause", BAD_NUMBERS, ids=[
+        ".".join(map(str, path)) for path, _, _ in BAD_NUMBERS])
+    def test_numbers_must_be_finite_and_not_boolean(self, path, value,
+                                                    cause):
+        # [TRIVIAL] an error naming the field, not a run sampled at NaN
+        # points, a sampler that accepts nothing, or true read as 1.0
+        with pytest.raises(ValidationError) as info:
+            spec_from_dict(with_value(P1_FRAME_SPEC, path, value))
+        assert str(info.value).startswith(cause)
+
+    def test_chart_box_must_be_finite(self):
+        # [TRIVIAL] the chart itself, built without a spec
+        coords = ("x", "y", "z")
+        for interval, cause in (
+                ((math.nan, 1.0), "box interval 2 (nan, 1.0) is not finite"),
+                ((-1e308, 1e308), "box interval 2 (-1e+308, 1e+308) is "
+                                  "wider than the float range")):
+            with pytest.raises(ValidationError, match=re.escape(cause)):
+                Chart(coords, ((-1.0, 1.0),) * 2 + (interval,))
 
     @pytest.mark.parametrize("key,value", [
         ("separation", math.inf), ("separation", 10 ** 400),
