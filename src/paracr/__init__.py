@@ -9,8 +9,7 @@ Public surface:
   structure tensors at a batch of points) and PointFrame (one row);
 - ``paracr.conditions``: the condition registry, evaluation, and
   classification;
-- ``paracr.presets``: the built-in example families and the random
-  dimension-3 generator;
+- ``paracr.presets``: the built-in example families;
 - ``paracr.spec_io`` / ``paracr.runner`` / ``paracr.cli``: manifold spec
   files, seeded verification runs, and the ``paracr`` command.
 """
@@ -19,12 +18,11 @@ from .conditions import (
     BUNDLES,
     CONDITIONS,
     classify,
-    evaluate_condition,
     expand_checks,
 )
 from .errors import ParacrError, ValidationError
 from .geometry import Chart, CoordinateStructure, FrameStructure, PointFrame
-from .presets import PRESET_NAMES, build_example, random_dim3_structure
+from .presets import PRESET_NAMES, build_example
 from .runner import Report, run
 from .spec_io import DEFAULT_NUMERIC, ManifoldSpec, load_spec, spec_from_dict
 
@@ -45,10 +43,8 @@ __all__ = [
     "ValidationError",
     "build_example",
     "classify",
-    "evaluate_condition",
     "expand_checks",
     "load_spec",
-    "random_dim3_structure",
     "run",
     "spec_from_dict",
     "__version__",

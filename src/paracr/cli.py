@@ -9,6 +9,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .conditions import BUNDLES, CONDITIONS
@@ -18,7 +19,9 @@ from .runner import run
 from .spec_io import emit_spec, load_spec, spec_text
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="paracr",
         description="Verify almost paracontact metric structures "
@@ -102,7 +105,7 @@ def _cmd_list_checks(_args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = {
         "verify": _cmd_verify,
         "example": _cmd_example,

@@ -25,8 +25,7 @@ takes another BLAS path and can move the last bit); its members are
 contracted one at a time.  Groups are split at a byte budget
 (``_STACK_BYTES``), and waiting arrays are reduced once they exceed it.
 One arg-max per condition over the shared [P, candidates] table picks
-its worst.  Every value is bit-identical to a one-condition evaluation,
-and :func:`evaluate_condition` is that case at one point.
+its worst.  Every value is bit-identical to a one-condition evaluation.
 
 Evaluation policy by scope:
 
@@ -80,7 +79,6 @@ __all__ = [
     "Condition",
     "ConditionValue",
     "evaluate_conditions",
-    "evaluate_condition",
     "expand_checks",
     "classify",
     "worse",
@@ -852,17 +850,6 @@ def evaluate_conditions(cond_ids, batch, probes):
                                   scale=float(scales[point, lo + cand]),
                                   part=reduction.labels[lo + cand])
     return {cond.id: out[cond.id] for cond in conds}
-
-
-def evaluate_condition(cond_id, pf, probes=()):
-    """Worst value of one condition at one PointFrame (probes [draws, 4,
-    m], see :func:`evaluate_conditions`); raises what its kernel
-    raised."""
-    probes = np.asarray(probes, dtype=float).reshape(1, -1, 4, pf.m)
-    value = evaluate_conditions([cond_id], pf.single, probes)[cond_id]
-    if isinstance(value, ParacrError):
-        raise value
-    return value
 
 
 def expand_checks(requested, dim):

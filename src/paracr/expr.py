@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import jets
-from .errors import ParseError, UnknownVariable
+from .errors import ParseError, UnknownVariable, ValidationError
 
 __all__ = [
     "Const",
@@ -46,6 +46,7 @@ __all__ = [
     "Expr",
     "FUNCTIONS",
     "parse",
+    "EntryParser",
     "render",
     "eval_expr",
     "SharedTrees",
@@ -490,6 +491,48 @@ def parse(text, coordinates):
     if kind != "end":
         raise ParseError(off, f"trailing input {tail!r}")
     return node
+
+
+class EntryParser:
+    """Parses the expression texts of one structure's entries.
+
+    Each distinct text is parsed once, so equal texts give one AST
+    object.  A block of the wrong shape, or an entry that is not a
+    string or does not parse, raises a ValidationError or a ParseError
+    located as ``where``, ``where[j]`` or ``where[i][j]``; entries are
+    read in row-major order, so the first bad one is reported.
+    """
+
+    def __init__(self, coordinates):
+        self.coordinates = coordinates
+        self._parsed = {}
+
+    def matrix(self, rows, where):
+        m = len(self.coordinates)
+        if (not isinstance(rows, list) or len(rows) != m
+                or not all(isinstance(r, list) and len(r) == m for r in rows)):
+            raise ValidationError(f"{where}: must be a {m} x {m} matrix")
+        return [self.vector(row, f"{where}[{i}]")
+                for i, row in enumerate(rows)]
+
+    def vector(self, entries, where):
+        m = len(self.coordinates)
+        if not isinstance(entries, list) or len(entries) != m:
+            raise ValidationError(f"{where}: must be a list of {m} entries")
+        return [self._entry(text, f"{where}[{j}]")
+                for j, text in enumerate(entries)]
+
+    def _entry(self, text, where):
+        if not isinstance(text, str):
+            raise ValidationError(
+                f"{where}: expression entries must be strings")
+        if text not in self._parsed:
+            try:
+                self._parsed[text] = parse(text, self.coordinates)
+            except ParseError as exc:
+                raise ParseError(exc.offset, f"{where}: {exc.message}",
+                                 exc.expected) from exc
+        return self._parsed[text]
 
 
 # -- rendering ------------------------------------------------------------

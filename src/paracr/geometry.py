@@ -53,7 +53,6 @@ from .errors import (
     OutsidePatch,
     SingularFrame,
     ValidationError,
-    WrongDimension,
 )
 from .expr import SharedTrees
 from .jets import Jet, coordinate_jets, sqrt, tensor
@@ -200,13 +199,6 @@ class _Structure:
     def n(self):
         return self.chart.n
 
-    def components(self, point):
-        """Values of (g, phi, xi, eta) at one point; raises the point's
-        rejection."""
-        parts, rejected = structure_jets(self, [point], order=0)
-        if rejected[0] is not None:
-            raise rejected[0]
-        return tuple(part.v[0] for part in parts)
 
 
 class CoordinateStructure(_Structure):
@@ -410,16 +402,6 @@ def structure_arrays(structure, points):
     return batch
 
 
-def _third_partials(structure, points):
-    """d3g[p, a, b, c, i, j] = ∂_a ∂_b ∂_c g_ij from one order-3
-    evaluation of the batch; raises the first rejection."""
-    parts, rejected = structure_jets(structure, points, order=3)
-    for error in rejected:
-        if error is not None:
-            raise error
-    return _partials(parts[0], 3)
-
-
 def degenerate_metric(g):
     """Per-point mask of metrics whose |det| is below the threshold."""
     return np.abs(np.linalg.det(g)) < _MIN_METRIC_DET
@@ -507,13 +489,6 @@ def lie_bracket(X_vals, X_jac, Y_vals, Y_jac):
     """[X,Y]^k = X^a ∂_a Y^k − Y^a ∂_a X^k  (jac[a,k] = ∂_a field^k)."""
     return (np.einsum('...a,...ak->...k', X_vals, Y_jac)
             - np.einsum('...a,...ak->...k', Y_vals, X_jac))
-
-
-def lie_derivative_11(V_vals, V_jac, T_vals, T_jac):
-    """(L_V T)^k_j = V^a ∂_a T^k_j − T^a_j ∂_a V^k + T^k_a ∂_j V^a."""
-    return (np.einsum('...a,...akj->...kj', V_vals, T_jac)
-            - np.einsum('...aj,...ak->...kj', T_vals, V_jac)
-            + np.einsum('...ka,...ja->...kj', T_vals, V_jac))
 
 
 def d_one_form(jac):
@@ -615,16 +590,6 @@ class FrameBatch:
     def dginv(self):
         return -np.einsum('pij,pajk,pkl->pail', self.ginv, self.dg, self.ginv)
 
-    @cached_property
-    def d2ginv(self):
-        # ∂_a of dginv[b]
-        return -(np.einsum('paij,pbjk,pkl->pabil',
-                           self.dginv, self.dg, self.ginv)
-                 + np.einsum('pij,pabjk,pkl->pabil',
-                             self.ginv, self.d2g, self.ginv)
-                 + np.einsum('pij,pbjk,pakl->pabil',
-                             self.ginv, self.dg, self.dginv))
-
     # -- Levi-Civita connection ---------------------------------------------
 
     @cached_property
@@ -649,21 +614,6 @@ class FrameBatch:
             np.einsum('pakl,pijl->pakij', self.dginv, self._dg_comb)
             + np.einsum('pkl,paijl->pakij', self.ginv, self._ddg_comb))
 
-    @cached_property
-    def d3g(self):
-        return _third_partials(self.structure, self.points)
-
-    @cached_property
-    def d2Gamma(self):
-        d3 = self.d3g
-        d3_comb = (d3 + d3.transpose(0, 1, 2, 4, 3, 5)
-                   - d3.transpose(0, 1, 2, 4, 5, 3))
-        return 0.5 * (
-            np.einsum('pabkl,pijl->pabkij', self.d2ginv, self._dg_comb)
-            + np.einsum('pbkl,paijl->pabkij', self.dginv, self._ddg_comb)
-            + np.einsum('pakl,pbijl->pabkij', self.dginv, self._ddg_comb)
-            + np.einsum('pkl,pabijl->pabkij', self.ginv, d3_comb))
-
     # -- curvature ----------------------------------------------------------
 
     @cached_property
@@ -675,31 +625,12 @@ class FrameBatch:
                 - np.einsum('pkbe,peaj->pkabj', G, G))
 
     @cached_property
-    def dRiem(self):
-        G, dG = self.Gamma, self.dGamma
-        return (np.einsum('pcakbj->pckabj', self.d2Gamma)
-                - np.einsum('pcbkaj->pckabj', self.d2Gamma)
-                + np.einsum('pckae,pebj->pckabj', dG, G)
-                + np.einsum('pkae,pcebj->pckabj', G, dG)
-                - np.einsum('pckbe,peaj->pckabj', dG, G)
-                - np.einsum('pkbe,pceaj->pckabj', G, dG))
-
-    @cached_property
     def Ric(self):
         return np.einsum('paayz->pyz', self.Riem)
 
     @cached_property
-    def dRic(self):
-        return np.einsum('pcaayz->pcyz', self.dRiem)
-
-    @cached_property
     def r(self):
         return np.einsum('pyz,pyz->p', self.ginv, self.Ric)
-
-    @cached_property
-    def dr(self):
-        return (np.einsum('pcyz,pyz->pc', self.dginv, self.Ric)
-                + np.einsum('pyz,pcyz->pc', self.ginv, self.dRic))
 
     @cached_property
     def Ric_star(self):
@@ -824,41 +755,6 @@ class FrameBatch:
             k = _dot(_mv(gT, RXYY), X) / denom
         return k, (nx != 0) & (ny != 0) & ~(np.abs(denom) < _MIN_PLANE_GRAM)
 
-    # -- conformal-flatness obstructions (order-3 path) ----------------------
-
-    @cached_property
-    def weyl(self):
-        """Max-abs component of the Weyl-type obstruction (dim >= 5)."""
-        m = self.m
-        if m < 5:
-            raise WrongDimension("Weyl obstruction needs dimension >= 5")
-        n2 = m - 1  # 2n
-        ric_op = np.einsum('pke,pex->pkx', self.ginv, self.Ric)
-        eye = np.eye(m)
-        schouten = (np.einsum('pyz,pkx->pkxyz', self.g, ric_op)
-                    + np.einsum('pyz,kx->pkxyz', self.Ric, eye)
-                    - np.einsum('pxz,pky->pkxyz', self.g, ric_op)
-                    - np.einsum('pxz,ky->pkxyz', self.Ric, eye))
-        volume = (np.einsum('pyz,kx->pkxyz', self.g, eye)
-                  - np.einsum('pxz,ky->pkxyz', self.g, eye))
-        curv = (self.r / (n2 * (n2 - 1)))[:, None, None, None, None]
-        return _amax(self.Riem - (schouten / (n2 - 1) - curv * volume))
-
-    @cached_property
-    def cotton(self):
-        """Max-abs component of the third-order conformal-flatness
-        obstruction in dimension 3 (needs third metric derivatives)."""
-        if self.m != 3:
-            raise WrongDimension(
-                "the divergence-type obstruction applies in dimension 3 only")
-        # ∇Ric[a,y,z] = ∂_a Ric_yz − Γ^e_ay Ric_ez − Γ^e_az Ric_ye
-        nabla_ric = (self.dRic
-                     - np.einsum('peay,pez->payz', self.Gamma, self.Ric)
-                     - np.einsum('peaz,pye->payz', self.Gamma, self.Ric))
-        return _amax(nabla_ric - nabla_ric.transpose(0, 3, 2, 1)
-                     - 0.25 * (np.einsum('pi,pjk->pijk', self.dr, self.g)
-                               - np.einsum('pk,pji->pijk', self.dr, self.g)))
-
     # -- engine self-test residuals ([P] each) -------------------------------
 
     @cached_property
@@ -942,5 +838,3 @@ class PointFrame:
             return self.batch
         return self.batch.rows(slice(self.index, self.index + 1))
 
-    def conformal_flatness(self):
-        return self.cotton if self.m == 3 else self.weyl

@@ -14,10 +14,6 @@ the theory:
 - ``cosymplectic``: an almost para-cosymplectic family built from a
   potential H through its Hessian (symbolic second partials of H);
   para-CR with para-Kahler leaves, yet not normal.
-
-Additionally :func:`random_dim3_structure` generates seeded random
-3-dimensional frame structures (constant frame-basis tensors guarantee
-the structure axioms) for the dimension-3 universality property.
 """
 
 from __future__ import annotations
@@ -25,18 +21,15 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .conditions import CLASS_NAMES as ALL_CLASSES
 from .errors import ValidationError
-from .expr import Const, Neg, diff, parse, variables
+from .expr import Const, EntryParser, Neg, diff, parse, variables
 from .geometry import (
     Chart,
     CoordinateStructure,
     FrameStructure,
     HyperboloidStructure,
 )
-from .jets import coordinate_jets, tensor
 
 PRESET_NAMES = ("flat3d", "hyperboloid", "p1", "cosymplectic")
 
@@ -57,17 +50,6 @@ class ExampleDescriptor:
     fingerprint: dict | None
     targets: dict = field(default_factory=dict)
     spec_dict: dict = field(default_factory=dict)
-
-
-def _parse_matrix(rows, coords):
-    """The ASTs of a matrix of texts, one AST object per distinct text."""
-    parsed = {text: parse(text, coords)
-              for text in dict.fromkeys(t for row in rows for t in row)}
-    return [[parsed[text] for text in row] for row in rows]
-
-
-def _parse_vector(entries, coords):
-    return [parse(text, coords) for text in entries]
 
 
 def _fingerprint(**kwargs):
@@ -106,12 +88,13 @@ def flat3d():
            ["cosh(2*z)", "sinh(2*z)", "0"]]
     xi = ["-sinh(2*z)", "cosh(2*z)", "0"]
     eta = ["sinh(2*z)", "cosh(2*z)", "0"]
+    parser = EntryParser(coords)
     structure = CoordinateStructure(
         chart,
-        _parse_matrix(g, coords),
-        _parse_matrix(phi, coords),
-        _parse_vector(xi, coords),
-        _parse_vector(eta, coords),
+        parser.matrix(g, "g"),
+        parser.matrix(phi, "phi"),
+        parser.vector(xi, "xi"),
+        parser.vector(eta, "eta"),
     )
     return ExampleDescriptor(
         name="flat3d",
@@ -217,7 +200,7 @@ def p1(n=2, f=None, c=1.0):
 
     structure = FrameStructure(
         chart,
-        _parse_matrix(rows, coords),
+        EntryParser(coords).matrix(rows, "E"),
         _null_pair_g_hat(n),
         _split_sign_phi_hat(n),
         _last_basis_vector(m),
@@ -299,75 +282,6 @@ def cosymplectic(n=1, H=None):
         targets={},
         spec_dict=_preset_spec(chart, "cosymplectic", n=n, H=H_text),
     )
-
-
-# ---------------------------------------------------------------------------
-# seeded random 3-dimensional structures
-# ---------------------------------------------------------------------------
-
-_DIM3_G_HAT = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
-_DIM3_PHI_HAT = [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
-
-_QUAD_MONOMIALS = ("x*x", "y*y", "z*z", "x*y", "x*z", "y*z")
-_CURVED_TERMS = ("sinh(x)", "sinh(y)", "sinh(z)",
-                 "cosh(x)", "cosh(y)", "cosh(z)")
-
-
-def _frame_det_floor(structure, nodes=9):
-    """Smallest |det E| over a nodes^3 grid spanning the box [-1, 1]^3."""
-    axis = np.linspace(-1.0, 1.0, nodes)
-    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1)
-    xs = coordinate_jets(grid.reshape(-1, 3), 0)
-    E = tensor(structure.frame_matrix(xs), xs[0])
-    return float(np.min(np.abs(np.linalg.det(E.v))))
-
-
-def random_dim3_structure(seed, max_attempts=200):
-    """Deterministic random 3-dimensional frame structure.
-
-    Frame entries are 2·δ_ij plus a degree-<=2 polynomial plus one
-    hyperbolic term, all coefficients uniform in [-1, 1] from
-    ``numpy.random.default_rng(seed)``.  Candidates whose frame
-    determinant drops below 0.25 anywhere on a 9^3 grid over the box are
-    rejected and redrawn (still deterministically); the dense grid plus
-    the margin over the nominal 0.1 floor keeps the frame invertible --
-    and the induced metric well conditioned -- everywhere in the box,
-    not just at the probed nodes.  The constant frame-basis tensors make
-    the structure axioms hold by construction.
-    """
-    rng = np.random.default_rng(seed)
-    coords = ("x", "y", "z")
-    chart = Chart(coords, ((-1.0, 1.0),) * 3)
-    for _ in range(max_attempts):
-        rows = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                quad = _QUAD_MONOMIALS[rng.integers(len(_QUAD_MONOMIALS))]
-                curved = _CURVED_TERMS[rng.integers(len(_CURVED_TERMS))]
-                c = rng.uniform(-1.0, 1.0, size=6)
-                parts = ["2"] if i == j else []
-                parts += [f"({c[0]:.6f})",
-                          f"({c[1]:.6f})*x",
-                          f"({c[2]:.6f})*y",
-                          f"({c[3]:.6f})*z",
-                          f"({c[4]:.6f})*{quad}",
-                          f"({c[5]:.6f})*{curved}"]
-                row.append(" + ".join(parts))
-            rows.append(row)
-        structure = FrameStructure(
-            chart,
-            _parse_matrix(rows, coords),
-            _DIM3_G_HAT,
-            _DIM3_PHI_HAT,
-            _last_basis_vector(3),
-            _last_basis_vector(3),
-        )
-        if _frame_det_floor(structure) >= 0.25:
-            return structure
-    raise RuntimeError(
-        f"no acceptable random frame found in {max_attempts} attempts "
-        f"for seed {seed}")
 
 
 # ---------------------------------------------------------------------------

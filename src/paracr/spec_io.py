@@ -32,8 +32,8 @@ import sys
 from dataclasses import dataclass
 
 from .conditions import BUNDLES, CONDITIONS
-from .errors import ParseError, ValidationError
-from .expr import parse
+from .errors import ValidationError
+from .expr import EntryParser
 from .geometry import Chart, CoordinateStructure, FrameStructure
 from .presets import build_example
 
@@ -101,33 +101,6 @@ def _chart_json(chart):
         "coordinates": list(chart.coordinates),
         "box": [[float(lo), float(hi)] for lo, hi in chart.box],
     }
-
-
-def _parse_entry(text, coords, where):
-    if not isinstance(text, str):
-        _fail(where, "expression entries must be strings")
-    try:
-        return parse(text, coords)
-    except ParseError as exc:
-        raise ParseError(exc.offset, f"{where}: {exc.message}",
-                         exc.expected) from exc
-
-
-def _expression_matrix(rows, coords, where):
-    m = len(coords)
-    if (not isinstance(rows, list) or len(rows) != m
-            or not all(isinstance(r, list) and len(r) == m for r in rows)):
-        _fail(where, f"must be a {m} x {m} matrix")
-    return [[_parse_entry(rows[i][j], coords, f"{where}[{i}][{j}]")
-             for j in range(m)] for i in range(m)]
-
-
-def _expression_vector(entries, coords, where):
-    m = len(coords)
-    if not isinstance(entries, list) or len(entries) != m:
-        _fail(where, f"must be a list of {m} entries")
-    return [_parse_entry(entries[j], coords, f"{where}[{j}]")
-            for j in range(m)]
 
 
 def _number(value, where):
@@ -237,13 +210,13 @@ def _build_coordinate(block, chart):
     if missing:
         _fail("structure.coordinate block",
               f"missing fields {sorted(missing)}")
-    coords = chart.coordinates
+    parser = EntryParser(chart.coordinates)
     structure = CoordinateStructure(
         chart,
-        _expression_matrix(data["g"], coords, "structure.coordinate.g"),
-        _expression_matrix(data["phi"], coords, "structure.coordinate.phi"),
-        _expression_vector(data["xi"], coords, "structure.coordinate.xi"),
-        _expression_vector(data["eta"], coords, "structure.coordinate.eta"),
+        parser.matrix(data["g"], "structure.coordinate.g"),
+        parser.matrix(data["phi"], "structure.coordinate.phi"),
+        parser.vector(data["xi"], "structure.coordinate.xi"),
+        parser.vector(data["eta"], "structure.coordinate.eta"),
     )
     normalized = {"coordinate": {k: data[k] for k in ("g", "phi", "xi",
                                                       "eta")}}
@@ -259,11 +232,10 @@ def _build_frame(block, chart):
     missing = fields - set(data)
     if missing:
         _fail("structure.frame block", f"missing fields {sorted(missing)}")
-    coords = chart.coordinates
     m = chart.dim
     structure = FrameStructure(
         chart,
-        _expression_matrix(data["E"], coords, "structure.frame.E"),
+        EntryParser(chart.coordinates).matrix(data["E"], "structure.frame.E"),
         _number_matrix(data["g_hat"], m, "structure.frame.g_hat"),
         _number_matrix(data["phi_hat"], m, "structure.frame.phi_hat"),
         _number_vector(data["xi_hat"], m, "structure.frame.xi_hat"),

@@ -25,16 +25,14 @@ import pytest
 from condition_reference import normality_field_residual
 from corpus_reference import jet_fd_worst
 from expression_corpus import random_expression_corpus
-from paracr.conditions import (
-    classify,
-    evaluate_condition,
-    expand_checks,
-    trit,
-)
+from dim3_structures import random_dim3_structure
+from geometry_reference import cotton, weyl
+from paracr.conditions import classify, expand_checks, trit
 from paracr.geometry import PointFrame
-from paracr.presets import build_example, random_dim3_structure
+from paracr.presets import build_example
 from paracr.runner import run, sample_points
 from paracr.spec_io import spec_from_dict
+from point_helpers import evaluate_condition
 from scalar_reference import Dual, depth_of, frame_matrix
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -416,10 +414,10 @@ def test_criterion_09_engine_self_tests():
     assert jet_fd_worst(corpus) <= 1e-5
     # [DERIVED] constant-curvature spaces are conformally flat: the
     # dimension-appropriate obstruction vanishes.
-    for pf in frames_of("hyperboloid2")[1]:
-        assert pf.weyl <= 1e-5
-    for pf in frames_of("hyperboloid")[1]:
-        assert pf.cotton <= 1e-5
+    for value in weyl(frames_of("hyperboloid2")[1]):
+        assert value <= 1e-5
+    for value in cotton(frames_of("hyperboloid")[1]):
+        assert value <= 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,11 @@ import numpy as np
 import pytest
 
 import condition_reference as ref
+from dim3_structures import random_dim3_structure
 from paracr import geometry, runner
 from paracr.conditions import (
     CONDITIONS,
     classify,
-    evaluate_condition,
     evaluate_conditions,
     expand_checks,
     trit,
@@ -39,9 +39,10 @@ from paracr.geometry import (
     FrameBatch,
     PointFrame,
 )
-from paracr.presets import build_example, random_dim3_structure
+from paracr.presets import build_example
 from paracr.runner import evaluate_checks, run, sample_points
 from paracr.spec_io import load_spec, spec_from_dict
+from point_helpers import evaluate_condition
 
 SPECS = pathlib.Path(__file__).parents[1] / "bench" / "specs"
 TOL, SEP = 1e-6, 1e-2

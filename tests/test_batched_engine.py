@@ -20,7 +20,9 @@ import pytest
 import paracr
 import scalar_reference
 from corpus_reference import jet_fd_worst
+from dim3_structures import random_dim3_structure
 from expression_corpus import random_expression_corpus
+from geometry_reference import d3g
 from paracr import cli, geometry, jets
 from paracr.errors import DomainError, OutsidePatch, SamplingExhausted
 from paracr.expr import eval_expr, parse
@@ -32,7 +34,7 @@ from paracr.geometry import (
     structure_arrays,
 )
 from paracr.jets import coordinate_jets
-from paracr.presets import build_example, random_dim3_structure
+from paracr.presets import build_example
 from paracr.runner import SELF_TEST_NAMES, engine_self_tests, sample_points
 from paracr.spec_io import load_spec
 
@@ -112,7 +114,7 @@ class TestAgainstScalarReference:
         st = STRUCTURES[case]()
         point = sample_points(st, np.random.default_rng(5), 1)[0].point
         np.testing.assert_array_equal(
-            PointFrame(st, point).d3g,
+            d3g(PointFrame(st, point).single)[0],
             scalar_reference.third_metric_derivatives(st, point))
 
     @pytest.mark.parametrize("case", ["flat3d_sqrt", "half_singular_frame",

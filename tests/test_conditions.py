@@ -16,6 +16,7 @@ from condition_reference import (
     nijenhuis_field,
     normality_field_residual,
 )
+from dim3_structures import random_dim3_structure
 from paracr import conditions
 from paracr.conditions import (
     BUNDLES,
@@ -23,7 +24,6 @@ from paracr.conditions import (
     CONDITIONS,
     ConditionValue,
     classify,
-    evaluate_condition,
     expand_checks,
     trit,
 )
@@ -45,8 +45,8 @@ from paracr.presets import (
     flat3d,
     hyperboloid,
     p1,
-    random_dim3_structure,
 )
+from point_helpers import evaluate_condition
 from scalar_reference import Dual, depth_of, frame_matrix
 
 PASS = 1e-7

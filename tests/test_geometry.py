@@ -16,6 +16,15 @@ import math
 import numpy as np
 import pytest
 
+from dim3_structures import random_dim3_structure
+from geometry_reference import (
+    cotton,
+    d2Gamma,
+    d3g,
+    dRiem,
+    lie_derivative_11,
+    weyl,
+)
 from paracr import geometry
 from paracr.errors import (
     DegenerateMetric,
@@ -36,17 +45,11 @@ from paracr.geometry import (
     d_two_form,
     gauss_jordan,
     lie_bracket,
-    lie_derivative_11,
 )
 from paracr.jets import coordinate_jets, tensor
-from paracr.presets import (
-    cosymplectic,
-    flat3d,
-    hyperboloid,
-    p1,
-    random_dim3_structure,
-)
+from paracr.presets import cosymplectic, flat3d, hyperboloid, p1
 from paracr.runner import _random_sectionals, engine_self_tests
+from point_helpers import components
 from scalar_reference import Dual, depth_of, frame_matrix
 
 
@@ -195,7 +198,7 @@ class TestFrameConversion:
         phi_hat = [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
         s = FrameStructure(chart, E, g_hat, phi_hat,
                            [0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
-        g, phi, xi, eta = s.components((0.3, -0.1, 0.7))
+        g, phi, xi, eta = components(s, (0.3, -0.1, 0.7))
         assert np.max(np.abs(np.array(g) - np.array(g_hat))) < 1e-15
         assert np.max(np.abs(np.array(phi) - np.array(phi_hat))) < 1e-15
         assert np.max(np.abs(np.array(xi) - [0, 0, 1])) < 1e-15
@@ -213,7 +216,7 @@ class TestFrameConversion:
         phi_hat = [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
         s = FrameStructure(chart, E, g_hat, phi_hat,
                            [0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
-        g, phi, xi, eta = s.components((0.0, 0.0, 0.0))
+        g, phi, xi, eta = components(s, (0.0, 0.0, 0.0))
         En = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
         Einv = np.linalg.inv(En)
         assert np.max(np.abs(np.array(g) - Einv.T @ np.array(g_hat) @ Einv)) < 1e-13
@@ -228,7 +231,7 @@ class TestFrameConversion:
         d = p1(2)
         rng = np.random.default_rng(7)
         for pt in sample_points(d.structure.chart, rng, 5):
-            _, _, _, eta = d.structure.components(pt)
+            _, _, _, eta = components(d.structure, pt)
             want = [0.0, 0.0, 2 * pt[0], 2 * pt[1], 1.0]
             assert np.max(np.abs(np.array(eta) - want)) < 1e-12
 
@@ -240,7 +243,7 @@ class TestFrameConversion:
         s = FrameStructure(chart, E, [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]],
                            [[0.0] * 3] * 3, [0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
         with pytest.raises(SingularFrame):
-            s.components((0.0, 0.5, 0.5))
+            components(s, (0.0, 0.5, 0.5))
 
 
 ALL_PRESETS = [flat3d(), hyperboloid(1), p1(2), cosymplectic(1)]
@@ -262,8 +265,8 @@ class TestDerivativeArrays:
                 dn = list(pt)
                 up[a] += h
                 dn[a] -= h
-                pu = s.components(tuple(up))
-                pd = s.components(tuple(dn))
+                pu = components(s, tuple(up))
+                pd = components(s, tuple(dn))
                 for got, hi, lo in (
                     (arrays.dg[a], pu[0], pd[0]),
                     (arrays.dphi[a], pu[1], pd[1]),
@@ -300,7 +303,7 @@ class TestDerivativeArrays:
     def test_third_metric_derivatives_against_fd(self):
         s = flat3d().structure
         pt = (0.21, -0.4, 0.33)
-        d3g = PointFrame(s, pt).d3g
+        third = d3g(PointFrame(s, pt).single)[0]
         h = 1e-5
         for a in range(3):
             up = list(pt)
@@ -310,7 +313,7 @@ class TestDerivativeArrays:
             au = PointFrame(s, tuple(up))
             ad = PointFrame(s, tuple(dn))
             fd = (au.d2g - ad.d2g) / (2 * h)
-            assert scaled_diff(d3g[a], fd) < 1e-5
+            assert scaled_diff(third[a], fd) < 1e-5
 
     @pytest.mark.parametrize("desc", ALL_PRESETS, ids=lambda d: d.name)
     def test_mixed_partials_commute(self, desc):
@@ -402,7 +405,7 @@ class TestChristoffel:
     def test_gamma_second_derivative_against_fd(self):
         s = flat3d().structure
         pt = (0.2, -0.1, 0.35)
-        pf = PointFrame(s, pt)
+        second = d2Gamma(PointFrame(s, pt).single)[0]
         h = 1e-5
         for a in range(3):
             up = list(pt)
@@ -411,7 +414,7 @@ class TestChristoffel:
             dn[a] -= h
             fd = (PointFrame(s, tuple(up)).dGamma
                   - PointFrame(s, tuple(dn)).dGamma) / (2 * h)
-            assert scaled_diff(pf.d2Gamma[a], fd) < 1e-5
+            assert scaled_diff(second[a], fd) < 1e-5
 
 
 class TestCurvature:
@@ -457,7 +460,7 @@ class TestCurvature:
         # genuinely nonconstant curvature.
         s = random_dim3_structure(1)
         pt = (0.25, -0.4, 0.15)
-        pf = PointFrame(s, pt)
+        first = dRiem(PointFrame(s, pt).single)[0]
         h = 1e-6
         for a in range(3):
             up = list(pt)
@@ -466,7 +469,7 @@ class TestCurvature:
             dn[a] -= h
             fd = (PointFrame(s, tuple(up)).Riem
                   - PointFrame(s, tuple(dn)).Riem) / (2 * h)
-            assert scaled_diff(pf.dRiem[a], fd) < 1e-4
+            assert scaled_diff(first[a], fd) < 1e-4
 
     def test_curvature_identities(self):
         rng = np.random.default_rng(37)
@@ -664,13 +667,14 @@ class TestSectionalAndConformal:
     def test_hyperboloid_conformally_flat(self):
         # [DERIVED] constant-curvature spaces are conformally flat:
         # the dimension-appropriate obstruction tensor vanishes.
-        pf = PointFrame(hyperboloid(2).structure, (0.1, -0.2, 0.3, 0.0, 0.2))
-        assert pf.weyl < 1e-5
-        assert pf.conformal_flatness() < 1e-5
-        pf = PointFrame(hyperboloid(1).structure, (0.2, -0.1, 0.3))
-        assert pf.cotton < 1e-5
-        pf = PointFrame(flat3d().structure, (0.3, 0.1, -0.4))
-        assert pf.cotton < 1e-10
+        batch = PointFrame(hyperboloid(2).structure,
+                           (0.1, -0.2, 0.3, 0.0, 0.2)).single
+        assert weyl(batch)[0] < 1e-5
+        assert (cotton(batch) if batch.m == 3 else weyl(batch))[0] < 1e-5
+        batch = PointFrame(hyperboloid(1).structure, (0.2, -0.1, 0.3)).single
+        assert cotton(batch)[0] < 1e-5
+        batch = PointFrame(flat3d().structure, (0.3, 0.1, -0.4)).single
+        assert cotton(batch)[0] < 1e-10
 
     def test_nil_metric_not_conformally_flat(self):
         # [DERIVED] the nil metric dx^2 + (1+x^2) dy^2 - 2x dy dz + dz^2
@@ -682,7 +686,7 @@ class TestSectionalAndConformal:
                                     ["0", "1 + x^2", "-x"],
                                     ["0", "-x", "1"]])
         pf = PointFrame(s, (0.3, 0.1, -0.2))
-        assert pf.cotton > 1e-3
+        assert cotton(pf.single)[0] > 1e-3
 
     def test_curved_product_not_conformally_flat(self):
         # [DERIVED] hyperbolic plane times flat 3-space is not
@@ -700,15 +704,15 @@ class TestSectionalAndConformal:
         s = CoordinateStructure(chart, g, [[zero] * 5 for _ in range(5)],
                                 [zero] * 5, [zero] * 5)
         pf = PointFrame(s, (1.0, 0.2, 0.1, -0.3, 0.4))
-        assert pf.weyl > 1e-2
+        assert weyl(pf.single)[0] > 1e-2
 
     def test_wrong_dimension_raises(self):
         pf3 = PointFrame(flat3d().structure, (0.0, 0.0, 0.0))
         with pytest.raises(WrongDimension):
-            pf3.weyl
+            weyl(pf3.single)
         pf5 = PointFrame(hyperboloid(2).structure, (0.1, 0.0, 0.0, 0.0, 0.1))
         with pytest.raises(WrongDimension):
-            pf5.cotton
+            cotton(pf5.single)
 
 
 def quadric_residual(s, point):

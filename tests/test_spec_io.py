@@ -15,9 +15,11 @@ import re
 import numpy as np
 import pytest
 
+from paracr import expr
 from paracr.errors import ParseError, ValidationError
 from paracr.geometry import Chart, PointFrame
 from paracr.presets import PRESET_NAMES, build_example
+from paracr.runner import run
 from paracr.spec_io import (
     DEFAULT_NUMERIC,
     load_spec,
@@ -201,6 +203,18 @@ class TestFrameTranscription:
                 assert np.max(np.abs(
                     getattr(a, name) - getattr(b, name))) <= 1e-9, name
 
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_p1_frame_spec_runs_like_the_preset(self, seed):
+        # [DERIVED] the frame block and the preset build the same frame
+        # expressions, so their runs agree byte for byte in all but the
+        # spec digest and the preset's targets
+        frame = run(spec_from_dict(P1_FRAME_SPEC), points=24, seed=seed)
+        preset = run(spec_from_dict(build_example("p1").spec_dict),
+                     points=24, seed=seed)
+        for key in ("engine", "checks", "classification"):
+            assert json.dumps(frame.body()[key]) == \
+                json.dumps(preset.body()[key]), key
+
     def test_frame_block_field_validation(self):
         for mutate in (
             lambda s: s["structure"]["frame"].pop("g_hat"),
@@ -234,6 +248,39 @@ class TestCoordinateBlock:
             spec_from_dict(bad)
         assert err.value.offset >= 0
         assert "phi" in str(err.value)
+
+    def test_each_distinct_text_is_parsed_once(self, monkeypatch):
+        # [TRIVIAL] one parse per distinct text over all four fields
+        parsed = []
+        parse = expr.parse
+        monkeypatch.setattr(expr, "parse", lambda text, coords: (
+            parsed.append(text) or parse(text, coords)))
+        spec_from_dict(FLAT3D_COORDINATE_SPEC)
+        block = FLAT3D_COORDINATE_SPEC["structure"]["coordinate"]
+        texts = ([t for row in block["g"] + block["phi"] for t in row]
+                 + block["xi"] + block["eta"])
+        assert sorted(parsed) == sorted(set(texts))
+
+    def test_first_bad_entry_in_row_major_order_is_reported(self):
+        # [TRIVIAL] a bad text that occurs twice is reported where it
+        # occurs first, and a non-string entry before it first of all
+        def put(spec, field, i, j, value):
+            spec["structure"]["coordinate"][field][i][j] = value
+
+        def bad_phi(spec):
+            put(spec, "phi", 2, 0, "cosh(2*z")
+            put(spec, "phi", 0, 2, "cosh(2*z")
+
+        def bad_g_and_phi(spec):
+            bad_phi(spec)
+            put(spec, "g", 1, 1, 1.0)
+        with pytest.raises(ParseError,
+                           match=re.escape("structure.coordinate.phi[0][2]:")):
+            spec_from_dict(mutated(FLAT3D_COORDINATE_SPEC, bad_phi))
+        with pytest.raises(ValidationError, match=re.escape(
+                "structure.coordinate.g[1][1]: expression entries must be "
+                "strings")):
+            spec_from_dict(mutated(FLAT3D_COORDINATE_SPEC, bad_g_and_phi))
 
     def test_unknown_variable_is_a_parse_error(self):
         bad = mutated(FLAT3D_COORDINATE_SPEC,
