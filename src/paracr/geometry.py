@@ -97,11 +97,9 @@ class Chart:
 
 
 def _flags(jet):
-    """Per-point mask of the points where ``jet`` is not a number: a
-    domain violation on the way, or a non-finite coefficient."""
-    count = jet.c.shape[0]
-    broken = ~np.isfinite(jet.c).reshape(count, -1).all(axis=1)
-    return broken if jet.bad is None else broken | jet.bad
+    """Per-point mask of the points where ``jet`` is not a number: some
+    coefficient is not finite."""
+    return ~np.isfinite(jet.c).reshape(len(jet.c), -1).all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -125,18 +123,8 @@ def _mat_mul(A, B):
     return _sum(A[:, e, None] * B[None, e, :] for e in range(inner))
 
 
-def _mat_vec(A, v):
-    """A @ v for a tensor jet A and a constant vector v."""
-    return _sum(A[:, j] * v[j] for j in range(len(v)))
-
-
-def _vec_mat(v, A):
-    """v @ A for a constant vector v and a tensor jet A."""
-    return _sum(v[i] * A[i] for i in range(len(v)))
-
-
 def _transpose(A):
-    return Jet(A.c.swapaxes(1, 2), A.bad, A.layout)
+    return Jet(A.c.swapaxes(1, 2), A.layout)
 
 
 def gauss_jordan(A, B, min_det):
@@ -155,7 +143,7 @@ def gauss_jordan(A, B, min_det):
     failed = np.zeros(count, dtype=bool)
 
     def jet(c):
-        return Jet(c, A.bad, A.layout)
+        return Jet(c, A.layout)
 
     for col in range(m):
         piv = col + np.argmax(np.abs(M[:, col:, col, 0]), axis=1)
@@ -259,8 +247,8 @@ class FrameStructure(_Structure):
         identity = tensor(np.eye(self.dim).tolist(), xs[0])
         Einv, singular, det = gauss_jordan(E, identity, _MIN_FRAME_DET)
         phi = _mat_mul(_mat_mul(E, self.phi_hat), Einv)
-        xi = _mat_vec(E, self.xi_hat)
-        eta = _vec_mat(self.eta_hat, Einv)
+        xi = _mat_mul(E, self.xi_hat[:, None])[:, 0]
+        eta = _mat_mul(self.eta_hat[None], Einv)[0]
         g = _mat_mul(_mat_mul(_transpose(Einv), self.g_hat), Einv)
         checks = [
             (_flags(E), DomainError,
@@ -326,8 +314,7 @@ class HyperboloidStructure(_Structure):
         g = self._inner(T[:, None], T[None, :])
         eta = self._inner(T, xi_amb[None, :])
         B = self._inner(T[:, None], T[None, :, self._J])
-        rhs = Jet(np.concatenate([B.c, eta.c[:, :, None]], axis=2), g.bad,
-                  g.layout)
+        rhs = Jet(np.concatenate([B.c, eta.c[:, :, None]], axis=2), g.layout)
         sol, degenerate, det = gauss_jordan(g, rhs, _MIN_METRIC_DET)
         checks = [
             (outside, OutsidePatch,
@@ -350,10 +337,10 @@ def structure_jets(structure, points, order=2, directions=None):
     ``directions`` seeds other derivative directions than the coordinate
     axes (see :func:`paracr.jets.coordinate_jets`).  ``rejected[i]`` is
     None for an accepted point, else the error that rejects point i: the
-    structure's own tests first, then DomainError for a domain violation
-    or a non-finite coefficient anywhere in the components.  Arithmetic
-    and domain errors in constant subexpressions hit every point alike
-    and raise DomainError naming the cause.
+    structure's own tests first, then DomainError for a non-finite
+    coefficient anywhere in the components (a domain violation leaves
+    one).  Arithmetic and domain errors in constant subexpressions hit
+    every point alike and raise DomainError naming the cause.
     """
     points = np.asarray(points, dtype=float)
     xs = coordinate_jets(points, order, directions)
@@ -378,7 +365,7 @@ def structure_jets(structure, points, order=2, directions=None):
 def _partials(jet, order):
     """Order-``order`` partials with the derivative axes moved right
     after the point axis."""
-    block = getattr(jet, ("v", "d", "dd", "ddd")[order])
+    block = jet._block(order)
     last = block.ndim
     return np.ascontiguousarray(
         np.moveaxis(block, range(last - order, last), range(1, 1 + order)))

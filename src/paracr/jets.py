@@ -8,9 +8,9 @@ whole batch of points at once.  All coefficients live in one array
 axis: slot 0 holds the value, the next k slots the first partials
 along the k seeded directions, then k^2 second and (only when order 3
 is asked for) k^3 third partials, each block in row-major index order.
-The views ``v``, ``d``, ``dd`` and ``ddd`` expose those blocks as
-``v[P]``, ``d[P, k]``, ``dd[P, k, k]`` and ``ddd[P, k, k, k]`` (with the
-tensor shape between the point and direction axes).
+The views ``v``, ``d`` and ``dd`` expose the first three blocks as
+``v[P]``, ``d[P, k]`` and ``dd[P, k, k]`` (with the tensor shape between
+the point and direction axes).
 
 Every rule is Taylor-mode forward differentiation (Griewank & Walther,
 *Evaluating Derivatives*, ch. 13), arranged so that each coefficient is
@@ -24,10 +24,12 @@ cosh, tanh, exp and ln come from the ``math`` module.  A batch is
 therefore bit-for-bit what a point-by-point evaluation gives.
 
 Domain violations (division inside the guard band, ln or sqrt of a
-non-positive value) do not raise: each jet carries a per-point mask
-``bad`` that every operation propagates, so a point is rejected even
-when its NaN is later hidden (``x^0`` of a NaN is 1).  Operations on
-plain floats (constant subexpressions) still raise :class:`DomainError`.
+non-positive value) do not raise: they leave a coefficient that is not
+a finite number, and IEEE arithmetic carries it to every result that
+depends on it.  Two rules write the NaN that IEEE arithmetic would
+not: a quotient whose divisor lies in the guard band, and ``x^0`` of
+an x with a non-finite coefficient.  Operations on plain floats
+(constant subexpressions) still raise :class:`DomainError`.
 Every operation acts on each point of the batch alone, so a batch may
 hold the points of unrelated evaluations side by side.
 """
@@ -97,37 +99,15 @@ class _Layout:
         self.right = right.ravel()
         self.pad = None if real.all() else real.ravel()
         self.lower = _layout(k, order - 1) if order else None
-        self._higher = None
         if order:
             lower = self.offsets[order]
             self.shift = np.array([[index[(t,) + low] for low in slots[:lower]]
                                    for t in range(k)])
 
-    @property
-    def higher(self):
-        if self._higher is None:
-            self._higher = _layout(self.k, self.order + 1)
-        return self._higher
-
 
 @lru_cache(maxsize=None)
 def _layout(k, order):
     return _Layout(k, order)
-
-
-def _either(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a | b
-
-
-def _flag(mask):
-    """Per-point mask (any flagged entry of a point), or None when no
-    point is flagged."""
-    mask = mask.reshape(len(mask), -1).any(axis=1)
-    return mask if mask.any() else None
 
 
 def _libm(fn, values):
@@ -143,6 +123,12 @@ def _libm(fn, values):
             except (OverflowError, ValueError):
                 out.append(math.nan)
     return np.array(out, dtype=float).reshape(values.shape)
+
+
+def _guarded(quotient, divisor):
+    """An order-0 quotient with NaN where the divisor lies in the guard
+    band."""
+    return np.where(np.abs(divisor) <= _DIV_GUARD, np.nan, quotient)
 
 
 def _product(a, b, layout):
@@ -165,14 +151,15 @@ def _product(a, b, layout):
 
 
 class Jet:
-    """Truncated Taylor coefficients of a scalar or tensor at P points."""
+    """Truncated Taylor coefficients of a scalar or tensor at P points;
+    a point is not a number where one of its coefficients is not
+    finite."""
 
-    __slots__ = ("c", "bad", "layout")
+    __slots__ = ("c", "layout")
     __array_ufunc__ = None  # numpy operands defer to the jet's operators
 
-    def __init__(self, c, bad, layout):
+    def __init__(self, c, layout):
         self.c = c
-        self.bad = bad
         self.layout = layout
 
     def _block(self, n):
@@ -195,18 +182,13 @@ class Jet:
     def dd(self):
         return self._block(2)
 
-    @property
-    def ddd(self):
-        return self._block(3)
-
     def __getitem__(self, key):
         """Index the tensor axes (the point and slot axes are kept)."""
         key = key if isinstance(key, tuple) else (key,)
-        return Jet(self.c[(slice(None),) + key + (slice(None),)], self.bad,
-                   self.layout)
+        return self._new(self.c[(slice(None),) + key + (slice(None),)])
 
-    def _new(self, c, bad=None):
-        return Jet(c, _either(self.bad, bad), self.layout)
+    def _new(self, c):
+        return Jet(c, self.layout)
 
     @staticmethod
     def _const(o):
@@ -218,7 +200,7 @@ class Jet:
     def _low(self):
         """The same jet truncated to one order less."""
         lay = self.layout.lower
-        return Jet(self.c[..., :lay.size], self.bad, lay)
+        return Jet(self.c[..., :lay.size], lay)
 
     def _top(self):
         """The jet of the partials ∂_t (one order less), with the
@@ -226,30 +208,29 @@ class Jet:
         lay = self.layout
         if not lay.order:
             return None
-        return Jet(self.c.take(lay.shift, axis=-1), self.bad, lay.lower)
+        return Jet(self.c.take(lay.shift, axis=-1), lay.lower)
 
     def _spread(self):
         """Broadcastable against a ``_top()`` jet."""
-        return Jet(self.c[..., None, :], self.bad, self.layout)
+        return self._new(self.c[..., None, :])
 
     def _raise(self, top):
         """This jet extended by one order, the new slots taken from the
         top-order slots of ``top`` (as returned by a ``_top()`` rule)."""
-        lay = self.layout.higher
+        lay = _layout(self.layout.k, self.layout.order + 1)
         block = top.c[..., self.layout.offsets[-2]:]
         block = block.reshape(block.shape[:-2] + (-1,))
         low = self.c
         if low.shape[:-1] != block.shape[:-1]:
             low = np.broadcast_to(low, block.shape[:-1] + low.shape[-1:])
-        return Jet(np.concatenate([low, block], axis=-1),
-                   _either(self.bad, top.bad), lay)
+        return Jet(np.concatenate([low, block], axis=-1), lay)
 
     def _over(self, den, known):
         """self / den when the quotient's lower slots are ``known`` (the
         order-(n-1) jet they form): only the new top slots are divided
         out, as q = q_low + ε·(∂self − q_low·∂den) / den_low."""
         if self.layout.order == 0:
-            return self._new(self.c / den.c, den.bad)
+            return self._new(self.c / den.c)
         top = (self._top() - known._spread() * den._top())._over(
             den._low()._spread(), known._top())
         return known._raise(top)
@@ -258,7 +239,7 @@ class Jet:
 
     def __add__(self, o):
         if isinstance(o, Jet):
-            return self._new(self.c + o.c, o.bad)
+            return self._new(self.c + o.c)
         c = self.c.copy()
         c[..., 0] += o
         return self._new(c)
@@ -270,7 +251,7 @@ class Jet:
 
     def __sub__(self, o):
         if isinstance(o, Jet):
-            return self._new(self.c - o.c, o.bad)
+            return self._new(self.c - o.c)
         return self + (-o)
 
     def __rsub__(self, o):
@@ -278,7 +259,7 @@ class Jet:
 
     def __mul__(self, o):
         if isinstance(o, Jet):
-            return self._new(_product(self.c, o.c, self.layout), o.bad)
+            return self._new(_product(self.c, o.c, self.layout))
         return self._new(self.c * self._const(o))
 
     __rmul__ = __mul__
@@ -289,16 +270,12 @@ class Jet:
                 raise DomainError(f"division by {o!r} inside guard band")
             return self._new(self.c / self._const(o))
         if self.layout.order == 0:
-            return self._new(self.c / o.c, _either(
-                o.bad, _flag(np.abs(o.v) <= _DIV_GUARD)))
-        low = o._low()
-        q = self._low() / low
-        return q._raise((self._top() - q._spread() * o._top())._over(
-            low._spread(), q._top()))
+            return self._new(_guarded(self.c / o.c, o.c))
+        return self._over(o, self._low() / o._low())
 
     def __rtruediv__(self, o):
         if self.layout.order == 0:
-            return self._new(o / self.c, _flag(np.abs(self.v) <= _DIV_GUARD))
+            return self._new(_guarded(o / self.c, self.c))
         low = self._low()
         q = o / low
         return q._raise((-(q._spread() * self._top()))._over(
@@ -309,8 +286,8 @@ class Jet:
 
     # -- elementary functions --------------------------------------------
 
-    def _apply(self, fn, bad=None):
-        return self._new(_libm(fn, self.c), bad)
+    def _apply(self, fn):
+        return self._new(_libm(fn, self.c))
 
     def _sinh_cosh(self):
         if self.layout.order == 0:
@@ -339,41 +316,19 @@ class Jet:
         return e._raise(e._spread() * self._top())
 
     def ln(self):
-        bad = _flag(self.v <= 0.0)
+        # log of v <= 0 is NaN (see _libm)
         if self.layout.order == 0:
-            return self._apply(math.log, bad)
+            return self._apply(math.log)
         low = self._low()
         f = low.ln()
-        return f._raise(self._top()._over(low._spread(), f._top()))._masked(bad)
+        return f._raise(self._top()._over(low._spread(), f._top()))
 
     def sqrt(self):
+        # sqrt of v < 0 is NaN; at v = 0 the derivatives are ±inf or NaN
         if self.layout.order == 0:
-            return self._new(np.sqrt(self.c), _flag(self.v < 0.0))
+            return self._new(np.sqrt(self.c))
         f = self._low().sqrt()
-        return f._raise(self._top()._over(2.0 * f._spread(), f._top())) \
-            ._masked(_flag(self.v <= 0.0))
-
-    def _masked(self, bad):
-        return Jet(self.c, _either(self.bad, bad), self.layout)
-
-    def powi(self, k):
-        if k < 0:
-            return 1.0 / self.powi(-k)
-        if k == 0:
-            # x^0 is 1 only where x itself is a number
-            c = np.zeros_like(self.c)
-            c[..., 0] = 1.0
-            finite = np.isfinite(self.c).reshape(len(c), -1).all(axis=1)
-            return self._new(c, _flag(~finite))
-        out = None
-        base = self
-        while k:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return f._raise(self._top()._over(2.0 * f._spread(), f._top()))
 
 
 def coordinate_jets(points, order, directions=None):
@@ -393,7 +348,7 @@ def coordinate_jets(points, order, directions=None):
     c[:, :, 0] = points.T
     if order:
         c[:, :, 1:1 + layout.k] = directions.transpose(1, 0, 2)
-    return [Jet(c[i], None, layout) for i in range(m)]
+    return [Jet(c[i], layout) for i in range(m)]
 
 
 def tensor(entries, like):
@@ -409,14 +364,12 @@ def tensor(entries, like):
         flat = [e for row in flat for e in row]
     count, size = like.c.shape[0], like.layout.size
     c = np.zeros((count, len(flat), size))
-    bad = None
     for i, e in enumerate(flat):
         if isinstance(e, Jet):
             c[:, i] = e.c
-            bad = _either(bad, e.bad)
         else:
             c[:, i, 0] = e
-    return Jet(c.reshape((count, *shape, size)), bad, like.layout)
+    return Jet(c.reshape((count, *shape, size)), like.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -433,18 +386,24 @@ def div(a, b):
 
 
 def powi(x, k):
-    """x**k for integer k; exponent 0 yields 1.0 exactly."""
+    """x**k for integer k and a float or jet x, by binary
+    exponentiation.  Exponent 0 yields 1.0 exactly, except that a jet
+    entry with a non-finite coefficient stays not a number."""
     if not isinstance(k, int):
         raise TypeError(f"integer exponent required, got {type(k).__name__}")
-    if isinstance(x, Jet):
-        return x.powi(k)
     if k < 0:
         return 1.0 / powi(x, -k)
-    out = 1.0
+    if k == 0:
+        if not isinstance(x, Jet):
+            return 1.0
+        c = np.zeros_like(x.c)
+        c[..., 0] = np.where(np.isfinite(x.c).all(axis=-1), 1.0, np.nan)
+        return x._new(c)
+    out = None
     base = x
     while k:
         if k & 1:
-            out = out * base
+            out = base if out is None else out * base
         k >>= 1
         if k:
             base = base * base

@@ -18,7 +18,6 @@ the theory:
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 from .conditions import CLASS_NAMES as ALL_CLASSES
@@ -173,12 +172,12 @@ def _last_basis_vector(m):
     return v
 
 
-def default_p1_f(n, c=1.0):
-    terms = [repr(float(c))] + [f"x{a}^2" for a in range(1, n + 1)]
+def default_p1_f(n):
+    terms = ["1.0"] + [f"x{a}^2" for a in range(1, n + 1)]
     return "(" + " + ".join(terms) + ")/z"
 
 
-def p1(n=2, f=None, c=1.0):
+def p1(n=2, f=None):
     """Frame family on R^(2n+1): paracontact metric for every f; para-CR
     exactly when f solves  f*df/dx_a - df/dy_a + 2 x_a df/dz = 0."""
     if n < 2:
@@ -187,7 +186,7 @@ def p1(n=2, f=None, c=1.0):
     coords = chart.coordinates
     m = chart.dim
     default = f is None
-    f_text = default_p1_f(n, c) if default else f
+    f_text = default_p1_f(n) if default else f
     parse(f_text, coords)  # validate early with a located error
 
     rows = [["0"] * m for _ in range(m)]
@@ -290,7 +289,7 @@ def cosymplectic(n=1, H=None):
 
 def build_example(name, **params):
     """Instantiate a preset by name with keyword parameters: ``n`` an
-    integer, ``f`` and ``H`` expression strings, ``c`` a finite number."""
+    integer, ``f`` and ``H`` expression strings."""
     if name == "flat3d":
         _check_params(name, params, ())
         return flat3d()
@@ -298,9 +297,8 @@ def build_example(name, **params):
         _check_params(name, params, ("n",))
         return hyperboloid(int(params.get("n", 1)))
     if name == "p1":
-        _check_params(name, params, ("n", "f", "c"))
-        return p1(int(params.get("n", 2)), params.get("f"),
-                  float(params.get("c", 1.0)))
+        _check_params(name, params, ("n", "f"))
+        return p1(int(params.get("n", 2)), params.get("f"))
     if name == "cosymplectic":
         _check_params(name, params, ("n", "H"))
         return cosymplectic(int(params.get("n", 1)), params.get("H"))
@@ -313,11 +311,9 @@ def _check_params(name, params, allowed):
     if extra:
         raise ValidationError(
             f"preset {name!r} does not accept parameters {sorted(extra)}")
-    n, c = params.get("n", 0), params.get("c", 0.0)
+    n = params.get("n", 0)
     if type(n) is not int:  # not a bool, a float or a string
         raise ValidationError(f"parameter n must be an integer, not {n!r}")
     for key in ("f", "H"):
         if not isinstance(params.get(key, ""), str):
             raise ValidationError(f"parameter {key} must be a string")
-    if type(c) not in (int, float) or not abs(c) <= sys.float_info.max:
-        raise ValidationError("parameter c must be a finite number")

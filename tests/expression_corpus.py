@@ -115,9 +115,10 @@ def stencil_forest(trees, points, directions):
 
     Returns ``(c, bad, failed)``: ``c[t, row, slot]`` the root's
     coefficients (a constant root holds its value in slot 0), ``bad[t,
-    row]`` its domain mask, and ``failed[t]`` true where evaluating the
-    tree alone raises: an arithmetic or domain error in a constant
-    subtree, or a constant divisor inside the guard band.
+    row]`` true where a coefficient of the row is not finite, and
+    ``failed[t]`` true where evaluating the tree alone raises: an
+    arithmetic or domain error in a constant subtree, or a constant
+    divisor inside the guard band.
     """
     count = len(trees)
     failed = np.zeros(count, dtype=bool)
@@ -131,7 +132,6 @@ def stencil_forest(trees, points, directions):
 
     nodes = len(forest.height)
     store = np.zeros((nodes, 3, 4))
-    bad = np.zeros((nodes, 3), dtype=bool)
     layout = None
     if forest.leaves:
         ids, tree_of, var = np.array(forest.leaves).T
@@ -148,9 +148,7 @@ def stencil_forest(trees, points, directions):
             operands = []
             for pos, (is_jet, column) in enumerate(zip(key[-1], columns)):
                 if is_jet:
-                    mask = bad[column].ravel()
-                    operands.append(Jet(store[column].reshape(-1, 4),
-                                        mask if mask.any() else None, layout))
+                    operands.append(Jet(store[column].reshape(-1, 4), layout))
                 else:
                     const = np.repeat(column, 3)
                     # const / jet runs Jet.__rtruediv__, which divides the
@@ -159,17 +157,14 @@ def stencil_forest(trees, points, directions):
                                     key[2] == "/" else const)
             out = node.apply(*operands)
             store[ids] = out.c.reshape(len(ids), 3, 4)
-            if out.bad is not None:
-                bad[ids] = out.bad.reshape(len(ids), 3)
 
     c = np.zeros((count, 3, 4))
-    root_bad = np.zeros((count, 3), dtype=bool)
     for t, root in enumerate(roots):
         if isinstance(root, int):
-            c[t], root_bad[t] = store[root], bad[root]
+            c[t] = store[root]
         elif root is not None:
             c[t, :, 0] = root
-    return c, root_bad, failed
+    return c, ~np.isfinite(c).all(axis=2), failed
 
 
 def _fd_gap(c):
@@ -226,9 +221,9 @@ def random_expression_corpus(seed, count, max_depth):
             points.append(tuple(float(v)
                                 for v in rng.uniform(0.3, 1.7, nvars)))
             directions.append(int(rng.integers(nvars)))
-        c, bad, failed = stencil_forest(trees, points, directions)
-        tame = ~failed & ~bad.any(axis=1) & np.all(
-            np.abs(c) <= CORPUS_MAGNITUDE_CAP, axis=(1, 2))
+        c, _, failed = stencil_forest(trees, points, directions)
+        # a NaN fails the magnitude test
+        tame = ~failed & np.all(np.abs(c) <= CORPUS_MAGNITUDE_CAP, axis=(1, 2))
         for t in np.flatnonzero(tame):
             corpus.append((partial(eval_expr, trees[t]), points[t],
                            directions[t]))

@@ -195,12 +195,12 @@ def coordinate_structure(g00):
 
 class TestFailureSurface:
     def test_power_zero_keeps_the_domain_mask(self):
-        # x^0 of a NaN is 1; the mask still rejects the point.
+        # x^0 is 1 only where x is a number: of a NaN it stays NaN, and
+        # the point is rejected.
         xs = coordinate_jets([[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0]], 2)
         with np.errstate(invalid="ignore"):
             y = eval_expr(parse("sqrt(x)^0", ("x", "y", "z")), xs)
-        assert list(y.v) == [1.0, 1.0]
-        assert list(y.bad) == [True, False]
+        assert math.isnan(y.v[0]) and y.v[1] == 1.0
         st = coordinate_structure("1 + 0*sqrt(x)^0")
         with pytest.raises(DomainError):
             PointFrame(st, (-0.5, 0.1, 0.1))
@@ -208,12 +208,16 @@ class TestFailureSurface:
 
     def test_non_finite_components_are_rejected(self):
         # an overflow inside a float product gives inf, and 0 * inf a NaN
-        # metric entry; such draws are rejected, never sampled.
-        st = coordinate_structure("1 + 0*(x*1e200*1e200)")
-        with pytest.raises(DomainError):
-            PointFrame(st, (0.5, 0.1, 0.1))
-        with pytest.raises(SamplingExhausted):
-            sample_points(st, np.random.default_rng(0), 2)
+        # metric entry; such draws are rejected, never sampled.  A
+        # divisor inside the guard band gives a NaN quotient although
+        # IEEE division is finite there (2e300 at x = 0.5), also under ^0.
+        for text in ("1 + 0*(x*1e200*1e200)", "1 + 0*(1/(x*1e-300))",
+                     "1 + 0*(1/(x*1e-300))^0"):
+            st = coordinate_structure(text)
+            with pytest.raises(DomainError):
+                PointFrame(st, (0.5, 0.1, 0.1))
+            with pytest.raises(SamplingExhausted):
+                sample_points(st, np.random.default_rng(0), 2)
 
     @pytest.mark.parametrize("text,cause", [
         ("1/0", "DomainError in a component expression: division by 0.0"),
