@@ -11,11 +11,15 @@ class ParacrError(Exception):
 
 
 class DomainError(ParacrError):
-    """Scalar arithmetic hit a guard band around a singular set.
+    """A component is not defined at a point, or nowhere.
 
-    Raised by division (|denominator| <= 1e-300), ln (argument <= 0) and
-    sqrt (argument <= 0 when derivatives are requested).  Signals an
-    evaluation point outside the declared domain box; callers resample.
+    Jets do not raise: a division inside the guard band (``|denominator|
+    <= jets._DIV_GUARD``), ln of a non-positive value or sqrt of a
+    negative one (or of zero, for its derivatives) leaves a coefficient
+    that is not a finite number, and a point with such a component is
+    rejected with this error; callers resample.  A constant
+    subexpression (plain floats) raises it at once, naming the cause,
+    since it fails at every point alike.
     """
 
 
@@ -67,7 +71,9 @@ class OutsidePatch(ParacrError):
 
 
 class DegenerateMetric(ParacrError):
-    """|det g| fell below the invertibility threshold."""
+    """|det g| fell below the invertibility threshold at a point; the
+    point is rejected (the sampler redraws it, and ``PointFrame`` raises
+    this when it is built)."""
 
 
 class DegeneratePlane(ParacrError):

@@ -13,6 +13,9 @@ Precedence: ``^`` > unary ``-`` > ``*``/``/`` > ``+``/``-``.  Function
 application requires parentheses.  The function table is fixed (sinh, cosh,
 tanh, exp, ln, sqrt); any other identifier must be a chart coordinate, and
 unknown identifiers are rejected rather than treated as implicit variables.
+An expression nests at most ``_MAX_DEPTH`` levels, as a tree and as the
+parser descends into parentheses, calls, unary minuses and exponents;
+deeper text is a ParseError.
 
 ASTs are immutable (frozen dataclasses) and compare structurally; evaluation
 is structural recursion over plain floats or batched Taylor jets (one
@@ -52,6 +55,7 @@ __all__ = [
     "SharedTrees",
     "variables",
     "diff",
+    "tree_depth",
 ]
 
 FUNCTIONS = {
@@ -71,6 +75,13 @@ _BINARY = {
 }
 
 _MAX_EXPONENT = 1000
+
+# Levels an expression may nest: the depth of its tree (a leaf is one
+# level), and the parser's nesting of parentheses, calls, unary minuses
+# and exponents.  Preset and bench-spec trees are at most 12 deep; the
+# bound keeps every recursion over a tree (parsing, interning,
+# evaluation, diff, rendering) far below Python's recursion limit.
+_MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -255,6 +266,16 @@ class SharedTrees:
         return value
 
 
+def tree_depth(e, memo):
+    """Levels of the tree ``e`` (a leaf is one); ``memo`` keeps the depth
+    of each operator node by its id, so a shared subtree is walked once."""
+    if not e.operands:
+        return 1
+    if id(e) not in memo:
+        memo[id(e)] = 1 + max(tree_depth(o, memo) for o in e.operands)
+    return memo[id(e)]
+
+
 def variables(e):
     """The set of coordinate names appearing in an AST."""
     if isinstance(e, Var):
@@ -377,6 +398,27 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.coordinates = list(coordinates)
         self.i = 0
+        self.level = 0  # open parentheses, unary minuses and exponents
+        self.depths = {}  # tree_depth's memo of the nodes built
+
+    def within(self, off, depth):
+        if depth > _MAX_DEPTH:
+            raise ParseError(off, f"expression nests deeper than "
+                                  f"{_MAX_DEPTH} levels")
+
+    def deeper(self, off, parse):
+        """``parse()`` one nesting level down."""
+        self.level += 1
+        self.within(off, self.level)
+        value = parse()
+        self.level -= 1
+        return value
+
+    def node(self, off, cls, *fields):
+        """An operator node, its tree at most ``_MAX_DEPTH`` deep."""
+        node = cls(*fields)
+        self.within(off, tree_depth(node, self.depths))
+        return node
 
     def peek(self):
         return self.tokens[self.i]
@@ -400,31 +442,31 @@ class _Parser:
     def expression(self):
         node = self.term()
         while self.at_op("+", "-"):
-            op = self.advance()[1]
-            node = Bin(op, node, self.term())
+            _, op, off = self.advance()
+            node = self.node(off, Bin, op, node, self.term())
         return node
 
     # term := factor (('*'|'/') factor)*
     def term(self):
         node = self.factor()
         while self.at_op("*", "/"):
-            op = self.advance()[1]
-            node = Bin(op, node, self.factor())
+            _, op, off = self.advance()
+            node = self.node(off, Bin, op, node, self.factor())
         return node
 
     # factor := '-' factor | power
     def factor(self):
         if self.at_op("-"):
-            self.advance()
-            return Neg(self.factor())
+            off = self.advance()[2]
+            return self.node(off, Neg, self.deeper(off, self.factor))
         return self.power()
 
     # power := atom ('^' exponent)?
     def power(self):
         node = self.atom()
         if self.at_op("^"):
-            self.advance()
-            return Pow(node, self.exponent())
+            off = self.advance()[2]
+            return self.node(off, Pow, node, self.exponent())
         return node
 
     # exponent := ['-'] INT ('^' exponent)?   (folded right-associatively)
@@ -443,8 +485,7 @@ class _Parser:
         self.advance()
         base = int(text)
         if self.at_op("^"):
-            self.advance()
-            rest = self.exponent()
+            rest = self.deeper(self.advance()[2], self.exponent)
             if rest < 0:
                 raise ParseError(off, "negative exponent inside an exponent chain")
             base = base ** rest
@@ -467,16 +508,14 @@ class _Parser:
                     raise ParseError(
                         off, f"unknown function {text!r}",
                         expected="one of " + ", ".join(sorted(FUNCTIONS)))
-                self.advance()
-                arg = self.expression()
+                arg = self.deeper(self.advance()[2], self.expression)
                 self.expect_op(")")
-                return Call(text, arg)
+                return self.node(off, Call, text, arg)
             if text not in self.coordinates:
                 raise UnknownVariable(off, text, self.coordinates)
             return Var(text, self.coordinates.index(text))
         if kind == "op" and text == "(":
-            self.advance()
-            node = self.expression()
+            node = self.deeper(self.advance()[2], self.expression)
             self.expect_op(")")
             return node
         raise ParseError(off, f"got {text or 'end of input'!r}",

@@ -55,7 +55,7 @@ from .errors import (
     ValidationError,
 )
 from .expr import SharedTrees
-from .jets import Jet, coordinate_jets, sqrt, tensor
+from .jets import _DIV_GUARD, Jet, coordinate_jets, sqrt, tensor
 
 _MIN_METRIC_DET = 1e-10
 _MIN_FRAME_DET = 1e-6
@@ -152,7 +152,7 @@ def gauss_jordan(A, B, min_det):
                 arr[points, col]
         det = np.where(piv != col, -det, det)
         pval = M[:, col, col, 0]
-        failed |= ~(np.abs(pval) > 1e-300)
+        failed |= ~(np.abs(pval) > _DIV_GUARD)
         det = det * pval
         others = [r for r in range(m) if r != col]
         factor = jet(M[:, others, col]) / jet(M[:, None, col, col])
@@ -373,25 +373,31 @@ def _partials(jet, order):
 
 def structure_arrays(structure, points):
     """Evaluate the structure and its partials to second order at a batch
-    of points (P x m), one walk of every expression for the whole batch.
+    of points (P x m), one walk of every expression for the whole batch,
+    and decide which points are accepted.
 
-    Returns a FrameBatch over all the points whose ``rejected[p]`` is
-    None for an accepted point and otherwise the error that rejects it.
+    Returns ``(batch, rejected)``: the FrameBatch of the accepted points
+    in their order, and ``rejected[p]``, None for an accepted point and
+    otherwise the error that rejects point p.  The rules are those of
+    :func:`structure_jets`, then DegenerateMetric where |det g| is below
+    ``_MIN_METRIC_DET``.
     """
+    points = np.asarray(points, dtype=float)
     parts, rejected = structure_jets(structure, points)
+    ok = np.flatnonzero([error is None for error in rejected])
+    for i, det in zip(ok, np.linalg.det(parts[0].v[ok])):
+        if abs(det) < _MIN_METRIC_DET:
+            rejected[i] = DegenerateMetric(
+                f"metric determinant {det:.3e} below threshold "
+                f"{_MIN_METRIC_DET:.1e}")
+    keep = np.array([error is None for error in rejected], dtype=bool)
     fields = {}
     for name, jet in zip(("g", "phi", "xi", "eta"), parts):
+        jet = jet._new(jet.c[keep])
         fields[name] = _partials(jet, 0)
         fields["d" + name] = _partials(jet, 1)
         fields["d2" + name] = _partials(jet, 2)
-    batch = FrameBatch(structure, points, fields)
-    batch.rejected = rejected
-    return batch
-
-
-def degenerate_metric(g):
-    """Per-point mask of metrics whose |det| is below the threshold."""
-    return np.abs(np.linalg.det(g)) < _MIN_METRIC_DET
+    return FrameBatch(structure, points[keep], fields), rejected
 
 
 def _amax(x):
@@ -521,7 +527,8 @@ class FrameBatch:
     projectors and the engine self-test residuals for the whole batch
     at once, as cached properties with the point axis first.  Every
     point gets the arithmetic of a one-point batch; nothing is
-    symmetrized by fiat.
+    symmetrized by fiat.  The points are accepted ones (see
+    :func:`structure_arrays`), so every metric is invertible.
     """
 
     def __init__(self, structure, points, arrays):
@@ -564,13 +571,6 @@ class FrameBatch:
 
     @cached_property
     def ginv(self):
-        bad = np.flatnonzero(degenerate_metric(self.g))
-        if len(bad):
-            det = np.linalg.det(self.g[bad[0]])
-            point = tuple(float(x) for x in self.points[bad[0]])
-            raise DegenerateMetric(
-                f"|det g| = {abs(det):.3e} below {_MIN_METRIC_DET:.1e} "
-                f"at point {point}")
         return np.linalg.inv(self.g)
 
     @cached_property
@@ -792,14 +792,15 @@ class PointFrame:
     ``pf.batch.Riem[pf.index]``, and a 0-d row such as the self-test
     residual ``pf.bianchi`` as a float), so each formula exists once,
     for the batch.  Without a batch the frame builds a one-point batch
-    of its own; a rejected point raises its rejection.
+    of its own with :func:`structure_arrays`, and a rejected point
+    (DegenerateMetric included) raises its rejection there.
     """
 
     def __init__(self, structure, point, batch=None, index=0):
         if batch is None:
-            batch, index = structure_arrays(structure, [point]), 0
-            if batch.rejected[0] is not None:
-                raise batch.rejected[0]
+            batch, (rejected,) = structure_arrays(structure, [point])
+            if rejected is not None:
+                raise rejected
         self.structure = structure
         self.point = tuple(float(x) for x in point)
         self.m = structure.dim

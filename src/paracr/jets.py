@@ -13,7 +13,12 @@ The views ``v``, ``d`` and ``dd`` expose the first three blocks as
 the point and direction axes).
 
 Every rule is Taylor-mode forward differentiation (Griewank & Walther,
-*Evaluating Derivatives*, ch. 13), arranged so that each coefficient is
+*Evaluating Derivatives*, ch. 13).  The ring operations are ``Jet``
+operators; each elementary function is a module function
+(:func:`sinh_cosh`, with :func:`sinh` and :func:`cosh` taking their
+half of it, :func:`tanh`, :func:`exp`, :func:`ln`, :func:`sqrt`) that
+holds its order-by-order rule for a jet and is the ``math`` function
+for a float.  The rules are arranged so that each coefficient is
 the very same sequence of floating-point operations that k nested dual
 numbers perform for one point and one choice of directions (the scalar
 reference the tests hold the engine to): a product sums the Leibniz
@@ -110,19 +115,20 @@ def _layout(k, order):
     return _Layout(k, order)
 
 
-def _libm(fn, values):
-    """``fn`` from the math module at every entry; NaN where it raises."""
-    flat = values.ravel().tolist()
+def _libm(fn, x):
+    """``fn`` from the math module at every coefficient of the jet x;
+    NaN where it raises."""
+    flat = x.c.ravel().tolist()
     try:
-        out = [fn(x) for x in flat]
+        out = [fn(v) for v in flat]
     except (OverflowError, ValueError):
         out = []
-        for x in flat:
+        for v in flat:
             try:
-                out.append(fn(x))
+                out.append(fn(v))
             except (OverflowError, ValueError):
                 out.append(math.nan)
-    return np.array(out, dtype=float).reshape(values.shape)
+    return x._new(np.array(out, dtype=float).reshape(x.c.shape))
 
 
 def _guarded(quotient, divisor):
@@ -284,52 +290,6 @@ class Jet:
     def __pow__(self, k):
         return powi(self, k)
 
-    # -- elementary functions --------------------------------------------
-
-    def _apply(self, fn):
-        return self._new(_libm(fn, self.c))
-
-    def _sinh_cosh(self):
-        if self.layout.order == 0:
-            return self._apply(math.sinh), self._apply(math.cosh)
-        s, c = self._low()._sinh_cosh()
-        du = self._top()
-        return s._raise(c._spread() * du), c._raise(s._spread() * du)
-
-    def sinh(self):
-        return self._sinh_cosh()[0]
-
-    def cosh(self):
-        return self._sinh_cosh()[1]
-
-    def tanh(self):
-        if self.layout.order == 0:
-            return self._apply(math.tanh)
-        t = self._low().tanh()
-        h = t._spread()
-        return t._raise((1.0 - h * h) * self._top())
-
-    def exp(self):
-        if self.layout.order == 0:
-            return self._apply(math.exp)
-        e = self._low().exp()
-        return e._raise(e._spread() * self._top())
-
-    def ln(self):
-        # log of v <= 0 is NaN (see _libm)
-        if self.layout.order == 0:
-            return self._apply(math.log)
-        low = self._low()
-        f = low.ln()
-        return f._raise(self._top()._over(low._spread(), f._top()))
-
-    def sqrt(self):
-        # sqrt of v < 0 is NaN; at v = 0 the derivatives are ±inf or NaN
-        if self.layout.order == 0:
-            return self._new(np.sqrt(self.c))
-        f = self._low().sqrt()
-        return f._raise(self._top()._over(2.0 * f._spread(), f._top()))
-
 
 def coordinate_jets(points, order, directions=None):
     """One scalar jet per chart coordinate at a batch of points.
@@ -410,40 +370,64 @@ def powi(x, k):
     return out
 
 
+def sinh_cosh(x):
+    """(sinh x, cosh x); a jet takes both from one pass of its rule."""
+    if not isinstance(x, Jet):
+        return math.sinh(x), math.cosh(x)
+    if x.layout.order == 0:
+        return _libm(math.sinh, x), _libm(math.cosh, x)
+    s, c = sinh_cosh(x._low())
+    du = x._top()
+    return s._raise(c._spread() * du), c._raise(s._spread() * du)
+
+
 def sinh(x):
-    return x.sinh() if isinstance(x, Jet) else math.sinh(x)
+    return sinh_cosh(x)[0] if isinstance(x, Jet) else math.sinh(x)
 
 
 def cosh(x):
-    return x.cosh() if isinstance(x, Jet) else math.cosh(x)
-
-
-def sinh_cosh(x):
-    """(sinh x, cosh x); a jet takes both from one pass of its rule."""
-    if isinstance(x, Jet):
-        return x._sinh_cosh()
-    return math.sinh(x), math.cosh(x)
+    return sinh_cosh(x)[1] if isinstance(x, Jet) else math.cosh(x)
 
 
 def tanh(x):
-    return x.tanh() if isinstance(x, Jet) else math.tanh(x)
+    if not isinstance(x, Jet):
+        return math.tanh(x)
+    if x.layout.order == 0:
+        return _libm(math.tanh, x)
+    t = tanh(x._low())
+    h = t._spread()
+    return t._raise((1.0 - h * h) * x._top())
 
 
 def exp(x):
-    return x.exp() if isinstance(x, Jet) else math.exp(x)
+    if not isinstance(x, Jet):
+        return math.exp(x)
+    if x.layout.order == 0:
+        return _libm(math.exp, x)
+    e = exp(x._low())
+    return e._raise(e._spread() * x._top())
 
 
 def ln(x):
-    if isinstance(x, Jet):
-        return x.ln()
-    if x <= 0.0:
-        raise DomainError(f"ln of non-positive value {x!r}")
-    return math.log(x)
+    if not isinstance(x, Jet):
+        if x <= 0.0:
+            raise DomainError(f"ln of non-positive value {x!r}")
+        return math.log(x)
+    # log of v <= 0 is NaN (see _libm)
+    if x.layout.order == 0:
+        return _libm(math.log, x)
+    low = x._low()
+    f = ln(low)
+    return f._raise(x._top()._over(low._spread(), f._top()))
 
 
 def sqrt(x):
-    if isinstance(x, Jet):
-        return x.sqrt()
-    if x < 0.0:
-        raise DomainError(f"sqrt of negative value {x!r}")
-    return math.sqrt(x)
+    if not isinstance(x, Jet):
+        if x < 0.0:
+            raise DomainError(f"sqrt of negative value {x!r}")
+        return math.sqrt(x)
+    # sqrt of v < 0 is NaN; at v = 0 the derivatives are ±inf or NaN
+    if x.layout.order == 0:
+        return x._new(np.sqrt(x.c))
+    f = sqrt(x._low())
+    return f._raise(x._top()._over(2.0 * f._spread(), f._top()))

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 from .conditions import CLASS_NAMES as ALL_CLASSES
 from .errors import ValidationError
-from .expr import Const, EntryParser, Neg, diff, parse, variables
+from .expr import _MAX_DEPTH, Const, EntryParser, Neg, diff, parse, \
+    tree_depth, variables
 from .geometry import (
     Chart,
     CoordinateStructure,
@@ -257,6 +258,10 @@ def cosymplectic(n=1, H=None):
         for w in range(n):
             entries[n + w][a] = Neg(diff(diff(H_node, a), w))
     entries[m - 1][m - 1] = one
+    memo = {}
+    if max(tree_depth(e, memo) for row in entries for e in row) > _MAX_DEPTH:
+        raise ValidationError(f"parameter H: its second partials nest "
+                              f"deeper than {_MAX_DEPTH} levels")
 
     structure = FrameStructure(
         chart,

@@ -42,8 +42,7 @@ from .errors import (
     SamplingExhausted,
     ValidationError,
 )
-from .geometry import FrameBatch, degenerate_metric, directional_residuals, \
-    structure_arrays
+from .geometry import FrameBatch, directional_residuals, structure_arrays
 
 REPORT_KEY_ORDER = (
     "spec_digest", "seed", "points", "tolerance", "engine", "checks",
@@ -63,10 +62,11 @@ SELF_TEST_NAMES = (
 def sample_points(structure, rng, count):
     """A FrameBatch of ``count`` uniform box points, resampling rejects.
 
-    A draw is rejected when the structure is singular or degenerate
-    there (frame not invertible, metric determinant too small, point
-    outside the patch, or a domain error or non-finite value in the
-    components).  Draws come in waves, each as large as the number of
+    A draw is rejected when :func:`paracr.geometry.structure_arrays`
+    rejects it: the structure is singular or degenerate there (frame
+    not invertible, point outside the patch, a domain error or
+    non-finite value in the components, metric determinant too small).
+    Draws come in waves, each as large as the number of
     points still missing but at most ``_CHUNK``, and each wave is
     evaluated as one batch, so memory stays bounded and the attempts
     and the RNG stream match a one-draw-at-a-time loop.  More
@@ -89,11 +89,9 @@ def sample_points(structure, rng, count):
         wave = min(count - accepted, budget - attempts, _CHUNK)
         attempts += wave
         points = lo + (hi - lo) * rng.random((wave, chart.dim))
-        batch = structure_arrays(structure, points)
-        keep = np.array([error is None for error in batch.rejected])
-        keep[keep] = ~degenerate_metric(batch.g[keep])
-        waves.append(batch.rows(keep))
-        accepted += int(keep.sum())
+        batch = structure_arrays(structure, points)[0]
+        waves.append(batch)
+        accepted += len(batch)
     return FrameBatch.concat(waves)
 
 

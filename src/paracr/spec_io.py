@@ -301,12 +301,15 @@ def load_spec(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"spec file: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"spec file: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError("spec file: invalid JSON: nested too deeply"
+                              ) from exc
     return spec_from_dict(data)
 
 

@@ -143,7 +143,7 @@ class TestAgainstScalarReference:
             for _ in range(attempts):
                 point = lo + (hi - lo) * replay.random(st.dim)
                 try:
-                    PointFrame(st, point).ginv
+                    PointFrame(st, point)
                 except paracr.ParacrError as exc:
                     name = type(exc).__name__
                     classes[name] = classes.get(name, 0) + 1
@@ -153,14 +153,29 @@ class TestAgainstScalarReference:
         assert sum(total.values()) >= 16, total
 
     def test_batch_slices_equal_single_points(self):
-        st = STRUCTURES["p1_2"]()
-        points = np.random.default_rng(8).uniform(0.5, 1.0, (5, st.dim))
-        batch = structure_arrays(st, points)
-        for i, point in enumerate(points):
-            single = PointFrame(st, point)
-            for name in ARRAY_NAMES:
-                np.testing.assert_array_equal(getattr(batch, name)[i],
-                                              getattr(single, name))
+        # the batch holds exactly the accepted points, in order, each
+        # with the arrays of its own PointFrame; a rejected point's error
+        # is the one its PointFrame raises.  Three of the five draws of
+        # half_degenerate_metric have |x| < 0.5 (DegenerateMetric).
+        for st, low, count in ((STRUCTURES["p1_2"](), 0.5, 5),
+                               (REJECTING["half_degenerate_metric"](),
+                                -1.0, 2)):
+            points = np.random.default_rng(8).uniform(low, 1.0, (5, st.dim))
+            batch, rejected = structure_arrays(st, points)
+            accepted = [i for i, error in enumerate(rejected)
+                        if error is None]
+            assert len(accepted) == count
+            np.testing.assert_array_equal(batch.points, points[accepted])
+            for row, i in enumerate(accepted):
+                single = PointFrame(st, points[i])
+                for name in ARRAY_NAMES:
+                    np.testing.assert_array_equal(getattr(batch, name)[row],
+                                                  getattr(single, name))
+            for point, error in zip(points, rejected):
+                if error is not None:
+                    with pytest.raises(paracr.ParacrError) as raised:
+                        PointFrame(st, point)
+                    assert type(raised.value) is type(error)
 
     def test_corpus_gap_is_read_off_the_selecting_jets(self):
         # the corpus gap comes from the order-3 jets that built the
@@ -341,8 +356,8 @@ class TestDirectionalStencils:
         # direction with |u_x| > 1e-4 leaves its domain on one side
         st = coordinate_structure("2 + sqrt(x)")
         inner, edge = (0.5, 0.1, 0.2), (1e-9, 0.1, 0.2)
-        both = structure_arrays(st, [inner, edge])
-        assert both.rejected == [None, None]
+        both, rejected = structure_arrays(st, [inner, edge])
+        assert rejected == [None, None]
         summary = engine_self_tests(both)
         assert summary.fd_excluded == 1
         # the inner point alone: the same directions, the same value
@@ -362,7 +377,8 @@ class TestDirectionalStencils:
 
     def test_every_stencil_rejected_is_nan(self):
         st = coordinate_structure("2 + sqrt(x)")
-        summary = engine_self_tests(structure_arrays(st, [(1e-9, 0.1, 0.2)]))
+        summary = engine_self_tests(
+            structure_arrays(st, [(1e-9, 0.1, 0.2)])[0])
         assert summary.fd_excluded == 1
         assert math.isnan(summary["jet_vs_fd"])
         assert summary["mixed_partial"] <= 1e-12

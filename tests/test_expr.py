@@ -73,7 +73,15 @@ class TestParsing:
             parse("sinh(2*z", XYZ)
 
     def test_offset_within_input(self):
-        for bad in ("", "()", "2*", "^2", "x^z", "x^2.5", "x^(2)"):
+        # and nesting deeper than 100 levels: parentheses, unary minuses,
+        # calls and exponent chains as the parser recurses, long operator
+        # chains as the tree grows
+        deep = ("(" * 250 + "x" + ")" * 250, "-" * 1200 + "x",
+                "exp(" * 101 + "x" + ")" * 101, "x^" + "^".join(["1"] * 2000),
+                "0*(" + "+".join(["x"] * 900) + ")", "x" + "*x" * 10000,
+                "(" * 10000 + "x" + ")" * 10000,
+                "x*z/(1+" * 99 + "x*z" + ")" * 99)
+        for bad in ("", "()", "2*", "^2", "x^z", "x^2.5", "x^(2)") + deep:
             with pytest.raises(ParseError) as err:
                 parse(bad, XYZ)
             assert 0 <= err.value.offset <= len(bad)

@@ -19,9 +19,9 @@ import pytest
 
 from corpus_reference import EVAL_ERRORS
 from expression_corpus import random_expression
-from paracr import geometry
-from paracr.expr import Bin, Call, Const, SharedTrees, eval_expr, parse, \
-    render
+from paracr import geometry, jets
+from paracr.expr import FUNCTIONS, Bin, Call, Const, SharedTrees, \
+    eval_expr, parse, render
 from paracr.jets import Jet, coordinate_jets
 from paracr.presets import build_example
 from paracr.spec_io import spec_from_dict
@@ -139,38 +139,41 @@ def sqrt_structure():
 
 
 def top_level_calls(monkeypatch, order, names):
-    """Counts of the calls of the named Jet methods on order-``order``
-    jets (their recursion runs on lower orders)."""
+    """Counts of the calls of the named ``jets`` functions on
+    order-``order`` jets (their recursion runs on lower orders), through
+    the module and through ``expr.FUNCTIONS``."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(Jet, name)
+        original = getattr(jets, name)
 
-        def counted(self, original=original, name=name):
-            calls[name] += self.layout.order == order
-            return original(self)
+        def counted(x, original=original, name=name):
+            calls[name] += isinstance(x, Jet) and x.layout.order == order
+            return original(x)
 
-        monkeypatch.setattr(Jet, name, counted)
+        monkeypatch.setattr(jets, name, counted)
+        if name in FUNCTIONS:
+            monkeypatch.setitem(FUNCTIONS, name, counted)
     return calls
 
 
 def test_repeated_subexpressions_are_evaluated_once(monkeypatch):
     # [TRIVIAL] flat3d_sqrt writes sqrt(z+0.5) in eight entries, and
     # sinh(2*sqrt(z+0.5)) and cosh(2*sqrt(z+0.5)) in four each: one
-    # structure_jets call takes one top-level sqrt and one _sinh_cosh
-    calls = top_level_calls(monkeypatch, 2, ("sqrt", "_sinh_cosh"))
+    # structure_jets call takes one top-level sqrt and one sinh_cosh
+    calls = top_level_calls(monkeypatch, 2, ("sqrt", "sinh_cosh"))
     points = np.random.default_rng(0).uniform(-0.4, 0.4, (6, 3))
     geometry.structure_jets(sqrt_structure(), points, 2)
-    assert calls == {"sqrt": 1, "_sinh_cosh": 1}
+    assert calls == {"sqrt": 1, "sinh_cosh": 1}
 
 
 def test_sinh_and_cosh_of_a_coordinate_are_one_pair(monkeypatch):
     # [TRIVIAL] a leaf argument pairs by its value, not its object
-    calls = top_level_calls(monkeypatch, 1, ("_sinh_cosh",))
+    calls = top_level_calls(monkeypatch, 1, ("sinh_cosh",))
     trees = SharedTrees([parse(text, NAMES) for text in (
         "sinh(x2)", "cosh(x2) + 1", "sinh(x1)", "cosh(-x2)")])
     xs = coordinate_jets([(0.1, 0.2, 0.3)], 1)
     got = trees.evaluate(xs)
-    assert calls == {"_sinh_cosh": 3}
+    assert calls == {"sinh_cosh": 3}
     for g, e in zip(got, trees.entries):
         assert_same(g, eval_expr(e, xs))
 

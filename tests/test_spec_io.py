@@ -42,6 +42,9 @@ BAD_PRESETS = [
     ({"name": "p1", "c": math.inf}, "does not accept parameters ['c']"),
     ({"name": "p1", "f": 3}, "parameter f must be a string"),
     ({"name": "cosymplectic", "H": 5}, "parameter H must be a string"),
+    # H itself is 40 levels deep, its second partials 103
+    ({"name": "cosymplectic", "H": "x1*z/(1+" * 19 + "x1*z" + ")" * 19},
+     "parameter H: its second partials nest deeper than 100 levels"),
 ]
 
 P1_FRAME_SPEC = {
@@ -467,9 +470,12 @@ class TestFilesAndEmission:
         with pytest.raises(ValidationError):
             load_spec(tmp_path / "absent.json")
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ValidationError):
-            load_spec(bad)
+        # not JSON, not UTF-8, nested deeper than the JSON decoder goes
+        for content in (b"{not json", b"\xff{}",
+                        b"[" * 100000 + b"]" * 100000):
+            bad.write_bytes(content)
+            with pytest.raises(ValidationError, match="^spec file: "):
+                load_spec(bad)
 
     def test_spec_text_block_order_and_reload(self, tmp_path):
         text = spec_text(P1_FRAME_SPEC)
