@@ -63,10 +63,7 @@ def _parser():
 def _parse_checks(option):
     if option is None:
         return None
-    text = option.strip()
-    if text == "all":
-        return "all"
-    return [item.strip() for item in text.split(",") if item.strip()]
+    return [item.strip() for item in option.split(",") if item.strip()]
 
 
 def _cmd_verify(args):

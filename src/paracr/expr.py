@@ -50,6 +50,7 @@ __all__ = [
     "FUNCTIONS",
     "parse",
     "EntryParser",
+    "read_block",
     "render",
     "eval_expr",
     "SharedTrees",
@@ -532,14 +533,32 @@ def parse(text, coordinates):
     return node
 
 
+def read_block(block, m, where, read, matrix=False):
+    """``read(entry, location)`` of each entry of a block of m entries
+    or, with ``matrix``, of m rows of m entries, in row-major order and
+    located as ``where[j]`` or ``where[i][j]``; a block of another shape
+    is a ValidationError located as ``where``, before any entry is
+    read."""
+    rows = block if matrix else [block]
+    if (not isinstance(block, list) or len(block) != m
+            or not all(isinstance(r, list) and len(r) == m for r in rows)):
+        shape = f"{m} x {m} matrix" if matrix else f"list of {m} entries"
+        raise ValidationError(f"{where}: must be a {shape}")
+    if matrix:
+        return [read_block(row, m, f"{where}[{i}]", read)
+                for i, row in enumerate(block)]
+    return [read(value, f"{where}[{j}]") for j, value in enumerate(block)]
+
+
 class EntryParser:
     """Parses the expression texts of one structure's entries.
 
     Each distinct text is parsed once, so equal texts give one AST
-    object.  A block of the wrong shape, or an entry that is not a
-    string or does not parse, raises a ValidationError or a ParseError
-    located as ``where``, ``where[j]`` or ``where[i][j]``; entries are
-    read in row-major order, so the first bad one is reported.
+    object.  A block of the wrong shape (:func:`read_block`), or an
+    entry that is not a string or does not parse, raises a
+    ValidationError or a ParseError located as ``where``, ``where[j]``
+    or ``where[i][j]``; entries are read in row-major order, so the
+    first bad one is reported.
     """
 
     def __init__(self, coordinates):
@@ -547,19 +566,12 @@ class EntryParser:
         self._parsed = {}
 
     def matrix(self, rows, where):
-        m = len(self.coordinates)
-        if (not isinstance(rows, list) or len(rows) != m
-                or not all(isinstance(r, list) and len(r) == m for r in rows)):
-            raise ValidationError(f"{where}: must be a {m} x {m} matrix")
-        return [self.vector(row, f"{where}[{i}]")
-                for i, row in enumerate(rows)]
+        return read_block(rows, len(self.coordinates), where, self._entry,
+                          matrix=True)
 
     def vector(self, entries, where):
-        m = len(self.coordinates)
-        if not isinstance(entries, list) or len(entries) != m:
-            raise ValidationError(f"{where}: must be a list of {m} entries")
-        return [self._entry(text, f"{where}[{j}]")
-                for j, text in enumerate(entries)]
+        return read_block(entries, len(self.coordinates), where,
+                          self._entry)
 
     def _entry(self, text, where):
         if not isinstance(text, str):

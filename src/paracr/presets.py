@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .conditions import CLASS_NAMES as ALL_CLASSES
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .expr import _MAX_DEPTH, Const, EntryParser, Neg, diff, parse, \
     tree_depth, variables
 from .geometry import (
@@ -61,17 +61,10 @@ def _fingerprint(**kwargs):
     return fp
 
 
-def _box_json(chart):
-    return [[float(lo), float(hi)] for lo, hi in chart.box]
-
-
-def _preset_spec(chart, name, **params):
-    return {
-        "chart": {"coordinates": list(chart.coordinates),
-                  "box": _box_json(chart)},
-        "structure": {"preset": {"name": name, **params}},
-        "checks": "all",
-    }
+def _preset_spec(name, **params):
+    """The spec of a preset; the loader derives its chart."""
+    return {"structure": {"preset": {"name": name, **params}},
+            "checks": "all"}
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +98,7 @@ def flat3d():
             para_cr=True,
         ),
         targets={"riemann_max": 0.0, "h_on_dz": -1.0},
-        spec_dict=_preset_spec(chart, "flat3d"),
+        spec_dict=_preset_spec("flat3d"),
     )
 
 
@@ -117,7 +110,6 @@ def hyperboloid(n=1):
     """Unit pseudosphere of para-Kahler flat space: para-Sasakian,
     constant sectional curvature -1."""
     structure = HyperboloidStructure(n)
-    chart = structure.chart
     return ExampleDescriptor(
         name="hyperboloid",
         structure=structure,
@@ -133,44 +125,54 @@ def hyperboloid(n=1):
             "r": float(-2 * n * (2 * n + 1)),
             "r_star": float(2 * n),
         },
-        spec_dict=_preset_spec(chart, "hyperboloid", n=n),
+        spec_dict=_preset_spec("hyperboloid", n=n),
     )
 
 
 # ---------------------------------------------------------------------------
-# p1
+# the frame families p1 and cosymplectic
 # ---------------------------------------------------------------------------
 
-def _p1_chart(n):
+def _family_chart(n, z_box):
+    """Coordinates x1..xn, y1..yn, z; x and y range over [-1, 1]."""
     coords = tuple([f"x{a}" for a in range(1, n + 1)]
                    + [f"y{a}" for a in range(1, n + 1)] + ["z"])
-    box = tuple([(-1.0, 1.0)] * (2 * n) + [(0.5, 1.5)])
-    return Chart(coords, box)
+    return Chart(coords, tuple([(-1.0, 1.0)] * (2 * n) + [z_box]))
 
 
-def _null_pair_g_hat(n):
-    m = 2 * n + 1
+def _parameter(name, text, coordinates):
+    """The AST of the expression parameter ``name``; a parse error names
+    it, at its offset in ``text``."""
+    try:
+        return parse(text, coordinates)
+    except ParseError as exc:
+        raise ValidationError(f"parameter {name}: {exc}") from exc
+
+
+def _frame_family(chart, coupling, parameter, derived):
+    """The frame structure whose frame E is the identity with the entries
+    of ``coupling`` ((row, column) -> AST) set, under the null-pair
+    metric (e_a paired with e_(n+a)), split-sign phi (-1 on e_1..e_n,
+    +1 on e_(n+1)..e_2n) and xi = eta = the last basis vector.  The
+    coupling entries, the ``derived`` of the expression parameter
+    ``parameter``, may nest at most ``_MAX_DEPTH`` levels."""
+    m, n = chart.dim, chart.n
+    memo = {}
+    if max(tree_depth(e, memo) for e in coupling.values()) > _MAX_DEPTH:
+        raise ValidationError(f"parameter {parameter}: its {derived} nest "
+                              f"deeper than {_MAX_DEPTH} levels")
+    one, zero = Const(1.0), Const(0.0)
+    frame = [[one if i == j else zero for j in range(m)] for i in range(m)]
     g_hat = [[0.0] * m for _ in range(m)]
-    for a in range(n):
-        g_hat[a][n + a] = 1.0
-        g_hat[n + a][a] = 1.0
-    g_hat[m - 1][m - 1] = 1.0
-    return g_hat
-
-
-def _split_sign_phi_hat(n):
-    m = 2 * n + 1
     phi_hat = [[0.0] * m for _ in range(m)]
+    for (i, j), entry in coupling.items():
+        frame[i][j] = entry
     for a in range(n):
-        phi_hat[a][a] = -1.0
-        phi_hat[n + a][n + a] = 1.0
-    return phi_hat
-
-
-def _last_basis_vector(m):
-    v = [0.0] * m
-    v[m - 1] = 1.0
-    return v
+        g_hat[a][n + a] = g_hat[n + a][a] = 1.0
+        phi_hat[a][a], phi_hat[n + a][n + a] = -1.0, 1.0
+    g_hat[m - 1][m - 1] = 1.0
+    last = [0.0] * (m - 1) + [1.0]
+    return FrameStructure(chart, frame, g_hat, phi_hat, last, last)
 
 
 def default_p1_f(n):
@@ -183,29 +185,15 @@ def p1(n=2, f=None):
     exactly when f solves  f*df/dx_a - df/dy_a + 2 x_a df/dz = 0."""
     if n < 2:
         raise ValidationError("the p1 family needs n >= 2")
-    chart = _p1_chart(n)
-    coords = chart.coordinates
-    m = chart.dim
+    chart = _family_chart(n, (0.5, 1.5))
     default = f is None
     f_text = default_p1_f(n) if default else f
-    parse(f_text, coords)  # validate early with a located error
-
-    rows = [["0"] * m for _ in range(m)]
+    minus_f = Neg(_parameter("f", f_text, chart.coordinates))
+    coupling = {}
     for a in range(n):
-        rows[a][a] = "1"
-        rows[a][n + a] = f"-({f_text})"
-        rows[n + a][n + a] = "1"
-        rows[m - 1][n + a] = f"-2*x{a + 1}"
-    rows[m - 1][m - 1] = "1"
-
-    structure = FrameStructure(
-        chart,
-        EntryParser(coords).matrix(rows, "E"),
-        _null_pair_g_hat(n),
-        _split_sign_phi_hat(n),
-        _last_basis_vector(m),
-        _last_basis_vector(m),
-    )
+        coupling[a, n + a] = minus_f
+        coupling[2 * n, n + a] = parse(f"-2*x{a + 1}", chart.coordinates)
+    structure = _frame_family(chart, coupling, "f", "frame entries")
     fingerprint = None
     if default:
         fingerprint = _fingerprint(
@@ -218,13 +206,9 @@ def p1(n=2, f=None):
         structure=structure,
         fingerprint=fingerprint,
         targets={"h_squared_max": 0.0},
-        spec_dict=_preset_spec(chart, "p1", n=n, f=f_text),
+        spec_dict=_preset_spec("p1", n=n, f=f_text),
     )
 
-
-# ---------------------------------------------------------------------------
-# cosymplectic
-# ---------------------------------------------------------------------------
 
 def default_cosymplectic_H(n):
     return "z*(" + " + ".join(f"x{a}^2" for a in range(1, n + 1)) + ")"
@@ -236,41 +220,19 @@ def cosymplectic(n=1, H=None):
     built as expressions by symbolic differentiation."""
     if n < 1:
         raise ValidationError("the cosymplectic family needs n >= 1")
-    coords = tuple([f"x{a}" for a in range(1, n + 1)]
-                   + [f"y{a}" for a in range(1, n + 1)] + ["z"])
-    chart = Chart(coords, ((-1.0, 1.0),) * (2 * n + 1))
-    m = chart.dim
+    chart = _family_chart(n, (-1.0, 1.0))
     default = H is None
     H_text = default_cosymplectic_H(n) if default else H
-    H_node = parse(H_text, coords)
+    H_node = _parameter("H", H_text, chart.coordinates)
     allowed = {f"x{a}" for a in range(1, n + 1)} | {"z"}
     used = variables(H_node)
     if not used <= allowed:
         raise ValidationError(
-            f"potential may depend on {sorted(allowed)} only, "
-            f"found {sorted(used - allowed)}")
-
-    one, zero = Const(1.0), Const(0.0)
-    entries = [[zero] * m for _ in range(m)]
-    for a in range(n):
-        entries[a][a] = one
-        entries[n + a][n + a] = one
-        for w in range(n):
-            entries[n + w][a] = Neg(diff(diff(H_node, a), w))
-    entries[m - 1][m - 1] = one
-    memo = {}
-    if max(tree_depth(e, memo) for row in entries for e in row) > _MAX_DEPTH:
-        raise ValidationError(f"parameter H: its second partials nest "
-                              f"deeper than {_MAX_DEPTH} levels")
-
-    structure = FrameStructure(
-        chart,
-        entries,
-        _null_pair_g_hat(n),
-        _split_sign_phi_hat(n),
-        _last_basis_vector(m),
-        _last_basis_vector(m),
-    )
+            f"parameter H: the potential may depend on {sorted(allowed)} "
+            f"only, found {sorted(used - allowed)}")
+    coupling = {(n + w, a): Neg(diff(diff(H_node, a), w))
+                for a in range(n) for w in range(n)}
+    structure = _frame_family(chart, coupling, "H", "second partials")
     fingerprint = None
     if default:
         fingerprint = _fingerprint(
@@ -284,7 +246,7 @@ def cosymplectic(n=1, H=None):
         structure=structure,
         fingerprint=fingerprint,
         targets={},
-        spec_dict=_preset_spec(chart, "cosymplectic", n=n, H=H_text),
+        spec_dict=_preset_spec("cosymplectic", n=n, H=H_text),
     )
 
 
@@ -300,13 +262,13 @@ def build_example(name, **params):
         return flat3d()
     if name == "hyperboloid":
         _check_params(name, params, ("n",))
-        return hyperboloid(int(params.get("n", 1)))
+        return hyperboloid(params.get("n", 1))
     if name == "p1":
         _check_params(name, params, ("n", "f"))
-        return p1(int(params.get("n", 2)), params.get("f"))
+        return p1(params.get("n", 2), params.get("f"))
     if name == "cosymplectic":
         _check_params(name, params, ("n", "H"))
-        return cosymplectic(int(params.get("n", 1)), params.get("H"))
+        return cosymplectic(params.get("n", 1), params.get("H"))
     raise ValidationError(
         f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
 

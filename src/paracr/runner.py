@@ -43,6 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import FrameBatch, directional_residuals, structure_arrays
+from .spec_io import validate_checks, validate_numeric
 
 REPORT_KEY_ORDER = (
     "spec_digest", "seed", "points", "tolerance", "engine", "checks",
@@ -402,48 +403,20 @@ class Report:
 # the run itself
 # ---------------------------------------------------------------------------
 
-def _merge_numeric(spec, points, seed, tolerance):
-    numeric = dict(spec.numeric)
-    if points is not None:
-        if points < 1:
-            raise ValidationError("points must be >= 1")
-        numeric["points"] = int(points)
-    if seed is not None:
-        if seed < 0:
-            raise ValidationError("seed must be >= 0")
-        numeric["seed"] = int(seed)
-    if tolerance is not None:
-        if not tolerance > 0:
-            raise ValidationError("tolerance must be positive")
-        numeric["tolerance"] = float(tolerance)
-        # Keep the ambiguity band open when a loose tolerance is asked for.
-        if numeric["separation"] <= numeric["tolerance"]:
-            numeric["separation"] = 10.0 * numeric["tolerance"]
-    # an infinite tolerance passes every check, an infinite separation
-    # makes every failure ambiguous
-    for key in ("tolerance", "separation"):
-        if not math.isfinite(numeric[key]):
-            raise ValidationError(f"{key} must be finite, not "
-                                  f"{numeric[key]}")
-    return numeric
-
-
 def run(spec, checks=None, points=None, seed=None, tolerance=None):
     """Execute one verification run and return its Report.
 
     ``checks``, ``points``, ``seed``, and ``tolerance`` override the
-    spec's own blocks when given (command-line flags); the RNG
-    consumption order documented at module level makes the report body
-    reproducible byte for byte.
+    spec's own blocks when given (command-line flags), under the rules
+    of those blocks (:func:`paracr.spec_io.validate_checks`,
+    :func:`paracr.spec_io.validate_numeric`); the RNG consumption order
+    documented at module level makes the report body reproducible byte
+    for byte.
     """
-    numeric = _merge_numeric(spec, points, seed, tolerance)
-    requested = spec.checks if checks is None else checks
-    try:
-        check_ids = expand_checks(requested, spec.chart.dim)
-    except KeyError as exc:
-        raise ValidationError(f"checks: {exc.args[0]}") from exc
-    if not check_ids:
-        raise ValidationError("checks: must request at least one check")
+    numeric = validate_numeric(spec.numeric, points=points, seed=seed,
+                               tolerance=tolerance)
+    requested = spec.checks if checks is None else validate_checks(checks)
+    check_ids = expand_checks(requested, spec.chart.dim)
 
     start = time.perf_counter()
     rng = np.random.default_rng(numeric["seed"])

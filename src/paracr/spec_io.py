@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .conditions import BUNDLES, CONDITIONS
 from .errors import ValidationError
-from .expr import EntryParser
+from .expr import EntryParser, read_block
 from .geometry import Chart, CoordinateStructure, FrameStructure
 from .presets import build_example
 
@@ -73,18 +73,28 @@ def _require_object(value, block):
     return value
 
 
-def _chart_from_block(block):
-    data = _require_object(block, "chart block")
-    extra = set(data) - {"coordinates", "box"}
+def _object(value, block, keys, required=True):
+    """``value`` as a JSON object with no keys but ``keys`` (and all of
+    them when ``required``), its items in the order of ``keys``."""
+    data = _require_object(value, block)
+    extra = set(data) - set(keys)
     if extra:
-        _fail("chart block", f"unknown keys {sorted(extra)}")
-    coords = data.get("coordinates")
+        _fail(block, f"unknown keys {sorted(extra)}")
+    missing = set(keys) - set(data)
+    if required and missing:
+        _fail(block, f"missing fields {sorted(missing)}")
+    return {key: data[key] for key in keys if key in data}
+
+
+def _chart_from_block(block):
+    data = _object(block, "chart block", ("coordinates", "box"))
+    coords = data["coordinates"]
     if (not isinstance(coords, list) or not coords
             or not all(isinstance(c, str) and c for c in coords)):
         _fail("chart block", "coordinates must be a non-empty list of names")
     if len(set(coords)) != len(coords):
         _fail("chart block", "coordinate names must be distinct")
-    box = data.get("box")
+    box = data["box"]
     if not isinstance(box, list) or not all(
             isinstance(iv, list) and len(iv) == 2 for iv in box):
         _fail("chart block", "box must be a list of [lo, hi] pairs")
@@ -116,21 +126,10 @@ def _number(value, where):
     _fail(where, f"must be a finite number, not {json.dumps(value)}")
 
 
-def _number_matrix(rows, m, where):
-    if (not isinstance(rows, list) or len(rows) != m
-            or not all(isinstance(r, list) and len(r) == m for r in rows)):
-        _fail(where, f"must be a numeric {m} x {m} matrix")
-    return [[_number(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
-            for i, row in enumerate(rows)]
-
-
-def _number_vector(entries, m, where):
-    if not isinstance(entries, list) or len(entries) != m:
-        _fail(where, f"must be a numeric list of {m} entries")
-    return [_number(v, f"{where}[{j}]") for j, v in enumerate(entries)]
-
-
-def _validate_checks(checks):
+def validate_checks(checks):
+    """A check request, from the checks block or :func:`paracr.runner.run`:
+    "all", or a non-empty list of condition ids, bundle names and "all";
+    a single name stands for the list of it."""
     if checks == "all":
         return "all"
     if isinstance(checks, str):
@@ -147,36 +146,47 @@ def _validate_checks(checks):
     return list(checks)
 
 
-def _validate_numeric(block):
-    if block is None:
-        return dict(DEFAULT_NUMERIC)
-    data = _require_object(block, "numeric block")
-    extra = set(data) - set(DEFAULT_NUMERIC)
-    if extra:
-        _fail("numeric block", f"unknown keys {sorted(extra)}")
-    merged = dict(DEFAULT_NUMERIC)
-    merged.update(data)
-    for key in ("points", "seed", "probes"):
-        value = merged[key]
-        if not isinstance(value, int) or isinstance(value, bool):
-            _fail("numeric block", f"{key} must be an integer")
-    if merged["points"] < 1:
-        _fail("numeric block", "points must be >= 1")
-    if merged["seed"] < 0:
-        _fail("numeric block", "seed must be >= 0")
-    if merged["probes"] < 0:
-        _fail("numeric block", "probes must be >= 0")
-    for key in ("tolerance", "separation"):
-        value = merged[key]
+def _numeric_field(key, value):
+    """``value`` of the numeric setting ``key`` by its rule: ``points``,
+    ``seed`` and ``probes`` are integers (points at least 1, the others
+    at least 0), ``tolerance`` and ``separation`` positive finite
+    numbers, returned as floats."""
+    if key in ("tolerance", "separation"):
         if not isinstance(value, (int, float)) or isinstance(value, bool) \
                 or not value > 0:
             _fail("numeric block", f"{key} must be a positive number")
         if not value <= sys.float_info.max:
             _fail("numeric block", f"{key} must be finite")
-        merged[key] = float(value)
-    if not merged["tolerance"] < merged["separation"]:
+        return float(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        _fail("numeric block", f"{key} must be an integer")
+    least = 1 if key == "points" else 0
+    if value < least:
+        _fail("numeric block", f"{key} must be >= {least}")
+    return value
+
+
+def validate_numeric(block, **overrides):
+    """The numeric block (None when there is none) over the defaults,
+    then the ``overrides`` that are not None (the ``points``, ``seed``
+    and ``tolerance`` of :func:`paracr.runner.run`), every field checked
+    by :func:`_numeric_field` and the tolerance below the separation.
+    An overriding tolerance at or above the separation widens the
+    separation to ten times the tolerance, keeping the ambiguity band
+    open."""
+    data = {} if block is None else _object(block, "numeric block",
+                                            DEFAULT_NUMERIC, required=False)
+    given = {key: value for key, value in overrides.items()
+             if value is not None}
+    merged = {**DEFAULT_NUMERIC, **data, **given}
+    numeric = {key: _numeric_field(key, merged[key])
+               for key in DEFAULT_NUMERIC}
+    if "tolerance" in given and numeric["separation"] <= numeric["tolerance"]:
+        numeric["separation"] = _numeric_field(
+            "separation", 10.0 * numeric["tolerance"])
+    if not numeric["tolerance"] < numeric["separation"]:
         _fail("numeric block", "tolerance must be below separation")
-    return merged
+    return numeric
 
 
 def _build_preset(block, chart_block):
@@ -190,26 +200,16 @@ def _build_preset(block, chart_block):
     except ValidationError as exc:
         _fail("structure.preset block", str(exc))
     chart = descriptor.structure.chart
-    if chart_block is not None:
-        declared = _chart_from_block(chart_block)
-        if (list(declared.coordinates) != list(chart.coordinates)
-                or [list(iv) for iv in declared.box]
-                != [list(iv) for iv in chart.box]):
-            _fail("chart block",
-                  f"does not match the chart of preset {name!r}")
+    if chart_block is not None and \
+            _chart_json(_chart_from_block(chart_block)) != _chart_json(chart):
+        _fail("chart block", f"does not match the chart of preset {name!r}")
     normalized = {"preset": {"name": name, **params}}
     return descriptor.structure, chart, normalized, descriptor
 
 
 def _build_coordinate(block, chart):
-    data = _require_object(block, "structure.coordinate block")
-    extra = set(data) - {"g", "phi", "xi", "eta"}
-    if extra:
-        _fail("structure.coordinate block", f"unknown keys {sorted(extra)}")
-    missing = {"g", "phi", "xi", "eta"} - set(data)
-    if missing:
-        _fail("structure.coordinate block",
-              f"missing fields {sorted(missing)}")
+    data = _object(block, "structure.coordinate block",
+                   ("g", "phi", "xi", "eta"))
     parser = EntryParser(chart.coordinates)
     structure = CoordinateStructure(
         chart,
@@ -218,70 +218,54 @@ def _build_coordinate(block, chart):
         parser.vector(data["xi"], "structure.coordinate.xi"),
         parser.vector(data["eta"], "structure.coordinate.eta"),
     )
-    normalized = {"coordinate": {k: data[k] for k in ("g", "phi", "xi",
-                                                      "eta")}}
-    return structure, normalized
+    return structure, {"coordinate": data}
 
 
 def _build_frame(block, chart):
-    data = _require_object(block, "structure.frame block")
-    fields = {"E", "g_hat", "phi_hat", "xi_hat", "eta_hat"}
-    extra = set(data) - fields
-    if extra:
-        _fail("structure.frame block", f"unknown keys {sorted(extra)}")
-    missing = fields - set(data)
-    if missing:
-        _fail("structure.frame block", f"missing fields {sorted(missing)}")
+    data = _object(block, "structure.frame block",
+                   ("E", "g_hat", "phi_hat", "xi_hat", "eta_hat"))
     m = chart.dim
     structure = FrameStructure(
         chart,
         EntryParser(chart.coordinates).matrix(data["E"], "structure.frame.E"),
-        _number_matrix(data["g_hat"], m, "structure.frame.g_hat"),
-        _number_matrix(data["phi_hat"], m, "structure.frame.phi_hat"),
-        _number_vector(data["xi_hat"], m, "structure.frame.xi_hat"),
-        _number_vector(data["eta_hat"], m, "structure.frame.eta_hat"),
+        read_block(data["g_hat"], m, "structure.frame.g_hat", _number,
+                   matrix=True),
+        read_block(data["phi_hat"], m, "structure.frame.phi_hat", _number,
+                   matrix=True),
+        read_block(data["xi_hat"], m, "structure.frame.xi_hat", _number),
+        read_block(data["eta_hat"], m, "structure.frame.eta_hat", _number),
     )
-    normalized = {"frame": {k: data[k] for k in ("E", "g_hat", "phi_hat",
-                                                 "xi_hat", "eta_hat")}}
-    return structure, normalized
+    return structure, {"frame": data}
 
 
 def spec_from_dict(data):
     """Validate a spec dictionary and build the structure it describes."""
-    data = _require_object(data, "spec")
-    extra = set(data) - set(_BLOCK_ORDER)
-    if extra:
-        _fail("spec", f"unknown blocks {sorted(extra)}")
+    data = _object(data, "spec", _BLOCK_ORDER, required=False)
     if "structure" not in data:
         _fail("spec", "missing structure block")
-    structure_block = _require_object(data["structure"], "structure block")
-    sources = [k for k in _STRUCTURE_SOURCES if k in structure_block]
-    unknown = set(structure_block) - set(_STRUCTURE_SOURCES)
-    if unknown:
-        _fail("structure block", f"unknown keys {sorted(unknown)}")
-    if len(sources) != 1:
+    structure_block = _object(data["structure"], "structure block",
+                              _STRUCTURE_SOURCES, required=False)
+    if len(structure_block) != 1:
         _fail("structure block",
               "must contain exactly one of preset, coordinate, frame")
-    source = sources[0]
+    [(source, block)] = structure_block.items()
 
     descriptor = None
     if source == "preset":
         structure, chart, normalized_structure, descriptor = _build_preset(
-            structure_block["preset"], data.get("chart"))
+            block, data.get("chart"))
     else:
         if "chart" not in data:
             _fail("chart block",
                   f"required for {source} structures")
         chart = _chart_from_block(data["chart"])
         if source == "coordinate":
-            structure, normalized_structure = _build_coordinate(
-                structure_block["coordinate"], chart)
+            structure, normalized_structure = _build_coordinate(block, chart)
         else:
-            structure, normalized_structure = _build_frame(
-                structure_block["frame"], chart)
+            structure, normalized_structure = _build_frame(block, chart)
 
-    checks = _validate_checks(data.get("checks", "all"))
-    numeric = _validate_numeric(data.get("numeric"))
+    checks = validate_checks(data.get("checks", "all"))
+    numeric = validate_numeric(data.get("numeric"))
 
     normalized = {
         "chart": _chart_json(chart),

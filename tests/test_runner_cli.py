@@ -272,6 +272,25 @@ class TestRun:
         with pytest.raises(ValidationError):
             run(spec, tolerance=0.0)
 
+    @pytest.mark.parametrize("key", ["points", "seed", "tolerance"])
+    def test_overrides_obey_the_numeric_block_rules(self, key):
+        # [TRIVIAL] a value the numeric block rejects is rejected as an
+        # override too, naming the field, not truncated or read as 1; a
+        # separation of 100 leaves each value to the field's own rule
+        spec = preset_spec("flat3d")
+        rejected = []
+        for value in (2.5, True, -1, 0, math.inf, math.nan):
+            try:
+                preset_spec("flat3d", **{key: value, "separation": 100.0})
+            except ValidationError:
+                rejected.append(value)
+                with pytest.raises(ValidationError, match=f"{key} must"):
+                    run(spec, checks=["axioms"], **{key: value})
+        expected = {"points": [2.5, True, -1, 0, math.inf, math.nan],
+                    "seed": [2.5, True, -1, math.inf, math.nan],
+                    "tolerance": [True, -1, 0, math.inf, math.nan]}[key]
+        assert [repr(v) for v in rejected] == [repr(v) for v in expected]
+
     @pytest.mark.parametrize("tolerance,cause", [
         (math.inf, "tolerance must be finite"),
         (1e308, "separation must be finite")])
@@ -401,6 +420,19 @@ class TestCli:
             assert cli.main(["verify", "--spec", str(path),
                              "--points", "4"]) == 2
             assert capsys.readouterr().err.startswith(f"error: {cause}")
+
+    def test_verify_unknown_check_lists_the_known_checks(self, tmp_path,
+                                                         capsys):
+        # [TRIVIAL] --checks obeys the checks block's rule and message
+        path = tmp_path / "flat3d.json"
+        cli.main(["example", "--name", "flat3d", "--emit-spec", str(path)])
+        assert cli.main(["verify", "--spec", str(path), "--checks", "bogus",
+                         "--points", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checks block: unknown check 'bogus'; "
+                              "known: ")
+        for name in list(CONDITIONS) + ["para-cr"]:
+            assert name in err
 
     def test_verify_rejects_off_dimension_check(self, tmp_path, capsys):
         path = tmp_path / "p1.json"

@@ -45,6 +45,17 @@ BAD_PRESETS = [
     # H itself is 40 levels deep, its second partials 103
     ({"name": "cosymplectic", "H": "x1*z/(1+" * 19 + "x1*z" + ")" * 19},
      "parameter H: its second partials nest deeper than 100 levels"),
+    # a parse error in f or H is located at its offset in the
+    # parameter's own text
+    ({"name": "p1", "f": "x1 + q"},
+     "parameter f: at offset 5: unknown variable 'q'"),
+    ({"name": "cosymplectic", "H": "z*(x1^2"},
+     "parameter H: at offset 7: got 'end of input' (expected ')')"),
+    ({"name": "p1", "f": "(" * 120 + "x1" + ")" * 120},
+     "parameter f: at offset 100: expression nests deeper than 100 levels"),
+    # -f is one level deeper than f
+    ({"name": "p1", "f": "-" * 99 + "x1"},
+     "parameter f: its frame entries nest deeper than 100 levels"),
 ]
 
 P1_FRAME_SPEC = {
