@@ -61,7 +61,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import InconsistentVerdict, ParacrError, RankDefect, \
-    WrongDimension
+    ValidationError, WrongDimension
 from .geometry import (
     _amax,
     _dot,
@@ -80,6 +80,7 @@ __all__ = [
     "ConditionValue",
     "evaluate_conditions",
     "expand_checks",
+    "validate_checks",
     "classify",
     "worse",
 ]
@@ -852,24 +853,40 @@ def evaluate_conditions(cond_ids, batch, probes):
     return {cond.id: out[cond.id] for cond in conds}
 
 
+def validate_checks(checks):
+    """A check request as the checks block holds it: "all", or a
+    non-empty list of condition ids, bundle names and "all" (one name
+    stands for the list of it); anything else is a ValidationError."""
+    if checks == "all":
+        return "all"
+    if isinstance(checks, str):
+        checks = [checks]
+    if not isinstance(checks, list) or not all(
+            isinstance(c, str) for c in checks):
+        raise ValidationError(
+            'checks block: must be "all" or a list of check names')
+    if not checks:
+        raise ValidationError("checks block: must request at least one check")
+    for item in checks:
+        if item != "all" and item not in CONDITIONS and item not in BUNDLES:
+            known = ", ".join(sorted(set(CONDITIONS) | set(BUNDLES)))
+            raise ValidationError(
+                f"checks block: unknown check {item!r}; known: {known}")
+    return list(checks)
+
+
 def expand_checks(requested, dim):
-    """Expand a check request (list of ids / bundle names, or the string
-    'all') into a deduplicated ordered list of condition ids.  'all'
-    means every condition applicable in the given dimension."""
-    if isinstance(requested, str):
-        requested = [requested]
+    """Expand a check request (see :func:`validate_checks`) into a
+    deduplicated ordered list of condition ids.  'all' means every
+    condition applicable in the given dimension."""
+    requested = validate_checks(requested)
     out = []
-    for item in requested:
-        item = item.strip()
+    for item in ["all"] if requested == "all" else requested:
         if item == "all":
             ids = [c for c in CONDITION_IDS
                    if not (CONDITIONS[c].scope == "dim3" and dim != 3)]
-        elif item in BUNDLES:
-            ids = list(BUNDLES[item])
-        elif item in CONDITIONS:
-            ids = [item]
         else:
-            raise KeyError(f"unknown check {item!r}")
+            ids = BUNDLES.get(item, (item,))
         for cid in ids:
             if cid not in out:
                 out.append(cid)

@@ -135,35 +135,32 @@ def gauss_jordan(A, B, min_det):
     per-point failure mask (a numerically zero pivot, or |det A| below
     ``min_det``) together with the determinant estimate (product of the
     pivots with swap sign).
+
+    Each step updates W = [A | B] right of the pivot column, above and
+    below the pivot row; splitting at the A|B boundary keeps every
+    product within (m - 1) x max(m, r) entries.
     """
-    M, X = A.c.copy(), B.c.copy()
-    count, m = M.shape[:2]
+    W = np.concatenate([A.c, B.c], axis=2)
+    count, m = A.c.shape[:2]
     points = np.arange(count)
     det = np.ones(count)
     failed = np.zeros(count, dtype=bool)
-
-    def jet(c):
-        return Jet(c, A.layout)
-
     for col in range(m):
-        piv = col + np.argmax(np.abs(M[:, col:, col, 0]), axis=1)
-        for arr in (M, X):
-            arr[points, col], arr[points, piv] = arr[points, piv], \
-                arr[points, col]
+        piv = col + np.argmax(np.abs(W[:, col:, col, 0]), axis=1)
+        W[points, col], W[points, piv] = W[points, piv], W[points, col]
         det = np.where(piv != col, -det, det)
-        pval = M[:, col, col, 0]
+        pval = W[:, col, col, 0]
         failed |= ~(np.abs(pval) > _DIV_GUARD)
         det = det * pval
-        others = [r for r in range(m) if r != col]
-        factor = jet(M[:, others, col]) / jet(M[:, None, col, col])
-        M[:, others, col:] = (jet(M[:, others, col:]) - factor[:, None]
-                              * jet(M[:, None, col, col:])).c
-        X[:, others] = (jet(X[:, others]) - factor[:, None]
-                        * jet(X[:, None, col])).c
+        factor = Jet(W[:, :, col, None], A.layout) / \
+            Jet(W[:, None, None, col, col], A.layout)
+        for rows in (slice(0, col), slice(col + 1, m)):
+            for right in (slice(col + 1, m), slice(m, None)):
+                W[:, rows, right] -= (factor[rows] * Jet(
+                    W[:, None, col, right], A.layout)).c
     diag = np.arange(m)
-    X = jet(X) / jet(M[:, diag, diag])[:, None]
-    failed |= ~(np.abs(det) >= min_det)
-    return X, failed, det
+    X = Jet(W[:, :, m:], A.layout) / Jet(W[:, diag, diag, None], A.layout)
+    return X, failed | ~(np.abs(det) >= min_det), det
 
 
 # ---------------------------------------------------------------------------

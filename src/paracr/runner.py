@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import FrameBatch, directional_residuals, structure_arrays
-from .spec_io import validate_checks, validate_numeric
+from .spec_io import validate_numeric
 
 REPORT_KEY_ORDER = (
     "spec_digest", "seed", "points", "tolerance", "engine", "checks",
@@ -408,15 +408,15 @@ def run(spec, checks=None, points=None, seed=None, tolerance=None):
 
     ``checks``, ``points``, ``seed``, and ``tolerance`` override the
     spec's own blocks when given (command-line flags), under the rules
-    of those blocks (:func:`paracr.spec_io.validate_checks`,
+    of those blocks (:func:`paracr.conditions.validate_checks`,
     :func:`paracr.spec_io.validate_numeric`); the RNG consumption order
     documented at module level makes the report body reproducible byte
     for byte.
     """
     numeric = validate_numeric(spec.numeric, points=points, seed=seed,
                                tolerance=tolerance)
-    requested = spec.checks if checks is None else validate_checks(checks)
-    check_ids = expand_checks(requested, spec.chart.dim)
+    check_ids = expand_checks(spec.checks if checks is None else checks,
+                              spec.chart.dim)
 
     start = time.perf_counter()
     rng = np.random.default_rng(numeric["seed"])

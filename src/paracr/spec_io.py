@@ -15,7 +15,8 @@ A spec is a JSON object with the blocks
       the coordinate components of the frame field e_a.
 - ``checks``: ``"all"``, or a list of condition ids and bundle names.
 - ``numeric`` (optional): overrides of the sampling defaults
-  ``points``, ``seed``, ``tolerance``, ``separation``, ``probes``.
+  ``points`` (at most ``MAX_POINTS``), ``seed``, ``tolerance``,
+  ``separation``, ``probes`` (at most ``MAX_PROBES``).
 
 Serialization is UTF-8 JSON, two-space indentation, blocks in the fixed
 order chart, structure, checks, numeric.  The digest is the SHA-256 of
@@ -31,7 +32,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .conditions import BUNDLES, CONDITIONS
+from .conditions import validate_checks
 from .errors import ValidationError
 from .expr import EntryParser, read_block
 from .geometry import Chart, CoordinateStructure, FrameStructure
@@ -44,6 +45,15 @@ DEFAULT_NUMERIC = {
     "separation": 1e-2,
     "probes": 4,
 }
+
+# Upper bounds of the sample size and of the probe draws per point.  A
+# run holds its whole sample, and its probe block holds points x probes
+# x 4 x m floats, so a larger request is an input error rather than an
+# allocation failure.
+MAX_POINTS = 10_000
+MAX_PROBES = 100
+_INTEGER_RANGES = {"points": (1, MAX_POINTS), "seed": (0, None),
+                   "probes": (0, MAX_PROBES)}
 
 _BLOCK_ORDER = ("chart", "structure", "checks", "numeric")
 _STRUCTURE_SOURCES = ("preset", "coordinate", "frame")
@@ -126,31 +136,12 @@ def _number(value, where):
     _fail(where, f"must be a finite number, not {json.dumps(value)}")
 
 
-def validate_checks(checks):
-    """A check request, from the checks block or :func:`paracr.runner.run`:
-    "all", or a non-empty list of condition ids, bundle names and "all";
-    a single name stands for the list of it."""
-    if checks == "all":
-        return "all"
-    if isinstance(checks, str):
-        checks = [checks]
-    if not isinstance(checks, list) or not all(
-            isinstance(c, str) for c in checks):
-        _fail("checks block", 'must be "all" or a list of check names')
-    if not checks:
-        _fail("checks block", "must request at least one check")
-    for item in checks:
-        if item != "all" and item not in CONDITIONS and item not in BUNDLES:
-            known = ", ".join(sorted(set(CONDITIONS) | set(BUNDLES)))
-            _fail("checks block", f"unknown check {item!r}; known: {known}")
-    return list(checks)
-
-
 def _numeric_field(key, value):
     """``value`` of the numeric setting ``key`` by its rule: ``points``,
-    ``seed`` and ``probes`` are integers (points at least 1, the others
-    at least 0), ``tolerance`` and ``separation`` positive finite
-    numbers, returned as floats."""
+    ``seed`` and ``probes`` are integers in ``_INTEGER_RANGES`` (points
+    1 to ``MAX_POINTS``, seed at least 0, probes 0 to ``MAX_PROBES``),
+    ``tolerance`` and ``separation`` positive finite numbers, returned
+    as floats."""
     if key in ("tolerance", "separation"):
         if not isinstance(value, (int, float)) or isinstance(value, bool) \
                 or not value > 0:
@@ -160,9 +151,11 @@ def _numeric_field(key, value):
         return float(value)
     if not isinstance(value, int) or isinstance(value, bool):
         _fail("numeric block", f"{key} must be an integer")
-    least = 1 if key == "points" else 0
+    least, most = _INTEGER_RANGES[key]
     if value < least:
         _fail("numeric block", f"{key} must be >= {least}")
+    if most is not None and value > most:
+        _fail("numeric block", f"{key} must be <= {most}")
     return value
 
 

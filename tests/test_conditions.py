@@ -30,6 +30,7 @@ from paracr.conditions import (
 from paracr.errors import (
     InconsistentVerdict,
     RankDefect,
+    ValidationError,
     WrongDimension,
 )
 from paracr.expr import parse
@@ -233,8 +234,16 @@ class TestRegistry:
                        "news01", "thm1"]
 
     def test_expand_unknown_rejected(self):
-        with pytest.raises(KeyError):
-            expand_checks(["no-such-check"], 3)
+        # the checks block's rule and message: a padded name is not
+        # stripped into a known one, and the error lists the known names
+        for request in (["no-such-check"], [" s0"], ["bogus"]):
+            with pytest.raises(ValidationError) as info:
+                expand_checks(request, 3)
+            message = str(info.value)
+            assert message.startswith(
+                f"checks block: unknown check {request[0]!r}; known: ")
+            for name in list(CONDITION_IDS) + list(BUNDLES):
+                assert name in message
 
     def test_explicit_bundle_then_all(self):
         out = expand_checks(["para-cr", "all"], 3)

@@ -11,6 +11,7 @@ scaled relative tolerance 1e-5; structural identities are held to
 1e-9 .. 1e-12.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -46,10 +47,11 @@ from paracr.geometry import (
     gauss_jordan,
     lie_bracket,
 )
-from paracr.jets import coordinate_jets, tensor
+from paracr.jets import Jet, coordinate_jets, tensor
 from paracr.presets import cosymplectic, flat3d, hyperboloid, p1
 from paracr.runner import _random_sectionals, engine_self_tests
 from point_helpers import components
+import scalar_reference
 from scalar_reference import Dual, depth_of, frame_matrix
 
 
@@ -166,6 +168,54 @@ class TestGaussJordan:
         X, _, _ = batch_solve(A, B)
         prod = np.array(A) @ X.v[0]
         assert np.max(np.abs(prod - np.eye(2))) < 1e-14
+
+    def test_batch_rows_are_their_own_solves_bit_for_bit(self):
+        # One call over six points of random order-2 jets in two
+        # directions: points 0 and 2 pivot in column 0 and points 1
+        # and 4 do not, point 3 has a zero first column of values and
+        # point 5 a NaN value.  Every row is, bit for bit, the solve of
+        # that row alone, failure flag and determinant included (so
+        # -0.0 against +0.0 and NaN payloads count), and each regular
+        # row is the nested-dual elimination for every direction pair.
+        rng = np.random.default_rng(11)
+        layout = coordinate_jets(np.zeros((1, 2)), 2)[0].layout
+        A = rng.uniform(-1.0, 1.0, (6, 3, 3, layout.size))
+        B = rng.uniform(-1.0, 1.0, (6, 3, 2, layout.size))
+        A[[0, 2], 1, 0, 0] = 3.0
+        A[[1, 4], 0, 0, 0] = 3.0
+        A[3, :, 0, 0] = 0.0
+        A[5, 2, 1, 0] = np.nan
+
+        def solve(rows):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return gauss_jordan(Jet(A[rows], layout),
+                                    Jet(B[rows], layout), 1e-10)
+
+        X, failed, det = solve(slice(None))
+        assert failed.tolist() == [False, False, False, True, False, True]
+        for p in range(6):
+            Xp, failed_p, det_p = solve(slice(p, p + 1))
+            assert X.c[p].view(np.uint64).tolist() == \
+                Xp.c[0].view(np.uint64).tolist(), p
+            assert failed[p] == failed_p[0]
+            assert det[p:p + 1].view(np.uint64) == det_p.view(np.uint64)
+
+        def nested(c, a, b):
+            # value, ∂_b and ∂_a, ∂_a∂_b as a dual over b inside a
+            return Dual(Dual(c[0], c[1 + b]), Dual(c[1 + a], c[3 + 2 * a + b]))
+
+        for p, (a, b) in itertools.product((0, 1, 2, 4), itertools.product(
+                range(2), repeat=2)):
+            want = scalar_reference.gauss_jordan(
+                [[nested(c, a, b) for c in row] for row in A[p]],
+                [[nested(c, a, b) for c in row] for row in B[p]],
+                1e-10, SingularFrame)
+            want = np.array([[(x.p.p, x.p.t, x.t.p, x.t.t) for x in row]
+                             for row in want])
+            got = np.stack([X.v[p], X.d[p, ..., b], X.d[p, ..., a],
+                            X.dd[p, ..., a, b]], axis=-1)
+            assert got.view(np.uint64).tolist() == \
+                want.view(np.uint64).tolist(), (p, a, b)
 
 
 class TestChartValidation:

@@ -36,7 +36,7 @@ from paracr.runner import (
     run,
     sample_points,
 )
-from paracr.spec_io import spec_from_dict
+from paracr.spec_io import MAX_POINTS, MAX_PROBES, spec_from_dict
 from scalar_reference import eval_dual, nth_tangent, sample, seed_multi
 from test_spec_io import BAD_NUMBERS, BAD_PRESETS, P1_FRAME_SPEC, with_value
 
@@ -276,17 +276,18 @@ class TestRun:
     def test_overrides_obey_the_numeric_block_rules(self, key):
         # [TRIVIAL] a value the numeric block rejects is rejected as an
         # override too, naming the field, not truncated or read as 1; a
-        # separation of 100 leaves each value to the field's own rule
+        # separation of 1e5 leaves each value to the field's own rule
         spec = preset_spec("flat3d")
         rejected = []
-        for value in (2.5, True, -1, 0, math.inf, math.nan):
+        for value in (2.5, True, -1, 0, math.inf, math.nan, MAX_POINTS + 1):
             try:
-                preset_spec("flat3d", **{key: value, "separation": 100.0})
+                preset_spec("flat3d", **{key: value, "separation": 1e5})
             except ValidationError:
                 rejected.append(value)
                 with pytest.raises(ValidationError, match=f"{key} must"):
                     run(spec, checks=["axioms"], **{key: value})
-        expected = {"points": [2.5, True, -1, 0, math.inf, math.nan],
+        expected = {"points": [2.5, True, -1, 0, math.inf, math.nan,
+                               MAX_POINTS + 1],
                     "seed": [2.5, True, -1, math.inf, math.nan],
                     "tolerance": [True, -1, 0, math.inf, math.nan]}[key]
         assert [repr(v) for v in rejected] == [repr(v) for v in expected]
@@ -420,6 +421,19 @@ class TestCli:
             assert cli.main(["verify", "--spec", str(path),
                              "--points", "4"]) == 2
             assert capsys.readouterr().err.startswith(f"error: {cause}")
+        # 2, naming the field, not an allocation failure: a probe count
+        # or a --points override above its maximum
+        path.write_text(json.dumps({
+            "structure": {"preset": {"name": "flat3d"}},
+            "numeric": {"probes": 10 ** 12}}), encoding="utf-8")
+        assert cli.main(["verify", "--spec", str(path), "--points", "2"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: numeric block: probes must be <= {MAX_PROBES}\n"
+        cli.main(["example", "--name", "flat3d", "--emit-spec", str(path)])
+        assert cli.main(["verify", "--spec", str(path), "--points",
+                         str(MAX_POINTS + 1)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: numeric block: points must be <= {MAX_POINTS}\n"
 
     def test_verify_unknown_check_lists_the_known_checks(self, tmp_path,
                                                          capsys):

@@ -22,6 +22,8 @@ from paracr.presets import PRESET_NAMES, build_example
 from paracr.runner import run
 from paracr.spec_io import (
     DEFAULT_NUMERIC,
+    MAX_POINTS,
+    MAX_PROBES,
     load_spec,
     spec_from_dict,
     spec_text,
@@ -405,6 +407,21 @@ class TestValidation:
                 spec_from_dict(mutated(
                     FLAT3D_COORDINATE_SPEC,
                     lambda s, b=bad_numeric: s.update({"numeric": b})))
+        # above the named maxima: an error naming the field, not an
+        # allocation failure when the probe block is drawn
+        for key, value, most in (("points", MAX_POINTS + 1, MAX_POINTS),
+                                 ("probes", MAX_PROBES + 1, MAX_PROBES),
+                                 ("probes", 10 ** 12, MAX_PROBES)):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"numeric block: {key} must be <= {most}")):
+                spec_from_dict(mutated(
+                    FLAT3D_COORDINATE_SPEC,
+                    lambda s: s.update({"numeric": {key: value}})))
+        at_most = spec_from_dict(mutated(
+            FLAT3D_COORDINATE_SPEC, lambda s: s.update(
+                {"numeric": {"points": MAX_POINTS, "probes": MAX_PROBES}})))
+        assert at_most.numeric["points"] == MAX_POINTS
+        assert at_most.numeric["probes"] == MAX_PROBES
 
     @pytest.mark.parametrize("path,value,cause", BAD_NUMBERS, ids=[
         ".".join(map(str, path)) for path, _, _ in BAD_NUMBERS])
