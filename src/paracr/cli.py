@@ -110,10 +110,7 @@ def main(argv=None):
     }[args.command]
     try:
         return handler(args)
-    except ParacrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParacrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,10 +3,11 @@
 Every named condition in the registry is one kernel over a
 :class:`~paracr.geometry.FrameBatch`: it forms the residual parts of the
 condition at all points of the batch at once, each as ``(name, res,
-terms, slots)`` with the point axis first (``res`` None: the residual is
-the sum of the summands, which ``terms`` may then yield one at a time).
-A part's scale is ``max(1, infinity-norms of the formula's summands)``,
-so ``scaled = raw / scale`` is dimensionless and insensitive to the
+terms, slots)`` with the point axis first and the vector slots last,
+dense where it has slots (``res`` None: the residual is the sum of the
+summands, which ``terms`` may then yield one at a time).  A part's
+scale is ``max(1, infinity-norms of the formula's summands)``, so
+``scaled = raw / scale`` is dimensionless and insensitive to the
 overall magnitude of the inputs.  The worst :class:`ConditionValue` of a
 condition is the first strict maximum of ``scaled`` over its candidates
 in point-major, candidate-minor order, or the first NaN, so a NaN
@@ -19,13 +20,11 @@ the evaluation.  One grouped reduction then takes every infinity norm
 the candidates need: full norms stacked by shape, probe contractions
 stacked by (shape, strides, slots), each group contracted by one
 batched matmul with the group axis in front, so every member, point and
-draw still gets the gemv a single-point evaluation performs.  A stack
-that would not keep its members' strides is not used (another layout
-takes another BLAS path and can move the last bit); its members are
-contracted one at a time.  Groups are split at a byte budget
-(``_STACK_BYTES``), and waiting arrays are reduced once they exceed it.
-One arg-max per condition over the shared [P, candidates] table picks
-its worst.  Every value is bit-identical to a one-condition evaluation.
+draw still gets the gemv a single-point evaluation performs.  Groups
+are split at a byte budget (``_STACK_BYTES``), and waiting arrays are
+reduced once they exceed it.  One arg-max per condition over the shared
+[P, candidates] table picks its worst.  Every value is bit-identical to
+a one-condition evaluation.
 
 Evaluation policy by scope:
 
@@ -249,7 +248,7 @@ def _reeb_commutator(fb, sign):
 
 def _cond_axioms(fb, shared):
     phi2 = fb.phi @ fb.phi
-    eye = np.broadcast_to(np.eye(fb.m), phi2.shape)
+    eye = np.tile(np.eye(fb.m), (len(phi2), 1, 1))  # dense, like the rest
     bias = _outer(fb.xi, fb.eta)
     eta_xi = _dot(fb.eta, fb.xi)
     gxi = _mv(fb.g, fb.xi)
@@ -673,18 +672,16 @@ def _norms(stack):
 
 def _probe_norms(stack, slots, probes):
     """[G, P, D]: max |x| of each member of ``stack`` [G, P, ...] with
-    the listed axes contracted with the successive rows of each probe
-    draw, highest axis first.  The other axes are merged, so each
-    contraction is one gemv per member, point and draw, the product
+    its trailing axes ``slots`` contracted with the successive rows of
+    each probe draw, last axis first.  The other axes are merged, so
+    each contraction is one gemv per member, point and draw, the product
     ``tensordot`` forms for a single point; the member axis stays in
     front and never joins the merged rows."""
     groups, count = stack.shape[:2]
     draws = probes.shape[1]
     T = np.broadcast_to(stack[:, :, None],
                         (groups, count, draws) + stack.shape[2:])
-    for row, ax in sorted(enumerate(slots), key=lambda p: -p[1]):
-        if ax + 4 < T.ndim:
-            T = np.moveaxis(T, ax + 3, -1)
+    for row in reversed(range(len(slots))):
         shape = T.shape[:-1]
         T = (T.reshape(groups, count, draws, -1, T.shape[-1])
              @ probes[:, :, row, :, None]).reshape(shape)
@@ -700,12 +697,8 @@ class _Reduction:
     norm they need is a column of one [P, columns] table whose column 0
     holds ones.  Arrays are reduced in groups: the full norms by shape,
     the probe contractions by (shape, strides, slots), each group by one
-    stacked call.  A contraction stack is used only when its members keep
-    their strides there, because another layout takes another gemv path,
-    which can move the last bit; otherwise each member is contracted
-    alone through a view that keeps its strides.  An array met again
-    while its group waits (an intermediate two conditions share) reuses
-    its columns.
+    stacked call.  An array met again while its group waits (an
+    intermediate two conditions share) reuses its columns.
     """
 
     def __init__(self, probes):
@@ -792,12 +785,8 @@ class _Reduction:
                           _norms(_stack([a for a, _ in members])).T))
 
     def _reduce_probes(self, slots, members):
-        stack = _stack([a for a, _ in members])
-        if stack.strides[1:] != members[0][0].strides:
-            for member in members:
-                self._reduce_probes(slots, [member])
-            return
-        norms = _probe_norms(stack, slots, self.probes)
+        norms = _probe_norms(_stack([a for a, _ in members]), slots,
+                             self.probes)
         cols = [col + d for _, col in members for d in range(self.draws)]
         self.done.append((cols, norms.transpose(1, 0, 2).reshape(
             norms.shape[1], -1)))
@@ -827,9 +816,6 @@ def evaluate_conditions(cond_ids, batch, probes):
     [P, candidates] columns in point-major, candidate-minor order, or
     the first NaN.  Every value equals that of a one-condition call.
     """
-    unknown = [cid for cid in cond_ids if cid not in CONDITIONS]
-    if unknown:
-        raise KeyError(f"unknown condition id {unknown[0]!r}")
     conds = [CONDITIONS[cid] for cid in dict.fromkeys(cond_ids)]
     shared, reduction = _Shared(batch, probes), _Reduction(probes)
     out, spans = {}, {}

@@ -364,7 +364,9 @@ def diff(e, index):
         return _sub(du, dv)
     if e.op == "*":
         return _add(_mul(du, e.right), _mul(e.left, dv))
-    return _div(_sub(du, _mul(e, dv)), e.right)
+    # du/v - dv*(e/v) keeps dv two levels below the root, so repeated
+    # derivatives of nested quotients grow shallower than (du - e*dv)/v
+    return _sub(_div(du, e.right), _mul(dv, _div(e, e.right)))
 
 
 # -- tokenizer ------------------------------------------------------------

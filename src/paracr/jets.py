@@ -226,10 +226,7 @@ class Jet:
         lay = _layout(self.layout.k, self.layout.order + 1)
         block = top.c[..., self.layout.offsets[-2]:]
         block = block.reshape(block.shape[:-2] + (-1,))
-        low = self.c
-        if low.shape[:-1] != block.shape[:-1]:
-            low = np.broadcast_to(low, block.shape[:-1] + low.shape[-1:])
-        return Jet(np.concatenate([low, block], axis=-1), lay)
+        return Jet(np.concatenate([self.c, block], axis=-1), lay)
 
     def _over(self, den, known):
         """self / den when the quotient's lower slots are ``known`` (the
@@ -286,9 +283,6 @@ class Jet:
         q = o / low
         return q._raise((-(q._spread() * self._top()))._over(
             low._spread(), q._top()))
-
-    def __pow__(self, k):
-        return powi(self, k)
 
 
 def coordinate_jets(points, order, directions=None):

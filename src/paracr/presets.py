@@ -29,9 +29,8 @@ from .geometry import (
     CoordinateStructure,
     FrameStructure,
     HyperboloidStructure,
+    check_dimension,
 )
-
-PRESET_NAMES = ("flat3d", "hyperboloid", "p1", "cosymplectic")
 
 
 @dataclass
@@ -135,6 +134,7 @@ def hyperboloid(n=1):
 
 def _family_chart(n, z_box):
     """Coordinates x1..xn, y1..yn, z; x and y range over [-1, 1]."""
+    check_dimension(2 * n + 1)
     coords = tuple([f"x{a}" for a in range(1, n + 1)]
                    + [f"y{a}" for a in range(1, n + 1)] + ["z"])
     return Chart(coords, tuple([(-1.0, 1.0)] * (2 * n) + [z_box]))
@@ -254,23 +254,25 @@ def cosymplectic(n=1, H=None):
 # registry
 # ---------------------------------------------------------------------------
 
+# Each preset's family and the keyword parameters it accepts.
+_FAMILIES = {
+    "flat3d": (flat3d, ()),
+    "hyperboloid": (hyperboloid, ("n",)),
+    "p1": (p1, ("n", "f")),
+    "cosymplectic": (cosymplectic, ("n", "H")),
+}
+PRESET_NAMES = tuple(_FAMILIES)
+
+
 def build_example(name, **params):
     """Instantiate a preset by name with keyword parameters: ``n`` an
     integer, ``f`` and ``H`` expression strings."""
-    if name == "flat3d":
-        _check_params(name, params, ())
-        return flat3d()
-    if name == "hyperboloid":
-        _check_params(name, params, ("n",))
-        return hyperboloid(params.get("n", 1))
-    if name == "p1":
-        _check_params(name, params, ("n", "f"))
-        return p1(params.get("n", 2), params.get("f"))
-    if name == "cosymplectic":
-        _check_params(name, params, ("n", "H"))
-        return cosymplectic(params.get("n", 1), params.get("H"))
-    raise ValidationError(
-        f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    if name not in _FAMILIES:
+        raise ValidationError(
+            f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    family, allowed = _FAMILIES[name]
+    _check_params(name, params, allowed)
+    return family(**params)
 
 
 def _check_params(name, params, allowed):

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,11 +44,6 @@ from .errors import (
 )
 from .geometry import FrameBatch, directional_residuals, structure_arrays
 from .spec_io import validate_numeric
-
-REPORT_KEY_ORDER = (
-    "spec_digest", "seed", "points", "tolerance", "engine", "checks",
-    "classification", "targets", "wall_clock_seconds",
-)
 
 SELF_TEST_NAMES = (
     "metric_symmetry", "inverse_identity", "gamma_symmetry", "nabla_g",
@@ -397,6 +392,9 @@ class Report:
         lines.append(f"result        {status}")
         lines.append(f"wall clock    {self.wall_clock_seconds:.2f} s")
         return "\n".join(lines) + "\n"
+
+
+REPORT_KEY_ORDER = tuple(f.name for f in fields(Report))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import pytest
 
 import condition_reference as ref
 from dim3_structures import random_dim3_structure
-from paracr import geometry, runner
+from paracr import conditions, geometry, runner
 from paracr.conditions import (
     CONDITIONS,
     classify,
@@ -418,6 +418,37 @@ class TestOnePass:
             assert together[cid] == \
                 evaluate_conditions([cid], frames, probes)[cid], cid
         assert not dense or not all(layouts)
+
+    def test_probe_arrays_have_trailing_slots_and_keep_their_strides(
+            self, monkeypatch):
+        # [TRIVIAL] the reduction contracts a part's last axis first and
+        # a group of arrays as one stack, so every array registered for a
+        # probe contraction must list its slots as its trailing axes and
+        # keep its strides when stacked; over every kernel
+        registered = []
+        columns = conditions._Reduction._columns
+
+        def recorded(self, a, slots):
+            registered.append((a, slots))
+            return columns(self, a, slots)
+
+        monkeypatch.setattr(conditions._Reduction, "_columns", recorded)
+        seen = set()
+        for case in ("flat3d", "hyperboloid_n2", "p1_n2", "random0"):
+            st, frames, probes = sample(case, 0, 8)
+            for cid in expand_checks("all", st.dim):
+                registered.clear()
+                value = evaluate_conditions([cid], frames, probes)[cid]
+                assert not isinstance(value, ParacrError), (case, cid)
+                contracted = [(a, slots) for a, slots in registered if slots]
+                seen.add(cid)
+                for a, slots in contracted:
+                    axes = a.ndim - 1
+                    assert slots == tuple(range(axes - len(slots), axes)), \
+                        (case, cid, slots, a.shape)
+                    assert conditions._stack([a, a]).strides[1:] == \
+                        a.strides, (case, cid, a.shape, a.strides)
+        assert seen == set(CONDITIONS)
 
     @pytest.mark.parametrize("cid,term", [("compat", None), ("normal", 0)])
     def test_a_nan_stays_in_its_own_row(self, monkeypatch, cid, term):

@@ -81,7 +81,8 @@ class TestParsing:
                 "0*(" + "+".join(["x"] * 900) + ")", "x" + "*x" * 10000,
                 "(" * 10000 + "x" + ")" * 10000,
                 "x*z/(1+" * 99 + "x*z" + ")" * 99)
-        for bad in ("", "()", "2*", "^2", "x^z", "x^2.5", "x^(2)") + deep:
+        for bad in ("", "()", "2*", "^2", "x^z", "x^2.5", "x^(2)",
+                    "x^2^-1") + deep:
             with pytest.raises(ParseError) as err:
                 parse(bad, XYZ)
             assert 0 <= err.value.offset <= len(bad)

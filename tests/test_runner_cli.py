@@ -22,6 +22,7 @@ from paracr.conditions import CONDITIONS, expand_checks
 from paracr.errors import SamplingExhausted, ValidationError
 from paracr.expr import parse
 from paracr.geometry import (
+    MAX_DIM,
     Chart,
     CoordinateStructure,
     FrameBatch,
@@ -32,6 +33,7 @@ from paracr.runner import (
     Report,
     REPORT_KEY_ORDER,
     SELF_TEST_NAMES,
+    SelfTests,
     engine_self_tests,
     run,
     sample_points,
@@ -368,9 +370,42 @@ class TestCli:
                          "--emit-spec", str(path)]) == 0
         assert path.read_text(encoding="utf-8") == printed
 
-    def test_example_rejects_bad_parameters(self, capsys):
+    def test_example_rejects_bad_parameters(self, tmp_path, capsys):
         assert cli.main(["example", "--name", "flat3d", "--n", "2"]) == 2
         assert "error:" in capsys.readouterr().err
+        # a spec file that cannot be written: exit 2, not a traceback
+        assert cli.main(["example", "--name", "flat3d", "--emit-spec",
+                         str(tmp_path / "absent" / "flat3d.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2]")
+
+    def test_verify_rejects_a_chart_above_the_dimension_bound(
+            self, tmp_path, capsys):
+        # [TRIVIAL] the bound of every chart, not only the presets'
+        m = MAX_DIM + 2
+        names = [f"u{i}" for i in range(m)]
+        zero = [["0"] * m for _ in range(m)]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "chart": {"coordinates": names, "box": [[-1, 1]] * m},
+            "structure": {"coordinate": {"g": zero, "phi": zero,
+                                         "xi": ["0"] * m,
+                                         "eta": ["0"] * m}}}))
+        assert cli.main(["verify", "--spec", str(path), "--points", "2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: chart block: chart dimension must be at most "
+            f"{MAX_DIM}, got {m}\n")
+
+    def test_verify_reports_an_ambiguous_row(self, tmp_path, capsys):
+        # p1 with f off a para-CR solution by 1e-6 x1: s1 reads about
+        # 5.7e-6, between the tolerance and the separation
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"structure": {"preset": {
+            "name": "p1", "f": "(1 + x1^2 + x2^2)/z + 1e-6*x1"}}}))
+        assert cli.main(["verify", "--spec", str(path), "--checks", "s1",
+                         "--points", "32", "--format", "json"]) == 1
+        [row] = json.loads(capsys.readouterr().out)["checks"]
+        assert row["verdict"] == "ambiguous"
+        assert 1e-6 < row["scaled"] < 1e-2
 
     def test_verify_exit_codes(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
@@ -509,6 +544,15 @@ class TestCli:
         assert json.loads(report.body_json()) == {
             key: value for key, value in data.items()
             if key != "wall_clock_seconds"}
+
+    def test_text_counts_the_points_left_out_of_jet_vs_fd(self):
+        engine = SelfTests.fromkeys(SELF_TEST_NAMES + ("jet_vs_fd",), 0.0)
+        engine.fd_excluded = 3
+        report = Report(spec_digest="d", seed=0, points=4, tolerance=1e-6,
+                        engine=engine, checks=[], classification={},
+                        targets=None, wall_clock_seconds=0.25)
+        assert "\n  (3 points left out of jet_vs_fd: a difference stencil " \
+            "row was rejected)\n" in report.text()
 
     def test_verify_is_deterministic_through_the_cli(self, tmp_path,
                                                      capsys):

@@ -17,7 +17,7 @@ import pytest
 
 from paracr import expr
 from paracr.errors import ParseError, ValidationError
-from paracr.geometry import Chart, PointFrame
+from paracr.geometry import MAX_DIM, Chart, PointFrame
 from paracr.presets import PRESET_NAMES, build_example
 from paracr.runner import run
 from paracr.spec_io import (
@@ -44,9 +44,19 @@ BAD_PRESETS = [
     ({"name": "p1", "c": math.inf}, "does not accept parameters ['c']"),
     ({"name": "p1", "f": 3}, "parameter f must be a string"),
     ({"name": "cosymplectic", "H": 5}, "parameter H must be a string"),
-    # H itself is 40 levels deep, its second partials 103
-    ({"name": "cosymplectic", "H": "x1*z/(1+" * 19 + "x1*z" + ")" * 19},
+    # H itself is 62 levels deep, its second partials 129
+    ({"name": "cosymplectic", "H": "x1*z/(1+" * 30 + "x1*z" + ")" * 30},
      "parameter H: its second partials nest deeper than 100 levels"),
+    ({"name": "p1", "n": 1}, "the p1 family needs n >= 2"),
+    ({"name": "cosymplectic", "n": 0}, "the cosymplectic family needs n >= 1"),
+    ({"name": "cosymplectic", "H": "y1*z"},
+     "parameter H: the potential may depend on ['x1', 'z'] only, found "
+     "['y1']"),
+    # one size above the largest chart dimension
+    *(({"name": name, "n": (MAX_DIM + 1) // 2},
+       f"chart dimension must be at most {MAX_DIM}, got {MAX_DIM + 2}")
+      for name in ("hyperboloid", "p1", "cosymplectic")),
+    ({"n": 2}, "missing preset name"),
     # a parse error in f or H is located at its offset in the
     # parameter's own text
     ({"name": "p1", "f": "x1 + q"},
@@ -186,6 +196,21 @@ class TestPresetSpecs:
         with pytest.raises(ValidationError):
             spec_from_dict({"structure": {"preset": {"name": "flat3d",
                                                      "n": 2}}})
+
+    @pytest.mark.parametrize("name", ["hyperboloid", "p1", "cosymplectic"])
+    def test_largest_allowed_size_builds(self, name):
+        # [TRIVIAL] construction only: one size more is in BAD_PRESETS
+        spec = spec_from_dict({"structure": {"preset": {
+            "name": name, "n": (MAX_DIM - 1) // 2}}})
+        assert spec.chart.dim == spec.structure.dim == MAX_DIM
+
+    def test_nested_quotient_potential_builds(self):
+        # H is 40 levels deep and its second partials 85: the quotient
+        # rule keeps the derivative of a denominator near the root
+        H = "x1*z/(1+" * 19 + "x1*z" + ")" * 19
+        spec = spec_from_dict({"structure": {"preset": {
+            "name": "cosymplectic", "H": H}}})
+        assert spec.chart.dim == 3
 
     @pytest.mark.parametrize("preset,cause", BAD_PRESETS)
     def test_bad_preset_parameter(self, preset, cause):
@@ -343,6 +368,8 @@ class TestValidation:
             lambda s: s["chart"]["coordinates"].__setitem__(0, "x2"),
             lambda s: s["chart"].update({"volume": 1}),
             lambda s: s.pop("chart"),                     # frame needs one
+            lambda s: s["chart"].update({"coordinates": "x1"}),
+            lambda s: s["chart"]["box"].__setitem__(2, [-1.0]),
         ):
             with pytest.raises(ValidationError):
                 spec_from_dict(mutated(P1_FRAME_SPEC, mutate))
