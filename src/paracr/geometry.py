@@ -14,7 +14,8 @@ every component at all of them.  Three realizations exist:
   tensors; the entries of E are evaluated in one walk per batch, and
   the coordinate components come from Gauss-Jordan elimination
   of E on the jets of a whole batch, which carries the partials
-  ∂(E⁻¹) = −E⁻¹(∂E)E⁻¹ and their higher analogues through.
+  ∂(E⁻¹) = −E⁻¹(∂E)E⁻¹ and their higher analogues through, and skips
+  the entries that the structure makes zero.
 - :class:`HyperboloidStructure`: the structure induced on the unit
   pseudosphere of a flat para-Kahler ambient space, pulled back through
   an explicit graph parametrization with a closed-form tangent basis.
@@ -123,6 +124,17 @@ def _flags(jet):
 # Sums run left to right over the inner index and the elimination pivots
 # on the values exactly like the scalar loops these replace, so every
 # batch entry carries the rounding of a point-by-point evaluation.
+#
+# A frame's algebra also carries a liveness pattern: one boolean per
+# matrix entry, false where the entry is zero in every coefficient at
+# every point.  The pattern comes from the structure (a frame entry
+# without variables whose value is ±0 is dead), never from a batch's
+# values, so a point gets the same arithmetic in any batch.  Products
+# and eliminations skip every term with a dead operand.  Such a term is
+# x + 0·y or x − 0·y, so a result can differ from the full computation
+# only in the sign of an exact zero, and where y is not finite: the 0·y
+# would have spread a NaN (a frame entry that is not finite rejects its
+# point anyway).
 # ---------------------------------------------------------------------------
 
 def _sum(terms):
@@ -132,17 +144,83 @@ def _sum(terms):
     return total
 
 
-def _mat_mul(A, B):
-    """A @ B for tensor jets or constant arrays (m x k times k x r)."""
-    inner = A.c.shape[2] if isinstance(A, Jet) else A.shape[1]
-    return _sum(A[:, e, None] * B[None, e, :] for e in range(inner))
+def _mat_mul(A, B, live_a=None, live_b=None):
+    """A @ B and its pattern, for tensor jets or constant arrays (m x k
+    times k x r) with patterns ``live_a`` and ``live_b`` (None for a
+    constant array: its nonzero entries).
+
+    Entry (i, j) adds the terms A[i, e] B[e, j] whose two factors are
+    live, left to right in e, to an exact zero; the pattern of the
+    product is the boolean product of the two patterns.
+    """
+    if live_a is None:
+        live_a = A != 0
+    if live_b is None:
+        live_b = B != 0
+    jet = A if isinstance(A, Jet) else B
+    live = (live_a[:, :, None] & live_b[None]).any(axis=1)
+    c = np.zeros((len(jet.c), *live.shape, jet.c.shape[-1]))
+    for e, (rows, cols) in enumerate(zip(live_a.T, live_b)):
+        rows, cols = _span(np.flatnonzero(rows)), _span(np.flatnonzero(cols))
+        if rows is not None and cols is not None:
+            c[_block(rows, cols)] += (A[rows, e, None] * B[None, e, cols]).c
+    return Jet(c, jet.layout), live
+
+
+def _span(ix):
+    """The ascending index array ``ix`` as a slice when its entries are
+    consecutive (basic indexing is the faster), else as it is; None when
+    it is empty."""
+    if not ix.size:
+        return None
+    if ix[-1] - ix[0] == ix.size - 1:
+        return slice(ix[0], ix[-1] + 1)
+    return ix
+
+
+def _block(rows, cols):
+    """The index of the block ``rows`` x ``cols`` of a batch matrix."""
+    if isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray):
+        rows = rows[:, None]
+    return slice(None), rows, cols
 
 
 def _transpose(A):
     return Jet(A.c.swapaxes(1, 2), A.layout)
 
 
-def gauss_jordan(A, B, min_det):
+def sparse_elimination(live):
+    """The plan of a Gauss-Jordan elimination of W = [A | B] that skips
+    the entries the pattern ``live`` (m x (m + r) booleans) marks dead.
+
+    Returns ``(steps, solved)``.  ``steps[col]`` is None where the pivot
+    row updates every other row right of the pivot column, else the
+    indices ``(rows, right)`` (see :func:`_span`): the rows live in the
+    pivot column and the columns right of it that are live in the pivot
+    row.  ``solved`` is the pattern of W after the elimination; that of
+    X is ``solved[:, m:]``.  Before each column the rows that may pivot
+    there (the pivot row and the rows below it that are live in the
+    column) all get the union of their patterns, so that no swap moves
+    a live entry to a dead place, and the entries a step updates become
+    live (fill-in).
+    """
+    live = np.array(live, dtype=bool)
+    m, width = live.shape
+    steps = []
+    for col in range(m):
+        pivots = live[col:, col].copy()
+        pivots[0] = True
+        live[col:][pivots] = live[col:][pivots].any(axis=0)
+        rows = np.flatnonzero(live[:, col])
+        rows = rows[rows != col]
+        right = col + 1 + np.flatnonzero(live[col, col + 1:])
+        live[rows[:, None], right] = True
+        dense = len(rows) == m - 1 and len(right) == width - col - 1
+        steps.append(None if dense else (_span(rows), _span(right)))
+    return steps, live
+
+
+def gauss_jordan(A, B, min_det, plan=None):
     """Solve A X = B at every point of a batch by Gauss-Jordan elimination
     with partial pivoting on the values.
 
@@ -153,10 +231,16 @@ def gauss_jordan(A, B, min_det):
 
     Each step updates W = [A | B] right of the pivot column, above and
     below the pivot row; splitting at the A|B boundary keeps every
-    product within (m - 1) x max(m, r) entries.
+    product within (m - 1) x max(m, r) entries.  A ``plan`` from
+    :func:`sparse_elimination` restricts the quotients and updates of
+    its sparse steps to the rows live in the pivot column and the
+    columns live in the pivot row, and the final division to the live
+    entries of X, whose other entries are exact zeros.  Without a plan
+    every entry is live.
     """
     W = np.concatenate([A.c, B.c], axis=2)
     count, m = A.c.shape[:2]
+    steps, solved = plan or ([None] * m, None)
     points = np.arange(count)
     det = np.ones(count)
     failed = np.zeros(count, dtype=bool)
@@ -167,15 +251,30 @@ def gauss_jordan(A, B, min_det):
         pval = W[:, col, col, 0]
         failed |= ~(np.abs(pval) > _DIV_GUARD)
         det = det * pval
-        factor = Jet(W[:, :, col, None], A.layout) / \
-            Jet(W[:, None, None, col, col], A.layout)
-        for rows in (slice(0, col), slice(col + 1, m)):
-            for right in (slice(col + 1, m), slice(m, None)):
-                W[:, rows, right] -= (factor[rows] * Jet(
-                    W[:, None, col, right], A.layout)).c
-    diag = np.arange(m)
-    X = Jet(W[:, :, m:], A.layout) / Jet(W[:, diag, diag, None], A.layout)
-    return X, failed | ~(np.abs(det) >= min_det), det
+        pivot = Jet(W[:, None, None, col, col], A.layout)
+        if steps[col] is None:
+            factor = Jet(W[:, :, col, None], A.layout) / pivot
+            for rows in (slice(0, col), slice(col + 1, m)):
+                for right in (slice(col + 1, m), slice(m, None)):
+                    W[:, rows, right] -= (factor[rows] * Jet(
+                        W[:, None, col, right], A.layout)).c
+            continue
+        rows, right = steps[col]
+        if rows is not None and right is not None:
+            factor = Jet(W[:, rows, col, None], A.layout) / pivot
+            W[_block(rows, right)] -= (factor * Jet(
+                W[:, None, col, right], A.layout)).c
+    failed |= ~(np.abs(det) >= min_det)
+    if solved is None or solved[:, m:].all():
+        diag = np.arange(m)
+        X = Jet(W[:, :, m:], A.layout) / Jet(W[:, diag, diag, None],
+                                             A.layout)
+        return X, failed, det
+    rows, cols = np.nonzero(solved[:, m:])
+    c = np.zeros((count, m, W.shape[2] - m, W.shape[3]))
+    c[:, rows, cols] = (Jet(W[:, rows, m + cols], A.layout)
+                        / Jet(W[:, rows, rows], A.layout)).c
+    return Jet(c, A.layout), failed, det
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +334,12 @@ class FrameStructure(_Structure):
         eta = eta_hat E^-1,    g = E^-T g_hat E^-1,
     with the inverse and every product carried out on jets so
     derivatives flow through.
+
+    A frame entry without variables whose value is ±0 is zero at every
+    point.  The inverse (:func:`sparse_elimination`, with the identity
+    live on its diagonal) and the products skip such entries, the zero
+    entries of the constant tensors, and every term that has one of
+    them as a factor.
     """
 
     def __init__(self, chart, frame, g_hat, phi_hat, xi_hat, eta_hat):
@@ -248,6 +353,24 @@ class FrameStructure(_Structure):
         self.eta_hat = np.array(eta_hat, dtype=float)
         if len(self._frame) != m:
             raise ValueError("frame matrix must be m x m")
+        self._live = self._live_entries()
+        self._plan = sparse_elimination(
+            np.concatenate([self._live, np.eye(m, dtype=bool)], axis=1))
+        self._live_inv = self._plan[1][:, m:]
+
+    def _live_entries(self):
+        """The pattern of E: false at the entries without variables whose
+        value is ±0, read off one walk at a single point.  A walk that
+        raises (an error in a constant subexpression, which every batch
+        evaluation reports) leaves every entry live."""
+        try:
+            with np.errstate(all="ignore"):
+                entries = self.frame_matrix(
+                    coordinate_jets(np.zeros((1, self.dim)), 0))
+        except (ArithmeticError, DomainError):
+            return np.ones((self.dim, self.dim), dtype=bool)
+        return np.array([[isinstance(e, Jet) or e != 0.0 for e in row]
+                         for row in entries])
 
     def frame_matrix(self, xs):
         """The frame entries evaluated at coordinate scalars, in one
@@ -257,11 +380,15 @@ class FrameStructure(_Structure):
     def component_jets(self, xs):
         E = tensor(self.frame_matrix(xs), xs[0])
         identity = tensor(np.eye(self.dim).tolist(), xs[0])
-        Einv, singular, det = gauss_jordan(E, identity, _MIN_FRAME_DET)
-        phi = _mat_mul(_mat_mul(E, self.phi_hat), Einv)
-        xi = _mat_mul(E, self.xi_hat[:, None])[:, 0]
-        eta = _mat_mul(self.eta_hat[None], Einv)[0]
-        g = _mat_mul(_mat_mul(_transpose(Einv), self.g_hat), Einv)
+        Einv, singular, det = gauss_jordan(E, identity, _MIN_FRAME_DET,
+                                           self._plan)
+        live_E, live_inv = self._live, self._live_inv
+        E_phi, live = _mat_mul(E, self.phi_hat, live_E)
+        phi = _mat_mul(E_phi, Einv, live, live_inv)[0]
+        xi = _mat_mul(E, self.xi_hat[:, None], live_E)[0][:, 0]
+        eta = _mat_mul(self.eta_hat[None], Einv, None, live_inv)[0][0]
+        inv_g, live = _mat_mul(_transpose(Einv), self.g_hat, live_inv.T)
+        g = _mat_mul(inv_g, Einv, live, live_inv)[0]
         checks = [
             (_flags(E), DomainError,
              lambda i: "frame entries are not finite numbers here"),

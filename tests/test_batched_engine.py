@@ -36,7 +36,8 @@ from paracr.geometry import (
 from paracr.jets import coordinate_jets
 from paracr.presets import build_example
 from paracr.runner import SELF_TEST_NAMES, engine_self_tests, sample_points
-from paracr.spec_io import load_spec
+from paracr.spec_io import load_spec, spec_from_dict
+from test_spec_io import P1_FRAME_SPEC
 
 SQRT_SPEC = (pathlib.Path(__file__).parents[1] / "bench" / "specs"
              / "flat3d_sqrt.json")
@@ -58,6 +59,19 @@ STRUCTURES = {
     "random1": lambda: random_dim3_structure(1),
     "random2": lambda: random_dim3_structure(2),
     "flat3d_sqrt": lambda: load_spec(str(SQRT_SPEC)).structure,
+}
+
+
+# The frames whose algebra skips dead entries: E = I + couplings.
+SPARSE_FRAMES = {
+    "p1_2": STRUCTURES["p1_2"],
+    "p1_3": STRUCTURES["p1_3"],
+    "p1_4": lambda: build_example("p1", n=4).structure,
+    "cosymplectic1": STRUCTURES["cosymplectic1"],
+    "cosymplectic2": STRUCTURES["cosymplectic2"],
+    "cosymplectic3": STRUCTURES["cosymplectic3"],
+    "cosymplectic4": lambda: build_example("cosymplectic", n=4).structure,
+    "p1_frame_spec": lambda: spec_from_dict(P1_FRAME_SPEC).structure,
 }
 
 
@@ -176,6 +190,35 @@ class TestAgainstScalarReference:
                     with pytest.raises(paracr.ParacrError) as raised:
                         PointFrame(st, point)
                     assert type(raised.value) is type(error)
+
+    @pytest.mark.parametrize("directional", [False, True],
+                             ids=["sampled", "directional"])
+    @pytest.mark.parametrize("case", sorted(SPARSE_FRAMES))
+    def test_frame_rows_are_their_own_evaluations_bit_for_bit(
+            self, case, directional):
+        # The frame algebra skips the entries its pattern marks dead, and
+        # the pattern comes from the structure, so each of 32 points
+        # gets the arithmetic of its own one-point call: the same bits
+        # in every coefficient, the same rejection.  Sampled layout
+        # (the coordinate partials) and directional layout (one unit
+        # direction per point, as the directional self-test seeds it).
+        st = SPARSE_FRAMES[case]()
+        rng = np.random.default_rng(21)
+        lo, hi = np.array(st.chart.box).T
+        points = lo + (hi - lo) * rng.random((32, st.dim))
+        directions = [None] * 32
+        if directional:
+            u = rng.normal(size=(32, st.dim, 1))
+            directions = u / np.linalg.norm(u, axis=1, keepdims=True)
+        parts, rejected = geometry.structure_jets(
+            st, points, 2, None if directions[0] is None else directions)
+        for p, u in enumerate(directions):
+            parts_p, (rejected_p,) = geometry.structure_jets(
+                st, points[p:p + 1], 2, None if u is None else u[None])
+            for part, part_p in zip(parts, parts_p):
+                assert np.array_equal(part.c[p].view(np.uint64),
+                                      part_p.c[0].view(np.uint64)), p
+            assert type(rejected[p]) is type(rejected_p), p
 
     def test_corpus_gap_is_read_off_the_selecting_jets(self):
         # the corpus gap comes from the order-3 jets that built the

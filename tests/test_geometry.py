@@ -110,6 +110,10 @@ def zeros_structure(chart, g_rows):
 BOX3 = ((-1.0, 1.0),) * 3
 
 
+# Order-2 jets in two directions.
+LAYOUT2 = coordinate_jets(np.zeros((1, 2)), 2)[0].layout
+
+
 def batch_solve(A, B=None, xs=None):
     """Batched Gauss-Jordan solve of A X = B (identity by default) at
     the points of ``xs`` (one constant point when omitted)."""
@@ -173,49 +177,150 @@ class TestGaussJordan:
         # One call over six points of random order-2 jets in two
         # directions: points 0 and 2 pivot in column 0 and points 1
         # and 4 do not, point 3 has a zero first column of values and
-        # point 5 a NaN value.  Every row is, bit for bit, the solve of
-        # that row alone, failure flag and determinant included (so
-        # -0.0 against +0.0 and NaN payloads count), and each regular
-        # row is the nested-dual elimination for every direction pair.
+        # point 5 a NaN value.
         rng = np.random.default_rng(11)
-        layout = coordinate_jets(np.zeros((1, 2)), 2)[0].layout
-        A = rng.uniform(-1.0, 1.0, (6, 3, 3, layout.size))
-        B = rng.uniform(-1.0, 1.0, (6, 3, 2, layout.size))
+        A = rng.uniform(-1.0, 1.0, (6, 3, 3, LAYOUT2.size))
+        B = rng.uniform(-1.0, 1.0, (6, 3, 2, LAYOUT2.size))
         A[[0, 2], 1, 0, 0] = 3.0
         A[[1, 4], 0, 0, 0] = 3.0
         A[3, :, 0, 0] = 0.0
         A[5, 2, 1, 0] = np.nan
+        assert_rows_are_their_own_solves(A, B, failing=(3, 5))
 
-        def solve(rows):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return gauss_jordan(Jet(A[rows], layout),
-                                    Jet(B[rows], layout), 1e-10)
+    def test_sparse_rows_are_their_own_solves_bit_for_bit(self):
+        # E = I + couplings (6 x 6) against the identity, as a frame is
+        # inverted, with the dead entries exact zeros (some -0.0).  The
+        # couplings of modulus 3 make points 0 and 2 pivot on row 2 in
+        # column 0 and points 1 and 4 on row 3 in column 1, where the
+        # other points keep the diagonal, so the pivot rows must share
+        # their patterns.  Updates fill in (entry (0, 4)); row 5 of the
+        # inverse keeps dead entries.  Point 3 has a NaN value.
+        # Dropping the two entries of column 2 on and below the
+        # diagonal leaves it structurally singular: every point fails.
+        rng = np.random.default_rng(12)
+        live = np.eye(6, dtype=bool)
+        live[[0, 1, 2, 3, 4, 0], [3, 4, 0, 1, 2, 5]] = True
+        A = np.where(live[..., None],
+                     rng.uniform(-1.0, 1.0, (6, 6, 6, LAYOUT2.size)), 0.0)
+        A[:, [1, 3], [0, 2]] = -0.0
+        A[:, range(6), range(6), 0] += 2.0
+        A[:, 2, 0, 0] = A[:, 3, 1, 0] = 0.5
+        A[[0, 2], 2, 0, 0] = 3.0
+        A[[1, 4], 3, 1, 0] = -3.0
+        A[3, 4, 2, 0] = np.nan
+        B = np.zeros((6, 6, 6, LAYOUT2.size))
+        B[:, range(6), range(6), 0] = 1.0
+        identity = np.eye(6, dtype=bool)
+        plan = geometry.sparse_elimination(
+            np.concatenate([live, identity], axis=1))
+        assert plan[1][0, 4] and not plan[1][5, 6:11].any()
+        assert_rows_are_their_own_solves(A, B, failing=(3,), plan=plan)
 
-        X, failed, det = solve(slice(None))
-        assert failed.tolist() == [False, False, False, True, False, True]
-        for p in range(6):
-            Xp, failed_p, det_p = solve(slice(p, p + 1))
-            assert X.c[p].view(np.uint64).tolist() == \
-                Xp.c[0].view(np.uint64).tolist(), p
-            assert failed[p] == failed_p[0]
-            assert det[p:p + 1].view(np.uint64) == det_p.view(np.uint64)
+        live[[2, 4], 2] = False
+        A[:, [2, 4], 2] = 0.0
+        assert_rows_are_their_own_solves(
+            A, B, failing=range(6), plan=geometry.sparse_elimination(
+                np.concatenate([live, identity], axis=1)))
 
-        def nested(c, a, b):
-            # value, ∂_b and ∂_a, ∂_a∂_b as a dual over b inside a
-            return Dual(Dual(c[0], c[1 + b]), Dual(c[1 + a], c[3 + 2 * a + b]))
 
-        for p, (a, b) in itertools.product((0, 1, 2, 4), itertools.product(
-                range(2), repeat=2)):
-            want = scalar_reference.gauss_jordan(
-                [[nested(c, a, b) for c in row] for row in A[p]],
-                [[nested(c, a, b) for c in row] for row in B[p]],
-                1e-10, SingularFrame)
-            want = np.array([[(x.p.p, x.p.t, x.t.p, x.t.t) for x in row]
-                             for row in want])
-            got = np.stack([X.v[p], X.d[p, ..., b], X.d[p, ..., a],
-                            X.dd[p, ..., a, b]], axis=-1)
-            assert got.view(np.uint64).tolist() == \
-                want.view(np.uint64).tolist(), (p, a, b)
+def assert_rows_are_their_own_solves(A, B, failing, plan=None):
+    """One gauss_jordan call over every point of the order-2 jets A and B
+    (coefficients in two directions) fails at the points ``failing``.
+    Every row is, bit for bit, the solve of that row alone, failure
+    flag and determinant included (so -0.0 against +0.0 and NaN
+    payloads count), and each regular row is the nested-dual
+    elimination for every direction pair, which with a sparse ``plan``
+    may differ in the sign of an exact zero only."""
+    def solve(rows):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return gauss_jordan(Jet(A[rows], LAYOUT2),
+                                Jet(B[rows], LAYOUT2), 1e-10, plan)
+
+    X, failed, det = solve(slice(None))
+    assert np.flatnonzero(failed).tolist() == list(failing)
+    for p in range(len(A)):
+        Xp, failed_p, det_p = solve(slice(p, p + 1))
+        assert X.c[p].view(np.uint64).tolist() == \
+            Xp.c[0].view(np.uint64).tolist(), p
+        assert failed[p] == failed_p[0]
+        assert det[p:p + 1].view(np.uint64) == det_p.view(np.uint64)
+
+    def nested(c, a, b):
+        # value, ∂_b and ∂_a, ∂_a∂_b as a dual over b inside a
+        return Dual(Dual(c[0], c[1 + b]), Dual(c[1 + a], c[3 + 2 * a + b]))
+
+    regular = [p for p in range(len(A)) if p not in failing]
+    for p, (a, b) in itertools.product(regular, itertools.product(
+            range(2), repeat=2)):
+        want = scalar_reference.gauss_jordan(
+            [[nested(c, a, b) for c in row] for row in A[p]],
+            [[nested(c, a, b) for c in row] for row in B[p]],
+            1e-10, SingularFrame)
+        want = np.array([[(x.p.p, x.p.t, x.t.p, x.t.t) for x in row]
+                         for row in want])
+        got = np.stack([X.v[p], X.d[p, ..., b], X.d[p, ..., a],
+                        X.dd[p, ..., a, b]], axis=-1)
+        if plan is not None:  # -0.0 + 0.0 is +0.0; other bits stay
+            got, want = got + 0.0, want + 0.0
+        assert got.view(np.uint64).tolist() == \
+            want.view(np.uint64).tolist(), (p, a, b)
+
+
+def dense_mat_mul(A, B):
+    """A @ B as the sum of the outer products A[:, e] B[e, :], left to
+    right in e, every term taken: the product without patterns."""
+    inner = A.c.shape[2] if isinstance(A, Jet) else A.shape[1]
+    total = None
+    for e in range(inner):
+        term = A[:, e, None] * B[None, e, :]
+        total = term if total is None else total + term
+    return total
+
+
+class TestSparseMatMul:
+    # A (4 x 3) has a dead row and a dead column; B (3 x 5) meets that
+    # column only in its column 3, so the product has a dead row and a
+    # dead column.  The constants C and D are zero where B and A are dead.
+    LIVE_A = np.array([[1, 1, 0], [0, 0, 0], [1, 1, 0], [0, 1, 0]], bool)
+    LIVE_B = np.array([[1, 0, 1, 0, 1], [1, 1, 1, 0, 1], [1, 1, 1, 1, 1]],
+                      bool)
+
+    def operands(self):
+        rng = np.random.default_rng(13)
+        A = np.where(self.LIVE_A[..., None],
+                     rng.uniform(-1.0, 1.0, (3, 4, 3, LAYOUT2.size)), -0.0)
+        B = np.where(self.LIVE_B[..., None],
+                     rng.uniform(-1.0, 1.0, (3, 3, 5, LAYOUT2.size)), 0.0)
+        C = np.where(self.LIVE_B, rng.uniform(-1.0, 1.0, (3, 5)), 0.0)
+        D = np.where(self.LIVE_A, rng.uniform(-1.0, 1.0, (4, 3)), -0.0)
+        return Jet(A, LAYOUT2), Jet(B, LAYOUT2), C, D
+
+    @pytest.mark.parametrize("kind", ["jet x jet", "jet x constant",
+                                      "constant x jet"])
+    def test_against_the_dense_sum(self, kind):
+        # On the product's pattern the values and NaN positions are the
+        # dense sum's; off it the product is exactly zero.  The NaN (at
+        # point 1) sits in A[0, 1], or in B[1, 0] for a constant A, whose
+        # partners are live wherever the product row (column) is: the
+        # dense sum also spreads it into the dead entries, through terms
+        # 0·NaN that the product skips.
+        A, B, C, D = self.operands()
+        A.c[1, 0, 1, 0] = B.c[1, 1, 0, 0] = np.nan
+        left, right, live_a, live_b = {
+            "jet x jet": (A, B, self.LIVE_A, self.LIVE_B),
+            "jet x constant": (A, C, self.LIVE_A, None),
+            "constant x jet": (D, B, None, self.LIVE_B),
+        }[kind]
+        with np.errstate(invalid="ignore"):
+            got, live = geometry._mat_mul(left, right, live_a, live_b)
+            want = dense_mat_mul(left, right)
+        assert live.tolist() == (self.LIVE_A.astype(int)
+                                 @ self.LIVE_B.astype(int) > 0).tolist()
+        assert not live[1].any() and not live[:, 3].any()
+        np.testing.assert_array_equal(got.c[:, live], want.c[:, live])
+        assert not got.c[:, ~live].any()
+        assert np.isnan(want.c[:, ~live]).any()
+        assert np.isnan(got.c).any()
 
 
 class TestChartValidation:
