@@ -18,7 +18,9 @@ every component at all of them.  Three realizations exist:
   the entries that the structure makes zero.
 - :class:`HyperboloidStructure`: the structure induced on the unit
   pseudosphere of a flat para-Kahler ambient space, pulled back through
-  an explicit graph parametrization with a closed-form tangent basis.
+  an explicit graph parametrization with a closed-form tangent basis;
+  the ambient inner products are sparse products of that basis, which
+  skip its structural zeros.
 
 :func:`structure_arrays` evaluates a structure at a batch of points and
 decides for each point whether it is rejected.  A :class:`FrameBatch`
@@ -56,7 +58,7 @@ from .errors import (
     ValidationError,
 )
 from .expr import SharedTrees
-from .jets import _DIV_GUARD, Jet, coordinate_jets, sqrt, tensor
+from .jets import _DIV_GUARD, Jet, _product, coordinate_jets, sqrt, tensor
 
 _MIN_METRIC_DET = 1e-10
 _MIN_FRAME_DET = 1e-6
@@ -125,46 +127,77 @@ def _flags(jet):
 # on the values exactly like the scalar loops these replace, so every
 # batch entry carries the rounding of a point-by-point evaluation.
 #
-# A frame's algebra also carries a liveness pattern: one boolean per
-# matrix entry, false where the entry is zero in every coefficient at
-# every point.  The pattern comes from the structure (a frame entry
-# without variables whose value is ±0 is dead), never from a batch's
-# values, so a point gets the same arithmetic in any batch.  Products
-# and eliminations skip every term with a dead operand.  Such a term is
+# A frame's algebra, and the hyperboloid's tangent products, also carry
+# a liveness pattern: one boolean per matrix entry, false where the
+# entry is zero in every coefficient at every point.  The pattern comes
+# from the structure (a frame entry without variables whose value is ±0
+# is dead; the hyperboloid's tangent frame is the identity and one
+# column), never from a batch's values, so a point gets the same
+# arithmetic in any batch; each structure plans its products (and a
+# frame its elimination) once, when it is built.  Products and
+# eliminations skip every term with a dead operand.  Such a term is
 # x + 0·y or x − 0·y, so a result can differ from the full computation
 # only in the sign of an exact zero, and where y is not finite: the 0·y
 # would have spread a NaN (a frame entry that is not finite rejects its
 # point anyway).
 # ---------------------------------------------------------------------------
 
-def _sum(terms):
-    total = None
-    for term in terms:
-        total = term if total is None else total + term
-    return total
-
-
-def _mat_mul(A, B, live_a=None, live_b=None):
-    """A @ B and its pattern, for tensor jets or constant arrays (m x k
-    times k x r) with patterns ``live_a`` and ``live_b`` (None for a
-    constant array: its nonzero entries).
+class _MatMulPlan:
+    """The plan of A @ B (m x k times k x r) for factors of fixed
+    patterns.  ``a`` and ``b`` are each the pattern of a jet factor
+    (booleans) or a constant factor itself (floats, live where
+    nonzero); ``live`` is the pattern of the product, the boolean
+    product of the two.
 
     Entry (i, j) adds the terms A[i, e] B[e, j] whose two factors are
-    live, left to right in e, to an exact zero; the pattern of the
-    product is the boolean product of the two patterns.
+    live, left to right in e, to an exact zero.  For two jet factors
+    ``steps`` holds, per inner index e, the live rows of A[:, e] and the
+    live columns of B[e, :] (see :func:`_span`) as the index of each
+    factor and of the block they make.  With a constant factor
+    ``ranks`` holds, per rank n, the entries that have an n-th live
+    term, and the index of that term's factor in A and in B: one gather
+    and scale adds the n-th terms of every entry.
     """
-    if live_a is None:
-        live_a = A != 0
-    if live_b is None:
-        live_b = B != 0
+
+    def __init__(self, a, b):
+        live_a, live_b = a != 0, b != 0
+        terms = live_a[:, :, None] & live_b[None]
+        self.live = terms.any(axis=1)
+        self.steps = self.ranks = None
+        if a.dtype != bool or b.dtype != bool:
+            # (i, j, e) of every live term, e ascending within (i, j)
+            i, j, e = np.nonzero(terms.transpose(0, 2, 1))
+            entry = i * self.live.shape[1] + j
+            rank = np.arange(len(entry)) - np.searchsorted(entry, entry)
+            self.ranks = [((i[at], j[at]), (i[at], e[at]), (e[at], j[at]))
+                          for at in (rank == n for n in range(
+                              rank.max(initial=-1) + 1))]
+            return
+        self.steps = []
+        for e, (rows, cols) in enumerate(zip(live_a.T, live_b)):
+            rows, cols = _span(np.flatnonzero(rows)), _span(np.flatnonzero(cols))
+            if rows is not None and cols is not None:
+                self.steps.append(((slice(None), rows, e, None),
+                                   (slice(None), None, e, cols),
+                                   _block(rows, cols)))
+
+
+def _mat_mul(A, B, plan):
+    """A @ B for tensor jets or constant arrays (m x k times k x r) by a
+    :class:`_MatMulPlan` of their patterns; the entries off the plan's
+    ``live`` pattern are exact zeros."""
     jet = A if isinstance(A, Jet) else B
-    live = (live_a[:, :, None] & live_b[None]).any(axis=1)
-    c = np.zeros((len(jet.c), *live.shape, jet.c.shape[-1]))
-    for e, (rows, cols) in enumerate(zip(live_a.T, live_b)):
-        rows, cols = _span(np.flatnonzero(rows)), _span(np.flatnonzero(cols))
-        if rows is not None and cols is not None:
-            c[_block(rows, cols)] += (A[rows, e, None] * B[None, e, cols]).c
-    return Jet(c, jet.layout), live
+    c = np.zeros((len(jet.c), *plan.live.shape, jet.c.shape[-1]))
+    if plan.steps is not None:
+        for a, b, block in plan.steps:
+            c[block] += _product(A.c[a], B.c[b], jet.layout)
+    elif jet is A:
+        for out, a, b in plan.ranks:
+            c[:, out[0], out[1]] += A.c[:, a[0], a[1]] * B[b][:, None]
+    else:
+        for out, a, b in plan.ranks:
+            c[:, out[0], out[1]] += B.c[:, b[0], b[1]] * A[a][:, None]
+    return Jet(c, jet.layout)
 
 
 def _span(ix):
@@ -337,9 +370,10 @@ class FrameStructure(_Structure):
 
     A frame entry without variables whose value is ±0 is zero at every
     point.  The inverse (:func:`sparse_elimination`, with the identity
-    live on its diagonal) and the products skip such entries, the zero
-    entries of the constant tensors, and every term that has one of
-    them as a factor.
+    live on its diagonal) and the six products (:class:`_MatMulPlan`)
+    skip such entries, the zero entries of the constant tensors, and
+    every term that has one of them as a factor; all seven are planned
+    when the structure is built.
     """
 
     def __init__(self, chart, frame, g_hat, phi_hat, xi_hat, eta_hat):
@@ -353,10 +387,16 @@ class FrameStructure(_Structure):
         self.eta_hat = np.array(eta_hat, dtype=float)
         if len(self._frame) != m:
             raise ValueError("frame matrix must be m x m")
-        self._live = self._live_entries()
+        live = self._live_entries()
         self._plan = sparse_elimination(
-            np.concatenate([self._live, np.eye(m, dtype=bool)], axis=1))
-        self._live_inv = self._plan[1][:, m:]
+            np.concatenate([live, np.eye(m, dtype=bool)], axis=1))
+        live_inv = self._plan[1][:, m:]
+        E_phi = _MatMulPlan(live, self.phi_hat)
+        inv_g = _MatMulPlan(live_inv.T, self.g_hat)
+        self._products = (E_phi, _MatMulPlan(E_phi.live, live_inv),
+                          _MatMulPlan(live, self.xi_hat[:, None]),
+                          _MatMulPlan(self.eta_hat[None], live_inv),
+                          inv_g, _MatMulPlan(inv_g.live, live_inv))
 
     def _live_entries(self):
         """The pattern of E: false at the entries without variables whose
@@ -382,13 +422,11 @@ class FrameStructure(_Structure):
         identity = tensor(np.eye(self.dim).tolist(), xs[0])
         Einv, singular, det = gauss_jordan(E, identity, _MIN_FRAME_DET,
                                            self._plan)
-        live_E, live_inv = self._live, self._live_inv
-        E_phi, live = _mat_mul(E, self.phi_hat, live_E)
-        phi = _mat_mul(E_phi, Einv, live, live_inv)[0]
-        xi = _mat_mul(E, self.xi_hat[:, None], live_E)[0][:, 0]
-        eta = _mat_mul(self.eta_hat[None], Einv, None, live_inv)[0][0]
-        inv_g, live = _mat_mul(_transpose(Einv), self.g_hat, live_inv.T)
-        g = _mat_mul(inv_g, Einv, live, live_inv)[0]
+        E_phi, phi, xi, eta, inv_g, g = self._products  # the plans
+        phi = _mat_mul(_mat_mul(E, self.phi_hat, E_phi), Einv, phi)
+        xi = _mat_mul(E, self.xi_hat[:, None], xi)[:, 0]
+        eta = _mat_mul(self.eta_hat[None], Einv, eta)[0]
+        g = _mat_mul(_mat_mul(_transpose(Einv), self.g_hat, inv_g), Einv, g)
         checks = [
             (_flags(E), DomainError,
              lambda i: "frame entries are not finite numbers here"),
@@ -410,11 +448,15 @@ class HyperboloidStructure(_Structure):
     2n+1 ambient coordinates, x_{2n+2} = s = sqrt(arg).  With position
     field N (G(N,N) = -1) the induced structure is
         xi = -J N,   J X = phi X - eta(X) N,   g = G restricted,
-    realized on jets: the tangent vectors are T_i = e_i + (σ_i u_i / s)
-    e_last (σ_i the sign of u_i^2 in arg); g_ij = G(T_i, T_j);
-    eta_i = G(T_i, xi); phi and xi solve an (m x m) linear system with
-    the metric as coefficient matrix.  Its determinant is ±1/arg, so
-    inside the box no metric is degenerate where the patch test passes.
+    realized on jets: the tangent vectors are the rows of the m x (m+1)
+    frame T, T_i = e_i + (σ_i u_i / s) e_last (σ_i the sign of u_i^2 in
+    arg, the m quotients taken as one); with Σ = diag(G),
+        g = (T Σ) Tᵀ,   B = (T Σ) (T J)ᵀ,   eta = (T Σ) xi,
+    sparse products (:class:`_MatMulPlan`) of the pattern of T, the
+    identity and the last column, planned once per structure; phi and
+    xi solve g · [phi | xi] = [B | eta].  The determinant of g is
+    ±1/arg, so inside the box no metric is degenerate where the patch
+    test passes.
     """
 
     def __init__(self, n):
@@ -426,9 +468,15 @@ class HyperboloidStructure(_Structure):
         self.chart = Chart(coords, tuple((-0.8, 0.8) for _ in range(m)))
         self.ambient_dim = 2 * n + 2
         half = n + 1
-        self._signs = [1.0] * half + [-1.0] * half
+        self._signs = np.array([1.0] * half + [-1.0] * half)
         self._J = [(A + half) % self.ambient_dim
                    for A in range(self.ambient_dim)]
+        live_T = np.eye(m, m + 1, dtype=bool)
+        live_T[:, m] = True
+        self._products = (
+            _MatMulPlan(live_T, live_T.T),
+            _MatMulPlan(live_T, np.concatenate(
+                [live_T[:, self._J].T, np.ones((m + 1, 1), bool)], axis=1)))
 
     def _graph_arg(self, xs):
         arg = 1.0
@@ -439,30 +487,34 @@ class HyperboloidStructure(_Structure):
                 arg = arg - x * x
         return arg
 
-    def _inner(self, U, V):
-        """G(U, V) summed over the ambient index (the last tensor axis)."""
-        return _sum(self._signs[A] * U[..., A] * V[..., A]
-                    for A in range(self.ambient_dim))
+    def _tangent_products(self, xs, s):
+        """g = (T Σ) Tᵀ and [B | eta] = (T Σ) [(T J)ᵀ | xi]."""
+        m = self.dim
+        T = np.zeros((len(s.c), m, m + 1, s.c.shape[-1]))
+        T[:, range(m), range(m), 0] = 1.0
+        T[:, :, m] = (tensor(list(xs), s) * self._signs[:m]
+                      / s._new(s.c[:, None])).c
+        T = Jet(T, s.layout)
+        T_sigma = T * self._signs
+        xi = -tensor(list(xs) + [s], s)[self._J]
+        right = np.concatenate([T.c[:, :, self._J].swapaxes(1, 2),
+                                xi.c[:, :, None]], axis=2)
+        g, rhs = self._products  # the plans
+        return (_mat_mul(T_sigma, _transpose(T), g),
+                _mat_mul(T_sigma, Jet(right, s.layout), rhs))
 
     def component_jets(self, xs):
         m = self.dim
         arg = self._graph_arg(xs)
         outside = ~(arg.v >= _MIN_PATCH_MARGIN)
-        s = sqrt(arg)
-        T = tensor([[1.0 if A == i else 0.0 for A in range(m)]
-                    + [self._signs[i] * xs[i] / s] for i in range(m)], s)
-        xi_amb = -tensor(list(xs) + [s], s)[self._J]
-        g = self._inner(T[:, None], T[None, :])
-        eta = self._inner(T, xi_amb[None, :])
-        B = self._inner(T[:, None], T[None, :, self._J])
-        rhs = Jet(np.concatenate([B.c, eta.c[:, :, None]], axis=2), g.layout)
+        g, rhs = self._tangent_products(xs, sqrt(arg))
         sol = gauss_jordan(g, rhs, _MIN_METRIC_DET)[0]
         checks = [
             (outside, OutsidePatch,
              lambda i: f"graph-patch argument {arg.v[i]:.3e} below "
                        f"{_MIN_PATCH_MARGIN:.1e}"),
         ]
-        return (g, sol[:, :m], sol[:, m], eta), checks
+        return (g, sol[:, :m], sol[:, m], rhs[:, m]), checks
 
 
 # ---------------------------------------------------------------------------

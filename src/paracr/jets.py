@@ -24,7 +24,9 @@ numbers perform for one point and one choice of directions (the scalar
 reference the tests hold the engine to): a product sums the Leibniz
 terms ∂_U u · ∂_{T∖U} w of slot T pairwise in nested order, and a
 function or quotient is extended one order at a time,
-f(u) = f(u_low) + ε·f'(u_low)·∂u.  Values of sinh,
+f(u) = f(u_low) + ε·f'(u_low)·∂u.  An order-2 quotient is that
+recursion written out in one pass (q_k = (a_k − Σ q_j b_{k−j}) / b_0
+slot by slot): the same operations in the same order.  Values of sinh,
 cosh, tanh, exp and ln come from the ``math`` module.  A batch is
 therefore bit-for-bit what a point-by-point evaluation gives.
 
@@ -156,6 +158,26 @@ def _product(a, b, layout):
     return terms[..., 0]
 
 
+def _quotient2(a, b, k):
+    """The order-2 quotient of coefficient arrays in one pass:
+    q_0 = a_0 / b_0 (guarded), q_t = (a_t − q_0 b_t) / b_0 and
+    q_ts = ((a_ts − (q_0 b_ts + q_s b_t)) − q_t b_s) / b_0 (t the outer
+    direction), the very operations of ``Jet._over`` one order at a
+    time."""
+    a0, b0 = a[..., :1], b[..., :1]
+    at, bt = a[..., 1:1 + k], b[..., 1:1 + k]
+    ats = a[..., 1 + k:].reshape(a.shape[:-1] + (k, k))
+    bts = b[..., 1 + k:].reshape(b.shape[:-1] + (k, k))
+    q = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    q0, qt = q[..., :1], q[..., 1:1 + k]
+    q0[...] = _guarded(a0 / b0, b0)
+    qt[...] = (at - q0 * bt) / b0
+    qts = ((ats - (q0[..., None] * bts + qt[..., None, :] * bt[..., :, None]))
+           - qt[..., :, None] * bt[..., None, :]) / b0[..., None]
+    q[..., 1 + k:] = qts.reshape(q.shape[:-1] + (k * k,))
+    return q
+
+
 class Jet:
     """Truncated Taylor coefficients of a scalar or tensor at P points;
     a point is not a number where one of its coefficients is not
@@ -274,6 +296,8 @@ class Jet:
             return self._new(self.c / self._const(o))
         if self.layout.order == 0:
             return self._new(_guarded(self.c / o.c, o.c))
+        if self.layout.order == 2:
+            return self._new(_quotient2(self.c, o.c, self.layout.k))
         return self._over(o, self._low() / o._low())
 
     def __rtruediv__(self, o):

@@ -74,6 +74,16 @@ SPARSE_FRAMES = {
     "p1_frame_spec": lambda: spec_from_dict(P1_FRAME_SPEC).structure,
 }
 
+# Every structure whose products skip dead entries: the frames above, and
+# the hyperboloid, whose tangent frame T is the identity and one column.
+SPARSE_STRUCTURES = dict(
+    SPARSE_FRAMES,
+    hyperboloid1=STRUCTURES["hyperboloid1"],
+    hyperboloid2=STRUCTURES["hyperboloid2"],
+    hyperboloid3=STRUCTURES["hyperboloid3"],
+    hyperboloid4=lambda: build_example("hyperboloid", n=4).structure,
+)
+
 
 def _structure_with(frame_00="1", metric_00="1"):
     """Frame structure E = diag(frame_00, 1, 1) over a metric whose first
@@ -193,16 +203,17 @@ class TestAgainstScalarReference:
 
     @pytest.mark.parametrize("directional", [False, True],
                              ids=["sampled", "directional"])
-    @pytest.mark.parametrize("case", sorted(SPARSE_FRAMES))
+    @pytest.mark.parametrize("case", sorted(SPARSE_STRUCTURES))
     def test_frame_rows_are_their_own_evaluations_bit_for_bit(
             self, case, directional):
-        # The frame algebra skips the entries its pattern marks dead, and
-        # the pattern comes from the structure, so each of 32 points
-        # gets the arithmetic of its own one-point call: the same bits
-        # in every coefficient, the same rejection.  Sampled layout
-        # (the coordinate partials) and directional layout (one unit
-        # direction per point, as the directional self-test seeds it).
-        st = SPARSE_FRAMES[case]()
+        # The frame algebra and the hyperboloid's tangent products skip
+        # the entries their patterns mark dead, and the patterns come
+        # from the structure, so each of 32 points gets the arithmetic
+        # of its own one-point call: the same bits in every coefficient,
+        # the same rejection.  Sampled layout (the coordinate partials)
+        # and directional layout (one unit direction per point, as the
+        # directional self-test seeds it).
+        st = SPARSE_STRUCTURES[case]()
         rng = np.random.default_rng(21)
         lo, hi = np.array(st.chart.box).T
         points = lo + (hi - lo) * rng.random((32, st.dim))

@@ -47,7 +47,7 @@ from paracr.geometry import (
     gauss_jordan,
     lie_bracket,
 )
-from paracr.jets import Jet, coordinate_jets, tensor
+from paracr.jets import Jet, coordinate_jets, sqrt, tensor
 from paracr.presets import cosymplectic, flat3d, hyperboloid, p1
 from paracr.runner import _random_sectionals, engine_self_tests
 from point_helpers import components
@@ -277,6 +277,43 @@ def dense_mat_mul(A, B):
     return total
 
 
+def dense_inner(signs, U, V):
+    """G(U, V) = Σ_A σ_A U_A V_A over the last tensor axis, every term
+    taken, left to right in A: the ambient sum without patterns."""
+    total = None
+    for A, sign in enumerate(signs):
+        term = float(sign) * U[..., A] * V[..., A]
+        total = term if total is None else total + term
+    return total
+
+
+class DenseHyperboloid:
+    """A hyperboloid structure whose g, B and eta are dense ambient sums
+    of its tangent vectors, each quotient σ_i u_i / s taken alone: the
+    realization without patterns, with the same rejections."""
+
+    def __init__(self, structure):
+        self.structure = structure
+        self.chart = structure.chart
+
+    def component_jets(self, xs):
+        st = self.structure
+        m, signs = st.dim, st._signs
+        arg = st._graph_arg(xs)
+        s = sqrt(arg)
+        T = tensor([[1.0 if A == i else 0.0 for A in range(m)]
+                    + [float(signs[i]) * xs[i] / s] for i in range(m)], s)
+        xi_amb = -tensor(list(xs) + [s], s)[st._J]
+        g = dense_inner(signs, T[:, None], T[None, :])
+        eta = dense_inner(signs, T, xi_amb[None, :])
+        B = dense_inner(signs, T[:, None], T[None, :, st._J])
+        rhs = Jet(np.concatenate([B.c, eta.c[:, :, None]], axis=2), g.layout)
+        sol = gauss_jordan(g, rhs, geometry._MIN_METRIC_DET)[0]
+        outside = ~(arg.v >= geometry._MIN_PATCH_MARGIN)
+        return ((g, sol[:, :m], sol[:, m], eta),
+                [(outside, OutsidePatch, lambda i: "outside the patch")])
+
+
 class TestSparseMatMul:
     # A (4 x 3) has a dead row and a dead column; B (3 x 5) meets that
     # column only in its column 3, so the product has a dead row and a
@@ -304,16 +341,22 @@ class TestSparseMatMul:
         # partners are live wherever the product row (column) is: the
         # dense sum also spreads it into the dead entries, through terms
         # 0·NaN that the product skips.
+        # The plan is built from the patterns, a constant factor standing
+        # for its own: per inner index for two jets, per term rank with a
+        # constant.
         A, B, C, D = self.operands()
         A.c[1, 0, 1, 0] = B.c[1, 1, 0, 0] = np.nan
-        left, right, live_a, live_b = {
+        left, right, pattern_a, pattern_b = {
             "jet x jet": (A, B, self.LIVE_A, self.LIVE_B),
-            "jet x constant": (A, C, self.LIVE_A, None),
-            "constant x jet": (D, B, None, self.LIVE_B),
+            "jet x constant": (A, C, self.LIVE_A, C),
+            "constant x jet": (D, B, D, self.LIVE_B),
         }[kind]
+        plan = geometry._MatMulPlan(pattern_a, pattern_b)
+        assert (plan.steps is None) == (kind != "jet x jet")
         with np.errstate(invalid="ignore"):
-            got, live = geometry._mat_mul(left, right, live_a, live_b)
+            got = geometry._mat_mul(left, right, plan)
             want = dense_mat_mul(left, right)
+        live = plan.live
         assert live.tolist() == (self.LIVE_A.astype(int)
                                  @ self.LIVE_B.astype(int) > 0).tolist()
         assert not live[1].any() and not live[:, 3].any()
@@ -880,6 +923,42 @@ def quadric_residual(s, point):
 
 
 class TestHyperboloid:
+    @pytest.mark.parametrize("directional", [False, True],
+                             ids=["sampled", "directional"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sparse_products_are_the_dense_sums_bit_for_bit(
+            self, n, directional):
+        # g, B and eta as sparse products of the tangent frame T skip
+        # only the terms with a structurally zero factor, and the m
+        # quotients σ_i u_i / s are one stacked quotient, so
+        # structure_jets equals the dense ambient sums in every
+        # coefficient of an accepted point (the sign of zero included)
+        # and rejects the same points: 64 points of a box widened to
+        # ±1.3, where the graph patch ends.  Rows 0-2 lie beyond it
+        # (arg < 0) and row 3 just inside the margin (arg ≈ 1e-7).
+        st = HyperboloidStructure(n)
+        rng = np.random.default_rng(40 + n)
+        points = rng.uniform(-1.3, 1.3, (64, st.dim))
+        points[:3, :n + 1], points[:3, n + 1:] = 0.1, 1.25
+        points[3] = 0.0
+        points[3, -1] = math.sqrt(1.0 - 1e-7)
+        directions = None
+        if directional:
+            u = rng.normal(size=(64, st.dim, 1))
+            directions = u / np.linalg.norm(u, axis=1, keepdims=True)
+        with np.errstate(all="ignore"):
+            parts, rejected = geometry.structure_jets(st, points, 2,
+                                                      directions)
+            dense, rejected_dense = geometry.structure_jets(
+                DenseHyperboloid(st), points, 2, directions)
+        kinds = [type(r) for r in rejected]
+        assert kinds == [type(r) for r in rejected_dense]
+        accepted = [kind is type(None) for kind in kinds]
+        assert OutsidePatch in kinds and sum(accepted) >= 8
+        for part, want in zip(parts, dense):
+            assert part.c[accepted].view(np.uint64).tolist() == \
+                want.c[accepted].view(np.uint64).tolist()
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_quadric_residual(self, n):
         rng = np.random.default_rng(67)

@@ -1,21 +1,25 @@
 """Tests for the nested-dual scalar reference (``scalar_reference``), the
-oracle the batched jet engine is held to, and the float guards it
-shares with ``paracr.jets``.
+oracle the batched jet engine is held to, the float guards it shares
+with ``paracr.jets``, and the engine's one-pass order-2 quotient.
 
 Oracles used here:
   * hand-evaluated calculus facts (polynomials, hyperbolic functions),
   * central finite differences with step 1e-5,
-  * the chain rule applied to independently evaluated inner/outer jets.
+  * the chain rule applied to independently evaluated inner/outer jets,
+  * the order-by-order quotient rule (``Jet._over``) for the one-pass
+    order-2 quotient, bit for bit.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from expression_corpus import random_expression_corpus
 from paracr.errors import DomainError
-from paracr.jets import powi
+from paracr.jets import Jet, _DIV_GUARD, _layout, powi
 from scalar_reference import (
     Dual,
     coefficients,
@@ -210,3 +214,61 @@ class TestFiniteDifferenceProperty:
             fd = central_diff(univariate, point[direction])
             scale = max(1.0, abs(jet), abs(fd))
             assert abs(jet - fd) / scale <= 1e-5
+
+
+# Coefficients that are not ordinary numbers, and divisor values inside
+# the guard band (|b_0| <= 1e-300), on its edge and next to it.
+SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]
+GUARD_VALUES = [0.0, -0.0, _DIV_GUARD, -_DIV_GUARD, 5e-301, -1e-310,
+                math.nextafter(_DIV_GUARD, 1.0),
+                -math.nextafter(_DIV_GUARD, 1.0), 2e-300, -1e-299]
+
+
+@st.composite
+def quotient_operands(draw):
+    """k and order-2 coefficient arrays a (P, r, 1) and b (P, 1, 1) over
+    k directions, as Gauss-Jordan divides a pivot column by its pivot:
+    ordinary numbers with a few specials written in, and some divisor
+    values in or next to the guard band."""
+    k = draw(st.integers(1, 9))
+    size = _layout(k, 2).size
+    count, rows = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    numbers = st.floats(-4.0, 4.0)
+    a = draw(hnp.arrays(float, (count, rows, 1, size), elements=numbers))
+    b = draw(hnp.arrays(float, (count, 1, 1, size), elements=numbers))
+    for array in (a, b):
+        for _ in range(draw(st.integers(0, 3))):
+            index = draw(st.tuples(*(st.integers(0, n - 1)
+                                     for n in array.shape)))
+            array[index] = draw(st.sampled_from(SPECIALS))
+    for p in range(count):
+        if draw(st.booleans()):
+            b[p, 0, 0, 0] = draw(st.sampled_from(GUARD_VALUES))
+    return k, a, b
+
+
+def _ordinary_operands(k, seed):
+    rng = np.random.default_rng(seed)
+    size = _layout(k, 2).size
+    return (k, rng.uniform(-2.0, 2.0, (2, 3, 1, size)),
+            rng.uniform(0.5, 2.0, (2, 1, 1, size)))
+
+
+class TestOrder2Quotient:
+    @settings(max_examples=300, deadline=None)
+    @given(quotient_operands())
+    @example(_ordinary_operands(3, 31))
+    @example(_ordinary_operands(9, 32))
+    def test_one_pass_is_the_order_by_order_quotient_bit_for_bit(
+            self, operands):
+        # a / b at order 2 divides in one pass; the recursion one order
+        # at a time (Jet._over from the order-1 quotient) does the same
+        # floating-point operations, so every coefficient, NaN and the
+        # sign of zero included, is the same.
+        k, a, b = operands
+        a, b = Jet(a, _layout(k, 2)), Jet(b, _layout(k, 2))
+        with np.errstate(all="ignore"):
+            got = (a / b).c
+            want = a._over(b, a._low() / b._low()).c
+        assert got.shape == want.shape
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
