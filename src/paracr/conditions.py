@@ -17,14 +17,15 @@ residual never hides behind a finite one.
 batch in one pass.  The kernels read the intermediates several of them
 need (the field brackets, the twisted nabla phi, ...) from one memo of
 the evaluation.  One grouped reduction then takes every infinity norm
-the candidates need: full norms stacked by shape, probe contractions
-stacked by (shape, strides, slots), each group contracted by one
-batched matmul with the group axis in front, so every member, point and
-draw still gets the gemv a single-point evaluation performs.  Groups
-are split at a byte budget (``_STACK_BYTES``), and waiting arrays are
-reduced once they exceed it.  One arg-max per condition over the shared
-[P, candidates] table picks its worst.  Every value is bit-identical to
-a one-condition evaluation.
+the candidates need.  An array without probe slots is stacked by
+shape; one with them is stacked once, by (shape, strides, slots), and
+that stack gives its full norms and is contracted with every draw by
+one batched matmul with the group axis in front, so every member,
+point and draw still gets the gemv a single-point evaluation performs.
+Groups are split at a byte budget (``_STACK_BYTES``), and waiting
+arrays are reduced once they exceed it.  One arg-max per condition over
+the shared [P, candidates] table picks its worst.  Every value is
+bit-identical to a one-condition evaluation.
 
 Evaluation policy by scope:
 
@@ -651,10 +652,10 @@ BUNDLES = {
 # ---------------------------------------------------------------------------
 
 # Byte budget of the grouped reduction.  A stacked group is split so
-# that its probe temporary (members x draws x one member's bytes, the
-# size of its broadcast over the draws) stays within it, and the arrays
-# waiting for their group are reduced as soon as they hold more, so an
-# evaluation keeps at most one condition's large arrays alive.
+# that members x draws x one member's bytes (a bound on its probe
+# temporaries) stays within it, and the arrays waiting for their group
+# are reduced as soon as they hold more, so an evaluation keeps at most
+# one condition's large arrays alive.
 _STACK_BYTES = 1 << 19
 
 
@@ -679,12 +680,11 @@ def _probe_norms(stack, slots, probes):
     front and never joins the merged rows."""
     groups, count = stack.shape[:2]
     draws = probes.shape[1]
-    T = np.broadcast_to(stack[:, :, None],
-                        (groups, count, draws) + stack.shape[2:])
+    T = stack[:, :, None]  # the matmul broadcasts it over the draws
     for row in reversed(range(len(slots))):
-        shape = T.shape[:-1]
-        T = (T.reshape(groups, count, draws, -1, T.shape[-1])
-             @ probes[:, :, row, :, None]).reshape(shape)
+        T = (T.reshape(T.shape[:3] + (-1, T.shape[-1]))
+             @ probes[:, :, row, :, None]).reshape(
+                 (groups, count, draws) + T.shape[3:-1])
     return np.max(np.abs(T), axis=tuple(range(3, T.ndim)))
 
 
@@ -695,9 +695,10 @@ class _Reduction:
     A part's candidates are the part in full, then, when it has vector
     slots, the part contracted with each probe draw.  Every infinity
     norm they need is a column of one [P, columns] table whose column 0
-    holds ones.  Arrays are reduced in groups: the full norms by shape,
-    the probe contractions by (shape, strides, slots), each group by one
-    stacked call.  An array met again while its group waits (an
+    holds ones.  Arrays are reduced in groups, each by one stack: an
+    array without probe slots by shape, one with them by (shape,
+    strides, slots), whose stack gives both its full norms and its
+    draws' contractions.  An array met again while its group waits (an
     intermediate two conditions share) reuses its columns.
     """
 
@@ -755,10 +756,11 @@ class _Reduction:
         full = self.width
         probe = full + 1 if contract else None
         self.width += 1 + self.draws * contract
-        self.norm_groups.setdefault(a.shape, []).append((a, full))
         if contract:
             self.probe_groups.setdefault(
-                (a.shape, a.strides, slots), []).append((a, probe))
+                (a.shape, a.strides, slots), []).append((a, full))
+        else:
+            self.norm_groups.setdefault(a.shape, []).append((a, full))
         self.seen[key] = a, (full, probe)  # holding a keeps its id unique
         self.pending += a.nbytes
         if self.pending > _STACK_BYTES:
@@ -771,25 +773,27 @@ class _Reduction:
         for members in self.norm_groups.values():
             size = max(1, _STACK_BYTES // members[0][0].nbytes)
             for lo in range(0, len(members), size):
-                self._reduce_norms(members[lo:lo + size])
+                self._reduce(members[lo:lo + size])
         for (_, _, slots), members in self.probe_groups.items():
             size = max(1, _STACK_BYTES
                        // (self.draws * members[0][0].nbytes))
             for lo in range(0, len(members), size):
-                self._reduce_probes(slots, members[lo:lo + size])
+                self._reduce(members[lo:lo + size], slots)
         self.norm_groups, self.probe_groups, self.seen = {}, {}, {}
         self.pending = 0
 
-    def _reduce_norms(self, members):
-        self.done.append(([col for _, col in members],
-                          _norms(_stack([a for a, _ in members])).T))
-
-    def _reduce_probes(self, slots, members):
-        norms = _probe_norms(_stack([a for a, _ in members]), slots,
-                             self.probes)
-        cols = [col + d for _, col in members for d in range(self.draws)]
-        self.done.append((cols, norms.transpose(1, 0, 2).reshape(
-            norms.shape[1], -1)))
+    def _reduce(self, members, slots=()):
+        """The full norms of ``members`` and, with ``slots``, their
+        draws' norms (the columns after each full norm), from one
+        stack."""
+        stack = _stack([a for a, _ in members])
+        self.done.append(([col for _, col in members], _norms(stack).T))
+        if slots:
+            norms = _probe_norms(stack, slots, self.probes)
+            cols = [col + 1 + d for _, col in members
+                    for d in range(self.draws)]
+            self.done.append((cols, norms.transpose(1, 0, 2).reshape(
+                norms.shape[1], -1)))
 
     def candidates(self, count):
         """raw and scale of every candidate registered, as [P, C]."""
@@ -798,9 +802,11 @@ class _Reduction:
         table[:, 0] = 1.0
         for cols, norms in self.done:
             table[:, cols] = norms
-        widest = 1 + max(map(len, self.terms))
-        terms = np.array([[0, *cols] + [0] * (widest - 1 - len(cols))
-                          for cols in self.terms])
+        # terms[c] = [0, columns of candidate c's summands, 0 ...]
+        lengths = np.array([len(cols) for cols in self.terms])
+        terms = np.zeros((len(lengths), 1 + lengths.max()), dtype=int)
+        terms[:, 1:][np.arange(lengths.max()) < lengths[:, None]] = [
+            col for cols in self.terms for col in cols]
         return table[:, self.raw], np.max(table[:, terms], axis=2)
 
 

@@ -20,7 +20,7 @@ every component at all of them.  Three realizations exist:
   pseudosphere of a flat para-Kahler ambient space, pulled back through
   an explicit graph parametrization with a closed-form tangent basis;
   the ambient inner products are sparse products of that basis, which
-  skip its structural zeros.
+  skip its structural zeros, and phi and xi solve one linear system.
 
 :func:`structure_arrays` evaluates a structure at a batch of points and
 decides for each point whether it is rejected.  A :class:`FrameBatch`
@@ -133,10 +133,10 @@ def _flags(jet):
 # from the structure (a frame entry without variables whose value is ±0
 # is dead; the hyperboloid's tangent frame is the identity and one
 # column), never from a batch's values, so a point gets the same
-# arithmetic in any batch; each structure plans its products (and a
-# frame its elimination) once, when it is built.  Products and
-# eliminations skip every term with a dead operand.  Such a term is
-# x + 0·y or x − 0·y, so a result can differ from the full computation
+# arithmetic in any batch; each structure plans its products and its
+# elimination (the hyperboloid's all live) once, when it is built.
+# Products and eliminations skip every term with a dead operand.  Such
+# a term is x ± 0·y, so a result can differ from the full computation
 # only in the sign of an exact zero, and where y is not finite: the 0·y
 # would have spread a NaN (a frame entry that is not finite rejects its
 # point anyway).
@@ -224,21 +224,26 @@ def _transpose(A):
 
 def sparse_elimination(live):
     """The plan of a Gauss-Jordan elimination of W = [A | B] that skips
-    the entries the pattern ``live`` (m x (m + r) booleans) marks dead.
+    the entries the pattern ``live`` (m x (m + r) booleans) marks dead
+    (all live: the full elimination).
 
-    Returns ``(steps, solved)``.  ``steps[col]`` is None where the pivot
-    row updates every other row right of the pivot column, else the
-    indices ``(rows, right)`` (see :func:`_span`): the rows live in the
-    pivot column and the columns right of it that are live in the pivot
-    row.  ``solved`` is the pattern of W after the elimination; that of
-    X is ``solved[:, m:]``.  Before each column the rows that may pivot
-    there (the pivot row and the rows below it that are live in the
-    column) all get the union of their patterns, so that no swap moves
-    a live entry to a dead place, and the entries a step updates become
-    live (fill-in).
+    Returns ``(steps, solved)``, ``solved`` the pattern of W after the
+    elimination (X's is ``solved[:, m:]``).  ``steps[col]`` is
+    ``(search, rows, updates)``: false where no row but the pivot row
+    can pivot (the others are exact zeros); the other rows live in the
+    pivot column (see :func:`_span`); and the blocks of those rows and
+    the columns right of the pivot live in the pivot row, as (index in
+    W, slice of ``rows``, columns).  A block beyond (m - 1) max(m, r)
+    entries, the bound on product temporaries, is split at the pivot
+    row (the rows on one side are often consecutive: a view, updated in
+    place), then at the A|B boundary.  Before each column the rows that
+    may pivot there share the union of their patterns, so that no swap
+    moves a live entry to a dead place; the entries a step updates
+    become live (fill-in).
     """
     live = np.array(live, dtype=bool)
     m, width = live.shape
+    bound = (m - 1) * max(m, width - m)
     steps = []
     for col in range(m):
         pivots = live[col:, col].copy()
@@ -248,8 +253,16 @@ def sparse_elimination(live):
         rows = rows[rows != col]
         right = col + 1 + np.flatnonzero(live[col, col + 1:])
         live[rows[:, None], right] = True
-        dense = len(rows) == m - 1 and len(right) == width - col - 1
-        steps.append(None if dense else (_span(rows), _span(right)))
+        above = np.searchsorted(rows, col)
+        updates = []
+        for part in ([slice(None)] if rows.size * right.size <= bound
+                     else [slice(0, above), slice(above, None)]):
+            for b in ([right] if rows[part].size * right.size <= bound
+                      else [right[right < m], right[right >= m]]):
+                if rows[part].size and b.size:
+                    updates.append((_block(_span(rows[part]), _span(b)),
+                                    part, _span(b)))
+        steps.append((bool(pivots[1:].any()), _span(rows), updates))
     return steps, live
 
 
@@ -262,47 +275,33 @@ def gauss_jordan(A, B, min_det, plan=None):
     ``min_det``) together with the determinant estimate (product of the
     pivots with swap sign).
 
-    Each step updates W = [A | B] right of the pivot column, above and
-    below the pivot row; splitting at the A|B boundary keeps every
-    product within (m - 1) x max(m, r) entries.  A ``plan`` from
-    :func:`sparse_elimination` restricts the quotients and updates of
-    its sparse steps to the rows live in the pivot column and the
-    columns live in the pivot row, and the final division to the live
-    entries of X, whose other entries are exact zeros.  Without a plan
-    every entry is live.
+    It runs by a ``plan`` from :func:`sparse_elimination` (None: the
+    full one): per column a pivot search where the plan allows a swap,
+    one quotient of the live rows of the pivot column by the pivot and
+    the plan's block updates of W = [A | B]; then one division over the
+    live entries of X, whose other entries are exact zeros.
     """
     W = np.concatenate([A.c, B.c], axis=2)
     count, m = A.c.shape[:2]
-    steps, solved = plan or ([None] * m, None)
+    steps, solved = plan or sparse_elimination(np.ones((m, W.shape[2]), bool))
     points = np.arange(count)
     det = np.ones(count)
     failed = np.zeros(count, dtype=bool)
-    for col in range(m):
-        piv = col + np.argmax(np.abs(W[:, col:, col, 0]), axis=1)
-        W[points, col], W[points, piv] = W[points, piv], W[points, col]
-        det = np.where(piv != col, -det, det)
+    for col, (search, rows, updates) in enumerate(steps):
+        if search:
+            piv = col + np.argmax(np.abs(W[:, col:, col, 0]), axis=1)
+            W[points, col], W[points, piv] = W[points, piv], W[points, col]
+            det = np.where(piv != col, -det, det)
         pval = W[:, col, col, 0]
         failed |= ~(np.abs(pval) > _DIV_GUARD)
         det = det * pval
-        pivot = Jet(W[:, None, None, col, col], A.layout)
-        if steps[col] is None:
-            factor = Jet(W[:, :, col, None], A.layout) / pivot
-            for rows in (slice(0, col), slice(col + 1, m)):
-                for right in (slice(col + 1, m), slice(m, None)):
-                    W[:, rows, right] -= (factor[rows] * Jet(
-                        W[:, None, col, right], A.layout)).c
-            continue
-        rows, right = steps[col]
-        if rows is not None and right is not None:
-            factor = Jet(W[:, rows, col, None], A.layout) / pivot
-            W[_block(rows, right)] -= (factor * Jet(
-                W[:, None, col, right], A.layout)).c
+        if updates:
+            factor = (Jet(W[:, rows, col, None], A.layout)
+                      / Jet(W[:, None, None, col, col], A.layout))
+            for block, part, right in updates:
+                W[block] -= (factor[part] * Jet(
+                    W[:, None, col, right], A.layout)).c
     failed |= ~(np.abs(det) >= min_det)
-    if solved is None or solved[:, m:].all():
-        diag = np.arange(m)
-        X = Jet(W[:, :, m:], A.layout) / Jet(W[:, diag, diag, None],
-                                             A.layout)
-        return X, failed, det
     rows, cols = np.nonzero(solved[:, m:])
     c = np.zeros((count, m, W.shape[2] - m, W.shape[3]))
     c[:, rows, cols] = (Jet(W[:, rows, m + cols], A.layout)
@@ -453,10 +452,10 @@ class HyperboloidStructure(_Structure):
     arg, the m quotients taken as one); with Σ = diag(G),
         g = (T Σ) Tᵀ,   B = (T Σ) (T J)ᵀ,   eta = (T Σ) xi,
     sparse products (:class:`_MatMulPlan`) of the pattern of T, the
-    identity and the last column, planned once per structure; phi and
-    xi solve g · [phi | xi] = [B | eta].  The determinant of g is
-    ±1/arg, so inside the box no metric is degenerate where the patch
-    test passes.
+    identity and the last column; phi and xi solve g · [phi | xi] =
+    [B | eta] by the full elimination, planned like the products once
+    per structure.  The determinant of g is ±1/arg, so inside the box
+    no metric is degenerate where the patch test passes.
     """
 
     def __init__(self, n):
@@ -477,6 +476,7 @@ class HyperboloidStructure(_Structure):
             _MatMulPlan(live_T, live_T.T),
             _MatMulPlan(live_T, np.concatenate(
                 [live_T[:, self._J].T, np.ones((m + 1, 1), bool)], axis=1)))
+        self._plan = sparse_elimination(np.ones((m, 2 * m + 1), dtype=bool))
 
     def _graph_arg(self, xs):
         arg = 1.0
@@ -508,7 +508,7 @@ class HyperboloidStructure(_Structure):
         arg = self._graph_arg(xs)
         outside = ~(arg.v >= _MIN_PATCH_MARGIN)
         g, rhs = self._tangent_products(xs, sqrt(arg))
-        sol = gauss_jordan(g, rhs, _MIN_METRIC_DET)[0]
+        sol = gauss_jordan(g, rhs, _MIN_METRIC_DET, self._plan)[0]
         checks = [
             (outside, OutsidePatch,
              lambda i: f"graph-patch argument {arg.v[i]:.3e} below "

@@ -35,8 +35,12 @@ non-positive value) do not raise: they leave a coefficient that is not
 a finite number, and IEEE arithmetic carries it to every result that
 depends on it.  Two rules write the NaN that IEEE arithmetic would
 not: a quotient whose divisor lies in the guard band, and ``x^0`` of
-an x with a non-finite coefficient.  Operations on plain floats
-(constant subexpressions) still raise :class:`DomainError`.
+an x with a non-finite coefficient.  Every NaN coefficient of a
+quotient is the one quiet NaN ``np.nan``: which operand's NaN an IEEE
+operation keeps depends on how NumPy loops over it, and the one-pass
+and the order-by-order quotients loop differently.  Operations on
+plain floats (constant subexpressions) still raise
+:class:`DomainError`.
 Every operation acts on each point of the batch alone, so a batch may
 hold the points of unrelated evaluations side by side.
 """
@@ -133,10 +137,17 @@ def _libm(fn, x):
     return x._new(np.array(out, dtype=float).reshape(x.c.shape))
 
 
+def _canonical(quotient):
+    """``quotient`` with every NaN written as ``np.nan``, in place."""
+    np.copyto(quotient, np.nan, where=np.isnan(quotient))
+    return quotient
+
+
 def _guarded(quotient, divisor):
     """An order-0 quotient with NaN where the divisor lies in the guard
-    band."""
-    return np.where(np.abs(divisor) <= _DIV_GUARD, np.nan, quotient)
+    band, every NaN written as ``np.nan``."""
+    return _canonical(np.where(np.abs(divisor) <= _DIV_GUARD, np.nan,
+                               quotient))
 
 
 def _product(a, b, layout):
@@ -175,7 +186,7 @@ def _quotient2(a, b, k):
     qts = ((ats - (q0[..., None] * bts + qt[..., None, :] * bt[..., :, None]))
            - qt[..., :, None] * bt[..., None, :]) / b0[..., None]
     q[..., 1 + k:] = qts.reshape(q.shape[:-1] + (k * k,))
-    return q
+    return _canonical(q)
 
 
 class Jet:
@@ -255,7 +266,7 @@ class Jet:
         order-(n-1) jet they form): only the new top slots are divided
         out, as q = q_low + ε·(∂self − q_low·∂den) / den_low."""
         if self.layout.order == 0:
-            return self._new(self.c / den.c)
+            return self._new(_canonical(self.c / den.c))
         top = (self._top() - known._spread() * den._top())._over(
             den._low()._spread(), known._top())
         return known._raise(top)

@@ -123,6 +123,51 @@ def batch_solve(A, B=None, xs=None):
     return gauss_jordan(A, B, 1e-10)
 
 
+PLANNED_FAMILIES = {"p1": p1, "cosymplectic": cosymplectic,
+                    "hyperboloid": hyperboloid}
+PLANNED = ([("p1", n) for n in range(2, 5)]
+           + [(family, n) for family in ("cosymplectic", "hyperboloid")
+              for n in range(1, 5)])
+
+
+def planned_system(structure, count=64):
+    """A and B of the elimination a frame or hyperboloid structure runs
+    by its plan, as order-2 jets at ``count`` sampled points (some of
+    the hyperboloid's beyond its patch, where the jets are NaN)."""
+    points = sample_points(structure.chart, np.random.default_rng(17), count)
+    xs = coordinate_jets(np.array(points), 2)
+    if isinstance(structure, HyperboloidStructure):
+        with np.errstate(invalid="ignore"):
+            return structure._tangent_products(
+                xs, sqrt(structure._graph_arg(xs)))
+    return (tensor(structure.frame_matrix(xs), xs[0]),
+            tensor(np.eye(structure.dim).tolist(), xs[0]))
+
+
+def second_candidates(A):
+    """Per column of the values A (P x m x m), whether a row below the
+    pivot row is nonzero there at some point when a values-only
+    Gauss-Jordan elimination with partial pivoting reaches it.  Exact
+    zeros stay exact: 0 - f·0 and 0 - 0·x are zeros."""
+    W = A.copy()
+    points = np.arange(len(W))
+    found = []
+    for col in range(W.shape[1]):
+        found.append(bool((W[:, col + 1:, col] != 0).any()))
+        piv = col + np.argmax(np.abs(W[:, col:, col]), axis=1)
+        W[points, col], W[points, piv] = W[points, piv], W[points, col]
+        with np.errstate(all="ignore"):
+            factor = W[:, :, col] / W[:, col, col, None]
+        factor[:, col] = 0.0
+        W -= factor[:, :, None] * W[:, None, col]
+    return found
+
+
+def indices(ix, size):
+    """A plan's index (a slice, an index array or None) as an array."""
+    return np.arange(size)[ix] if ix is not None else np.arange(0)
+
+
 class TestGaussJordan:
     def test_float_inverse(self):
         # [TRIVIAL] A @ inv(A) == I for a well-conditioned matrix.
@@ -221,6 +266,83 @@ class TestGaussJordan:
         assert_rows_are_their_own_solves(
             A, B, failing=range(6), plan=geometry.sparse_elimination(
                 np.concatenate([live, identity], axis=1)))
+
+    @pytest.mark.parametrize("family, n", PLANNED)
+    def test_search_where_a_second_row_can_pivot(self, family, n):
+        # A values-only elimination of the structure's system at 64
+        # points finds a nonzero below the pivot exactly in the columns
+        # the plan searches: p1's x- and z-columns, cosymplectic's y-
+        # and z-columns and the hyperboloid's last column have none.
+        structure = PLANNED_FAMILIES[family](n).structure
+        A, _ = planned_system(structure)
+        search = [s for s, _, _ in structure._plan[0]]
+        assert search == second_candidates(A.v)
+        coords = structure.chart.coordinates
+        unsearched = {"p1": [c for c in coords if c[0] in "xz"],
+                      "cosymplectic": [c for c in coords if c[0] in "yz"],
+                      "hyperboloid": [coords[-1]]}[family]
+        assert [c for c, s in zip(coords, search) if not s] == unsearched
+
+    @pytest.mark.parametrize("family, n", PLANNED)
+    def test_unsearched_columns_are_bit_for_bit(self, family, n):
+        # Against a copy of the plan that searches every column: the
+        # same X, failure mask and determinant, as uint64.  A copy that
+        # searches none differs, so pivots move at these points.
+        structure = PLANNED_FAMILIES[family](n).structure
+        A, B = planned_system(structure)
+        steps, solved = structure._plan
+
+        def solve(search):
+            plan = ([(search, rows, blocks) for _, rows, blocks in steps],
+                    solved)
+            with np.errstate(all="ignore"):
+                return gauss_jordan(A, B, 1e-10, plan)
+
+        with np.errstate(all="ignore"):
+            X, failed, det = gauss_jordan(A, B, 1e-10, structure._plan)
+        X_all, failed_all, det_all = solve(True)
+        assert X.c.view(np.uint64).tolist() == \
+            X_all.c.view(np.uint64).tolist()
+        assert failed.tolist() == failed_all.tolist()
+        assert det.view(np.uint64).tolist() == det_all.view(np.uint64).tolist()
+        assert (solve(False)[2].view(np.uint64) != det.view(np.uint64)).any()
+
+    def test_full_plan_blocks_stay_within_the_product_bound(self):
+        # The full elimination of m x (m + r): searched but in the last
+        # column, its blocks cover every other row and every column
+        # right of the pivot once, in one block unless that exceeds
+        # (m - 1) max(m, r) entries; a larger one is split at the pivot
+        # row and, where still beyond the bound, at the A|B boundary.
+        for m in range(1, 16):
+            for r in range(1, m + 2):
+                steps, solved = geometry.sparse_elimination(
+                    np.ones((m, m + r), dtype=bool))
+                bound = (m - 1) * max(m, r)
+                assert solved.all() and len(steps) == m
+                for col, (search, rows, blocks) in enumerate(steps):
+                    assert search == (col < m - 1)
+                    rows = indices(rows, m)
+                    assert rows.tolist() == [i for i in range(m) if i != col]
+                    width = m + r - col - 1  # the columns right of the pivot
+                    covered = np.zeros((1, m, m + r), dtype=int)
+                    for block, part, right in blocks:
+                        covered[block] += 1
+                        block_rows = np.arange(m)[block[1]].ravel()
+                        block_cols = np.arange(m + r)[block[2]]
+                        assert block_rows.tolist() == rows[part].tolist()
+                        assert block_cols.tolist() == \
+                            indices(right, m + r).tolist()
+                        assert block_rows.size * block_cols.size <= bound
+                        if rows.size * width > bound:
+                            assert block_rows.max() < col \
+                                or block_rows.min() > col
+                        if block_cols.size < width:
+                            assert block_rows.size * width > bound
+                    assert covered[0].tolist() == (
+                        (np.arange(m)[:, None] != col)
+                        & (np.arange(m + r) > col)).astype(int).tolist()
+                    if rows.size * width <= bound:
+                        assert len(blocks) == int(rows.size * width > 0)
 
 
 def assert_rows_are_their_own_solves(A, B, failing, plan=None):

@@ -254,11 +254,22 @@ def _ordinary_operands(k, seed):
             rng.uniform(0.5, 2.0, (2, 1, 1, size)))
 
 
+def _negative_nan_divisor(k, slot):
+    """a = 0 over b = 0 but for -NaN in ``slot``: the one-pass
+    quotient's broadcast product keeps another operand's NaN than the
+    recursion's, so the NaN bits agree only when written canonically."""
+    size = _layout(k, 2).size
+    b = np.zeros((1, 1, 1, size))
+    b[..., slot] = -math.nan
+    return k, np.zeros((1, 1, 1, size)), b
+
+
 class TestOrder2Quotient:
     @settings(max_examples=300, deadline=None)
     @given(quotient_operands())
     @example(_ordinary_operands(3, 31))
     @example(_ordinary_operands(9, 32))
+    @example(_negative_nan_divisor(3, 3))
     def test_one_pass_is_the_order_by_order_quotient_bit_for_bit(
             self, operands):
         # a / b at order 2 divides in one pass; the recursion one order
