@@ -17,15 +17,16 @@ residual never hides behind a finite one.
 batch in one pass.  The kernels read the intermediates several of them
 need (the field brackets, the twisted nabla phi, ...) from one memo of
 the evaluation.  One grouped reduction then takes every infinity norm
-the candidates need.  An array without probe slots is stacked by
-shape; one with them is stacked once, by (shape, strides, slots), and
-that stack gives its full norms and is contracted with every draw by
-one batched matmul with the group axis in front, so every member,
-point and draw still gets the gemv a single-point evaluation performs.
-Groups are split at a byte budget (``_STACK_BYTES``), and waiting
-arrays are reduced once they exceed it.  One arg-max per condition over
-the shared [P, candidates] table picks its worst.  Every value is
-bit-identical to a one-condition evaluation.
+the candidates need.  Its arrays wait in one table of groups: one
+without probe slots is stacked by shape; one with them is stacked
+once, by (shape, strides, slots), and that stack gives its full norms
+and is contracted with every draw by one batched matmul with the group
+axis in front, so every member, point and draw still gets the gemv a
+single-point evaluation performs.  One loop splits every group at a
+byte budget (``_STACK_BYTES``), and waiting arrays are reduced once
+they exceed it.  One arg-max per condition over the shared
+[P, candidates] table picks its worst.  Every value is bit-identical
+to a one-condition evaluation.
 
 Evaluation policy by scope:
 
@@ -47,8 +48,9 @@ Evaluation policy by scope:
   dimensions raise :class:`WrongDimension`.
 
 The classifier combines scaled residuals into three-valued verdicts
-(pass / fail / ambiguous, a NaN residual failing) and cross-checks
-independent formulations of the same property, raising
+(pass / fail / ambiguous, a NaN residual failing) and takes the
+conjunction of independent formulations of the same property, so an
+ambiguous one leaves it undetermined, raising
 :class:`InconsistentVerdict` on hard disagreement.
 """
 
@@ -695,11 +697,11 @@ class _Reduction:
     A part's candidates are the part in full, then, when it has vector
     slots, the part contracted with each probe draw.  Every infinity
     norm they need is a column of one [P, columns] table whose column 0
-    holds ones.  Arrays are reduced in groups, each by one stack: an
-    array without probe slots by shape, one with them by (shape,
-    strides, slots), whose stack gives both its full norms and its
-    draws' contractions.  An array met again while its group waits (an
-    intermediate two conditions share) reuses its columns.
+    holds ones.  Arrays wait in one table of groups, each reduced by one
+    stack: an array with probe slots keyed by (shape, strides, slots),
+    whose stack gives its full norms and its draws' contractions, any
+    other by (shape, None, ()).  An array met again while its group
+    waits (an intermediate two conditions share) reuses its columns.
     """
 
     def __init__(self, probes):
@@ -707,8 +709,7 @@ class _Reduction:
         self.draws = probes.shape[1]
         self.width = 1
         self.done = []
-        self.norm_groups = {}
-        self.probe_groups = {}
+        self.groups = {}
         self.seen = {}
         self.pending = 0
         self.raw, self.terms, self.labels = [], [], []
@@ -756,11 +757,9 @@ class _Reduction:
         full = self.width
         probe = full + 1 if contract else None
         self.width += 1 + self.draws * contract
-        if contract:
-            self.probe_groups.setdefault(
-                (a.shape, a.strides, slots), []).append((a, full))
-        else:
-            self.norm_groups.setdefault(a.shape, []).append((a, full))
+        group = ((a.shape, a.strides, slots) if contract
+                 else (a.shape, None, ()))
+        self.groups.setdefault(group, []).append((a, full))
         self.seen[key] = a, (full, probe)  # holding a keeps its id unique
         self.pending += a.nbytes
         if self.pending > _STACK_BYTES:
@@ -768,21 +767,17 @@ class _Reduction:
         return full, probe
 
     def _flush(self):
-        """Reduce the pending groups, each split so that its stack stays
-        within the byte budget."""
-        for members in self.norm_groups.values():
-            size = max(1, _STACK_BYTES // members[0][0].nbytes)
-            for lo in range(0, len(members), size):
-                self._reduce(members[lo:lo + size])
-        for (_, _, slots), members in self.probe_groups.items():
-            size = max(1, _STACK_BYTES
-                       // (self.draws * members[0][0].nbytes))
+        """Reduce the pending groups, each split so that its stack, times
+        the draws it is contracted with, stays within the byte budget."""
+        for (_, _, slots), members in self.groups.items():
+            size = max(1, _STACK_BYTES // (
+                (self.draws if slots else 1) * members[0][0].nbytes))
             for lo in range(0, len(members), size):
                 self._reduce(members[lo:lo + size], slots)
-        self.norm_groups, self.probe_groups, self.seen = {}, {}, {}
+        self.groups, self.seen = {}, {}
         self.pending = 0
 
-    def _reduce(self, members, slots=()):
+    def _reduce(self, members, slots):
         """The full norms of ``members`` and, with ``slots``, their
         draws' norms (the columns after each full norm), from one
         stack."""
@@ -912,16 +907,13 @@ def _and(*trits):
 
 
 def _merge(trits, name):
-    """Consensus over independent formulations of one property; hard
+    """Conjunction of independent formulations of one property, so that
+    an ambiguous one leaves the property undetermined; hard
     pass-vs-fail disagreement raises InconsistentVerdict."""
-    known = [t for t in trits if t is not None]
-    if not known:
-        return None
-    if any(known) and not all(known):
+    if True in trits and False in trits:
         raise InconsistentVerdict(
-            f"independent criteria for {name!r} disagree: "
-            f"{[t for t in trits]}")
-    return known[0]
+            f"independent criteria for {name!r} disagree: {trits}")
+    return _and(*trits)
 
 
 def classify(values, tol=1e-6, separation=1e-2):

@@ -14,8 +14,9 @@ every component at all of them.  Three realizations exist:
   tensors; the entries of E are evaluated in one walk per batch, and
   the coordinate components come from Gauss-Jordan elimination
   of E on the jets of a whole batch, which carries the partials
-  ∂(E⁻¹) = −E⁻¹(∂E)E⁻¹ and their higher analogues through, and skips
-  the entries that the structure makes zero.
+  ∂(E⁻¹) = −E⁻¹(∂E)E⁻¹ and their higher analogues through, and from
+  products with a jet on the left; both skip the entries that the
+  structure makes zero.
 - :class:`HyperboloidStructure`: the structure induced on the unit
   pseudosphere of a flat para-Kahler ambient space, pulled back through
   an explicit graph parametrization with a closed-form tangent basis;
@@ -58,7 +59,7 @@ from .errors import (
     ValidationError,
 )
 from .expr import SharedTrees
-from .jets import _DIV_GUARD, Jet, _product, coordinate_jets, sqrt, tensor
+from .jets import _DIV_GUARD, Jet, coordinate_jets, sqrt, tensor
 
 _MIN_METRIC_DET = 1e-10
 _MIN_FRAME_DET = 1e-6
@@ -143,61 +144,51 @@ def _flags(jet):
 # ---------------------------------------------------------------------------
 
 class _MatMulPlan:
-    """The plan of A @ B (m x k times k x r) for factors of fixed
-    patterns.  ``a`` and ``b`` are each the pattern of a jet factor
-    (booleans) or a constant factor itself (floats, live where
+    """The plan of A @ B (m x k times k x r) for a jet A and a factor B
+    of fixed patterns.  ``a`` is the pattern of A (booleans); ``b`` is
+    the pattern of a jet B, or a constant B itself (floats, live where
     nonzero); ``live`` is the pattern of the product, the boolean
     product of the two.
 
     Entry (i, j) adds the terms A[i, e] B[e, j] whose two factors are
-    live, left to right in e, to an exact zero.  For two jet factors
-    ``steps`` holds, per inner index e, the live rows of A[:, e] and the
-    live columns of B[e, :] (see :func:`_span`) as the index of each
-    factor and of the block they make.  With a constant factor
-    ``ranks`` holds, per rank n, the entries that have an n-th live
-    term, and the index of that term's factor in A and in B: one gather
-    and scale adds the n-th terms of every entry.
+    live, left to right in e, to an exact zero.  ``steps`` holds the
+    terms as (index in A, index in B, index in C), each step adding one
+    product to its block of C.  For a jet B there is one step per inner
+    index e: the live rows of A[:, e] by the live columns of B[e, :]
+    (see :func:`_span`).  For a constant B there is one step per rank n:
+    the entries that have an n-th live term, and that term's factors,
+    gathered and scaled at once.
     """
 
     def __init__(self, a, b):
-        live_a, live_b = a != 0, b != 0
-        terms = live_a[:, :, None] & live_b[None]
+        live_b = b != 0
+        terms = a[:, :, None] & live_b[None]
         self.live = terms.any(axis=1)
-        self.steps = self.ranks = None
-        if a.dtype != bool or b.dtype != bool:
+        self.steps = []
+        if b.dtype != bool:
             # (i, j, e) of every live term, e ascending within (i, j)
             i, j, e = np.nonzero(terms.transpose(0, 2, 1))
             entry = i * self.live.shape[1] + j
             rank = np.arange(len(entry)) - np.searchsorted(entry, entry)
-            self.ranks = [((i[at], j[at]), (i[at], e[at]), (e[at], j[at]))
-                          for at in (rank == n for n in range(
-                              rank.max(initial=-1) + 1))]
+            for at in (rank == n for n in range(rank.max(initial=-1) + 1)):
+                self.steps.append(((i[at], e[at]), (e[at], j[at]),
+                                   (slice(None), i[at], j[at])))
             return
-        self.steps = []
-        for e, (rows, cols) in enumerate(zip(live_a.T, live_b)):
+        for e, (rows, cols) in enumerate(zip(a.T, live_b)):
             rows, cols = _span(np.flatnonzero(rows)), _span(np.flatnonzero(cols))
             if rows is not None and cols is not None:
-                self.steps.append(((slice(None), rows, e, None),
-                                   (slice(None), None, e, cols),
+                self.steps.append(((rows, e, None), (None, e, cols),
                                    _block(rows, cols)))
 
 
 def _mat_mul(A, B, plan):
-    """A @ B for tensor jets or constant arrays (m x k times k x r) by a
-    :class:`_MatMulPlan` of their patterns; the entries off the plan's
-    ``live`` pattern are exact zeros."""
-    jet = A if isinstance(A, Jet) else B
-    c = np.zeros((len(jet.c), *plan.live.shape, jet.c.shape[-1]))
-    if plan.steps is not None:
-        for a, b, block in plan.steps:
-            c[block] += _product(A.c[a], B.c[b], jet.layout)
-    elif jet is A:
-        for out, a, b in plan.ranks:
-            c[:, out[0], out[1]] += A.c[:, a[0], a[1]] * B[b][:, None]
-    else:
-        for out, a, b in plan.ranks:
-            c[:, out[0], out[1]] += B.c[:, b[0], b[1]] * A[a][:, None]
-    return Jet(c, jet.layout)
+    """A @ B for a tensor jet A and a tensor jet or constant array B
+    (m x k times k x r) by a :class:`_MatMulPlan` of their patterns; the
+    entries off the plan's ``live`` pattern are exact zeros."""
+    c = np.zeros((len(A.c), *plan.live.shape, A.c.shape[-1]))
+    for a, b, out in plan.steps:
+        c[out] += (A[a] * B[b]).c
+    return Jet(c, A.layout)
 
 
 def _span(ix):
@@ -365,7 +356,8 @@ class FrameStructure(_Structure):
         phi = E phi_hat E^-1,  xi = E xi_hat,
         eta = eta_hat E^-1,    g = E^-T g_hat E^-1,
     with the inverse and every product carried out on jets so
-    derivatives flow through.
+    derivatives flow through (eta as the vector E^-T eta_hat, so that
+    every product has a jet on its left).
 
     A frame entry without variables whose value is ±0 is zero at every
     point.  The inverse (:func:`sparse_elimination`, with the identity
@@ -394,7 +386,7 @@ class FrameStructure(_Structure):
         inv_g = _MatMulPlan(live_inv.T, self.g_hat)
         self._products = (E_phi, _MatMulPlan(E_phi.live, live_inv),
                           _MatMulPlan(live, self.xi_hat[:, None]),
-                          _MatMulPlan(self.eta_hat[None], live_inv),
+                          _MatMulPlan(live_inv.T, self.eta_hat[:, None]),
                           inv_g, _MatMulPlan(inv_g.live, live_inv))
 
     def _live_entries(self):
@@ -424,8 +416,9 @@ class FrameStructure(_Structure):
         E_phi, phi, xi, eta, inv_g, g = self._products  # the plans
         phi = _mat_mul(_mat_mul(E, self.phi_hat, E_phi), Einv, phi)
         xi = _mat_mul(E, self.xi_hat[:, None], xi)[:, 0]
-        eta = _mat_mul(self.eta_hat[None], Einv, eta)[0]
-        g = _mat_mul(_mat_mul(_transpose(Einv), self.g_hat, inv_g), Einv, g)
+        Einv_T = _transpose(Einv)
+        eta = _mat_mul(Einv_T, self.eta_hat[:, None], eta)[:, 0]
+        g = _mat_mul(_mat_mul(Einv_T, self.g_hat, inv_g), Einv, g)
         checks = [
             (_flags(E), DomainError,
              lambda i: "frame entries are not finite numbers here"),

@@ -766,11 +766,17 @@ class TestClassify:
         with pytest.raises(InconsistentVerdict):
             classify(values)
 
-    def test_ambiguous_reading_defers_to_confident_criteria(self):
+    def test_ambiguous_reading_leaves_the_class_undetermined(self):
+        # The formulations are merged as a conjunction: one that reads
+        # ambiguous while the others pass leaves the property unknown,
+        # and one that fails outright beside an ambiguous one fails it.
         values = {cid: 0.0 for cid in CONDITION_IDS}
         values["s1"] = 1e-4  # between tol and separation: unknown
         got = classify(values)
-        assert got["para_cr"] is True
+        assert got["para_cr"] is None
+        values["thm1"] = 1.0
+        values["inv-plus"] = 1e-4
+        assert classify(values)["para_cr"] is False
 
     def test_tolerances_are_parameters(self):
         values = {cid: 1e-5 for cid in CONDITION_IDS}

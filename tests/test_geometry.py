@@ -455,30 +455,40 @@ class TestSparseMatMul:
         return Jet(A, LAYOUT2), Jet(B, LAYOUT2), C, D
 
     @pytest.mark.parametrize("kind", ["jet x jet", "jet x constant",
-                                      "constant x jet"])
+                                      "transposed"])
     def test_against_the_dense_sum(self, kind):
         # On the product's pattern the values and NaN positions are the
         # dense sum's; off it the product is exactly zero.  The NaN (at
-        # point 1) sits in A[0, 1], or in B[1, 0] for a constant A, whose
-        # partners are live wherever the product row (column) is: the
-        # dense sum also spreads it into the dead entries, through terms
-        # 0·NaN that the product skips.
+        # point 1) sits in A[0, 1], or in B[1, 0] for the transposed
+        # product Bᵀ Dᵀ (the dense sum D B, transposed), whose partners
+        # are live wherever the product row (column) is: the dense sum
+        # also spreads it into the dead entries, through terms 0·NaN
+        # that the product skips.
         # The plan is built from the patterns, a constant factor standing
-        # for its own: per inner index for two jets, per term rank with a
-        # constant.
+        # for its own: one step per inner index with live rows and
+        # columns for two jets, one per term rank with a constant.
         A, B, C, D = self.operands()
         A.c[1, 0, 1, 0] = B.c[1, 1, 0, 0] = np.nan
         left, right, pattern_a, pattern_b = {
             "jet x jet": (A, B, self.LIVE_A, self.LIVE_B),
             "jet x constant": (A, C, self.LIVE_A, C),
-            "constant x jet": (D, B, D, self.LIVE_B),
+            "transposed": (geometry._transpose(B), D.T, self.LIVE_B.T, D.T),
         }[kind]
         plan = geometry._MatMulPlan(pattern_a, pattern_b)
-        assert (plan.steps is None) == (kind != "jet x jet")
+        terms = (pattern_a != 0)[:, :, None] & (pattern_b != 0)[None]
+        if kind == "jet x jet":
+            assert [a[1] for a, _, _ in plan.steps] == [
+                e for e in range(terms.shape[1]) if terms[:, e].any()]
+        else:
+            assert len(plan.steps) == terms.sum(axis=1).max()
+            assert sum(len(out[1]) for *_, out in plan.steps) == terms.sum()
         with np.errstate(invalid="ignore"):
             got = geometry._mat_mul(left, right, plan)
-            want = dense_mat_mul(left, right)
-        live = plan.live
+            if kind == "transposed":
+                got, want = geometry._transpose(got), dense_mat_mul(D, B)
+            else:
+                want = dense_mat_mul(left, right)
+        live = plan.live.T if kind == "transposed" else plan.live
         assert live.tolist() == (self.LIVE_A.astype(int)
                                  @ self.LIVE_B.astype(int) > 0).tolist()
         assert not live[1].any() and not live[:, 3].any()
