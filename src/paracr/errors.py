@@ -76,10 +76,6 @@ class DegenerateMetric(ParacrError):
     this when it is built)."""
 
 
-class DegeneratePlane(ParacrError):
-    """The 2-plane spanned by the probe vectors is numerically degenerate."""
-
-
 class RankDefect(ParacrError):
     """An eigendistribution projector has the wrong rank; input structure broken."""
 

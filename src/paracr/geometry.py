@@ -64,7 +64,6 @@ from .jets import _DIV_GUARD, Jet, coordinate_jets, sqrt, tensor
 _MIN_METRIC_DET = 1e-10
 _MIN_FRAME_DET = 1e-6
 _MIN_PATCH_MARGIN = 1e-6
-_MIN_PLANE_GRAM = 1e-6
 
 # Largest chart dimension, so that a larger one is an input error and
 # not an allocation failure.  A 64-point run of every check peaks at
@@ -908,22 +907,6 @@ class FrameBatch:
     @cached_property
     def dQminus(self):
         return 0.5 * (self.dP - self.dphi)
-
-    def sectional(self, rows, X, Y):
-        """Sectional curvatures k[t] of span(X[t], Y[t]) at the points
-        ``rows[t]``, and the mask ok[t] of the planes that are
-        nondegenerate (no zero vector, pseudo-Riemannian Gram determinant
-        of at least ``_MIN_PLANE_GRAM`` in absolute value)."""
-        gT = self.g[rows].swapaxes(1, 2)  # X @ g is gT @ X
-        nx, ny = np.sqrt(_dot(X, X)), np.sqrt(_dot(Y, Y))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            X, Y = X / nx[:, None], Y / ny[:, None]
-            Xg = _mv(gT, X)
-            gXY = _dot(Xg, Y)
-            denom = _dot(Xg, X) * _dot(_mv(gT, Y), Y) - gXY * gXY
-            RXYY = np.einsum('tkabj,ta,tb,tj->tk', self.Riem[rows], X, Y, Y)
-            k = _dot(_mv(gT, RXYY), X) / denom
-        return k, (nx != 0) & (ny != 0) & ~(np.abs(denom) < _MIN_PLANE_GRAM)
 
     # -- engine self-test residuals ([P] each) -------------------------------
 

@@ -11,15 +11,13 @@ drives every random choice, consumed in a fixed documented order:
    ``_CHUNK``), which is the same stream as k single draws;
 2. probe directions — one ``(points, probes, 4, dim)`` block of
    uniform [-1, 1] draws, which is the same stream as one
-   ``(probes, 4, dim)`` block per point in point order;
-3. target measurement — plane-spanning vector pairs (X, then Y) for the
-   sectional curvature target, drawn again while degenerate, in rounds
-   that consume the stream of one try at a time.
+   ``(probes, 4, dim)`` block per point in point order.
 
-The directions of the directional engine self-tests are not drawn from
-that stream: they come from a stream of their own with a fixed seed
-(``_DIRECTION_SEED``), one ``(points, _DIRECTIONS, dim)`` block per
-:func:`engine_self_tests` call, so they move none of the three draws.
+The preset targets draw nothing.  The directions of the directional
+engine self-tests are not drawn from that stream either: they come
+from a stream of their own with a fixed seed (``_DIRECTION_SEED``), one
+``(points, _DIRECTIONS, dim)`` block per :func:`engine_self_tests`
+call, so they move neither of the two draws.
 
 Everything downstream of the draws (check evaluation, aggregation,
 serialization) is an ordered deterministic reduction.
@@ -36,13 +34,9 @@ import numpy as np
 
 from .conditions import CONDITIONS, classify, evaluate_conditions, \
     expand_checks, trit, worse
-from .errors import (
-    DegeneratePlane,
-    ParacrError,
-    SamplingExhausted,
-    ValidationError,
-)
-from .geometry import FrameBatch, directional_residuals, structure_arrays
+from .errors import ParacrError, SamplingExhausted, ValidationError
+from .geometry import FrameBatch, _amax, directional_residuals, \
+    structure_arrays
 from .spec_io import validate_numeric
 
 SELF_TEST_NAMES = (
@@ -221,49 +215,24 @@ def evaluate_checks(check_ids, sample, probe_sets, tolerance, separation):
 # preset target measurement
 # ---------------------------------------------------------------------------
 
-# Planes per point of the sectional target, and tries per plane at most.
-_PLANES = 4
-_PLANE_TRIES = 100
+def _sectional_deviations(K, batch):
+    """Per-point deviation from constant sectional curvature ``K``, as the
+    identity R(X,Y)Z = K (g(Y,Z) X - g(X,Z) Y) on every frame triple:
+    max |Riem[k,a,b,j] - K (g_bj δ^k_a - g_aj δ^k_b)|, scaled by the
+    largest of 1 and the terms it is built from (∂Γ, Γ·Γ and K g∧g)."""
+    eye, g = np.eye(batch.m), batch.g
+    kgg = K * (eye[None, :, :, None, None] * g[:, None, None]
+               - eye[None, :, None, :, None] * g[:, None, :, None])
+    gamma_gamma = np.einsum('pkae,pebj->pkabj', batch.Gamma, batch.Gamma)
+    scale = np.max([np.ones(len(batch)), _amax(batch.dGamma),
+                    _amax(gamma_gamma), _amax(kgg)], axis=0)
+    return _amax(batch.Riem - kgg) / scale
 
 
-def _random_sectionals(batch, rng, planes):
-    """Sectional curvatures of ``planes`` random nondegenerate planes per
-    point, in point order, with the stream of a loop that draws one try
-    (X, then Y) at a time.  Each round takes the tries that loop is sure
-    to draw (one per open plane, no more than the current plane has
-    left), drawing those not yet drawn, accepts them against the open
-    planes up to the first degenerate one, charges that one to its plane
-    and keeps the rest.  A round evaluates at most one more than twice
-    the tries the previous round accepted, so frequent degenerate tries
-    do not have every kept try evaluated again in each round."""
-    total = len(batch) * planes
-    out, tries = np.empty(total), np.empty((0, 2, batch.m))
-    done = used = 0  # planes found; degenerate tries of plane ``done``
-    cap = total
-    while done < total:
-        want = min(total - done, _PLANE_TRIES - used, cap)
-        if want > len(tries):
-            tries = np.concatenate([tries, rng.uniform(
-                -1.0, 1.0, (want - len(tries), 2, batch.m))])
-        k, ok = batch.sectional((done + np.arange(want)) // planes,
-                                tries[:want, 0], tries[:want, 1])
-        found = want if ok.all() else int(np.argmin(ok))
-        out[done:done + found] = k[:found]
-        done += found
-        used = (0 if found else used) + (found < want)
-        if used == _PLANE_TRIES:
-            point = tuple(float(x) for x in batch.points[done // planes])
-            raise DegeneratePlane(f"no nondegenerate plane found in "
-                                  f"{_PLANE_TRIES} draws at {point}")
-        tries = tries[found + (found < want):]
-        cap = 2 * found + 1
-    return out
-
-
-def _target_deviations(name, expected, batch, rng):
+def _target_deviations(name, expected, batch):
     """Per-point deviations of one target over a batch."""
     if name == "sectional":
-        return np.abs(_random_sectionals(batch, rng, _PLANES) - expected)
+        return _sectional_deviations(expected, batch)
     if name == "r":
         return np.abs(batch.r - expected)
     if name == "r_star":
@@ -281,15 +250,18 @@ def _target_deviations(name, expected, batch, rng):
 
 def measure_targets(descriptor, sample, rng):
     """Deviation of measured invariants from the preset's known values
-    over the sample batch (at least 0.0, NaN when any is NaN)."""
+    over the sample batch (at least 0.0, NaN when any is NaN).
+
+    No target draws: ``rng`` is unused, and is kept only so that the
+    benchmark's replica of a run can call this as it always has."""
     if descriptor is None or not descriptor.targets:
         return None
     out = {}
     for name, expected in descriptor.targets.items():
         worst = 0.0
         for _, batch in _chunks(sample):
-            worst = float(np.max(_target_deviations(
-                name, expected, batch, rng), initial=worst))
+            worst = float(np.max(_target_deviations(name, expected, batch),
+                                 initial=worst))
         out[name] = {"expected": expected, "max_abs_deviation": worst}
     return out
 

@@ -8,8 +8,7 @@ of finite values).  Tests hold the batched kernels of
 ``paracr.conditions`` and the batched tensors of
 ``paracr.geometry.FrameBatch`` to it.  It also holds the per-point
 invariants (Nijenhuis fields, the Levi form, identities of h) that only
-tests use, and the sectional-curvature target drawn one plane try at a
-time.
+tests use, among them the sectional curvature of one plane.
 """
 
 from dataclasses import dataclass
@@ -17,10 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from paracr import geometry
 from paracr.conditions import ConditionValue
-from paracr.errors import DegenerateMetric, DegeneratePlane, RankDefect, \
-    WrongDimension
+from paracr.errors import DegenerateMetric, RankDefect, WrongDimension
 
 
 # ---------------------------------------------------------------------------
@@ -672,12 +669,21 @@ def worst_over_points(cond_id, frames, probe_sets):
 
 
 # ---------------------------------------------------------------------------
-# the sectional-curvature target, one plane try at a time
+# the sectional curvature of one plane
 # ---------------------------------------------------------------------------
+
+# Smallest |Gram determinant| of a plane of two unit vectors whose
+# sectional curvature is taken.
+MIN_PLANE_GRAM = 1e-6
+
+
+class DegeneratePlane(Exception):
+    """The 2-plane spanned by two vectors is numerically degenerate."""
+
 
 def sectional(pf, X, Y):
     """Sectional curvature of span(X, Y) at one point; DegeneratePlane
-    for a zero vector or a Gram determinant below the threshold."""
+    for a zero vector or a Gram determinant below ``MIN_PLANE_GRAM``."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     nx, ny = np.linalg.norm(X), np.linalg.norm(Y)
@@ -688,31 +694,12 @@ def sectional(pf, X, Y):
     gYY = Y @ pf.g @ Y
     gXY = X @ pf.g @ Y
     denom = gXX * gYY - gXY * gXY
-    if abs(denom) < geometry._MIN_PLANE_GRAM:
+    if abs(denom) < MIN_PLANE_GRAM:
         raise DegeneratePlane(
             f"plane Gram determinant {denom:.3e} below "
-            f"{geometry._MIN_PLANE_GRAM:.1e}")
+            f"{MIN_PLANE_GRAM:.1e}")
     RXYY = np.einsum('kabj,a,b,j->k', pf.Riem, X, Y, Y)
     return float((RXYY @ pf.g @ X) / denom)
-
-
-def random_plane(pf, rng, max_tries=100):
-    """The sectional curvature of the first nondegenerate plane of at
-    most ``max_tries`` tries, each one uniform X then one Y."""
-    for _ in range(max_tries):
-        X = rng.uniform(-1.0, 1.0, pf.m)
-        Y = rng.uniform(-1.0, 1.0, pf.m)
-        try:
-            return sectional(pf, X, Y)
-        except DegeneratePlane:
-            continue
-    raise DegeneratePlane(
-        f"no nondegenerate plane found in {max_tries} draws at {pf.point}")
-
-
-def random_sectionals(frames, rng, planes=4):
-    """``planes`` random plane curvatures per point, in point order."""
-    return [random_plane(pf, rng) for pf in frames for _ in range(planes)]
 
 
 # ---------------------------------------------------------------------------
