@@ -72,8 +72,8 @@ class OutsidePatch(ParacrError):
 
 class DegenerateMetric(ParacrError):
     """|det g| fell below the invertibility threshold at a point; the
-    point is rejected (the sampler redraws it, and ``PointFrame`` raises
-    this when it is built)."""
+    point is rejected by ``geometry.structure_jets``'s rule (the sampler
+    redraws it, and ``PointFrame`` raises this when it is built)."""
 
 
 class RankDefect(ParacrError):

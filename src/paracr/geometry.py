@@ -23,9 +23,10 @@ every component at all of them.  Three realizations exist:
   the ambient inner products are sparse products of that basis, which
   skip its structural zeros, and phi and xi solve one linear system.
 
-:func:`structure_arrays` evaluates a structure at a batch of points and
-decides for each point whether it is rejected.  A :class:`FrameBatch`
-holds the accepted points and derives, for all of them at once, the
+:func:`structure_jets` evaluates a structure at a batch of points and
+decides, as one array of error classes, which points are rejected and
+why; :func:`structure_arrays` keeps the accepted points.  A
+:class:`FrameBatch` holds them and derives, for all of them at once, the
 Levi-Civita connection, curvature tensors, covariant derivatives of the
 structure tensors, the h-operator, differential forms, and projectors —
 everything downstream residual checks consume.  A batch is a sequence
@@ -308,8 +309,8 @@ class _Structure:
 
     A realization's ``component_jets(xs)`` maps the coordinate jets of a
     batch to ``((g, phi, xi, eta), checks)``: the components as tensor
-    jets, and its own rejection tests as ``(mask, error class,
-    message(i))`` in priority order.
+    jets, and its own rejection tests as ``(mask, error class)`` pairs
+    in priority order, which :func:`structure_jets` applies.
     """
 
     @property
@@ -319,7 +320,6 @@ class _Structure:
     @property
     def n(self):
         return self.chart.n
-
 
 
 class CoordinateStructure(_Structure):
@@ -410,22 +410,16 @@ class FrameStructure(_Structure):
     def component_jets(self, xs):
         E = tensor(self.frame_matrix(xs), xs[0])
         identity = tensor(np.eye(self.dim).tolist(), xs[0])
-        Einv, singular, det = gauss_jordan(E, identity, _MIN_FRAME_DET,
-                                           self._plan)
+        Einv, singular = gauss_jordan(E, identity, _MIN_FRAME_DET,
+                                      self._plan)[:2]
         E_phi, phi, xi, eta, inv_g, g = self._products  # the plans
         phi = _mat_mul(_mat_mul(E, self.phi_hat, E_phi), Einv, phi)
         xi = _mat_mul(E, self.xi_hat[:, None], xi)[:, 0]
         Einv_T = _transpose(Einv)
         eta = _mat_mul(Einv_T, self.eta_hat[:, None], eta)[:, 0]
         g = _mat_mul(_mat_mul(Einv_T, self.g_hat, inv_g), Einv, g)
-        checks = [
-            (_flags(E), DomainError,
-             lambda i: "frame entries are not finite numbers here"),
-            (singular, SingularFrame,
-             lambda i: f"frame determinant {det[i]:.3e} below threshold "
-                       f"{_MIN_FRAME_DET:.1e}"),
-        ]
-        return (g, phi, xi, eta), checks
+        return (g, phi, xi, eta), [(_flags(E), DomainError),
+                                   (singular, SingularFrame)]
 
 
 class HyperboloidStructure(_Structure):
@@ -501,12 +495,7 @@ class HyperboloidStructure(_Structure):
         outside = ~(arg.v >= _MIN_PATCH_MARGIN)
         g, rhs = self._tangent_products(xs, sqrt(arg))
         sol = gauss_jordan(g, rhs, _MIN_METRIC_DET, self._plan)[0]
-        checks = [
-            (outside, OutsidePatch,
-             lambda i: f"graph-patch argument {arg.v[i]:.3e} below "
-                       f"{_MIN_PATCH_MARGIN:.1e}"),
-        ]
-        return (g, sol[:, :m], sol[:, m], rhs[:, m]), checks
+        return (g, sol[:, :m], sol[:, m], rhs[:, m]), [(outside, OutsidePatch)]
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +506,15 @@ def structure_jets(structure, points, order=2, directions=None):
     """(g, phi, xi, eta) as jets at a batch of points, and the rejections.
 
     ``directions`` seeds other derivative directions than the coordinate
-    axes (see :func:`paracr.jets.coordinate_jets`).  ``rejected[i]`` is
-    None for an accepted point, else the error that rejects point i: the
-    structure's own tests first, then DomainError for a non-finite
-    coefficient anywhere in the components (a domain violation leaves
-    one).  Arithmetic and domain errors in constant subexpressions hit
-    every point alike and raise DomainError naming the cause.
+    axes (see :func:`paracr.jets.coordinate_jets`).  This is where every
+    rejection is decided: ``rejected`` is an object array, None for an
+    accepted point and otherwise the error class that rejects it, the
+    first that applies of the structure's own tests, DomainError for a
+    non-finite coefficient anywhere in the components (a domain
+    violation leaves one), and DegenerateMetric where |det g| is below
+    ``_MIN_METRIC_DET``.  Arithmetic and domain errors in constant
+    subexpressions hit every point alike and raise DomainError naming
+    the cause.
     """
     points = np.asarray(points, dtype=float)
     xs = coordinate_jets(points, order, directions)
@@ -533,15 +525,11 @@ def structure_jets(structure, points, order=2, directions=None):
         raise DomainError(
             f"{type(exc).__name__} in a component expression: {exc}") from exc
     broken = np.any([_flags(part) for part in parts], axis=0)
-    checks.append((broken, DomainError,
-                   lambda i: "domain error or non-finite value in the "
-                             "structure components"))
-    rejected = [None] * len(points)
-    for mask, error, message in checks:
-        for i in np.flatnonzero(mask):
-            if rejected[i] is None:
-                rejected[i] = error(message(i))
-    return parts, rejected
+    with np.errstate(all="ignore"):
+        degenerate = np.abs(np.linalg.det(parts[0].v)) < _MIN_METRIC_DET
+    masks, errors = zip(*checks, (broken, DomainError),
+                        (degenerate, DegenerateMetric))
+    return parts, np.select(masks, errors, None)
 
 
 def _partials(jet, order):
@@ -556,23 +544,14 @@ def _partials(jet, order):
 def structure_arrays(structure, points):
     """Evaluate the structure and its partials to second order at a batch
     of points (P x m), one walk of every expression for the whole batch,
-    and decide which points are accepted.
+    and keep the points that :func:`structure_jets` accepts.
 
     Returns ``(batch, rejected)``: the FrameBatch of the accepted points
-    in their order, and ``rejected[p]``, None for an accepted point and
-    otherwise the error that rejects point p.  The rules are those of
-    :func:`structure_jets`, then DegenerateMetric where |det g| is below
-    ``_MIN_METRIC_DET``.
+    in their order, and the rejections of :func:`structure_jets`.
     """
     points = np.asarray(points, dtype=float)
     parts, rejected = structure_jets(structure, points)
-    ok = np.flatnonzero([error is None for error in rejected])
-    for i, det in zip(ok, np.linalg.det(parts[0].v[ok])):
-        if abs(det) < _MIN_METRIC_DET:
-            rejected[i] = DegenerateMetric(
-                f"metric determinant {det:.3e} below threshold "
-                f"{_MIN_METRIC_DET:.1e}")
-    keep = np.array([error is None for error in rejected], dtype=bool)
+    keep = np.equal(rejected, None)
     fields = {}
     for name, jet in zip(("g", "phi", "xi", "eta"), parts):
         jet = jet._new(jet.c[keep])
@@ -630,7 +609,7 @@ def directional_residuals(batch, directions):
             + np.array([-_FD_STEP, 0.0, _FD_STEP])[:, None] * u[:, None])
     parts, rejected = structure_jets(batch.structure, rows.reshape(-1, m), 2,
                                      np.repeat(u, 3, axis=0)[:, :, None])
-    failed = np.reshape([r is not None for r in rejected], (count, k, 3))
+    failed = np.not_equal(rejected, None).reshape(count, k, 3)
     mixed, fd = [], []
     with np.errstate(all="ignore"):
         for name, jet in zip(("d2g", "d2phi", "d2xi", "d2eta"), parts):
@@ -786,12 +765,16 @@ class FrameBatch:
     # -- curvature ----------------------------------------------------------
 
     @cached_property
+    def gamma_gamma(self):
+        """(Γ·Γ)[k,a,b,j] = Γ^k_ae Γ^e_bj."""
+        return np.einsum('pkae,pebj->pkabj', self.Gamma, self.Gamma)
+
+    @cached_property
     def Riem(self):
-        G = self.Gamma
         return (np.einsum('pakbj->pkabj', self.dGamma)
                 - np.einsum('pbkaj->pkabj', self.dGamma)
-                + np.einsum('pkae,pebj->pkabj', G, G)
-                - np.einsum('pkbe,peaj->pkabj', G, G))
+                + self.gamma_gamma
+                - self.gamma_gamma.transpose(0, 1, 3, 2, 4))
 
     @cached_property
     def Ric(self):
@@ -959,16 +942,16 @@ class PointFrame:
     residual ``pf.bianchi`` as a float), so each formula exists once,
     for the batch.  Without a batch the frame builds a one-point batch
     of its own with :func:`structure_arrays`, and a rejected point
-    (DegenerateMetric included) raises its rejection there.
+    raises an instance of its error class there, naming the point.
     """
 
     def __init__(self, structure, point, batch=None, index=0):
+        self.point = tuple(float(x) for x in point)
         if batch is None:
             batch, (rejected,) = structure_arrays(structure, [point])
             if rejected is not None:
-                raise rejected
+                raise rejected(f"the structure is rejected at {self.point}")
         self.structure = structure
-        self.point = tuple(float(x) for x in point)
         self.m = structure.dim
         self.batch = batch
         self.index = index

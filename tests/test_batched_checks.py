@@ -221,6 +221,46 @@ class TestSectionalTarget:
         deviation = runner._target_deviations("sectional", expected, batch)
         assert np.max(deviation) >= floor, deviation
 
+    def test_riemann_shares_the_gamma_products(self):
+        # [TRIVIAL] Riem takes its two Γ·Γ terms from gamma_gamma and its
+        # (a, b) transpose, which the sectional scale reads too: the bits
+        # and the layout of the two einsums they replace
+        batch = sample_points(build_example("hyperboloid", n=2).structure,
+                              np.random.default_rng(0), 8)
+        G = batch.Gamma
+        want = (np.einsum('pakbj->pkabj', batch.dGamma)
+                - np.einsum('pbkaj->pkabj', batch.dGamma)
+                + np.einsum('pkae,pebj->pkabj', G, G)
+                - np.einsum('pkbe,peaj->pkabj', G, G))
+        assert batch.Riem.flags.c_contiguous
+        assert batch.Riem.strides == want.strides
+        assert batch.Riem.view(np.uint64).tolist() == \
+            want.view(np.uint64).tolist()
+
+    def test_targets_take_one_pass_over_the_chunks(self, monkeypatch):
+        # [TRIVIAL] 130 points are three chunks, and every target of a
+        # chunk reads the one restricted batch: three FrameBatch.rows
+        # calls for the hyperboloid's three targets, not nine; each
+        # value is the worst per-point deviation of the whole sample
+        desc = build_example("hyperboloid", n=1)
+        sample = sample_points(desc.structure, np.random.default_rng(0), 130)
+        calls = []
+        original = FrameBatch.rows
+
+        def counted(batch, index):
+            calls.append(index)
+            return original(batch, index)
+
+        monkeypatch.setattr(FrameBatch, "rows", counted)
+        targets = runner.measure_targets(desc, sample, None)
+        assert len(calls) == 3 and len(desc.targets) == 3
+        monkeypatch.undo()
+        for name, expected in desc.targets.items():
+            worst = np.max(runner._target_deviations(name, expected, sample),
+                           initial=0.0)
+            assert targets[name] == {"expected": expected,
+                                     "max_abs_deviation": float(worst)}
+
 
 # ---------------------------------------------------------------------------
 # NaN honesty

@@ -24,7 +24,12 @@ from dim3_structures import random_dim3_structure
 from expression_corpus import random_expression_corpus
 from geometry_reference import d3g
 from paracr import cli, geometry, jets
-from paracr.errors import DomainError, OutsidePatch, SamplingExhausted
+from paracr.errors import (
+    DegenerateMetric,
+    DomainError,
+    OutsidePatch,
+    SamplingExhausted,
+)
 from paracr.expr import eval_expr, parse
 from paracr.geometry import (
     Chart,
@@ -199,7 +204,19 @@ class TestAgainstScalarReference:
                 if error is not None:
                     with pytest.raises(paracr.ParacrError) as raised:
                         PointFrame(st, point)
-                    assert type(raised.value) is type(error)
+                    assert type(raised.value) is error
+
+    def test_structure_jets_decides_the_metric_rule(self):
+        # [TRIVIAL] structure_jets is where every rejection is decided,
+        # the metric determinant included: half_degenerate_metric has
+        # |det g| = 2e-10 |x|, below 1e-10 exactly where |x| < 0.5
+        st = REJECTING["half_degenerate_metric"]()
+        points = np.random.default_rng(8).uniform(-1.0, 1.0, (16, 3))
+        rejected = geometry.structure_jets(st, points)[1]
+        want = [DegenerateMetric if abs(x) < 0.5 else None
+                for x in points[:, 0]]
+        assert list(rejected) == want
+        assert 0 < want.count(None) < len(want)
 
     @pytest.mark.parametrize("directional", [False, True],
                              ids=["sampled", "directional"])
@@ -229,7 +246,7 @@ class TestAgainstScalarReference:
             for part, part_p in zip(parts, parts_p):
                 assert np.array_equal(part.c[p].view(np.uint64),
                                       part_p.c[0].view(np.uint64)), p
-            assert type(rejected[p]) is type(rejected_p), p
+            assert rejected[p] is rejected_p, p
 
     def test_corpus_gap_is_read_off_the_selecting_jets(self):
         # the corpus gap comes from the order-3 jets that built the
@@ -411,7 +428,7 @@ class TestDirectionalStencils:
         st = coordinate_structure("2 + sqrt(x)")
         inner, edge = (0.5, 0.1, 0.2), (1e-9, 0.1, 0.2)
         both, rejected = structure_arrays(st, [inner, edge])
-        assert rejected == [None, None]
+        assert rejected.tolist() == [None, None]
         summary = engine_self_tests(both)
         assert summary.fd_excluded == 1
         # the inner point alone: the same directions, the same value
@@ -419,6 +436,17 @@ class TestDirectionalStencils:
             engine_self_tests(both.rows(slice(0, 1)))["jet_vs_fd"]
         assert 0.0 < summary["jet_vs_fd"] <= 1e-6
         assert summary["mixed_partial"] <= 1e-12
+
+    def test_degenerate_stencil_is_excluded_and_counted(self):
+        # |det g| = 2e-10 x is just above 1e-10 at x = 0.5 + 1e-9, but a
+        # step of 1e-5 along any direction with |u_x| > 1e-4 reaches the
+        # degenerate half on one side: the metric rule rejects that row
+        st = coordinate_structure("0.0000000002*x")
+        batch, rejected = structure_arrays(st, [(0.5 + 1e-9, 0.1, 0.2)])
+        assert list(rejected) == [None]
+        summary = engine_self_tests(batch)
+        assert summary.fd_excluded == 1
+        assert math.isnan(summary["jet_vs_fd"])
 
     def test_gap_is_fourth_order_near_a_singularity(self):
         # sqrt(z + 0.5) in the bench's flat3d_sqrt spec: seed 1 samples

@@ -434,8 +434,7 @@ class DenseHyperboloid:
         rhs = Jet(np.concatenate([B.c, eta.c[:, :, None]], axis=2), g.layout)
         sol = gauss_jordan(g, rhs, geometry._MIN_METRIC_DET)[0]
         outside = ~(arg.v >= geometry._MIN_PATCH_MARGIN)
-        return ((g, sol[:, :m], sol[:, m], eta),
-                [(outside, OutsidePatch, lambda i: "outside the patch")])
+        return (g, sol[:, :m], sol[:, m], eta), [(outside, OutsidePatch)]
 
 
 class TestSparseMatMul:
@@ -1082,9 +1081,9 @@ class TestHyperboloid:
                                                       directions)
             dense, rejected_dense = geometry.structure_jets(
                 DenseHyperboloid(st), points, 2, directions)
-        kinds = [type(r) for r in rejected]
-        assert kinds == [type(r) for r in rejected_dense]
-        accepted = [kind is type(None) for kind in kinds]
+        kinds = rejected.tolist()
+        assert kinds == rejected_dense.tolist()
+        accepted = [kind is None for kind in kinds]
         assert OutsidePatch in kinds and sum(accepted) >= 8
         for part, want in zip(parts, dense):
             assert part.c[accepted].view(np.uint64).tolist() == \

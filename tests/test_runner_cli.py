@@ -184,6 +184,9 @@ class TestSamplePoints:
                           np.random.default_rng(0), 5)
         assert "0/5" in str(err.value)
         assert "50" in str(err.value)
+        # the error says why: every one of the 50 draws had a singular
+        # frame
+        assert str(err.value).endswith("(rejected: SingularFrame 50)")
 
 
 # ---------------------------------------------------------------------------
