@@ -168,12 +168,28 @@ class _Shared:
     @cached_property
     def reeb_gradient_form(self):
         """(nabla_X phi)Y - g(phi nabla_X xi, Y) xi + eta(Y) phi nabla_X
-        xi as [k, x, y], and its three terms (jw3d, wzor1, wzor2)."""
+        xi as [k, x, y] (jw3d, wzor1, wzor2), and its three terms
+        (paracrcos and dacko read them)."""
         fb, v = self.fb, self.phi_nabla_xi
         t1 = _nphi_kxy(fb)
         t2 = -np.einsum('pxa,pay,pk->pkxy', v, fb.g, fb.xi)
         t3 = np.einsum('py,pxk->pkxy', fb.eta, v)
         return t1 + t2 + t3, (t1, t2, t3)
+
+    @cached_property
+    def reeb_commutator(self):
+        """The terms a = phi nabla_X xi and b = nabla_{phi X} xi as [k, x]
+        (wlasn takes a - b, dacko a + b)."""
+        fb = self.fb
+        return (np.einsum('pax,pak->pkx', fb.phi, fb.nabla_xi),
+                np.einsum('pka,pxa->pkx', fb.phi, fb.nabla_xi))
+
+    @cached_property
+    def h_shape(self):
+        """nabla phi and g(X - hX, Y) xi as [k, x, y], and B = id - h."""
+        B = np.eye(self.fb.m) - self.fb.h
+        return (_nphi_kxy(self.fb),
+                np.einsum('pax,pay,pk->pkxy', B, self.fb.g, self.fb.xi), B)
 
     @cached_property
     def field_brackets(self):
@@ -235,14 +251,6 @@ def _nijenhuis_array(fb):
             - np.einsum('paj,paki->pkij', fb.phi, fb.dphi)
             - np.einsum('pka,piaj->pkij', fb.phi, fb.dphi)
             + np.einsum('pka,pjai->pkij', fb.phi, fb.dphi))
-
-
-def _reeb_commutator(fb, sign):
-    """phi nabla_X xi - sign * nabla_{phi X} xi as [k, x], and its two
-    terms."""
-    a = np.einsum('pax,pak->pkx', fb.phi, fb.nabla_xi)
-    b = np.einsum('pka,pxa->pkx', fb.phi, fb.nabla_xi)
-    return (a - b if sign > 0 else a + b), (a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +341,13 @@ def _cond_normal_nabla(fb, shared):
 
 def _cond_wlasn(fb, shared):
     geodesic, parallel = shared.along_reeb
-    r3, r3_terms = _reeb_commutator(fb, +1)
+    a, b = shared.reeb_commutator
     return [
         geodesic,
         ("eta_parallel_along_reeb",
          np.einsum('pi,pij->pj', fb.xi, fb.nabla_eta),
          (_amax(fb.xi) * _amax(fb.nabla_eta),), ()),
-        ("phi_commutes_with_reeb_gradient", r3, r3_terms, (1,)),
+        ("phi_commutes_with_reeb_gradient", a - b, (a, b), (1,)),
         parallel,
     ]
 
@@ -368,42 +376,34 @@ def _cond_sas(fb, shared):
     return [("defining_equation", t1 + t2 + t3, (t1, t2, t3), (1, 2))]
 
 
-def _h_shape(fb):
-    """nabla phi and g(X - hX, Y) xi as [k, x, y], and B = id - h."""
-    B = np.eye(fb.m) - fb.h
-    return (_nphi_kxy(fb),
-            np.einsum('pax,pay,pk->pkxy', B, fb.g, fb.xi), B)
-
-
 def _cond_wzorzamk(fb, shared):
-    t1, t2, B = _h_shape(fb)
+    t1, t2, B = shared.h_shape
     t3 = -np.einsum('py,pkx->pkxy', fb.eta, B)
     return [("nabla_phi_from_h", t1 + t2 + t3, (t1, t2, t3), (1, 2))]
 
 
 def _cond_contparacr(fb, shared):
-    t1, t2, _ = _h_shape(fb)
-    return [_projected_part("kernel_nabla_phi_from_h", (t1, t2), fb.P)]
+    return [_projected_part("kernel_nabla_phi_from_h", shared.h_shape[:2],
+                            fb.P)]
 
 
 def _cond_dacko(fb, shared):
     geodesic, parallel = shared.along_reeb
-    r3, r3_terms = _reeb_commutator(fb, -1)
+    a, b = shared.reeb_commutator
     t1 = shared.twisted_nabla_phi
     t2 = -_nphi_kxy(fb)
-    t3 = -np.einsum('py,pxk->pkxy', fb.eta, shared.phi_nabla_xi)
+    t3 = -shared.reeb_gradient_form[1][2]
     return [
         geodesic,
         parallel,
-        ("phi_anticommutes_with_reeb_gradient", r3, r3_terms, (1,)),
+        ("phi_anticommutes_with_reeb_gradient", a + b, (a, b), (1,)),
         ("twisted_nabla_phi", t1 + t2 + t3, (t1, t2, t3), (1, 2)),
     ]
 
 
 def _cond_paracrcos(fb, shared):
-    t2 = -np.einsum('pxa,pay,pk->pkxy', shared.phi_nabla_xi, fb.g, fb.xi)
     return [_projected_part("kernel_nabla_phi_from_reeb_gradient",
-                            (_nphi_kxy(fb), t2), fb.P)]
+                            shared.reeb_gradient_form[1][:2], fb.P)]
 
 
 # ---------------------------------------------------------------------------

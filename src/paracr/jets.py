@@ -21,14 +21,15 @@ holds its order-by-order rule for a jet and is the ``math`` function
 for a float.  The rules are arranged so that each coefficient is
 the very same sequence of floating-point operations that k nested dual
 numbers perform for one point and one choice of directions (the scalar
-reference the tests hold the engine to): a product sums the Leibniz
-terms ∂_U u · ∂_{T∖U} w of slot T pairwise in nested order, and a
-function or quotient is extended one order at a time,
-f(u) = f(u_low) + ε·f'(u_low)·∂u.  An order-2 quotient is that
-recursion written out in one pass (q_k = (a_k − Σ q_j b_{k−j}) / b_0
-slot by slot): the same operations in the same order.  Values of sinh,
-cosh, tanh, exp and ln come from the ``math`` module.  A batch is
-therefore bit-for-bit what a point-by-point evaluation gives.
+reference the tests hold the engine to): a product, a quotient and a
+function are extended one order at a time,
+u·w = u_low·w_low + ε·(u_low·∂w + ∂u·w_low) and
+f(u) = f(u_low) + ε·f'(u_low)·∂u.  Products and quotients up to order 2
+are that recursion written out in one pass (for a quotient
+q_k = (a_k − Σ q_j b_{k−j}) / b_0 slot by slot): the same operations in
+the same order.  Values of sinh, cosh, tanh, exp and ln come from the
+``math`` module.  A batch is therefore bit-for-bit what a
+point-by-point evaluation gives.
 
 Domain violations (division inside the guard band, ln or sqrt of a
 non-positive value) do not raise: they leave a coefficient that is not
@@ -36,9 +37,9 @@ a finite number, and IEEE arithmetic carries it to every result that
 depends on it.  Two rules write the NaN that IEEE arithmetic would
 not: a quotient whose divisor lies in the guard band, and ``x^0`` of
 an x with a non-finite coefficient.  Every NaN coefficient of a
-quotient is the one quiet NaN ``np.nan``: which operand's NaN an IEEE
-operation keeps depends on how NumPy loops over it, and the one-pass
-and the order-by-order quotients loop differently.  Operations on
+product or a quotient is the one quiet NaN ``np.nan``: which operand's
+NaN an IEEE operation keeps depends on how NumPy loops over it, and the
+one-pass and the order-by-order rules loop differently.  Operations on
 plain floats (constant subexpressions) still raise
 :class:`DomainError`.
 Every operation acts on each point of the batch alone, so a batch may
@@ -76,14 +77,12 @@ _DIV_GUARD = 1e-300
 # ---------------------------------------------------------------------------
 
 class _Layout:
-    """Slot layout of k directions up to an order, and its product table.
+    """Slot layout of k directions up to an order.
 
-    Slot tuples list directions outermost first.  Slot T of order n has
-    the 2^n Leibniz pairs ``(left, right)`` in nested order (subset U of
-    T for the left factor, its outermost member as the most significant
-    bit), padded with zero terms to ``width`` = 2^order so that repeated
-    pairwise halving sums every slot in the nested-dual order.
-    ``shift[t, s]`` is the slot of (t,) + (slot s one order lower).
+    Slot tuples list directions outermost first.  ``shift[t, s]`` is the
+    slot of (t,) + (slot s one order lower): ``Jet._top`` gathers by it
+    the partials ∂_t that extend a function one order at a time, and a
+    product or a quotient above order 2 (up to order 2 each is one pass).
     """
 
     def __init__(self, k, order):
@@ -94,21 +93,6 @@ class _Layout:
         index = {t: s for s, t in enumerate(slots)}
         self.offsets = [sum(k ** i for i in range(n)) for n in range(order + 2)]
         self.size = len(slots)
-        self.width = 1 << order
-        left = np.zeros((self.size, self.width), dtype=int)
-        right = np.zeros((self.size, self.width), dtype=int)
-        real = np.zeros((self.size, self.width))
-        for s, t in enumerate(slots):
-            n = len(t)
-            for u in range(1 << n):
-                inside = [u >> (n - 1 - i) & 1 for i in range(n)]
-                left[s, u] = index[tuple(a for a, x in zip(t, inside) if x)]
-                right[s, u] = index[tuple(a for a, x in zip(t, inside)
-                                          if not x)]
-                real[s, u] = 1.0
-        self.left = left.ravel()
-        self.right = right.ravel()
-        self.pad = None if real.all() else real.ravel()
         self.lower = _layout(k, order - 1) if order else None
         if order:
             lower = self.offsets[order]
@@ -137,10 +121,10 @@ def _libm(fn, x):
     return x._new(np.array(out, dtype=float).reshape(x.c.shape))
 
 
-def _canonical(quotient):
-    """``quotient`` with every NaN written as ``np.nan``, in place."""
-    np.copyto(quotient, np.nan, where=np.isnan(quotient))
-    return quotient
+def _canonical(c):
+    """``c`` with every NaN written as ``np.nan``, in place."""
+    np.copyto(c, np.nan, where=np.isnan(c))
+    return c
 
 
 def _guarded(quotient, divisor):
@@ -151,22 +135,23 @@ def _guarded(quotient, divisor):
 
 
 def _product(a, b, layout):
-    """Leibniz product of coefficient arrays, summed in nested order."""
-    if layout.order == 0:
-        return a * b
-    terms = a.take(layout.left, axis=-1)
-    right = b.take(layout.right, axis=-1)
-    if terms.shape == right.shape:
-        terms *= right
-    else:
-        terms = terms * right
-    del right
-    if layout.pad is not None:
-        terms *= layout.pad
-    terms = terms.reshape(terms.shape[:-1] + (layout.size, layout.width))
-    for _ in range(layout.order):
-        terms = terms[..., 0::2] + terms[..., 1::2]
-    return terms[..., 0]
+    """The product of order-0 to order-2 coefficient arrays in one pass:
+    c_0 = a_0 b_0, c_t = a_0 b_t + a_t b_0 and
+    c_ts = (a_0 b_ts + a_s b_t) + (a_t b_s + a_ts b_0) (t the outer
+    direction), the very operations of the rule of ``Jet.__mul__`` one
+    order at a time; every NaN is ``np.nan``."""
+    k = layout.k
+    a0, b0 = a[..., :1], b[..., :1]
+    at, bt = a[..., 1:1 + k], b[..., 1:1 + k]
+    blocks = [a0 * b0, a0 * bt + at * b0]
+    if layout.order == 2:
+        ats = a[..., 1 + k:].reshape(a.shape[:-1] + (k, k))
+        bts = b[..., 1 + k:].reshape(b.shape[:-1] + (k, k))
+        cross = at[..., :, None] * bt[..., None, :]  # a_t b_s; a_s b_t is .T
+        cts = ((a0[..., None] * bts + cross.swapaxes(-1, -2))
+               + (cross + ats * b0[..., None]))
+        blocks.append(cts.reshape(cts.shape[:-2] + (k * k,)))
+    return _canonical(np.concatenate(blocks, axis=-1))
 
 
 def _quotient2(a, b, k):
@@ -294,9 +279,13 @@ class Jet:
         return (-self) + o
 
     def __mul__(self, o):
-        if isinstance(o, Jet):
+        if not isinstance(o, Jet):
+            return self._new(self.c * self._const(o))
+        if self.layout.order <= 2:
             return self._new(_product(self.c, o.c, self.layout))
-        return self._new(self.c * self._const(o))
+        a, b = self._low(), o._low()
+        top = a._spread() * o._top() + self._top() * b._spread()
+        return self._new(_canonical((a * b)._raise(top).c))
 
     __rmul__ = __mul__
 

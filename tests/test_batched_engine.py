@@ -89,6 +89,14 @@ SPARSE_STRUCTURES = dict(
     hyperboloid4=lambda: build_example("hyperboloid", n=4).structure,
 )
 
+# The structures above, the coordinate structures flat3d and flat3d_sqrt
+# (whose sqrt rejects draws), and the random dimension-3 frames, whose
+# frame entries are all live.
+ROW_STRUCTURES = dict(
+    SPARSE_STRUCTURES,
+    **{name: STRUCTURES[name] for name in ("flat3d", "flat3d_sqrt",
+                                           "random0", "random1", "random2")})
+
 
 def _structure_with(frame_00="1", metric_00="1"):
     """Frame structure E = diag(frame_00, 1, 1) over a metric whose first
@@ -220,17 +228,18 @@ class TestAgainstScalarReference:
 
     @pytest.mark.parametrize("directional", [False, True],
                              ids=["sampled", "directional"])
-    @pytest.mark.parametrize("case", sorted(SPARSE_STRUCTURES))
-    def test_frame_rows_are_their_own_evaluations_bit_for_bit(
+    @pytest.mark.parametrize("case", sorted(ROW_STRUCTURES))
+    def test_rows_are_their_own_evaluations_bit_for_bit(
             self, case, directional):
-        # The frame algebra and the hyperboloid's tangent products skip
-        # the entries their patterns mark dead, and the patterns come
-        # from the structure, so each of 32 points gets the arithmetic
-        # of its own one-point call: the same bits in every coefficient,
-        # the same rejection.  Sampled layout (the coordinate partials)
-        # and directional layout (one unit direction per point, as the
+        # Every jet operation acts on each point alone, and the frame
+        # algebra and the hyperboloid's tangent products skip the
+        # entries their patterns mark dead, patterns that come from the
+        # structure; so each of 32 points gets the arithmetic of its own
+        # one-point call: the same bits in every coefficient, the same
+        # rejection.  Sampled layout (the coordinate partials) and
+        # directional layout (one unit direction per point, as the
         # directional self-test seeds it).
-        st = SPARSE_STRUCTURES[case]()
+        st = ROW_STRUCTURES[case]()
         rng = np.random.default_rng(21)
         lo, hi = np.array(st.chart.box).T
         points = lo + (hi - lo) * rng.random((32, st.dim))
@@ -367,18 +376,20 @@ class TestFailureSurface:
 # the mixed-partial self-test keeps its teeth
 # ---------------------------------------------------------------------------
 
-def broken_layout(k, order):
-    """The jet layout with the mixed product term ∂_b u ∂_a w of every
-    second-order slot (a, b) replaced by ∂_a u ∂_b w."""
-    lay = jets._Layout(k, order)
-    if order >= 2:
-        left = lay.left.reshape(lay.size, lay.width).copy()
-        right = lay.right.reshape(lay.size, lay.width).copy()
-        for s in range(lay.offsets[2], lay.offsets[3]):
-            a, b = divmod(s - lay.offsets[2], k)
-            left[s, 1], right[s, 1] = 1 + a, 1 + b
-        lay.left, lay.right = left.ravel(), right.ravel()
-    return lay
+def broken_product(a, b, layout):
+    """``jets._product`` with the mixed term a_s b_t of every
+    second-order slot (t, s) replaced by a_t b_s."""
+    k = layout.k
+    a0, b0 = a[..., :1], b[..., :1]
+    at, bt = a[..., 1:1 + k], b[..., 1:1 + k]
+    blocks = [a0 * b0, a0 * bt + at * b0]
+    if layout.order == 2:
+        ats = a[..., 1 + k:].reshape(a.shape[:-1] + (k, k))
+        bts = b[..., 1 + k:].reshape(b.shape[:-1] + (k, k))
+        cts = ((a0[..., None] * bts + at[..., :, None] * bt[..., None, :])
+               + (at[..., :, None] * bt[..., None, :] + ats * b0[..., None]))
+        blocks.append(cts.reshape(cts.shape[:-2] + (k * k,)))
+    return np.concatenate(blocks, axis=-1)
 
 
 class TestMixedPartialTeeth:
@@ -397,7 +408,7 @@ class TestMixedPartialTeeth:
         point = (0.3, -0.2, 0.1, 0.4, 1.0)
         assert engine_self_tests(
             PointFrame(st, point).single)["mixed_partial"] <= 1e-12
-        monkeypatch.setattr(jets, "_layout", broken_layout)
+        monkeypatch.setattr(jets, "_product", broken_product)
         broken = PointFrame(st, point)
         assert engine_self_tests(broken.single)["mixed_partial"] >= 0.1
 

@@ -1,13 +1,15 @@
 """Tests for the nested-dual scalar reference (``scalar_reference``), the
 oracle the batched jet engine is held to, the float guards it shares
-with ``paracr.jets``, and the engine's one-pass order-2 quotient.
+with ``paracr.jets``, and the engine's one-pass order-2 product and
+quotient.
 
 Oracles used here:
   * hand-evaluated calculus facts (polynomials, hyperbolic functions),
   * central finite differences with step 1e-5,
   * the chain rule applied to independently evaluated inner/outer jets,
-  * the order-by-order quotient rule (``Jet._over``) for the one-pass
-    order-2 quotient, bit for bit.
+  * the order-by-order product rule (the nested-dual rule down to plain
+    multiplication) and quotient rule (``Jet._over``) for the one-pass
+    order-2 product and quotient, bit for bit.
 """
 
 import math
@@ -19,7 +21,7 @@ from hypothesis.extra import numpy as hnp
 
 from expression_corpus import random_expression_corpus
 from paracr.errors import DomainError
-from paracr.jets import Jet, _DIV_GUARD, _layout, powi
+from paracr.jets import Jet, _DIV_GUARD, _canonical, _layout, powi
 from scalar_reference import (
     Dual,
     coefficients,
@@ -281,5 +283,64 @@ class TestOrder2Quotient:
         with np.errstate(all="ignore"):
             got = (a / b).c
             want = a._over(b, a._low() / b._low()).c
+        assert got.shape == want.shape
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@st.composite
+def product_operands(draw):
+    """k, an order and coefficient arrays a (P, r, 1) and b (P, 1, c)
+    over k directions, as a jet mat-mul multiplies a column by a row:
+    ordinary numbers with a few specials written in."""
+    k, order = draw(st.integers(1, 9)), draw(st.integers(0, 2))
+    size = _layout(k, order).size
+    count = draw(st.integers(1, 3))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    numbers = st.floats(-4.0, 4.0)
+    a = draw(hnp.arrays(float, (count, rows, 1, size), elements=numbers))
+    b = draw(hnp.arrays(float, (count, 1, cols, size), elements=numbers))
+    for array in (a, b):
+        for _ in range(draw(st.integers(0, 3))):
+            index = draw(st.tuples(*(st.integers(0, n - 1)
+                                     for n in array.shape)))
+            array[index] = draw(st.sampled_from(SPECIALS))
+    return k, order, a, b
+
+
+def _infinite_value_times_ones(k):
+    """a with value +inf and every partial 1, b a jet of ones: every
+    coefficient of a * b is +inf (inf * 1 + 1 * 1), no NaN."""
+    size = _layout(k, 2).size
+    a = np.ones((1, 1, 1, size))
+    a[..., 0] = math.inf
+    return k, 2, a, np.ones((1, 1, 1, size))
+
+
+def nested_product(a, b):
+    """a * b by the nested-dual rule one order at a time, down to plain
+    multiplication: u w = u_low w_low + ε (u_low ∂w + ∂u w_low)."""
+    if not a.layout.order:
+        return a._new(a.c * b.c)
+    low_a, low_b = a._low(), b._low()
+    top = (nested_product(low_a._spread(), b._top())
+           + nested_product(a._top(), low_b._spread()))
+    return nested_product(low_a, low_b)._raise(top)
+
+
+class TestOrder2Product:
+    @settings(max_examples=300, deadline=None)
+    @given(product_operands())
+    @example(_infinite_value_times_ones(2))
+    def test_one_pass_is_the_order_by_order_product_bit_for_bit(
+            self, operands):
+        # a * b up to order 2 multiplies in one pass; the nested-dual
+        # rule one order at a time does the same floating-point
+        # operations, so every coefficient, the sign of zero included,
+        # is the same, and every NaN is np.nan
+        k, order, a, b = operands
+        a, b = Jet(a, _layout(k, order)), Jet(b, _layout(k, order))
+        with np.errstate(all="ignore"):
+            got = (a * b).c
+            want = _canonical(nested_product(a, b).c)
         assert got.shape == want.shape
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
