@@ -52,7 +52,6 @@ __all__ = [
     "EntryParser",
     "read_block",
     "render",
-    "eval_expr",
     "SharedTrees",
     "variables",
     "diff",
@@ -153,15 +152,6 @@ class Pow:
 Expr = Union[Const, Var, Neg, Call, Bin, Pow]
 
 
-def eval_expr(e, xs):
-    """Evaluate an AST at a tuple of scalars (floats or jets)."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return xs[e.index]
-    return e.apply(*[eval_expr(operand, xs) for operand in e.operands])
-
-
 # -- shared evaluation of a structure's trees -----------------------------
 
 _LEAVES = (Const, Var)
@@ -220,8 +210,8 @@ class SharedTrees:
     value).  One :meth:`evaluate` call walks every entry once: a marked
     node is evaluated at its first visit and its value reused for the
     rest of that call, and a marked pair comes from one
-    :func:`jets.sinh_cosh`.  Each value is the one :func:`eval_expr`
-    gives for its entry, bit for bit; nothing outlives the call.
+    :func:`jets.sinh_cosh`.  Each value is the one a walk of its entry's
+    tree alone gives, bit for bit; nothing outlives the call.
     """
 
     def __init__(self, entries):
@@ -248,8 +238,10 @@ class SharedTrees:
         """``node`` at ``xs``; ``memo`` holds the values of this call's
         marked nodes by id, and its marked pairs by (fn names, key of
         the argument)."""
-        if isinstance(node, _LEAVES):
-            return eval_expr(node, xs)
+        if isinstance(node, Const):
+            return node.value
+        if isinstance(node, Var):
+            return xs[node.index]
         key = id(node)
         if key in memo:
             return memo[key]

@@ -146,34 +146,21 @@ def _flags(jet):
 class _MatMulPlan:
     """The plan of A @ B (m x k times k x r) for a jet A and a factor B
     of fixed patterns.  ``a`` is the pattern of A (booleans); ``b`` is
-    the pattern of a jet B, or a constant B itself (floats, live where
+    the pattern of a jet B, or a constant B itself (live where
     nonzero); ``live`` is the pattern of the product, the boolean
     product of the two.
 
     Entry (i, j) adds the terms A[i, e] B[e, j] whose two factors are
-    live, left to right in e, to an exact zero.  ``steps`` holds the
-    terms as (index in A, index in B, index in C), each step adding one
-    product to its block of C.  For a jet B there is one step per inner
-    index e: the live rows of A[:, e] by the live columns of B[e, :]
-    (see :func:`_span`).  For a constant B there is one step per rank n:
-    the entries that have an n-th live term, and that term's factors,
-    gathered and scaled at once.
+    live, left to right in e, to an exact zero.  ``steps`` holds one
+    step per inner index e: the live rows of A[:, e] by the live
+    columns of B[e, :] (see :func:`_span`), as (index in A, index in B,
+    block of C), each step adding its products to its block of C.
     """
 
     def __init__(self, a, b):
         live_b = b != 0
-        terms = a[:, :, None] & live_b[None]
-        self.live = terms.any(axis=1)
+        self.live = (a[:, :, None] & live_b[None]).any(axis=1)
         self.steps = []
-        if b.dtype != bool:
-            # (i, j, e) of every live term, e ascending within (i, j)
-            i, j, e = np.nonzero(terms.transpose(0, 2, 1))
-            entry = i * self.live.shape[1] + j
-            rank = np.arange(len(entry)) - np.searchsorted(entry, entry)
-            for at in (rank == n for n in range(rank.max(initial=-1) + 1)):
-                self.steps.append(((i[at], e[at]), (e[at], j[at]),
-                                   (slice(None), i[at], j[at])))
-            return
         for e, (rows, cols) in enumerate(zip(a.T, live_b)):
             rows, cols = _span(np.flatnonzero(rows)), _span(np.flatnonzero(cols))
             if rows is not None and cols is not None:
@@ -183,8 +170,8 @@ class _MatMulPlan:
 
 def _mat_mul(A, B, plan):
     """A @ B for a tensor jet A and a tensor jet or constant array B
-    (m x k times k x r) by a :class:`_MatMulPlan` of their patterns; the
-    entries off the plan's ``live`` pattern are exact zeros."""
+    (m x k times k x r), one block per step of a :class:`_MatMulPlan`
+    of their patterns; off its ``live`` pattern C is exact zeros."""
     c = np.zeros((len(A.c), *plan.live.shape, A.c.shape[-1]))
     for a, b, out in plan.steps:
         c[out] += (A[a] * B[b]).c
@@ -257,7 +244,7 @@ def sparse_elimination(live):
     return steps, live
 
 
-def gauss_jordan(A, B, min_det, plan=None):
+def gauss_jordan(A, B, min_det, plan):
     """Solve A X = B at every point of a batch by Gauss-Jordan elimination
     with partial pivoting on the values.
 
@@ -266,15 +253,15 @@ def gauss_jordan(A, B, min_det, plan=None):
     ``min_det``) together with the determinant estimate (product of the
     pivots with swap sign).
 
-    It runs by a ``plan`` from :func:`sparse_elimination` (None: the
-    full one): per column a pivot search where the plan allows a swap,
-    one quotient of the live rows of the pivot column by the pivot and
-    the plan's block updates of W = [A | B]; then one division over the
-    live entries of X, whose other entries are exact zeros.
+    It runs by ``plan``, from :func:`sparse_elimination`: per column a
+    pivot search where the plan allows a swap, one quotient of the live
+    rows of the pivot column by the pivot and the plan's block updates
+    of W = [A | B]; then one division over the live entries of X, whose
+    other entries are exact zeros.
     """
     W = np.concatenate([A.c, B.c], axis=2)
     count, m = A.c.shape[:2]
-    steps, solved = plan or sparse_elimination(np.ones((m, W.shape[2]), bool))
+    steps, solved = plan
     points = np.arange(count)
     det = np.ones(count)
     failed = np.zeros(count, dtype=bool)
@@ -360,10 +347,10 @@ class FrameStructure(_Structure):
 
     A frame entry without variables whose value is ±0 is zero at every
     point.  The inverse (:func:`sparse_elimination`, with the identity
-    live on its diagonal) and the six products (:class:`_MatMulPlan`)
-    skip such entries, the zero entries of the constant tensors, and
-    every term that has one of them as a factor; all seven are planned
-    when the structure is built.
+    live on its diagonal) and the six products (:class:`_MatMulPlan`,
+    one block per live inner index, constant tensor or jet) skip such
+    entries, the zero entries of the constant tensors and every term
+    with one of them as a factor; all are planned at construction.
     """
 
     def __init__(self, chart, frame, g_hat, phi_hat, xi_hat, eta_hat):

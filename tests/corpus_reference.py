@@ -13,9 +13,9 @@ from functools import partial
 
 import numpy as np
 
-from expression_corpus import CORPUS_MAGNITUDE_CAP, FD_STEP
+from expression_corpus import CORPUS_MAGNITUDE_CAP, FD_STEP, eval_expr
 from paracr.errors import DomainError, ParseError
-from paracr.expr import eval_expr, parse
+from paracr.expr import parse
 from paracr.jets import Jet, coordinate_jets
 
 EVAL_ERRORS = (ParseError, DomainError, ArithmeticError, ValueError)

@@ -14,7 +14,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from paracr.errors import DomainError
-from paracr.expr import Bin, Call, Const, Neg, Pow, Var, eval_expr
+from paracr.expr import Bin, Call, Const, Neg, Pow, Var
 from paracr.jets import _DIV_GUARD, Jet, coordinate_jets
 
 FD_STEP = 1e-5
@@ -24,6 +24,16 @@ STENCIL = np.array([-FD_STEP, 0.0, FD_STEP])
 # error (h^2/6 * f''') and the subtraction roundoff (eps * |f| / 2h) both
 # stay below ~2e-7, two orders under the 1e-5 comparison tolerance.
 CORPUS_MAGNITUDE_CAP = 1e4
+
+
+def eval_expr(e, xs):
+    """Evaluate an AST alone at a tuple of scalars (floats or jets): the
+    reference walk that ``paracr.expr.SharedTrees`` is held to."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return xs[e.index]
+    return e.apply(*[eval_expr(operand, xs) for operand in e.operands])
 
 
 def random_expression(rng, names, max_depth):

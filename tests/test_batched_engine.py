@@ -21,7 +21,7 @@ import paracr
 import scalar_reference
 from corpus_reference import jet_fd_worst
 from dim3_structures import random_dim3_structure
-from expression_corpus import random_expression_corpus
+from expression_corpus import eval_expr, random_expression_corpus
 from geometry_reference import d3g
 from paracr import cli, geometry, jets
 from paracr.errors import (
@@ -30,7 +30,7 @@ from paracr.errors import (
     OutsidePatch,
     SamplingExhausted,
 )
-from paracr.expr import eval_expr, parse
+from paracr.expr import parse
 from paracr.geometry import (
     Chart,
     CoordinateStructure,

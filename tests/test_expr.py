@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from expression_corpus import random_expression_corpus
+from expression_corpus import eval_expr, random_expression_corpus
 from paracr.errors import DomainError, ParseError, UnknownVariable
 from paracr.expr import (
     Bin,
@@ -18,7 +18,6 @@ from paracr.expr import (
     Pow,
     Var,
     diff,
-    eval_expr,
     parse,
     render,
     variables,

@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import condition_reference as ref
 from dim3_structures import random_dim3_structure
@@ -122,7 +124,13 @@ def batch_solve(A, B=None, xs=None):
     xs = xs or coordinate_jets([[0.0]], 0)
     A = tensor(A, xs[0])
     B = tensor(B or np.eye(len(A.c[0])).tolist(), xs[0])
-    return gauss_jordan(A, B, 1e-10)
+    return gauss_jordan(A, B, 1e-10, full_plan(*B.c.shape[1:3]))
+
+
+def full_plan(m, r):
+    """The plan of the full elimination of an m x (m + r) system: every
+    entry live."""
+    return geometry.sparse_elimination(np.ones((m, m + r), dtype=bool))
 
 
 PLANNED_FAMILIES = {"p1": p1, "cosymplectic": cosymplectic,
@@ -355,10 +363,12 @@ def assert_rows_are_their_own_solves(A, B, failing, plan=None):
     payloads count), and each regular row is the nested-dual
     elimination for every direction pair, which with a sparse ``plan``
     may differ in the sign of an exact zero only."""
+    run_plan = full_plan(*B.shape[1:3]) if plan is None else plan
+
     def solve(rows):
         with np.errstate(divide="ignore", invalid="ignore"):
             return gauss_jordan(Jet(A[rows], LAYOUT2),
-                                Jet(B[rows], LAYOUT2), 1e-10, plan)
+                                Jet(B[rows], LAYOUT2), 1e-10, run_plan)
 
     X, failed, det = solve(slice(None))
     assert np.flatnonzero(failed).tolist() == list(failing)
@@ -432,7 +442,7 @@ class DenseHyperboloid:
         eta = dense_inner(signs, T, xi_amb[None, :])
         B = dense_inner(signs, T[:, None], T[None, :, st._J])
         rhs = Jet(np.concatenate([B.c, eta.c[:, :, None]], axis=2), g.layout)
-        sol = gauss_jordan(g, rhs, geometry._MIN_METRIC_DET)[0]
+        sol = gauss_jordan(g, rhs, geometry._MIN_METRIC_DET, st._plan)[0]
         outside = ~(arg.v >= geometry._MIN_PATCH_MARGIN)
         return (g, sol[:, :m], sol[:, m], eta), [(outside, OutsidePatch)]
 
@@ -467,7 +477,7 @@ class TestSparseMatMul:
         # that the product skips.
         # The plan is built from the patterns, a constant factor standing
         # for its own: one step per inner index with live rows and
-        # columns for two jets, one per term rank with a constant.
+        # columns, for a jet and a constant factor alike.
         A, B, C, D = self.operands()
         A.c[1, 0, 1, 0] = B.c[1, 1, 0, 0] = np.nan
         left, right, pattern_a, pattern_b = {
@@ -477,12 +487,12 @@ class TestSparseMatMul:
         }[kind]
         plan = geometry._MatMulPlan(pattern_a, pattern_b)
         terms = (pattern_a != 0)[:, :, None] & (pattern_b != 0)[None]
-        if kind == "jet x jet":
-            assert [a[1] for a, _, _ in plan.steps] == [
-                e for e in range(terms.shape[1]) if terms[:, e].any()]
-        else:
-            assert len(plan.steps) == terms.sum(axis=1).max()
-            assert sum(len(out[1]) for *_, out in plan.steps) == terms.sum()
+        assert [a[1] for a, _, _ in plan.steps] == [
+            e for e in range(terms.shape[1]) if terms[:, e].any()]
+        for a, _, out in plan.steps:  # the block of every live term of e
+            block = np.zeros(plan.live.shape, dtype=bool)
+            block[out[1:]] = True
+            assert block.tolist() == terms[:, a[1]].tolist()
         with np.errstate(invalid="ignore"):
             got = geometry._mat_mul(left, right, plan)
             if kind == "transposed":
@@ -497,6 +507,64 @@ class TestSparseMatMul:
         assert not got.c[:, ~live].any()
         assert np.isnan(want.c[:, ~live]).any()
         assert np.isnan(got.c).any()
+
+
+# Signed zeros, infinities and NaN: one of them goes in some entry of a
+# drawn product's operands.
+SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def sparse_products(draw):
+    """A jet A (m x k) and a factor B (k x r), a jet or a constant, of
+    random patterns, with their patterns (a constant standing for its
+    own): live entries uniform in [-1, 1], dead ones zeros (a
+    constant's of both signs) and a drawn special in some entry."""
+    m, k, r = (draw(st.integers(1, 5)) for _ in range(3))
+    order, directions = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    layout = coordinate_jets(np.zeros((1, directions)), order)[0].layout
+    count = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    live_a, live_b = (draw(hnp.arrays(bool, shape)) for shape in
+                      ((m, k), (k, r)))
+    A = np.where(live_a[..., None],
+                 rng.uniform(-1.0, 1.0, (count, m, k, layout.size)), 0.0)
+    jet_b = draw(st.booleans())
+    if jet_b:
+        B = np.where(live_b[..., None],
+                     rng.uniform(-1.0, 1.0, (count, k, r, layout.size)), 0.0)
+    else:
+        B = np.where(live_b, rng.uniform(-1.0, 1.0, (k, r)),
+                     rng.choice([0.0, -0.0], (k, r)))
+    operand = draw(st.sampled_from([A, B]))
+    index = draw(st.tuples(*(st.integers(0, n - 1) for n in operand.shape)))
+    operand[index] = draw(st.sampled_from(SPECIALS))
+    if jet_b:
+        return Jet(A, layout), Jet(B, layout), live_a, live_b
+    return Jet(A, layout), B, live_a, B
+
+
+class TestSparseProductRule:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_products())
+    def test_every_entry_adds_its_live_terms_in_order(self, operands):
+        # The one product rule: entry (i, j) adds the products
+        # A[i, e] B[e, j] whose factors are live, left to right in e,
+        # to +0.0, each the Jet product alone; so every coefficient,
+        # the sign of zero and every NaN included, is the reference
+        # sum's, and an entry without live terms is exactly +0.0.
+        A, B, live_a, live_b = operands
+        plan = geometry._MatMulPlan(live_a, live_b)
+        m, k = live_a.shape
+        r = live_b.shape[1]
+        want = np.zeros((len(A.c), m, r, A.c.shape[-1]))
+        with np.errstate(all="ignore"):
+            got = geometry._mat_mul(A, B, plan).c
+            for i, j, e in itertools.product(range(m), range(r), range(k)):
+                if live_a[i, e] and live_b[e, j] != 0:
+                    want[:, i, j] += (A[i, e] * B[e, j]).c
+        assert got.shape == want.shape
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 class TestChartValidation:

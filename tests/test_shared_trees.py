@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from corpus_reference import EVAL_ERRORS
-from expression_corpus import random_expression
+from expression_corpus import eval_expr, random_expression
 from paracr import geometry, jets
-from paracr.expr import FUNCTIONS, Bin, Call, Const, SharedTrees, \
-    eval_expr, parse, render
+from paracr.expr import FUNCTIONS, Bin, Call, Const, SharedTrees, parse, \
+    render
 from paracr.jets import Jet, coordinate_jets
 from paracr.presets import build_example
 from paracr.spec_io import spec_from_dict
