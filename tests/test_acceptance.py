@@ -24,8 +24,7 @@ import pytest
 
 from condition_reference import DegeneratePlane, normality_field_residual, \
     sectional
-from corpus_reference import jet_fd_worst
-from expression_corpus import random_expression_corpus
+from expression_corpus import jet_fd_worst, random_expression_corpus
 from dim3_structures import random_dim3_structure
 from geometry_reference import cotton, weyl
 from paracr.conditions import classify, expand_checks, trit

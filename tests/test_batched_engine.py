@@ -19,9 +19,8 @@ import pytest
 
 import paracr
 import scalar_reference
-from corpus_reference import jet_fd_worst
 from dim3_structures import random_dim3_structure
-from expression_corpus import eval_expr, random_expression_corpus
+from expression_corpus import eval_expr
 from geometry_reference import d3g
 from paracr import cli, geometry, jets
 from paracr.errors import (
@@ -34,6 +33,7 @@ from paracr.expr import parse
 from paracr.geometry import (
     Chart,
     CoordinateStructure,
+    FrameBatch,
     FrameStructure,
     PointFrame,
     structure_arrays,
@@ -257,12 +257,6 @@ class TestAgainstScalarReference:
                                       part_p.c[0].view(np.uint64)), p
             assert rejected[p] is rejected_p, p
 
-    def test_corpus_gap_is_read_off_the_selecting_jets(self):
-        # the corpus gap comes from the order-3 jets that built the
-        # corpus; order-1 jets give the same gap bit for bit
-        corpus = random_expression_corpus(1234, 200, 6)
-        assert corpus.gap == jet_fd_worst(corpus)
-
     def test_product_modules_do_not_use_scalar_duals(self):
         # the scalar duals are the tests' reference, not product code
         for module in (jets, paracr.expr, paracr.geometry, paracr.presets,
@@ -370,6 +364,24 @@ class TestFailureSurface:
         st = STRUCTURES["hyperboloid2"]()
         with pytest.raises(OutsidePatch):
             PointFrame(st, (0.0, 0.0, 0.0, 0.8, 0.8))
+
+
+class TestLibraryGuards:
+    # [TRIVIAL] the guards of the batch types for library callers
+    def test_concat_needs_one_structure(self):
+        a, b = (PointFrame(build_example("flat3d").structure,
+                           (0.1, 0.2, 0.3)).single for _ in range(2))
+        assert len(FrameBatch.concat([a, a])) == 2
+        with pytest.raises(ValueError, match="different structures"):
+            FrameBatch.concat([a, b])
+
+    def test_point_frame_reads_only_batch_arrays(self):
+        pf = PointFrame(build_example("flat3d").structure, (0.1, 0.2, 0.3))
+        assert pf.g.shape == (3, 3)
+        for name in ("_plan", "_g", "rows"):
+            with pytest.raises(AttributeError, match=name):
+                getattr(pf, name)
+        assert not hasattr(pf, "rows")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,14 @@ from hypothesis.extra import numpy as hnp
 
 from expression_corpus import random_expression_corpus
 from paracr.errors import DomainError
-from paracr.jets import Jet, _DIV_GUARD, _canonical, _layout, powi
+from paracr.jets import (
+    Jet,
+    _DIV_GUARD,
+    _canonical,
+    _layout,
+    coordinate_jets,
+    powi,
+)
 from scalar_reference import (
     Dual,
     coefficients,
@@ -136,6 +143,12 @@ class TestGuards:
         (x,) = seed((0.0,), 0, 1)
         with pytest.raises(DomainError):
             sqrt(x)
+
+    def test_second_derivatives_of_an_order_1_jet(self):
+        x, _ = coordinate_jets([[0.5, 1.0]], 1)
+        with pytest.raises(ValueError, match="order-2 coefficients "
+                           "requested from an order-1 jet"):
+            x.dd
 
     def test_integer_exponent_required(self):
         with pytest.raises(TypeError):

@@ -15,8 +15,6 @@ import pathlib
 import numpy as np
 import pytest
 
-from corpus_reference import jet_fd_worst
-from expression_corpus import random_expression_corpus
 from paracr import cli
 from paracr.conditions import CONDITIONS, expand_checks
 from paracr.errors import SamplingExhausted, ValidationError
@@ -39,7 +37,7 @@ from paracr.runner import (
     sample_points,
 )
 from paracr.spec_io import MAX_POINTS, MAX_PROBES, spec_from_dict
-from scalar_reference import eval_dual, nth_tangent, sample, seed_multi
+from scalar_reference import sample
 from test_spec_io import BAD_NUMBERS, BAD_PRESETS, P1_FRAME_SPEC, with_value
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -58,43 +56,6 @@ def parse_matrix(rows, coords):
 
 def parse_vector(entries, coords):
     return [parse(e, coords) for e in entries]
-
-
-# ---------------------------------------------------------------------------
-# expression corpus
-# ---------------------------------------------------------------------------
-
-class TestExpressionCorpus:
-    def test_count_and_shape(self):
-        corpus = random_expression_corpus(seed=11, count=25, max_depth=5)
-        assert len(corpus) == 25
-        for fn, point, direction in corpus:
-            assert 2 <= len(point) <= 4
-            assert 0 <= direction < len(point)
-            value = fn(point)
-            assert np.isfinite(value)
-
-    def test_deterministic_across_regeneration(self):
-        # [TRIVIAL] same seed, same corpus — even after a cache flush.
-        a = random_expression_corpus(seed=77, count=30, max_depth=6)
-        random_expression_corpus.cache_clear()
-        b = random_expression_corpus(seed=77, count=30, max_depth=6)
-        for (fa, pa, da), (fb, pb, db) in zip(a, b):
-            assert pa == pb and da == db
-            assert fa(pa) == fb(pb)
-
-    def test_derivatives_are_tame_at_the_stencil(self):
-        # the acceptance filter promises moderate jets through order 3
-        corpus = random_expression_corpus(seed=5, count=20, max_depth=6)
-        for fn, point, direction in corpus:
-            xs = seed_multi(point, [direction] * 3)
-            y = eval_dual(fn.args[0], xs)
-            for k in range(4):
-                assert abs(nth_tangent(y, k)) <= 1e4
-
-    def test_agrees_with_finite_differences(self):
-        corpus = random_expression_corpus(seed=21, count=40, max_depth=6)
-        assert jet_fd_worst(corpus) <= 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +358,27 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: chart block: chart dimension must be at most "
             f"{MAX_DIM}, got {m}\n")
+
+    @pytest.mark.parametrize("entry,first_line", [
+        ("1/0", "error: DomainError in a component expression: division "
+                "by 0.0 inside guard band"),
+        ("ln(0)", "error: DomainError in a component expression: ln of "
+                  "non-positive value 0.0"),
+        ("exp(1000)", "error: OverflowError in a component expression: "
+                      "math range error"),
+    ], ids=["1/0", "ln(0)", "exp(1000)"])
+    def test_verify_rejects_a_frame_entry_that_always_raises(
+            self, tmp_path, capsys, entry, first_line):
+        # [TRIVIAL] an error in a constant frame entry: the spec loads,
+        # its pattern leaves every entry of E live, and verify exits 2
+        data = with_value(P1_FRAME_SPEC, ("structure", "frame", "E", 0, 0),
+                          entry)
+        assert spec_from_dict(data).structure._live_entries().all()
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["verify", "--spec", str(path), "--points", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == first_line and "Traceback" not in err
 
     def test_verify_reports_an_ambiguous_row(self, tmp_path, capsys):
         # p1 with f off a para-CR solution by 1e-6 x1: s1 reads about

@@ -17,8 +17,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from corpus_reference import EVAL_ERRORS
-from expression_corpus import eval_expr, random_expression
+from expression_corpus import EVAL_ERRORS, eval_expr, random_expression
 from paracr import geometry, jets
 from paracr.expr import FUNCTIONS, Bin, Call, Const, SharedTrees, parse, \
     render
