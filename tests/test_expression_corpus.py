@@ -17,6 +17,7 @@ from expression_corpus import (
     random_expression,
     random_expression_corpus,
     stencil_jet,
+    tame,
 )
 from paracr.expr import parse
 from paracr.jets import Jet
@@ -85,6 +86,27 @@ def test_edge_cases(direction):
     assert not outcome["x1 / 2e-300"][0]
     assert outcome["(ln(x1 - 5))^0"] == (False, True)
     assert outcome["sqrt(x1 - 5)"] == (False, True)
+
+
+@pytest.mark.parametrize("seed,count,depth",
+                         [(1234, 200, 6), (11, 25, 5), (77, 30, 6)]
+                         + [(seed, 50, 8) for seed in range(10)])
+def test_corpus_is_the_prefix_of_a_longer_one(seed, count, depth):
+    # [TRIVIAL] candidates are drawn and kept one at a time and evaluation
+    # draws nothing, so a corpus is the start of every longer one with
+    # its seed and depth; each entry is tame when evaluated again alone
+    corpus = random_expression_corpus(seed, count, depth)
+    longer = random_expression_corpus(seed, count + 7, depth)
+    assert len(corpus) == count and len(longer) == count + 7
+    assert [(fn.args[0], point, d) for fn, point, d in corpus] == \
+        [(fn.args[0], point, d) for fn, point, d in longer[:count]]
+    for fn, point, d in corpus:
+        assert tame(stencil_jet(fn.args[0], point, d, 3))
+
+
+def test_empty_corpus():
+    assert random_expression_corpus(3, 0, 6) == []
+    assert jet_fd_worst([]) == 0.0
 
 
 def test_default_corpus_gap_is_pinned():
