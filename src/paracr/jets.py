@@ -198,14 +198,6 @@ class Jet:
     def v(self):
         return self.c[..., 0]
 
-    @property
-    def d(self):
-        return self._block(1)
-
-    @property
-    def dd(self):
-        return self._block(2)
-
     def __getitem__(self, key):
         """Index the tensor axes (the point and slot axes are kept)."""
         key = key if isinstance(key, tuple) else (key,)

@@ -16,11 +16,13 @@ drives every random choice, consumed in a fixed documented order:
 The preset targets draw nothing.  The directions of the directional
 engine self-tests are not drawn from that stream either: they come
 from a stream of their own with a fixed seed (``_DIRECTION_SEED``), one
-``(points, _DIRECTIONS, dim)`` block per :func:`engine_self_tests`
-call, so they move neither of the two draws.
+``(chunk points, _DIRECTIONS, dim)`` block per chunk in point order,
+the same stream as one block per sample, so they move neither of the
+two draws.
 
-Everything downstream of the draws (check evaluation, aggregation,
-serialization) is an ordered deterministic reduction.
+Everything downstream of the draws is one walk over the chunks of the
+sample, in which each chunk feeds the self-tests, the checks and the
+targets, each an ordered deterministic reduction in point order.
 """
 
 from __future__ import annotations
@@ -97,17 +99,24 @@ def sample_points(structure, rng, count):
 
 # Points per evaluation chunk (and at most per sampling wave): the jets,
 # derived tensors and check candidates of one chunk are alive at a time,
-# so memory stays bounded for large samples; a smaller sample is one
-# chunk, its batch itself.
+# and its batch feeds every stage of a run before it is dropped, so
+# memory stays bounded for large samples and no tensor is built twice;
+# a smaller sample is one chunk, its batch itself.
 _CHUNK = 64
 
 
-def _chunks(sample):
-    """(offset, FrameBatch) pieces of the sample batch, in point order;
-    a sample of at most ``_CHUNK`` points is its own single piece."""
+def _walk(sample, *folds):
+    """The results of ``folds`` over the sample batch, in one pass over
+    its chunks in point order.  A fold is a generator that is sent each
+    chunk's batch in turn and yields its result when sent None."""
+    for fold in folds:
+        next(fold)
     for lo in range(0, len(sample), _CHUNK):
-        yield lo, (sample if len(sample) <= _CHUNK
-                   else sample.rows(slice(lo, lo + _CHUNK)))
+        batch = (sample if len(sample) <= _CHUNK
+                 else sample.rows(slice(lo, lo + _CHUNK)))
+        for fold in folds:
+            fold.send(batch)
+    return [fold.send(None) for fold in folds]
 
 
 # ---------------------------------------------------------------------------
@@ -136,32 +145,36 @@ def engine_self_tests(sample):
     so they exercise the engine rather than the example.
     ``mixed_partial`` and ``jet_vs_fd`` re-evaluate the structure along
     random unit directions (:func:`paracr.geometry.directional_residuals`)
-    drawn as one (points, ``_DIRECTIONS``, m) block from the
-    ``_DIRECTION_SEED`` stream and sliced per chunk, so the values of a
-    point do not depend on the chunking.  A point whose difference
-    stencil is rejected is left out of ``jet_vs_fd`` and counted; when
-    every point is left out, ``jet_vs_fd`` is NaN.
+    drawn as one (chunk points, ``_DIRECTIONS``, m) block per chunk from
+    the ``_DIRECTION_SEED`` stream, so the values of a point do not
+    depend on the chunking.  A point whose difference stencil is
+    rejected is left out of ``jet_vs_fd`` and counted; when every point
+    is left out, ``jet_vs_fd`` is NaN.
     """
+    return _walk(sample, _self_tests())[0]
+
+
+def _self_tests():
+    """The fold of :func:`engine_self_tests`."""
     summary = SelfTests.fromkeys(SELF_TEST_NAMES + ("jet_vs_fd",), 0.0)
-    if not len(sample):
-        return summary
-    directions = np.random.default_rng(_DIRECTION_SEED).standard_normal(
-        (len(sample), _DIRECTIONS, sample.m))
-    directions /= np.linalg.norm(directions, axis=2, keepdims=True)
-    for lo, batch in _chunks(sample):
+    rng = np.random.default_rng(_DIRECTION_SEED)
+    points = 0
+    while (batch := (yield)) is not None:
         for name in SELF_TEST_NAMES[:-1]:  # all but mixed_partial
             summary[name] = float(np.max(getattr(batch, name),
                                          initial=summary[name]))
-        mixed, fd, excluded = directional_residuals(
-            batch, directions[lo:lo + len(batch)])
+        directions = rng.standard_normal((len(batch), _DIRECTIONS, batch.m))
+        directions /= np.linalg.norm(directions, axis=2, keepdims=True)
+        mixed, fd, excluded = directional_residuals(batch, directions)
         summary["mixed_partial"] = float(np.max(
             mixed, initial=summary["mixed_partial"]))
         summary["jet_vs_fd"] = float(np.max(
             fd[~excluded], initial=summary["jet_vs_fd"]))
         summary.fd_excluded += int(excluded.sum())
-    if summary.fd_excluded == len(sample):
+        points += len(batch)
+    if points and summary.fd_excluded == points:
         summary["jet_vs_fd"] = math.nan
-    return summary
+    yield summary
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +204,20 @@ def evaluate_checks(check_ids, sample, probe_sets, tolerance, separation):
     raised is the one of the first such check in request order at its
     first raising point, as in a check-by-check, point-by-point loop.
     """
+    return _walk(sample, _checks(check_ids, probe_sets, tolerance,
+                                 separation))[0]
+
+
+def _checks(check_ids, probe_sets, tolerance, separation):
+    """The fold of :func:`evaluate_checks`."""
     probes = np.asarray(probe_sets, dtype=float)
     worst, errors = {}, {}
-    for lo, batch in _chunks(sample):
+    lo = 0
+    while (batch := (yield)) is not None:
         live = [cid for cid in check_ids if cid not in errors]
         values = evaluate_conditions(live, batch,
                                      probes[lo:lo + len(batch)])
+        lo += len(batch)
         for cid, value in values.items():
             if isinstance(value, ParacrError):
                 errors[cid] = value
@@ -214,7 +235,7 @@ def evaluate_checks(check_ids, sample, probe_sets, tolerance, separation):
             "part": worst[cid].part,
             "verdict": _verdict(worst[cid].scaled, tolerance, separation),
         })
-    return rows, {cid: worst[cid].scaled for cid in check_ids}
+    yield rows, {cid: worst[cid].scaled for cid in check_ids}
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +281,19 @@ def measure_targets(descriptor, sample, rng):
 
     No target draws: ``rng`` is unused, and is kept only so that the
     benchmark's replica of a run can call this as it always has."""
-    if descriptor is None or not descriptor.targets:
-        return None
-    worst = dict.fromkeys(descriptor.targets, 0.0)
-    for _, batch in _chunks(sample):
-        for name, expected in descriptor.targets.items():
+    return _walk(sample, _targets(descriptor))[0]
+
+
+def _targets(descriptor):
+    """The fold of :func:`measure_targets`."""
+    targets = descriptor.targets if descriptor is not None else {}
+    worst = dict.fromkeys(targets, 0.0)
+    while (batch := (yield)) is not None:
+        for name, expected in targets.items():
             worst[name] = float(np.max(_target_deviations(
                 name, expected, batch), initial=worst[name]))
-    return {name: {"expected": expected, "max_abs_deviation": worst[name]}
-            for name, expected in descriptor.targets.items()}
+    yield {name: {"expected": expected, "max_abs_deviation": worst[name]}
+           for name, expected in targets.items()} if targets else None
 
 
 # ---------------------------------------------------------------------------
@@ -311,19 +336,11 @@ class Report:
     targets: object
     wall_clock_seconds: float
 
-    def body(self):
-        data = self.to_dict()
-        del data["wall_clock_seconds"]
-        return data
-
     def to_dict(self):
         return {key: getattr(self, key) for key in REPORT_KEY_ORDER}
 
     def json(self):
         return _dumps(self.to_dict())
-
-    def body_json(self):
-        return _dumps(self.body())
 
     @property
     def all_passed(self):
@@ -399,13 +416,13 @@ def run(spec, checks=None, points=None, seed=None, tolerance=None):
     probe_sets = rng.uniform(-1.0, 1.0, (len(sample), numeric["probes"], 4,
                                          spec.chart.dim))
 
-    engine = engine_self_tests(sample)
-    rows, worst_scaled = evaluate_checks(
-        check_ids, sample, probe_sets,
-        numeric["tolerance"], numeric["separation"])
+    engine, (rows, worst_scaled), targets = _walk(
+        sample, _self_tests(),
+        _checks(check_ids, probe_sets, numeric["tolerance"],
+                numeric["separation"]),
+        _targets(spec.descriptor))
     classification = classify(worst_scaled, tol=numeric["tolerance"],
                               separation=numeric["separation"])
-    targets = measure_targets(spec.descriptor, sample, rng)
     wall = time.perf_counter() - start
 
     return Report(

@@ -13,6 +13,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
+from accessors import partials
 from paracr.errors import DomainError
 from paracr.expr import Bin, Call, Const, Neg, Pow, Var
 from paracr.jets import Jet, coordinate_jets
@@ -94,7 +95,7 @@ def fd_gap(y):
     centre and the central difference of its stencil values."""
     if not isinstance(y, Jet):
         return 0.0  # constant: jet and difference are both zero
-    jet = float(y.d[1, 0])
+    jet = float(partials(y)[1, 0])
     fd = float(y.v[2] - y.v[0]) / (2.0 * FD_STEP)
     return abs(jet - fd) / max(1.0, abs(jet), abs(fd))
 

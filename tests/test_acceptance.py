@@ -22,6 +22,7 @@ import zlib
 import numpy as np
 import pytest
 
+from accessors import report_body_json
 from condition_reference import DegeneratePlane, normality_field_residual, \
     sectional
 from expression_corpus import jet_fd_worst, random_expression_corpus
@@ -432,12 +433,12 @@ def test_criterion_10_report_determinism():
     spec = spec_from_dict(build_example("flat3d").spec_dict)
     a = run(spec, checks=["para-cr"], points=8)
     b = run(spec, checks=["para-cr"], points=8)
-    assert a.body_json() == b.body_json()
+    assert report_body_json(a) == report_body_json(b)
     for name in ("flat3d", "hyperboloid", "p1", "cosymplectic"):
         spec = spec_from_dict(build_example(name).spec_dict)
         report = run(spec)
         golden = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
-        assert report.body_json() == golden, name
+        assert report_body_json(report) == golden, name
         # stored residuals reproduce the stored verdicts
         for row in json.loads(golden)["checks"]:
             expected = ("pass" if row["scaled"] <= PASS_TOL else

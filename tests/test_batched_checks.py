@@ -16,10 +16,12 @@ import math
 import pathlib
 import zlib
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 
+from accessors import report_body_json
 import condition_reference as ref
 from dim3_structures import random_dim3_structure
 from paracr import conditions, runner
@@ -261,6 +263,34 @@ class TestSectionalTarget:
             assert targets[name] == {"expected": expected,
                                      "max_abs_deviation": float(worst)}
 
+    @pytest.mark.parametrize("name,params", [("p1", {"n": 2}),
+                                             ("hyperboloid", {"n": 1})])
+    def test_a_run_takes_one_pass_over_the_chunks(self, monkeypatch, name,
+                                                  params):
+        # [TRIVIAL] 130 points are three chunks, and each chunk's batch
+        # feeds the self-tests, the checks and the targets: three
+        # FrameBatch.rows slices and three Riem builds per run, not one
+        # per chunk per stage
+        spec = spec_from_dict(build_example(name, **params).spec_dict)
+        rows, riem = [], []
+        original_rows = FrameBatch.rows
+        original_riem = FrameBatch.__dict__["Riem"].func
+
+        def counted_rows(batch, index):
+            rows.append(index)
+            return original_rows(batch, index)
+
+        def counted_riem(batch):
+            riem.append(len(batch))
+            return original_riem(batch)
+
+        counted = cached_property(counted_riem)
+        counted.__set_name__(FrameBatch, "Riem")
+        monkeypatch.setattr(FrameBatch, "rows", counted_rows)
+        monkeypatch.setattr(FrameBatch, "Riem", counted)
+        run(spec, checks="all", points=130)
+        assert len(rows) == 3 and riem == [64, 64, 2]
+
 
 # ---------------------------------------------------------------------------
 # NaN honesty
@@ -337,14 +367,14 @@ class TestChunking:
         ("hyperboloid", {"n": 1}), ("p1", {"n": 2}), ("flat3d", {})])
     def test_report_body_is_independent_of_the_chunk_size(
             self, monkeypatch, name, params):
-        # [TRIVIAL] chunks only bound memory; targets draw their planes
-        # in point order across chunks
-        # (sampling waves included)
+        # [TRIVIAL] chunks (sampling waves included) only bound memory:
+        # every value is per point, and every stage folds its chunks in
+        # point order
         spec = spec_from_dict(build_example(name, **params).spec_dict)
         bodies = []
         for chunk in (1, 3, runner._CHUNK, 10 ** 6):
             monkeypatch.setattr(runner, "_CHUNK", chunk)
-            bodies.append(run(spec, checks="all", points=7).body_json())
+            bodies.append(report_body_json(run(spec, checks="all", points=7)))
         assert bodies[0] == bodies[1] == bodies[2] == bodies[3]
 
     def test_chunked_sample_with_rejections(self, monkeypatch):
@@ -352,8 +382,8 @@ class TestChunking:
         bodies = []
         for chunk in (1, 3, runner._CHUNK, 10 ** 6):
             monkeypatch.setattr(runner, "_CHUNK", chunk)
-            bodies.append(run(spec, checks="all", points=9,
-                              seed=3).body_json())
+            bodies.append(report_body_json(run(spec, checks="all",
+                                                 points=9, seed=3)))
         assert bodies[0] == bodies[1] == bodies[2] == bodies[3]
         assert json.loads(bodies[0])["checks"]
 
@@ -384,10 +414,14 @@ class TestChunking:
         assert [pf.point for pf in frames] == [pf.point for pf in whole]
         assert rng.bit_generator.state == rng_whole.bit_generator.state
 
-    def test_first_failing_check_in_request_order_raises(self, monkeypatch):
+    @pytest.mark.parametrize("through", ["evaluate_checks", "run"])
+    def test_first_failing_check_in_request_order_raises(self, monkeypatch,
+                                                         through):
         # [TRIVIAL] a check that raises at a later chunk still raises
-        # before a later check that raises at an earlier chunk
-        st = build_example("p1", n=2).structure
+        # before a later check that raises at an earlier chunk, in the
+        # checks alone and in a run, whose sample at seed 0 is ``frames``
+        desc = build_example("p1", n=2)
+        st = desc.structure
         frames = sample_points(st, np.random.default_rng(0), 4)
         probes = np.zeros((4, 0, 4, st.dim))
 
@@ -405,7 +439,12 @@ class TestChunking:
                             replace(CONDITIONS["compat"], fn=early))
         monkeypatch.setattr(runner, "_CHUNK", 1)
         with pytest.raises(RankDefect, match="late"):
-            evaluate_checks(["axioms", "compat"], frames, probes, TOL, SEP)
+            if through == "run":
+                run(spec_from_dict(desc.spec_dict),
+                    checks=["axioms", "compat"], points=4, seed=0)
+            else:
+                evaluate_checks(["axioms", "compat"], frames, probes, TOL,
+                                SEP)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +567,8 @@ class TestOnePass:
         bodies = []
         for chunk in (64, 10 ** 6):
             monkeypatch.setattr(runner, "_CHUNK", chunk)
-            bodies.append(run(spec, checks="all", points=130).body_json())
+            bodies.append(report_body_json(run(spec, checks="all",
+                                                 points=130)))
         assert bodies[0] == bodies[1]
 
 
@@ -541,9 +581,10 @@ class TestOnePass:
                                          ("cosymplectic", {"n": 1})])
 def test_self_test_chunks_do_not_change_values(monkeypatch, name, params):
     # [TRIVIAL] every value is per point and elementwise, and a point's
-    # directions are its rows of the one block drawn per call: the three
-    # chunks of a 130-point sample give each point the values of one
-    # chunk or of a chunk of its own
+    # directions are its rows of the blocks drawn chunk by chunk from one
+    # stream, the stream of one block per call: the three chunks of a
+    # 130-point sample give each point the values of one chunk or of a
+    # chunk of its own
     sample = sample_points(build_example(name, **params).structure,
                            np.random.default_rng(5), 130)
     original = runner.directional_residuals

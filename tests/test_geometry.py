@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from accessors import partials, second_partials
 import condition_reference as ref
 from dim3_structures import random_dim3_structure
 from geometry_reference import (
@@ -217,7 +218,7 @@ class TestGaussJordan:
             dclosed = [[-2.0 * ddet / det ** 2, ddet / det ** 2],
                        [ddet / det ** 2, (det - (2.0 + x) * ddet) / det ** 2]]
             assert np.max(np.abs(inv.v[p] - closed)) < 1e-14
-            assert np.max(np.abs(inv.d[p, :, :, 0] - dclosed)) < 1e-14
+            assert np.max(np.abs(partials(inv)[p, :, :, 0] - dclosed)) < 1e-14
             assert not failed[p]
 
     def test_joint_solve(self):
@@ -392,8 +393,8 @@ def assert_rows_are_their_own_solves(A, B, failing, plan=None):
             1e-10, SingularFrame)
         want = np.array([[(x.p.p, x.p.t, x.t.p, x.t.t) for x in row]
                          for row in want])
-        got = np.stack([X.v[p], X.d[p, ..., b], X.d[p, ..., a],
-                        X.dd[p, ..., a, b]], axis=-1)
+        got = np.stack([X.v[p], partials(X)[p, ..., b], partials(X)[p, ..., a],
+                        second_partials(X)[p, ..., a, b]], axis=-1)
         if plan is not None:  # -0.0 + 0.0 is +0.0; other bits stay
             got, want = got + 0.0, want + 0.0
         assert got.view(np.uint64).tolist() == \

@@ -15,6 +15,7 @@ import re
 import numpy as np
 import pytest
 
+from accessors import report_body
 from paracr import expr
 from paracr.errors import ParseError, ValidationError
 from paracr.geometry import MAX_DIM, Chart, PointFrame
@@ -253,8 +254,8 @@ class TestFrameTranscription:
         preset = run(spec_from_dict(build_example("p1").spec_dict),
                      points=24, seed=seed)
         for key in ("engine", "checks", "classification"):
-            assert json.dumps(frame.body()[key]) == \
-                json.dumps(preset.body()[key]), key
+            assert json.dumps(report_body(frame)[key]) == \
+                json.dumps(report_body(preset)[key]), key
 
     def test_frame_block_field_validation(self):
         for mutate in (
