@@ -178,8 +178,8 @@ class _Shared:
 
     @cached_property
     def reeb_commutator(self):
-        """The terms a = phi nabla_X xi and b = nabla_{phi X} xi as [k, x]
-        (wlasn takes a - b, dacko a + b)."""
+        """The terms a = nabla_{phi X} xi and b = phi nabla_X xi as [k, x]
+        (b is phi_nabla_xi transposed; wlasn takes a - b, dacko a + b)."""
         fb = self.fb
         return (np.einsum('pax,pak->pkx', fb.phi, fb.nabla_xi),
                 np.einsum('pka,pxa->pkx', fb.phi, fb.nabla_xi))

@@ -953,12 +953,3 @@ class PointFrame:
         row = float(row) if row.ndim == 0 else row
         vars(self)[name] = row
         return row
-
-    @cached_property
-    def single(self):
-        """This point alone as a one-row batch, sharing what the batch has
-        computed so far."""
-        if len(self.batch) == 1:
-            return self.batch
-        return self.batch.rows(slice(self.index, self.index + 1))
-

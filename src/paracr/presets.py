@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .conditions import CLASS_NAMES as ALL_CLASSES
 from .errors import ParseError, ValidationError
 from .expr import _MAX_DEPTH, Const, EntryParser, Neg, diff, parse, \
     tree_depth, variables
@@ -35,29 +34,17 @@ from .geometry import (
 
 @dataclass
 class ExampleDescriptor:
-    """A built-in structure plus its expected classification and targets.
+    """A built-in structure plus its closed-form targets.
 
-    ``fingerprint`` maps every class name to the expected verdict (None
-    when the verdict is not known upfront, e.g. for user-supplied
-    parameters).  ``targets`` records closed-form numeric facts tests
-    compare against.  ``spec_dict`` is the JSON-ready manifold spec that
-    reproduces the structure through the loader.
+    ``targets`` records closed-form numeric facts a run measures the
+    structure against.  ``spec_dict`` is the JSON-ready manifold spec
+    that reproduces the structure through the loader.
     """
 
     name: str
     structure: object
-    fingerprint: dict | None
     targets: dict = field(default_factory=dict)
     spec_dict: dict = field(default_factory=dict)
-
-
-def _fingerprint(**kwargs):
-    fp = {name: False for name in ALL_CLASSES}
-    fp.update(kwargs)
-    unknown = set(kwargs) - set(ALL_CLASSES)
-    if unknown:
-        raise ValueError(f"unknown class names {sorted(unknown)}")
-    return fp
 
 
 def _preset_spec(name, **params):
@@ -91,11 +78,6 @@ def flat3d():
     return ExampleDescriptor(
         name="flat3d",
         structure=structure,
-        fingerprint=_fingerprint(
-            almost_paracontact_metric=True,
-            paracontact_metric=True,
-            para_cr=True,
-        ),
         targets={"riemann_max": 0.0, "h_on_dz": -1.0},
         spec_dict=_preset_spec("flat3d"),
     )
@@ -112,13 +94,6 @@ def hyperboloid(n=1):
     return ExampleDescriptor(
         name="hyperboloid",
         structure=structure,
-        fingerprint=_fingerprint(
-            almost_paracontact_metric=True,
-            paracontact_metric=True,
-            normal=True,
-            para_sasakian=True,
-            para_cr=True,
-        ),
         targets={
             "sectional": -1.0,
             "r": float(-2 * n * (2 * n + 1)),
@@ -186,25 +161,16 @@ def p1(n=2, f=None):
     if n < 2:
         raise ValidationError("the p1 family needs n >= 2")
     chart = _family_chart(n, (0.5, 1.5))
-    default = f is None
-    f_text = default_p1_f(n) if default else f
+    f_text = default_p1_f(n) if f is None else f
     minus_f = Neg(_parameter("f", f_text, chart.coordinates))
     coupling = {}
     for a in range(n):
         coupling[a, n + a] = minus_f
         coupling[2 * n, n + a] = parse(f"-2*x{a + 1}", chart.coordinates)
     structure = _frame_family(chart, coupling, "f", "frame entries")
-    fingerprint = None
-    if default:
-        fingerprint = _fingerprint(
-            almost_paracontact_metric=True,
-            paracontact_metric=True,
-            para_cr=True,
-        )
     return ExampleDescriptor(
         name="p1",
         structure=structure,
-        fingerprint=fingerprint,
         targets={"h_squared_max": 0.0},
         spec_dict=_preset_spec("p1", n=n, f=f_text),
     )
@@ -221,8 +187,7 @@ def cosymplectic(n=1, H=None):
     if n < 1:
         raise ValidationError("the cosymplectic family needs n >= 1")
     chart = _family_chart(n, (-1.0, 1.0))
-    default = H is None
-    H_text = default_cosymplectic_H(n) if default else H
+    H_text = default_cosymplectic_H(n) if H is None else H
     H_node = _parameter("H", H_text, chart.coordinates)
     allowed = {f"x{a}" for a in range(1, n + 1)} | {"z"}
     used = variables(H_node)
@@ -233,18 +198,9 @@ def cosymplectic(n=1, H=None):
     coupling = {(n + w, a): Neg(diff(diff(H_node, a), w))
                 for a in range(n) for w in range(n)}
     structure = _frame_family(chart, coupling, "H", "second partials")
-    fingerprint = None
-    if default:
-        fingerprint = _fingerprint(
-            almost_paracontact_metric=True,
-            almost_para_cosymplectic=True,
-            para_cr=True,
-            para_kahler_leaves=True,
-        )
     return ExampleDescriptor(
         name="cosymplectic",
         structure=structure,
-        fingerprint=fingerprint,
         targets={},
         spec_dict=_preset_spec("cosymplectic", n=n, H=H_text),
     )

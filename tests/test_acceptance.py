@@ -17,24 +17,30 @@ Oracle provenance markers:
 import functools
 import json
 import pathlib
-import zlib
 
 import numpy as np
-import pytest
 
 from accessors import report_body_json
+from cases import (
+    FINGERPRINTS,
+    box_points,
+    case_seed,
+    field_pair,
+    h_zero_reduction_gap,
+    sampled,
+    verdict,
+    worst_values,
+)
 from condition_reference import DegeneratePlane, normality_field_residual, \
     sectional
 from expression_corpus import jet_fd_worst, random_expression_corpus
 from dim3_structures import random_dim3_structure
 from geometry_reference import cotton, weyl
-from paracr.conditions import classify, expand_checks, trit
+from paracr.conditions import classify, evaluate_conditions, expand_checks
 from paracr.geometry import PointFrame
 from paracr.presets import build_example
 from paracr.runner import run, sample_points
 from paracr.spec_io import spec_from_dict
-from point_helpers import evaluate_condition
-from scalar_reference import Dual, depth_of, frame_matrix
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -57,77 +63,6 @@ def criterion(n, summary):
     return deco
 
 
-# ---------------------------------------------------------------------------
-# shared, lazily built fixtures (deterministic per-case seeds)
-# ---------------------------------------------------------------------------
-
-_CASES = {
-    "flat3d": lambda: build_example("flat3d").structure,
-    "hyperboloid": lambda: build_example("hyperboloid").structure,
-    "hyperboloid2": lambda: build_example("hyperboloid", n=2).structure,
-    "p1": lambda: build_example("p1").structure,
-    "cosymplectic": lambda: build_example("cosymplectic").structure,
-    "fx1": lambda: build_example("p1", f="x1").structure,
-}
-
-_FRAMES = {}
-_WORST = {}
-
-
-def case_seed(case):
-    return zlib.crc32(case.encode("utf-8")) % 100000
-
-
-def frames_of(case, count=6):
-    """Cached seeded PointFrame sample with probe blocks per frame."""
-    key = (case, count)
-    if key not in _FRAMES:
-        st = _CASES[case]()
-        rng = np.random.default_rng(case_seed(case))
-        frames = sample_points(st, rng, count)
-        probes = [rng.uniform(-1.0, 1.0, (4, 4, st.chart.dim))
-                  for _ in frames]
-        _FRAMES[key] = (st, frames, probes)
-    return _FRAMES[key]
-
-
-def worst_values(case, count=6):
-    """Worst scaled residual of every applicable condition per case."""
-    key = (case, count)
-    if key not in _WORST:
-        st, frames, probes = frames_of(case, count)
-        vals = {}
-        for pf, pr in zip(frames, probes):
-            for cid in expand_checks("all", st.chart.dim):
-                cv = evaluate_condition(cid, pf, pr)
-                vals[cid] = max(vals.get(cid, 0.0), cv.scaled)
-        _WORST[key] = vals
-    return _WORST[key]
-
-
-def verdict(value):
-    flag = trit(value, PASS_TOL, SEPARATION)
-    assert flag is not None, f"ambiguous residual {value}"
-    return flag
-
-
-def _tangent(v):
-    return v.t if depth_of(v) == 1 else 0.0
-
-
-def field_pair(structure, col, point):
-    """Frame field number ``col`` as a (values, jacobian) pair."""
-    def fn(xs):
-        return [row[col] for row in frame_matrix(structure, xs)]
-    vals = np.array([float(v) for v in fn(list(point))])
-    m = len(point)
-    jac = np.zeros((m, m))
-    for a in range(m):
-        ys = [Dual(x, 1.0 if i == a else 0.0) for i, x in enumerate(point)]
-        jac[a] = [_tangent(c) for c in fn(ys)]
-    return vals, jac
-
-
 def para_cr_bundle_worst(vals):
     return max(vals[cid] for cid in
                ("s0", "s1", "inv-plus", "inv-minus", "news00", "news01",
@@ -142,8 +77,8 @@ def para_cr_bundle_worst(vals):
               "200 random planes (n=1 and n=2) and the para-Sasakian "
               "para-CR fingerprint")
 def test_criterion_01_hyperboloid_curvature_and_fingerprint():
-    for case, n in (("hyperboloid", 1), ("hyperboloid2", 2)):
-        st, frames, _ = frames_of(case)
+    for case, n in (("hyperboloid_n1", 1), ("hyperboloid_n2", 2)):
+        st, frames, _ = sampled(case)
         # [DERIVED] 200 random nondegenerate planes per family size.
         rng = np.random.default_rng(100 + n)
         done = 0
@@ -156,9 +91,8 @@ def test_criterion_01_hyperboloid_curvature_and_fingerprint():
             assert abs(k + 1.0) <= 1e-6, (case, k)
             done += 1
         # classification fingerprint
-        fingerprint = build_example("hyperboloid", n=n).fingerprint
         got = classify(worst_values(case))
-        assert got == fingerprint, (case, got)
+        assert got == FINGERPRINTS[case], (case, got)
         for name in ("paracontact_metric", "normal", "para_sasakian",
                      "para_cr"):
             assert got[name] is True
@@ -171,7 +105,7 @@ def test_criterion_01_hyperboloid_curvature_and_fingerprint():
 @criterion(2, "hyperboloid n=2: r = -20, r* = 4, r + r* + 16 = 0, "
               "R(X,Y)xi = eta(X)Y - eta(Y)X, and Ric xi = -4 xi")
 def test_criterion_02_hyperboloid_scalar_curvature():
-    _, frames, _ = frames_of("hyperboloid2")
+    _, frames, _ = sampled("hyperboloid_n2")
     rng = np.random.default_rng(2)
     for pf in frames:
         # [DERIVED] constant-curvature values for dimension five.
@@ -196,7 +130,7 @@ def test_criterion_02_hyperboloid_scalar_curvature():
               "bundle, h acting as -1 on the z-direction, and failure "
               "of the para-Sasakian equation")
 def test_criterion_03_flat3d():
-    _, frames, _ = frames_of("flat3d")
+    _, frames, _ = sampled("flat3d")
     e_z = np.array([0.0, 0.0, 1.0])
     for pf in frames:
         # [DERIVED] the structure is flat and h(dz) = -dz.
@@ -219,19 +153,16 @@ def test_criterion_03_flat3d():
               "+1 frame fields; the f = x1 variant breaks D+ "
               "involutivity")
 def test_criterion_04_p1_family():
-    st, frames, _ = frames_of("p1")
-    vals = worst_values("p1")
+    st, frames, _ = sampled("p1_n2")
+    vals = worst_values("p1_n2")
     assert vals["pcm"] <= 1e-7
     assert para_cr_bundle_worst(vals) <= 1e-7
     for pf in frames:
         assert np.max(np.abs(pf.h @ pf.h)) <= 1e-7
     # [DERIVED] the only normality defect against the Reeb field is
     # N(e_{n+a}, xi) = 2 (df/dz) e_a with f = (1 + x1^2 + x2^2)/z.
-    rng = np.random.default_rng(case_seed("p1") + 1)
-    lo = np.array([b[0] for b in st.chart.box])
-    hi = np.array([b[1] for b in st.chart.box])
-    for _ in range(20):
-        pt = tuple(float(v) for v in lo + (hi - lo) * rng.random(5))
+    rng = np.random.default_rng(case_seed("p1_n2") + 1)
+    for pt in box_points(st.chart, rng, 20):
         pf = PointFrame(st, pt)
         f_z = -(1.0 + pt[0] ** 2 + pt[1] ** 2) / pt[4] ** 2
         xi_f = field_pair(st, 4, pt)
@@ -245,7 +176,7 @@ def test_criterion_04_p1_family():
                                             xi_f)
             assert np.max(np.abs(zero)) <= 1e-6
     # the non-integrable variant fails D+ involutivity
-    assert worst_values("fx1")["inv-plus"] >= 0.1
+    assert worst_values("p1_fx1")["inv-plus"] >= 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -257,21 +188,18 @@ def test_criterion_04_p1_family():
               "derived constant normality defect along the first frame "
               "field")
 def test_criterion_05_cosymplectic_family():
-    st, frames, _ = frames_of("cosymplectic")
+    st, frames, _ = sampled("cosymplectic_n1")
     for pf in frames:
         assert np.max(np.abs(pf.dEta)) <= 1e-8
         assert np.max(np.abs(pf.dPhi)) <= 1e-8
-    vals = worst_values("cosymplectic")
+    vals = worst_values("cosymplectic_n1")
     assert para_cr_bundle_worst(vals) <= PASS_TOL
     assert vals["wzor2"] <= PASS_TOL
     # [DERIVED] with the default potential z * x1^2 the only normality
     # defect against the Reeb field is N(e_0, xi) = 4 e_1, the doubled
     # third mixed derivative of the potential along e_1.
-    rng = np.random.default_rng(case_seed("cosymplectic") + 1)
-    lo = np.array([b[0] for b in st.chart.box])
-    hi = np.array([b[1] for b in st.chart.box])
-    for _ in range(10):
-        pt = tuple(float(v) for v in lo + (hi - lo) * rng.random(3))
+    rng = np.random.default_rng(case_seed("cosymplectic_n1") + 1)
+    for pt in box_points(st.chart, rng, 10):
         pf = PointFrame(st, pt)
         xi_f = field_pair(st, 2, pt)
         e0 = field_pair(st, 0, pt)
@@ -293,7 +221,8 @@ def test_criterion_05_cosymplectic_family():
               "characterizations match them on paracontact metric "
               "structures")
 def test_criterion_06_equivalence_suite():
-    cases = ("flat3d", "hyperboloid", "p1", "cosymplectic", "fx1")
+    cases = ("flat3d", "hyperboloid_n1", "p1_n2", "cosymplectic_n1",
+             "p1_fx1")
     for case in cases:
         vals = worst_values(case)
         # the three complete criteria agree ...
@@ -313,10 +242,10 @@ def test_criterion_06_equivalence_suite():
         partial = {verdict(vals[cid])
                    for cid in ("s0", "news00", "news01")}
         assert len(partial) == 1, case
-    assert verdict(worst_values("fx1")["s0"]) is True
+    assert verdict(worst_values("p1_fx1")["s0"]) is True
 
     # covariant characterizations on paracontact metric structures
-    for case in ("flat3d", "hyperboloid", "p1", "fx1"):
+    for case in ("flat3d", "hyperboloid_n1", "p1_n2", "p1_fx1"):
         vals = worst_values(case)
         assert vals["pcm"] <= PASS_TOL
         para_cr = verdict(max(vals["s0"], vals["s1"]))
@@ -325,9 +254,9 @@ def test_criterion_06_equivalence_suite():
 
     # among integrable paracontact metric cases, the para-Sasakian
     # equation holds exactly when h vanishes
-    for case, h_zero in (("flat3d", False), ("hyperboloid", True),
-                         ("p1", False)):
-        _, frames, _ = frames_of(case)
+    for case, h_zero in (("flat3d", False), ("hyperboloid_n1", True),
+                         ("p1_n2", False)):
+        _, frames, _ = sampled(case)
         h_max = max(float(np.max(np.abs(pf.h))) for pf in frames)
         assert (h_max <= PASS_TOL) is h_zero, (case, h_max)
         assert verdict(worst_values(case)["sas"]) is h_zero, case
@@ -346,12 +275,11 @@ def test_criterion_07_random_dim3_structures():
         st = random_dim3_structure(seed)
         rng = np.random.default_rng(1000 + seed)
         frames = sample_points(st, rng, 16)
-        probes = [rng.uniform(-1.0, 1.0, (4, 4, 3)) for _ in frames]
-        for pf, pr in zip(frames, probes):
-            for cid in bundle:
-                scaled = evaluate_condition(cid, pf, pr).scaled
-                worst_overall = max(worst_overall, scaled)
-                assert scaled <= 1e-6, (seed, cid, scaled)
+        probes = rng.uniform(-1.0, 1.0, (16, 4, 4, 3))
+        for cid, value in evaluate_conditions(bundle, frames,
+                                              probes).items():
+            worst_overall = max(worst_overall, value.scaled)
+            assert value.scaled <= 1e-6, (seed, cid, value.scaled)
     # the property holds with a wide numerical margin
     assert worst_overall <= 1e-9
 
@@ -365,31 +293,15 @@ def test_criterion_07_random_dim3_structures():
               "3D family at 64 points")
 def test_criterion_08_curvature_identities():
     # flat 3D family at 64 points
-    st = _CASES["flat3d"]()
-    rng = np.random.default_rng(8)
-    frames = sample_points(st, rng, 64)
-    probes = [rng.uniform(-1.0, 1.0, (4, 4, 3)) for _ in frames]
-    for pf, pr in zip(frames, probes):
-        assert evaluate_condition("k1", pf, pr).scaled <= 1e-6
-        assert evaluate_condition("k2", pf, pr).scaled <= 1e-6
+    _, frames, probes = sampled("flat3d", 64, seed=8)
+    for value in evaluate_conditions(["k1", "k2"], frames, probes).values():
+        assert value.scaled <= 1e-6
 
-    for case in ("hyperboloid", "hyperboloid2"):
-        _, frames, probes = frames_of(case)
-        for pf, pr in zip(frames, probes):
-            assert evaluate_condition("k1", pf, pr).scaled <= 1e-6
-            assert evaluate_condition("k2", pf, pr).scaled <= 1e-6
-            # [DERIVED] with h = 0 the first identity reduces to
-            #   (R(W,X)phi)Y = g(X,Y) phi W - g(W,Y) phi X
-            #                  - g(phi W, Y) X + g(phi X, Y) W.
-            lhs = (np.einsum('kwxa,ay->kwxy', pf.Riem, pf.phi)
-                   - np.einsum('ka,awxy->kwxy', pf.phi, pf.Riem))
-            phig = pf.phi.T @ pf.g
-            eye = np.eye(pf.m)
-            rhs = (np.einsum('xy,kw->kwxy', pf.g, pf.phi)
-                   - np.einsum('wy,kx->kwxy', pf.g, pf.phi)
-                   - np.einsum('wy,kx->kwxy', phig, eye)
-                   + np.einsum('xy,kw->kwxy', phig, eye))
-            assert np.max(np.abs(lhs - rhs)) <= 1e-9
+    for case in ("hyperboloid_n1", "hyperboloid_n2"):
+        assert worst_values(case)["k1"] <= 1e-6
+        assert worst_values(case)["k2"] <= 1e-6
+        for pf in sampled(case)[1]:
+            assert h_zero_reduction_gap(pf) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +312,10 @@ def test_criterion_08_curvature_identities():
               "exterior-derivative nilpotency, jets against finite "
               "differences, and conformal-flatness obstructions")
 def test_criterion_09_engine_self_tests():
-    pool = [pf for case in ("flat3d", "hyperboloid", "hyperboloid2",
-                            "p1", "cosymplectic")
-            for pf in frames_of(case)[1]]
-    pool += sample_points(random_dim3_structure(0),
-                          np.random.default_rng(9), 4)
+    pool = [pf for case in ("flat3d", "hyperboloid_n1", "hyperboloid_n2",
+                            "p1_n2", "cosymplectic_n1")
+            for pf in sampled(case)[1]]
+    pool += sampled("random0", 4, seed=9)[1]
     for pf in pool:
         assert pf.nabla_g <= 1e-9
         assert pf.gamma_symmetry <= 1e-12
@@ -416,9 +327,9 @@ def test_criterion_09_engine_self_tests():
     assert jet_fd_worst(corpus) <= 1e-5
     # [DERIVED] constant-curvature spaces are conformally flat: the
     # dimension-appropriate obstruction vanishes.
-    for value in weyl(frames_of("hyperboloid2")[1]):
+    for value in weyl(sampled("hyperboloid_n2")[1]):
         assert value <= 1e-5
-    for value in cotton(frames_of("hyperboloid")[1]):
+    for value in cotton(sampled("hyperboloid_n1")[1]):
         assert value <= 1e-5
 
 

@@ -13,7 +13,6 @@ Oracle provenance markers:
 
 import json
 import math
-import pathlib
 import zlib
 from dataclasses import replace
 from functools import cached_property
@@ -22,8 +21,8 @@ import numpy as np
 import pytest
 
 from accessors import report_body_json
+from cases import SPECS, coordinate_structure, evaluate_condition, sampled
 import condition_reference as ref
-from dim3_structures import random_dim3_structure
 from paracr import conditions, runner
 from paracr.conditions import (
     CONDITIONS,
@@ -33,48 +32,25 @@ from paracr.conditions import (
     trit,
 )
 from paracr.errors import ParacrError, RankDefect
-from paracr.expr import parse
-from paracr.geometry import (
-    ARRAY_NAMES,
-    Chart,
-    CoordinateStructure,
-    FrameBatch,
-    PointFrame,
-)
+from paracr.geometry import ARRAY_NAMES, FrameBatch, PointFrame
 from paracr.presets import build_example
 from paracr.runner import evaluate_checks, run, sample_points
 from paracr.spec_io import load_spec, spec_from_dict
-from point_helpers import evaluate_condition
 
-SPECS = pathlib.Path(__file__).parents[1] / "bench" / "specs"
 TOL, SEP = 1e-6, 1e-2
 
-CASES = {
-    "flat3d": lambda: build_example("flat3d").structure,
-    **{f"{name}_n{n}": (lambda name=name, n=n:
-                      build_example(name, n=n).structure)
-       for name, ns in (("hyperboloid", (1, 2, 3)), ("p1", (2, 3)),
-                        ("cosymplectic", (1, 2, 3)))
-       for n in ns},
-    **{f"random{s}": (lambda s=s: random_dim3_structure(s))
-       for s in range(3)},
-    **{f"spec_{path.stem}": (lambda path=path:
-                             load_spec(str(path)).structure)
-       for path in sorted(SPECS.glob("*.json"))},
-}
+# every preset at n = 1, 2, 3 (p1 at 2, 3), the random dimension-3
+# frames and the spec files of the bench
+CASES = ["cosymplectic_n1", "cosymplectic_n2", "cosymplectic_n3", "flat3d",
+         "hyperboloid_n1", "hyperboloid_n2", "hyperboloid_n3", "p1_n2",
+         "p1_n3", "random0", "random1", "random2", "spec_cosymplectic_n2",
+         "spec_flat3d", "spec_flat3d_sqrt", "spec_hyperboloid_n2",
+         "spec_p1_n3"]
 
 REFERENCE_TENSORS = ("ginv", "dginv", "Gamma", "dGamma", "Riem",
                      "nabla_eta", "nabla_xi", "nabla_phi", "h", "dh",
                      "nabla_h", "dEta", "Phi", "dPhi_partial", "dPhi", "P",
                      "dP", "Qplus", "dQplus", "Qminus", "dQminus")
-
-
-def sample(case, seed, count=5):
-    st = CASES[case]()
-    rng = np.random.default_rng(seed)
-    frames = sample_points(st, rng, count)
-    probes = rng.uniform(-1.0, 1.0, (len(frames), 4, 4, st.dim))
-    return st, frames, probes
 
 
 def outcome(fn):
@@ -93,13 +69,13 @@ def assert_row_is(row, want):
 
 
 class TestReferenceEquivalence:
-    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("seed", range(4))
     def test_rows_equal_the_per_point_reference(self, case, seed):
         # [REFERENCE] every row, one check per call and every check in
         # one call (shared intermediates, one grouped reduction), and
         # every (point, check) value
-        st, frames, probes = sample(case, seed)
+        st, frames, probes = sampled(case, 5, seed)
         refs = [ref.ReferenceFrame(pf) for pf in frames]
         ids = expand_checks("all", st.dim)
         together = outcome(lambda: evaluate_checks(ids, frames, probes, TOL,
@@ -126,7 +102,7 @@ class TestReferenceEquivalence:
     def test_one_call_over_two_chunks_equals_the_reference(self, case):
         # [REFERENCE] every check in one call on 70 points: two chunks,
         # each with its own memo and grouped reduction
-        st, frames, probes = sample(case, 0, 70)
+        st, frames, probes = sampled(case, 70, 0)
         refs = [ref.ReferenceFrame(pf) for pf in frames]
         ids = expand_checks("all", st.dim)
         rows, worst = evaluate_checks(ids, frames, probes, TOL, SEP)
@@ -141,7 +117,7 @@ class TestReferenceEquivalence:
                                       "spec_flat3d_sqrt"])
     def test_batch_tensors_equal_the_per_point_reference(self, case):
         # [REFERENCE]
-        _, frames, _ = sample(case, 0)
+        _, frames, _ = sampled(case, 5, 0)
         for pf in frames:
             rf = ref.ReferenceFrame(pf)
             for name in REFERENCE_TENSORS:
@@ -150,7 +126,7 @@ class TestReferenceEquivalence:
 
     def test_probeless_points_and_extra_draws(self):
         # [REFERENCE] no probes, and more draws than a run uses
-        st, frames, _ = sample("p1_n2", 1, 3)
+        st, frames, _ = sampled("p1_n2", 3, 1)
         extra = np.random.default_rng(4).uniform(-1.0, 1.0, (8, 4, st.dim))
         for cid in expand_checks("all", st.dim):
             for pf in frames:
@@ -161,7 +137,7 @@ class TestReferenceEquivalence:
 
     def test_shared_kernel_keeps_ids_parts_and_guard(self):
         # [TRIVIAL] jw3d, wzor1 and wzor2 are one formula
-        st, frames, probes = sample("flat3d", 2)
+        st, frames, probes = sampled("flat3d", 5, 2)
         values = {cid: evaluate_condition(cid, frames[0], probes[0])
                   for cid in ("jw3d", "wzor1", "wzor2")}
         assert values["wzor1"] == values["wzor2"]
@@ -176,7 +152,7 @@ class TestReferenceEquivalence:
         # eigendistribution has the wrong rank, with the reference's
         # message: phi = -P at point 2 (+1 rank 0, -1 rank 2n) and phi = 0
         # at point 4 (both rank 2n)
-        st, frames, probes = sample("p1_n2", 0)
+        st, frames, probes = sampled("p1_n2", 5, 0)
         arrays = {name: getattr(frames, name).copy() for name in ARRAY_NAMES}
         arrays["phi"][2] = -frames.P[2]
         arrays["phi"][4] = 0.0
@@ -301,16 +277,11 @@ def overflow_structure(lo):
     finite, but 10 * ∂phi overflows in dΦ once x > -0.5 (about), so the
     second part of apcos (dform_closed) is inf / inf = NaN there while
     its first part (deta_closed, eta constant) is exactly 0."""
-    coords = ("x", "y", "z")
-    chart = Chart(coords, ((lo, 1.0), (-1.0, 1.0), (-1.0, 1.0)))
-
-    def entries(texts):
-        return [[parse(t, coords) for t in row] for row in texts]
-    g = entries([["10", "0", "0"], ["0", "10", "0"], ["0", "0", "10"]])
-    phi = entries([["0", "exp(x + 708)", "0"], ["0", "0", "0"],
-                   ["0", "0", "0"]])
-    vec = entries([["0", "0", "1"]])[0]
-    return CoordinateStructure(chart, g, phi, vec, vec)
+    return coordinate_structure(
+        [["10", "0", "0"], ["0", "10", "0"], ["0", "0", "10"]],
+        [["0", "exp(x + 708)", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+        ["0", "0", "1"], ["0", "0", "1"],
+        box=((lo, 1.0), (-1.0, 1.0), (-1.0, 1.0)))
 
 
 class TestNaNHonesty:
@@ -330,7 +301,7 @@ class TestNaNHonesty:
         broken = PointFrame(st, (0.5, 0.1, 0.2))
         assert evaluate_condition("apcos", finite).scaled >= SEP
         probes = np.zeros((2, 0, 4, 3))
-        sample = FrameBatch.concat([finite.single, broken.single])
+        sample = FrameBatch.concat([finite.batch, broken.batch])
         rows, worst = evaluate_checks(["apcos"], sample, probes, TOL, SEP)
         assert math.isnan(worst["apcos"])
         assert rows[0]["verdict"] == "fail"
@@ -474,7 +445,7 @@ class TestOnePass:
         # to another BLAS path and its last bits.  Sparse real residuals
         # often hide that, so the dense variant refills every array with
         # random values in its own layout.
-        st, frames, probes = sample(case, 0, 16)
+        st, frames, probes = sampled(case, 16, 0)
         layouts = []
         for cid in self.TRANSPOSED if dense else ():
             def kernel(fb, shared, fn=CONDITIONS[cid].fn, cid=cid):
@@ -510,7 +481,7 @@ class TestOnePass:
         monkeypatch.setattr(conditions._Reduction, "_columns", recorded)
         seen = set()
         for case in ("flat3d", "hyperboloid_n2", "p1_n2", "random0"):
-            st, frames, probes = sample(case, 0, 8)
+            st, frames, probes = sampled(case, 8, 0)
             for cid in expand_checks("all", st.dim):
                 registered.clear()
                 value = evaluate_conditions([cid], frames, probes)[cid]
@@ -530,7 +501,7 @@ class TestOnePass:
         # [TRIVIAL] a NaN in one condition's residual or summand fails
         # that row; every other row, including those whose arrays share
         # its stacks, is byte-identical to its solo evaluation
-        st, frames, probes = sample("hyperboloid_n2", 1, 8)
+        st, frames, probes = sampled("hyperboloid_n2", 8, 1)
         ids = expand_checks("all", st.dim)
         solo = [runner._dumps(evaluate_checks([i], frames, probes, TOL,
                                               SEP)[0][0]) for i in ids]

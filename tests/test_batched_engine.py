@@ -12,14 +12,20 @@ Oracle provenance markers:
 
 import json
 import math
-import pathlib
 
 import numpy as np
 import pytest
 
 import paracr
 import scalar_reference
-from dim3_structures import random_dim3_structure
+from cases import (
+    SPECS,
+    box_points,
+    coordinate_structure,
+    first_entry,
+    scaled_diff,
+    structure,
+)
 from expression_corpus import eval_expr
 from geometry_reference import d3g
 from paracr import cli, geometry, jets
@@ -30,131 +36,58 @@ from paracr.errors import (
     SamplingExhausted,
 )
 from paracr.expr import parse
-from paracr.geometry import (
-    Chart,
-    CoordinateStructure,
-    FrameBatch,
-    FrameStructure,
-    PointFrame,
-    structure_arrays,
-)
+from paracr.geometry import FrameBatch, PointFrame, structure_arrays
 from paracr.jets import coordinate_jets
 from paracr.presets import build_example
 from paracr.runner import SELF_TEST_NAMES, engine_self_tests, sample_points
-from paracr.spec_io import load_spec, spec_from_dict
-from test_spec_io import P1_FRAME_SPEC
+from paracr.spec_io import load_spec
 
-SQRT_SPEC = (pathlib.Path(__file__).parents[1] / "bench" / "specs"
-             / "flat3d_sqrt.json")
+SQRT_SPEC = SPECS / "flat3d_sqrt.json"
 
 ARRAY_NAMES = ("g", "dg", "d2g", "phi", "dphi", "d2phi",
                "xi", "dxi", "d2xi", "eta", "deta", "d2eta")
 
-STRUCTURES = {
-    "flat3d": lambda: build_example("flat3d").structure,
-    "hyperboloid1": lambda: build_example("hyperboloid", n=1).structure,
-    "hyperboloid2": lambda: build_example("hyperboloid", n=2).structure,
-    "hyperboloid3": lambda: build_example("hyperboloid", n=3).structure,
-    "p1_2": lambda: build_example("p1", n=2).structure,
-    "p1_3": lambda: build_example("p1", n=3).structure,
-    "cosymplectic1": lambda: build_example("cosymplectic", n=1).structure,
-    "cosymplectic2": lambda: build_example("cosymplectic", n=2).structure,
-    "cosymplectic3": lambda: build_example("cosymplectic", n=3).structure,
-    "random0": lambda: random_dim3_structure(0),
-    "random1": lambda: random_dim3_structure(1),
-    "random2": lambda: random_dim3_structure(2),
-    "flat3d_sqrt": lambda: load_spec(str(SQRT_SPEC)).structure,
-}
+# every preset at n = 1, 2, 3 (p1 at 2, 3), the random dimension-3
+# frames and the bench's spec whose sqrt rejects draws
+STRUCTURES = ["cosymplectic_n1", "cosymplectic_n2", "cosymplectic_n3",
+              "flat3d", "hyperboloid_n1", "hyperboloid_n2", "hyperboloid_n3",
+              "p1_n2", "p1_n3", "random0", "random1", "random2",
+              "spec_flat3d_sqrt"]
 
-
-# The frames whose algebra skips dead entries: E = I + couplings.
-SPARSE_FRAMES = {
-    "p1_2": STRUCTURES["p1_2"],
-    "p1_3": STRUCTURES["p1_3"],
-    "p1_4": lambda: build_example("p1", n=4).structure,
-    "cosymplectic1": STRUCTURES["cosymplectic1"],
-    "cosymplectic2": STRUCTURES["cosymplectic2"],
-    "cosymplectic3": STRUCTURES["cosymplectic3"],
-    "cosymplectic4": lambda: build_example("cosymplectic", n=4).structure,
-    "p1_frame_spec": lambda: spec_from_dict(P1_FRAME_SPEC).structure,
-}
-
-# Every structure whose products skip dead entries: the frames above, and
-# the hyperboloid, whose tangent frame T is the identity and one column.
-SPARSE_STRUCTURES = dict(
-    SPARSE_FRAMES,
-    hyperboloid1=STRUCTURES["hyperboloid1"],
-    hyperboloid2=STRUCTURES["hyperboloid2"],
-    hyperboloid3=STRUCTURES["hyperboloid3"],
-    hyperboloid4=lambda: build_example("hyperboloid", n=4).structure,
-)
-
-# The structures above, the coordinate structures flat3d and flat3d_sqrt
-# (whose sqrt rejects draws), and the random dimension-3 frames, whose
-# frame entries are all live.
-ROW_STRUCTURES = dict(
-    SPARSE_STRUCTURES,
-    **{name: STRUCTURES[name] for name in ("flat3d", "flat3d_sqrt",
-                                           "random0", "random1", "random2")})
-
-
-def _structure_with(frame_00="1", metric_00="1"):
-    """Frame structure E = diag(frame_00, 1, 1) over a metric whose first
-    entry is metric_00 (a coordinate structure when the frame is trivial)."""
-    coords = ("x", "y", "z")
-    chart = Chart(coords, ((-1.0, 1.0),) * 3)
-
-    def matrix(first):
-        rows = [[first, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
-        return [[parse(t, coords) for t in row] for row in rows]
-
-    zero = parse("0", coords)
-    if frame_00 != "1":
-        eye = np.eye(3).tolist()
-        return FrameStructure(chart, matrix(frame_00), eye, eye,
-                              [0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
-    return CoordinateStructure(chart, matrix(metric_00),
-                               [[zero] * 3 for _ in range(3)],
-                               [zero] * 3, [zero] * 3)
-
-
-REJECTING = {
-    "flat3d_sqrt": STRUCTURES["flat3d_sqrt"],
-    # |det E| = 1.9e-6 |x| falls below 1e-6 for |x| < 0.53
-    "half_singular_frame": lambda: _structure_with(frame_00="0.0000019*x"),
-    # |det g| = 2e-10 |x| falls below 1e-10 for |x| < 0.5
-    "half_degenerate_metric": lambda: _structure_with(
-        metric_00="0.0000000002*x"),
-}
-
-
-def scaled_gap(got, want):
-    scale = max(1.0, float(np.max(np.abs(want))))
-    return float(np.max(np.abs(got - want))) / scale
-
+# The frames whose algebra skips dead entries (E = I + couplings), the
+# hyperboloid, whose tangent frame T is the identity and one column, the
+# coordinate structures flat3d and spec_flat3d_sqrt (whose sqrt rejects
+# draws), and the random dimension-3 frames, whose frame entries are all
+# live.
+ROW_STRUCTURES = ["cosymplectic_n1", "cosymplectic_n2", "cosymplectic_n3",
+                  "cosymplectic_n4", "flat3d", "hyperboloid_n1",
+                  "hyperboloid_n2", "hyperboloid_n3", "hyperboloid_n4",
+                  "p1_n2", "p1_n3", "p1_n4", "random0", "random1", "random2",
+                  "spec_flat3d_sqrt", "spec_p1_frame"]
 
 class TestAgainstScalarReference:
-    @pytest.mark.parametrize("case", sorted(STRUCTURES))
+    @pytest.mark.parametrize("case", STRUCTURES)
     def test_arrays_match(self, case):
         # [REFERENCE] every component array at sampled points.
-        st = STRUCTURES[case]()
+        st = structure(case)
         count = 1 if st.dim >= 7 else 2
         for pf in sample_points(st, np.random.default_rng(3), count):
             want = scalar_reference.arrays(st, pf.point)
             for name in ARRAY_NAMES:
                 got = getattr(pf, name)
-                assert scaled_gap(got, want[name]) <= 1e-12, (case, name)
+                assert scaled_diff(got, want[name]) <= 1e-12, (case, name)
                 np.testing.assert_array_equal(got, want[name])
 
-    @pytest.mark.parametrize("case", ["flat3d", "random1", "hyperboloid1"])
+    @pytest.mark.parametrize("case", ["flat3d", "random1", "hyperboloid_n1"])
     def test_third_metric_derivatives_match(self, case):
-        st = STRUCTURES[case]()
+        st = structure(case)
         point = sample_points(st, np.random.default_rng(5), 1)[0].point
         np.testing.assert_array_equal(
-            d3g(PointFrame(st, point).single)[0],
+            d3g(PointFrame(st, point).batch)[0],
             scalar_reference.third_metric_derivatives(st, point))
 
-    @pytest.mark.parametrize("case", ["flat3d_sqrt", "half_singular_frame",
+    @pytest.mark.parametrize("case", ["spec_flat3d_sqrt",
+                                      "half_singular_frame",
                                       "half_degenerate_metric"])
     def test_sampling_decisions_match(self, case):
         # [REFERENCE] waves of batched draws accept the same points after
@@ -163,9 +96,7 @@ class TestAgainstScalarReference:
         # rejected for the same reason; about half of the draws of these
         # structures are rejected (DomainError, SingularFrame,
         # DegenerateMetric).
-        st = REJECTING[case]()
-        lo = np.array([b[0] for b in st.chart.box])
-        hi = np.array([b[1] for b in st.chart.box])
+        st = structure(case)
         total = {}
         for seed in range(16):
             rng = np.random.default_rng(seed)
@@ -175,10 +106,9 @@ class TestAgainstScalarReference:
                 st, ref_rng, 8)
             assert [pf.point for pf in frames] == points
             assert rng.bit_generator.state == ref_rng.bit_generator.state
-            replay = np.random.default_rng(seed)
             classes = {}
-            for _ in range(attempts):
-                point = lo + (hi - lo) * replay.random(st.dim)
+            for point in box_points(st.chart, np.random.default_rng(seed),
+                                    attempts):
                 try:
                     PointFrame(st, point)
                 except paracr.ParacrError as exc:
@@ -194,9 +124,9 @@ class TestAgainstScalarReference:
         # with the arrays of its own PointFrame; a rejected point's error
         # is the one its PointFrame raises.  Three of the five draws of
         # half_degenerate_metric have |x| < 0.5 (DegenerateMetric).
-        for st, low, count in ((STRUCTURES["p1_2"](), 0.5, 5),
-                               (REJECTING["half_degenerate_metric"](),
-                                -1.0, 2)):
+        for st, low, count in ((structure("p1_n2"), 0.5, 5),
+                               (structure("half_degenerate_metric"), -1.0,
+                                2)):
             points = np.random.default_rng(8).uniform(low, 1.0, (5, st.dim))
             batch, rejected = structure_arrays(st, points)
             accepted = [i for i, error in enumerate(rejected)
@@ -218,7 +148,7 @@ class TestAgainstScalarReference:
         # [TRIVIAL] structure_jets is where every rejection is decided,
         # the metric determinant included: half_degenerate_metric has
         # |det g| = 2e-10 |x|, below 1e-10 exactly where |x| < 0.5
-        st = REJECTING["half_degenerate_metric"]()
+        st = structure("half_degenerate_metric")
         points = np.random.default_rng(8).uniform(-1.0, 1.0, (16, 3))
         rejected = geometry.structure_jets(st, points)[1]
         want = [DegenerateMetric if abs(x) < 0.5 else None
@@ -228,7 +158,7 @@ class TestAgainstScalarReference:
 
     @pytest.mark.parametrize("directional", [False, True],
                              ids=["sampled", "directional"])
-    @pytest.mark.parametrize("case", sorted(ROW_STRUCTURES))
+    @pytest.mark.parametrize("case", ROW_STRUCTURES)
     def test_rows_are_their_own_evaluations_bit_for_bit(
             self, case, directional):
         # Every jet operation acts on each point alone, and the frame
@@ -239,7 +169,7 @@ class TestAgainstScalarReference:
         # rejection.  Sampled layout (the coordinate partials) and
         # directional layout (one unit direction per point, as the
         # directional self-test seeds it).
-        st = ROW_STRUCTURES[case]()
+        st = structure(case)
         rng = np.random.default_rng(21)
         lo, hi = np.array(st.chart.box).T
         points = lo + (hi - lo) * rng.random((32, st.dim))
@@ -272,16 +202,6 @@ class TestAgainstScalarReference:
 # failure surface
 # ---------------------------------------------------------------------------
 
-def coordinate_structure(g00):
-    coords = ("x", "y", "z")
-    chart = Chart(coords, ((-1.0, 1.0),) * 3)
-    rows = [[g00, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
-    g = [[parse(t, coords) for t in row] for row in rows]
-    zero = parse("0", coords)
-    return CoordinateStructure(chart, g, [[zero] * 3 for _ in range(3)],
-                               [zero] * 3, [zero] * 3)
-
-
 class TestFailureSurface:
     def test_power_zero_keeps_the_domain_mask(self):
         # x^0 is 1 only where x is a number: of a NaN it stays NaN, and
@@ -290,7 +210,7 @@ class TestFailureSurface:
         with np.errstate(invalid="ignore"):
             y = eval_expr(parse("sqrt(x)^0", ("x", "y", "z")), xs)
         assert math.isnan(y.v[0]) and y.v[1] == 1.0
-        st = coordinate_structure("1 + 0*sqrt(x)^0")
+        st = coordinate_structure(first_entry("1 + 0*sqrt(x)^0"))
         with pytest.raises(DomainError):
             PointFrame(st, (-0.5, 0.1, 0.1))
         PointFrame(st, (0.5, 0.1, 0.1)).ginv
@@ -302,7 +222,7 @@ class TestFailureSurface:
         # IEEE division is finite there (2e300 at x = 0.5), also under ^0.
         for text in ("1 + 0*(x*1e200*1e200)", "1 + 0*(1/(x*1e-300))",
                      "1 + 0*(1/(x*1e-300))^0"):
-            st = coordinate_structure(text)
+            st = coordinate_structure(first_entry(text))
             with pytest.raises(DomainError):
                 PointFrame(st, (0.5, 0.1, 0.1))
             with pytest.raises(SamplingExhausted):
@@ -320,7 +240,8 @@ class TestFailureSurface:
         # the first wave raises it, and the run ends in exit 2 naming it
         rng, one_wave = (np.random.default_rng(0) for _ in range(2))
         with pytest.raises(DomainError) as info:
-            sample_points(coordinate_structure(f"-1 + 0*{text}"), rng, 5)
+            sample_points(coordinate_structure(first_entry(f"-1 + 0*{text}")),
+                          rng, 5)
         assert str(info.value).startswith(cause)
         one_wave.random((5, 3))
         assert rng.bit_generator.state == one_wave.bit_generator.state
@@ -361,7 +282,7 @@ class TestFailureSurface:
     def test_outside_patch_wins_over_the_domain_mask(self):
         # sqrt of the negative graph argument also flags the domain; the
         # reported rejection is the patch, as for a single point.
-        st = STRUCTURES["hyperboloid2"]()
+        st = structure("hyperboloid_n2")
         with pytest.raises(OutsidePatch):
             PointFrame(st, (0.0, 0.0, 0.0, 0.8, 0.8))
 
@@ -370,7 +291,7 @@ class TestLibraryGuards:
     # [TRIVIAL] the guards of the batch types for library callers
     def test_concat_needs_one_structure(self):
         a, b = (PointFrame(build_example("flat3d").structure,
-                           (0.1, 0.2, 0.3)).single for _ in range(2))
+                           (0.1, 0.2, 0.3)).batch for _ in range(2))
         assert len(FrameBatch.concat([a, a])) == 2
         with pytest.raises(ValueError, match="different structures"):
             FrameBatch.concat([a, b])
@@ -419,10 +340,10 @@ class TestMixedPartialTeeth:
         st = build_example("p1", n=2).structure
         point = (0.3, -0.2, 0.1, 0.4, 1.0)
         assert engine_self_tests(
-            PointFrame(st, point).single)["mixed_partial"] <= 1e-12
+            PointFrame(st, point).batch)["mixed_partial"] <= 1e-12
         monkeypatch.setattr(jets, "_product", broken_product)
         broken = PointFrame(st, point)
-        assert engine_self_tests(broken.single)["mixed_partial"] >= 0.1
+        assert engine_self_tests(broken.batch)["mixed_partial"] >= 0.1
 
     def test_wrong_first_order_slot_is_order_one(self, monkeypatch):
         # D_u scaled by 1 + 1e-3 in the directional jets: the central
@@ -448,7 +369,7 @@ class TestDirectionalStencils:
     def test_rejected_stencil_is_excluded_and_counted(self):
         # sqrt(x) at x = 1e-9 is accepted, but a step of 1e-5 along any
         # direction with |u_x| > 1e-4 leaves its domain on one side
-        st = coordinate_structure("2 + sqrt(x)")
+        st = coordinate_structure(first_entry("2 + sqrt(x)"))
         inner, edge = (0.5, 0.1, 0.2), (1e-9, 0.1, 0.2)
         both, rejected = structure_arrays(st, [inner, edge])
         assert rejected.tolist() == [None, None]
@@ -464,7 +385,7 @@ class TestDirectionalStencils:
         # |det g| = 2e-10 x is just above 1e-10 at x = 0.5 + 1e-9, but a
         # step of 1e-5 along any direction with |u_x| > 1e-4 reaches the
         # degenerate half on one side: the metric rule rejects that row
-        st = coordinate_structure("0.0000000002*x")
+        st = coordinate_structure(first_entry("0.0000000002*x"))
         batch, rejected = structure_arrays(st, [(0.5 + 1e-9, 0.1, 0.2)])
         assert list(rejected) == [None]
         summary = engine_self_tests(batch)
@@ -481,7 +402,7 @@ class TestDirectionalStencils:
         assert engine_self_tests(sample)["jet_vs_fd"] <= 1e-8
 
     def test_every_stencil_rejected_is_nan(self):
-        st = coordinate_structure("2 + sqrt(x)")
+        st = coordinate_structure(first_entry("2 + sqrt(x)"))
         summary = engine_self_tests(
             structure_arrays(st, [(1e-9, 0.1, 0.2)])[0])
         assert summary.fd_excluded == 1
