@@ -4,7 +4,7 @@ structures and their para-CR geometry.
 Public surface:
 
 - ``paracr.jets``: batched Taylor-array jets (derivatives to order 3);
-- ``paracr.expr``: the expression grammar (parse, render, SharedTrees);
+- ``paracr.expr``: the expression grammar (parse, SharedTrees);
 - ``paracr.geometry``: charts, structures, FrameBatch (curvature and
   structure tensors at a batch of points) and PointFrame (one row);
 - ``paracr.conditions``: the condition registry, evaluation, and

@@ -824,8 +824,9 @@ def evaluate_conditions(cond_ids, batch, probes):
         for cond in conds:
             try:
                 if cond.scope == "dim3" and batch.m != 3:
-                    raise WrongDimension(f"this identity is specific to "
-                                         f"dimension 3, got {batch.m}")
+                    raise WrongDimension(f"{cond.id}: this identity is "
+                                         f"specific to dimension 3, got "
+                                         f"{batch.m}")
                 spans[cond.id] = reduction.add(cond.fn(batch, shared))
             except ParacrError as exc:
                 out[cond.id] = exc

@@ -51,7 +51,6 @@ __all__ = [
     "parse",
     "EntryParser",
     "read_block",
-    "render",
     "SharedTrees",
     "variables",
     "diff",
@@ -80,7 +79,7 @@ _MAX_EXPONENT = 1000
 # level), and the parser's nesting of parentheses, calls, unary minuses
 # and exponents.  Preset and bench-spec trees are at most 12 deep; the
 # bound keeps every recursion over a tree (parsing, interning,
-# evaluation, diff, rendering) far below Python's recursion limit.
+# evaluation, diff) far below Python's recursion limit.
 _MAX_DEPTH = 100
 
 
@@ -578,43 +577,3 @@ class EntryParser:
                 raise ParseError(exc.offset, f"{where}: {exc.message}",
                                  exc.expected) from exc
         return self._parsed[text]
-
-
-# -- rendering ------------------------------------------------------------
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 10, 20, 30, 40, 100
-
-
-def _prec(e):
-    if isinstance(e, Bin):
-        return _PREC_ADD if e.op in "+-" else _PREC_MUL
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    if isinstance(e, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
-
-
-def _wrap(e, minimum):
-    s = render(e)
-    return f"({s})" if _prec(e) < minimum else s
-
-
-def render(e):
-    """Render an AST so that parsing the result yields an equal AST."""
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.fn}({render(e.arg)})"
-    if isinstance(e, Neg):
-        return "-" + _wrap(e.arg, _PREC_NEG)
-    if isinstance(e, Pow):
-        exp_text = str(e.exponent)
-        return f"{_wrap(e.base, _PREC_ATOM)}^{exp_text}"
-    if isinstance(e, Bin):
-        left = _wrap(e.left, _prec(e))
-        right = _wrap(e.right, _prec(e) + 1)
-        return f"{left} {e.op} {right}"
-    raise TypeError(f"not an expression node: {e!r}")

@@ -196,8 +196,8 @@ def _build_preset(block, chart_block):
     if chart_block is not None and \
             _chart_json(_chart_from_block(chart_block)) != _chart_json(chart):
         _fail("chart block", f"does not match the chart of preset {name!r}")
-    normalized = {"preset": {"name": name, **params}}
-    return descriptor.structure, chart, normalized, descriptor
+    return (descriptor.structure, chart, descriptor.spec_dict["structure"],
+            descriptor)
 
 
 def _build_coordinate(block, chart):

@@ -1,5 +1,6 @@
-"""The structures the suite samples, their seeded samples, their expected
-verdicts, and the one-point helpers the test modules share.
+"""The structures and spec fixtures the suite samples, their seeded
+samples, their expected verdicts, and the one-point helpers the test
+modules share.
 
 ``CASES`` names every structure once: ``<preset>_n<n>`` for a preset of
 dimension 2n + 1 at its default parameters (``flat3d`` has no n),
@@ -12,7 +13,9 @@ not Python's per-process ``hash``), so it is the same in every
 interpreter.
 """
 
+import copy
 import functools
+import math
 import pathlib
 import zlib
 
@@ -29,9 +32,11 @@ from paracr.conditions import (
 from paracr.errors import ParacrError
 from paracr.expr import parse
 from paracr.geometry import (
+    MAX_DIM,
     Chart,
     CoordinateStructure,
     FrameStructure,
+    PointFrame,
     structure_jets,
 )
 from paracr.presets import build_example, default_p1_f
@@ -113,6 +118,105 @@ def skew_structure():
     )
 
 
+# ---------------------------------------------------------------------------
+# spec fixtures
+# ---------------------------------------------------------------------------
+
+P1_F = "(1.0 + x1^2 + x2^2)/z"
+
+# Preset blocks with a bad parameter, and what the error says.
+BAD_PRESETS = [
+    ({"name": "hyperboloid", "n": 0}, "n must be >= 1"),
+    ({"name": "hyperboloid", "n": -1}, "n must be >= 1"),
+    ({"name": "hyperboloid", "n": "x"}, "parameter n must be an integer"),
+    ({"name": "p1", "n": 2.5}, "parameter n must be an integer"),
+    ({"name": "cosymplectic", "n": True}, "parameter n must be an integer"),
+    ({"name": "p1", "c": "abc"}, "does not accept parameters ['c']"),
+    ({"name": "p1", "c": True}, "does not accept parameters ['c']"),
+    ({"name": "p1", "c": math.inf}, "does not accept parameters ['c']"),
+    ({"name": "p1", "f": 3}, "parameter f must be a string"),
+    ({"name": "cosymplectic", "H": 5}, "parameter H must be a string"),
+    # H itself is 62 levels deep, its second partials 129
+    ({"name": "cosymplectic", "H": "x1*z/(1+" * 30 + "x1*z" + ")" * 30},
+     "parameter H: its second partials nest deeper than 100 levels"),
+    ({"name": "p1", "n": 1}, "the p1 family needs n >= 2"),
+    ({"name": "cosymplectic", "n": 0}, "the cosymplectic family needs n >= 1"),
+    ({"name": "cosymplectic", "H": "y1*z"},
+     "parameter H: the potential may depend on ['x1', 'z'] only, found "
+     "['y1']"),
+    # one size above the largest chart dimension
+    *(({"name": name, "n": (MAX_DIM + 1) // 2},
+       f"chart dimension must be at most {MAX_DIM}, got {MAX_DIM + 2}")
+      for name in ("hyperboloid", "p1", "cosymplectic")),
+    ({"n": 2}, "missing preset name"),
+    # a parse error in f or H is located at its offset in the
+    # parameter's own text
+    ({"name": "p1", "f": "x1 + q"},
+     "parameter f: at offset 5: unknown variable 'q'"),
+    ({"name": "cosymplectic", "H": "z*(x1^2"},
+     "parameter H: at offset 7: got 'end of input' (expected ')')"),
+    ({"name": "p1", "f": "(" * 120 + "x1" + ")" * 120},
+     "parameter f: at offset 100: expression nests deeper than 100 levels"),
+    # -f is one level deeper than f
+    ({"name": "p1", "f": "-" * 99 + "x1"},
+     "parameter f: its frame entries nest deeper than 100 levels"),
+]
+
+P1_FRAME_SPEC = {
+    "chart": {
+        "coordinates": ["x1", "x2", "y1", "y2", "z"],
+        "box": [[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0],
+                [0.5, 1.5]],
+    },
+    "structure": {"frame": {
+        "E": [["1", "0", f"-({P1_F})", "0", "0"],
+              ["0", "1", "0", f"-({P1_F})", "0"],
+              ["0", "0", "1", "0", "0"],
+              ["0", "0", "0", "1", "0"],
+              ["0", "0", "-2*x1", "-2*x2", "1"]],
+        "g_hat": [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [1, 0, 0, 0, 0],
+                  [0, 1, 0, 0, 0], [0, 0, 0, 0, 1]],
+        "phi_hat": [[-1, 0, 0, 0, 0], [0, -1, 0, 0, 0], [0, 0, 1, 0, 0],
+                    [0, 0, 0, 1, 0], [0, 0, 0, 0, 0]],
+        "xi_hat": [0, 0, 0, 0, 1],
+        "eta_hat": [0, 0, 0, 0, 1],
+    }},
+    "checks": "all",
+}
+
+def with_value(base, path, value):
+    """``base`` copied, with the item at the key ``path`` set to ``value``."""
+    spec = copy.deepcopy(base)
+    *head, last = path
+    target = spec
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return spec
+
+
+# Numbers of P1_FRAME_SPEC replaced by values that are not finite floats
+# (JSON reads NaN, Infinity and -Infinity), and the start of the error.
+BAD_NUMBERS = [
+    (("chart", "box", 0, 0), -math.inf,
+     "chart block: box[0][0]: must be a finite number, not -Infinity"),
+    (("chart", "box", 4, 1), True,
+     "chart block: box[4][1]: must be a finite number, not true"),
+    (("chart", "box", 1), [-1e308, 1e308],
+     "chart block: box interval 1 (-1e+308, 1e+308) is wider than the "
+     "float range"),
+    (("structure", "frame", "g_hat", 1, 2), math.nan,
+     "structure.frame.g_hat[1][2]: must be a finite number, not NaN"),
+    (("structure", "frame", "phi_hat", 0, 0), math.inf,
+     "structure.frame.phi_hat[0][0]: must be a finite number, not "
+     "Infinity"),
+    (("structure", "frame", "xi_hat", 4), True,
+     "structure.frame.xi_hat[4]: must be a finite number, not true"),
+    (("structure", "frame", "eta_hat", 3), 10 ** 400,
+     "structure.frame.eta_hat[3]: must be a finite number, not 1000"),
+]
+
+
 def _preset(name, **params):
     return build_example(name, **params).structure
 
@@ -122,8 +226,16 @@ def _spec(path):
 
 
 def _p1_frame_spec():
-    from test_spec_io import P1_FRAME_SPEC
     return spec_from_dict(P1_FRAME_SPEC).structure
+
+
+def preset_spec(name, numeric=None, **params):
+    """The loaded spec of the preset ``name`` with its parameters
+    ``params``, and the numeric block ``numeric`` when given."""
+    data = dict(build_example(name, **params).spec_dict)
+    if numeric:
+        data["numeric"] = numeric
+    return spec_from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +260,10 @@ CASES = {
     # |det g| = 2e-10 |x| falls below 1e-10 for |x| < 0.5
     "half_degenerate_metric": lambda: coordinate_structure(
         first_entry("0.0000000002*x")),
+    # g_zz = 1 + sqrt(z) raises a domain error for z < 0
+    "half_domain_metric": lambda: coordinate_structure(
+        [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1 + sqrt(z)"]],
+        xi=["0", "0", "1"], eta=["0", "0", "1"]),
 }
 
 
@@ -262,6 +378,12 @@ def box_points(chart, rng, count):
     hi = np.array([b[1] for b in chart.box])
     return [tuple(float(v) for v in lo + (hi - lo) * rng.random(len(lo)))
             for _ in range(count)]
+
+
+def box_frames(st, rng, count):
+    """PointFrames of the structure ``st`` at ``count`` points of
+    :func:`box_points`, all drawn before any frame is built."""
+    return [PointFrame(st, pt) for pt in box_points(st.chart, rng, count)]
 
 
 def point_batch(pf):

@@ -6,7 +6,8 @@ a time.
 The engine tests hold the jets of arbitrary expressions against central
 differences, the symbolic derivatives of ``paracr.expr.diff`` and the
 scalar dual reference on it.  Also the order-1 jet-versus-difference gap
-of a corpus.
+of a corpus, and :func:`render`, which writes an AST back as text in
+the parser grammar.
 """
 
 from functools import lru_cache, partial
@@ -142,3 +143,43 @@ def jet_fd_worst(corpus):
     over ``(expr_fn, point, direction)`` corpus entries."""
     return max((fd_gap(stencil_jet(fn.args[0], point, direction, 1))
                 for fn, point, direction in corpus), default=0.0)
+
+
+# -- rendering ------------------------------------------------------------
+
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 10, 20, 30, 40, 100
+
+
+def _prec(e):
+    if isinstance(e, Bin):
+        return _PREC_ADD if e.op in "+-" else _PREC_MUL
+    if isinstance(e, Neg):
+        return _PREC_NEG
+    if isinstance(e, Pow):
+        return _PREC_POW
+    return _PREC_ATOM
+
+
+def _wrap(e, minimum):
+    s = render(e)
+    return f"({s})" if _prec(e) < minimum else s
+
+
+def render(e):
+    """Render an AST so that parsing the result yields an equal AST."""
+    if isinstance(e, Const):
+        return repr(e.value)
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Call):
+        return f"{e.fn}({render(e.arg)})"
+    if isinstance(e, Neg):
+        return "-" + _wrap(e.arg, _PREC_NEG)
+    if isinstance(e, Pow):
+        exp_text = str(e.exponent)
+        return f"{_wrap(e.base, _PREC_ATOM)}^{exp_text}"
+    if isinstance(e, Bin):
+        left = _wrap(e.left, _prec(e))
+        right = _wrap(e.right, _prec(e) + 1)
+        return f"{left} {e.op} {right}"
+    raise TypeError(f"not an expression node: {e!r}")

@@ -21,7 +21,13 @@ import numpy as np
 import pytest
 
 from accessors import report_body_json
-from cases import SPECS, coordinate_structure, evaluate_condition, sampled
+from cases import (
+    SPECS,
+    coordinate_structure,
+    evaluate_condition,
+    preset_spec,
+    sampled,
+)
 import condition_reference as ref
 from paracr import conditions, runner
 from paracr.conditions import (
@@ -180,7 +186,7 @@ class TestSectionalTarget:
         # graph chart is ill-conditioned at some of the 64 points (terms
         # of 1e5 cancel to a curvature of 1e2), and the deviation stays
         # at roundoff
-        spec = spec_from_dict(build_example("hyperboloid", n=n).spec_dict)
+        spec = preset_spec("hyperboloid", n=n)
         report = run(spec, checks=["axioms"], points=64, seed=seed)
         assert report.targets["sectional"]["max_abs_deviation"] <= 1e-9
 
@@ -247,7 +253,7 @@ class TestSectionalTarget:
         # feeds the self-tests, the checks and the targets: three
         # FrameBatch.rows slices and three Riem builds per run, not one
         # per chunk per stage
-        spec = spec_from_dict(build_example(name, **params).spec_dict)
+        spec = preset_spec(name, **params)
         rows, riem = [], []
         original_rows = FrameBatch.rows
         original_riem = FrameBatch.__dict__["Riem"].func
@@ -341,7 +347,7 @@ class TestChunking:
         # [TRIVIAL] chunks (sampling waves included) only bound memory:
         # every value is per point, and every stage folds its chunks in
         # point order
-        spec = spec_from_dict(build_example(name, **params).spec_dict)
+        spec = preset_spec(name, **params)
         bodies = []
         for chunk in (1, 3, runner._CHUNK, 10 ** 6):
             monkeypatch.setattr(runner, "_CHUNK", chunk)
@@ -534,7 +540,7 @@ class TestOnePass:
         # [TRIVIAL] the probe-dependent intermediates (the field brackets
         # of s0 and s1) are formed per chunk: three chunks of a 130-point
         # sample give the body of one
-        spec = spec_from_dict(build_example(name, **params).spec_dict)
+        spec = preset_spec(name, **params)
         bodies = []
         for chunk in (64, 10 ** 6):
             monkeypatch.setattr(runner, "_CHUNK", chunk)

@@ -2,8 +2,11 @@
 field-level integrability checks, and the classification logic.
 
 Oracle values marked [DERIVED] were computed from closed-form identities
-independent of the code under test (frame definitions, constant-curvature
-reductions, explicit obstruction functions) and frozen here.
+independent of the code under test (frame definitions, the Levi form of
+a paracontact metric structure) and frozen here.  The headline oracles
+-- the normality defects and shape operators of the frame families, the
+agreement of the para-CR criteria and the curvature identities -- are
+the acceptance criteria of tests/test_acceptance.py.
 """
 
 import os
@@ -23,10 +26,7 @@ from cases import (
     evaluate_condition,
     field_pair,
     first_entry,
-    scaled_diff,
-    h_zero_reduction_gap,
     structure,
-    verdict,
     worst_values,
 )
 from condition_reference import (
@@ -53,7 +53,6 @@ from paracr.errors import (
     WrongDimension,
 )
 from paracr.geometry import PointFrame
-from paracr.presets import flat3d, p1
 
 PASS = 1e-7
 FAIL = 1e-2
@@ -222,23 +221,6 @@ class TestInvolutivity:
             assert evaluate_condition("inv-plus", pf).scaled <= PASS
             assert evaluate_condition("inv-minus", pf).scaled <= PASS
 
-    def test_fx1_breaks_plus_distribution_only(self):
-        # [DERIVED] for f = x1 the integrability obstruction
-        # f*f_x - f_y + 2x1*f_z = x1 is nonzero, and it obstructs only
-        # the +1 eigendistribution; the -1 one stays involutive.
-        st = structure("p1_fx1")
-        pf = PointFrame(st, (0.8, 0.3, 0.1, -0.4, 1.0))
-        assert evaluate_condition("inv-plus", pf).scaled >= 0.1
-        assert evaluate_condition("inv-minus", pf).scaled <= 1e-9
-        rng = np.random.default_rng(6)
-        worst_plus = 0.0
-        for pt in box_points(st.chart, rng, 6):
-            pf = PointFrame(st, pt)
-            worst_plus = max(worst_plus,
-                             evaluate_condition("inv-plus", pf).scaled)
-            assert evaluate_condition("inv-minus", pf).scaled <= 1e-9
-        assert worst_plus >= 0.1
-
     def test_skew_breaks_minus_distribution_only(self):
         st = structure("p1_skew")
         rng = np.random.default_rng(7)
@@ -282,46 +264,6 @@ class TestNormalityFields:
                 assert np.max(np.abs(
                     normality_field_residual(pf, X, Y))) <= PASS
 
-    def test_p1_normality_defect_oracle(self):
-        # [DERIVED] for the p1 frame the only nonvanishing normality
-        # residual against the Reeb field is along the +1 frame fields:
-        #   N1(e_{n+a}, xi) = 2 (df/dz) e_a,    N1(e_a, xi) = 0.
-        desc = p1(2)
-        st = desc.structure
-        rng = np.random.default_rng(10)
-        c = 1.0
-        for pt in box_points(st.chart, rng, 5):
-            pf = PointFrame(st, pt)
-            f_z = -(c + pt[0] ** 2 + pt[1] ** 2) / pt[4] ** 2
-            xi_f = field_pair(st, 4, pt)
-            for a in range(2):
-                e_a = field_pair(st, a, pt)
-                e_na = field_pair(st, 2 + a, pt)
-                got_zero = normality_field_residual(pf, e_a, xi_f)
-                assert np.max(np.abs(got_zero)) <= 1e-8
-                got = normality_field_residual(pf, e_na, xi_f)
-                want = 2.0 * f_z * e_a[0]
-                assert scaled_diff(got, want) <= 1e-8
-
-    def test_cosymplectic_normality_defect_oracle(self):
-        # [DERIVED] with the default potential z*(x1^2), the second
-        # derivative d2H/dx1 dz = 2 x1 gives frame entries whose only
-        # normality defect against the Reeb field is
-        #   N1(e_1, xi) = 2 * d3H/dx1dx1dz * e_2 = 4 e_2.
-        st = structure("cosymplectic_n1")
-        rng = np.random.default_rng(12)
-        for pt in box_points(st.chart, rng, 5):
-            pf = PointFrame(st, pt)
-            xi_f = field_pair(st, 2, pt)
-            e0 = field_pair(st, 0, pt)
-            e1 = field_pair(st, 1, pt)
-            got = normality_field_residual(pf, e0, xi_f)
-            assert scaled_diff(got, 4.0 * e1[0]) <= 1e-8
-            assert np.max(np.abs(
-                normality_field_residual(pf, e1, xi_f))) <= 1e-8
-            assert np.max(np.abs(
-                normality_field_residual(pf, e0, e1))) <= 1e-8
-
 
 # ---------------------------------------------------------------------------
 # the shape operator h
@@ -337,32 +279,9 @@ class TestHOperator:
             for name, value in h_property_residuals(pf).items():
                 assert value <= 1e-9, (case, name, value)
 
-    def test_flat3d_h_action(self):
-        desc = flat3d()
-        pf = PointFrame(desc.structure, (0.3, -0.2, 0.4))
-        dz = np.array([0.0, 0.0, 1.0])
-        got = pf.h @ dz
-        assert scaled_diff(got, desc.targets["h_on_dz"] * dz) <= 1e-9
-
     def test_hyperboloid_h_vanishes(self):
         pf = PointFrame(structure("hyperboloid_n1"), (0.2, -0.1, 0.3))
         assert np.max(np.abs(pf.h)) <= 1e-9
-
-    def test_p1_h_is_nilpotent(self):
-        desc = p1(2)
-        st = desc.structure
-        rng = np.random.default_rng(14)
-        c = 1.0
-        for pt in box_points(st.chart, rng, 4):
-            pf = PointFrame(st, pt)
-            f_z = -(c + pt[0] ** 2 + pt[1] ** 2) / pt[4] ** 2
-            assert np.max(np.abs(pf.h @ pf.h)) <= \
-                desc.targets["h_squared_max"] + 1e-9
-            for a in range(2):
-                e_a, _ = field_pair(st, a, pt)
-                e_na, _ = field_pair(st, 2 + a, pt)
-                assert np.max(np.abs(pf.h @ e_a)) <= 1e-9
-                assert scaled_diff(pf.h @ e_na, -f_z * e_a) <= 1e-9
 
     def test_fx1_h_vanishes_without_normality(self):
         # f = x1 has df/dz = 0, hence h = 0, while the structure is not
@@ -448,123 +367,6 @@ class TestResidualSuite:
         out = [run.communicate(timeout=120)[0] for run in runs]
         assert [run.returncode for run in runs] == [0, 0]
         assert out[0] == out[1] and out[0].startswith("[[[")
-
-
-# ---------------------------------------------------------------------------
-# criterion equivalence: the integrability tests agree
-# ---------------------------------------------------------------------------
-
-class TestCriterionEquivalence:
-    CASES = ("flat3d", "hyperboloid_n1", "p1_n2", "cosymplectic_n1",
-             "p1_fx1", "p1_skew")
-
-    def test_full_criteria_agree_everywhere(self):
-        # The three complete integrability criteria -- (s0 and s1), the
-        # involutivity of both eigendistributions, and the covariant
-        # characterization -- give identical verdicts on every family,
-        # including both non-integrable controls.
-        for case in self.CASES:
-            vals = worst_values(case)
-            v1 = verdict(max(vals["s0"], vals["s1"]))
-            v2 = verdict(max(vals["inv-plus"], vals["inv-minus"]))
-            v3 = verdict(vals["thm1"])
-            assert v1 == v2 == v3, (case, v1, v2, v3)
-
-    def test_partial_integrability_forms_agree_everywhere(self):
-        # news00 and news01 are reformulations of s0 alone; all three
-        # verdicts coincide on every family, in both directions (they
-        # hold on fx1, where s1 fails, and fail jointly on skew).
-        for case in self.CASES:
-            vals = worst_values(case)
-            v = {cid: verdict(vals[cid])
-                 for cid in ("s0", "news00", "news01")}
-            assert len(set(v.values())) == 1, (case, v)
-        assert verdict(worst_values("p1_fx1")["s0"]) is True
-        assert verdict(worst_values("p1_skew")["s0"]) is False
-
-    def test_five_integrability_tests_agree_as_full_criteria(self):
-        # Read as tests for the full integrable structure (the partial
-        # forms supply s0 and are paired with s1), all five named
-        # criteria produce identical verdicts on every family.
-        for case in self.CASES:
-            vals = worst_values(case)
-            verdicts = [
-                verdict(max(vals["s0"], vals["s1"])),
-                verdict(max(vals["inv-plus"], vals["inv-minus"])),
-                verdict(max(vals["news00"], vals["s1"])),
-                verdict(max(vals["news01"], vals["s1"])),
-                verdict(vals["thm1"]),
-            ]
-            assert len(set(verdicts)) == 1, (case, verdicts)
-
-    def test_partial_integrability_is_automatic_with_contact_coupling(self):
-        # Whenever the fundamental two-form equals d(eta), s0 and its
-        # reformulations hold identically -- even on fx1, which fails the
-        # full criteria.
-        for case in ("flat3d", "hyperboloid_n1", "p1_n2", "p1_fx1"):
-            vals = worst_values(case)
-            assert vals["pcm"] <= PASS
-            for cid in ("s0", "news00", "news01"):
-                assert vals[cid] <= PASS, (case, cid, vals[cid])
-
-    def test_covariant_forms_match_para_cr_on_paracontact_cases(self):
-        # On structures with the contact coupling, the two covariant
-        # derivative formulas characterize the integrable case exactly.
-        for case in ("flat3d", "hyperboloid_n1", "p1_n2", "p1_fx1"):
-            vals = worst_values(case)
-            para_cr = verdict(max(vals["s0"], vals["s1"]))
-            assert verdict(vals["wzor1"]) == para_cr, case
-            assert verdict(vals["wzorzamk"]) == para_cr, case
-
-    def test_sasakian_iff_h_vanishes_among_integrable_cases(self):
-        # Among integrable paracontact metric cases, the para-Sasakian
-        # condition holds exactly when h vanishes.
-        for case, h_zero in (("flat3d", False), ("hyperboloid_n1", True),
-                             ("p1_n2", False)):
-            st = structure(case)
-            rng = np.random.default_rng(17)
-            h_max = max(
-                float(np.max(np.abs(PointFrame(st, pt).h)))
-                for pt in box_points(st.chart, rng, 4))
-            assert (h_max <= 1e-6) is h_zero, (case, h_max)
-            vals = worst_values(case)
-            assert verdict(vals["sas"]) is h_zero, (case, vals["sas"])
-
-
-# ---------------------------------------------------------------------------
-# curvature identities
-# ---------------------------------------------------------------------------
-
-class TestCurvatureIdentities:
-    @pytest.mark.parametrize("case", ["flat3d", "hyperboloid_n1", "p1_n2"])
-    def test_hold_on_integrable_paracontact_cases(self, case):
-        vals = worst_values(case)
-        assert vals["k1"] <= PASS
-        assert vals["k2"] <= PASS
-
-    def test_hold_in_higher_dimension(self):
-        st = structure("hyperboloid_n2")
-        rng = np.random.default_rng(18)
-        for pt in box_points(st.chart, rng, 3):
-            pf = PointFrame(st, pt)
-            probes = rng.uniform(-1.0, 1.0, size=(4, 4, 5))
-            assert evaluate_condition("k1", pf, probes).scaled <= PASS
-            assert evaluate_condition("k2", pf, probes).scaled <= PASS
-
-    @pytest.mark.parametrize("case", ["cosymplectic_n1", "p1_fx1"])
-    def test_specific_to_integrable_paracontact_hypotheses(self, case):
-        # The identities hold exactly for integrable paracontact metric
-        # structures; both controls outside that class break them.
-        vals = worst_values(case)
-        assert vals["k1"] >= FAIL
-        assert vals["k2"] >= FAIL
-
-    def test_hyperboloid_constant_curvature_reduction(self):
-        # [DERIVED] h = 0 reduces the first identity (h_zero_reduction_gap)
-        st = structure("hyperboloid_n2")
-        rng = np.random.default_rng(19)
-        for pt in box_points(st.chart, rng, 3):
-            assert h_zero_reduction_gap(PointFrame(st, pt)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import math
 import pytest
 
 from accessors import partials, second_partials
-from expression_corpus import eval_expr, random_expression_corpus
+from expression_corpus import eval_expr, random_expression_corpus, render
 from paracr.errors import DomainError, ParseError, UnknownVariable
 from paracr.expr import (
     Bin,
@@ -20,7 +20,6 @@ from paracr.expr import (
     Var,
     diff,
     parse,
-    render,
     variables,
 )
 from paracr.jets import Jet, coordinate_jets

@@ -109,12 +109,6 @@ def test_empty_corpus():
     assert jet_fd_worst([]) == 0.0
 
 
-def test_default_corpus_gap_is_pinned():
-    # the gap of the default corpus (seed 1234, 200 entries, depth 6)
-    assert jet_fd_worst(random_expression_corpus(1234, 200, 6)) == \
-        6.074975717954007e-09
-
-
 class TestExpressionCorpus:
     def test_count_and_shape(self):
         corpus = random_expression_corpus(seed=11, count=25, max_depth=5)

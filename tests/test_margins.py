@@ -23,9 +23,9 @@ import sys
 
 import pytest
 
-from paracr.presets import build_example
+from cases import preset_spec
 from paracr.runner import run
-from paracr.spec_io import DEFAULT_NUMERIC, load_spec, spec_from_dict
+from paracr.spec_io import DEFAULT_NUMERIC, load_spec
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RECORD = ROOT / "tests" / "golden" / "margins.json"
@@ -51,7 +51,7 @@ def population():
     """(label, spec) of every structure of the gate."""
     for name, params in PRESETS:
         label = " ".join([name] + [f"{k}={v}" for k, v in params.items()])
-        yield label, spec_from_dict(build_example(name, **params).spec_dict)
+        yield label, preset_spec(name, **params)
     for path in sorted(BENCH_SPECS.glob("*.json")):
         yield f"bench/specs/{path.name}", load_spec(str(path))
 

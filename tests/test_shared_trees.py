@@ -17,10 +17,10 @@ import pathlib
 import numpy as np
 import pytest
 
-from expression_corpus import EVAL_ERRORS, eval_expr, random_expression
-from paracr import geometry, jets
-from paracr.expr import FUNCTIONS, Bin, Call, Const, SharedTrees, parse, \
+from expression_corpus import EVAL_ERRORS, eval_expr, random_expression, \
     render
+from paracr import geometry, jets
+from paracr.expr import FUNCTIONS, Bin, Call, Const, SharedTrees, parse
 from paracr.jets import Jet, coordinate_jets
 from paracr.presets import build_example
 from paracr.spec_io import spec_from_dict

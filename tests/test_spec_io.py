@@ -16,6 +16,14 @@ import numpy as np
 import pytest
 
 from accessors import report_body
+from cases import (
+    BAD_NUMBERS,
+    BAD_PRESETS,
+    P1_F,
+    P1_FRAME_SPEC,
+    preset_spec,
+    with_value,
+)
 from paracr import expr
 from paracr.errors import ParseError, ValidationError
 from paracr.geometry import MAX_DIM, Chart, PointFrame
@@ -30,68 +38,6 @@ from paracr.spec_io import (
     spec_text,
     emit_spec,
 )
-
-P1_F = "(1.0 + x1^2 + x2^2)/z"
-
-# Preset blocks with a bad parameter, and what the error says.
-BAD_PRESETS = [
-    ({"name": "hyperboloid", "n": 0}, "n must be >= 1"),
-    ({"name": "hyperboloid", "n": -1}, "n must be >= 1"),
-    ({"name": "hyperboloid", "n": "x"}, "parameter n must be an integer"),
-    ({"name": "p1", "n": 2.5}, "parameter n must be an integer"),
-    ({"name": "cosymplectic", "n": True}, "parameter n must be an integer"),
-    ({"name": "p1", "c": "abc"}, "does not accept parameters ['c']"),
-    ({"name": "p1", "c": True}, "does not accept parameters ['c']"),
-    ({"name": "p1", "c": math.inf}, "does not accept parameters ['c']"),
-    ({"name": "p1", "f": 3}, "parameter f must be a string"),
-    ({"name": "cosymplectic", "H": 5}, "parameter H must be a string"),
-    # H itself is 62 levels deep, its second partials 129
-    ({"name": "cosymplectic", "H": "x1*z/(1+" * 30 + "x1*z" + ")" * 30},
-     "parameter H: its second partials nest deeper than 100 levels"),
-    ({"name": "p1", "n": 1}, "the p1 family needs n >= 2"),
-    ({"name": "cosymplectic", "n": 0}, "the cosymplectic family needs n >= 1"),
-    ({"name": "cosymplectic", "H": "y1*z"},
-     "parameter H: the potential may depend on ['x1', 'z'] only, found "
-     "['y1']"),
-    # one size above the largest chart dimension
-    *(({"name": name, "n": (MAX_DIM + 1) // 2},
-       f"chart dimension must be at most {MAX_DIM}, got {MAX_DIM + 2}")
-      for name in ("hyperboloid", "p1", "cosymplectic")),
-    ({"n": 2}, "missing preset name"),
-    # a parse error in f or H is located at its offset in the
-    # parameter's own text
-    ({"name": "p1", "f": "x1 + q"},
-     "parameter f: at offset 5: unknown variable 'q'"),
-    ({"name": "cosymplectic", "H": "z*(x1^2"},
-     "parameter H: at offset 7: got 'end of input' (expected ')')"),
-    ({"name": "p1", "f": "(" * 120 + "x1" + ")" * 120},
-     "parameter f: at offset 100: expression nests deeper than 100 levels"),
-    # -f is one level deeper than f
-    ({"name": "p1", "f": "-" * 99 + "x1"},
-     "parameter f: its frame entries nest deeper than 100 levels"),
-]
-
-P1_FRAME_SPEC = {
-    "chart": {
-        "coordinates": ["x1", "x2", "y1", "y2", "z"],
-        "box": [[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0],
-                [0.5, 1.5]],
-    },
-    "structure": {"frame": {
-        "E": [["1", "0", f"-({P1_F})", "0", "0"],
-              ["0", "1", "0", f"-({P1_F})", "0"],
-              ["0", "0", "1", "0", "0"],
-              ["0", "0", "0", "1", "0"],
-              ["0", "0", "-2*x1", "-2*x2", "1"]],
-        "g_hat": [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [1, 0, 0, 0, 0],
-                  [0, 1, 0, 0, 0], [0, 0, 0, 0, 1]],
-        "phi_hat": [[-1, 0, 0, 0, 0], [0, -1, 0, 0, 0], [0, 0, 1, 0, 0],
-                    [0, 0, 0, 1, 0], [0, 0, 0, 0, 0]],
-        "xi_hat": [0, 0, 0, 0, 1],
-        "eta_hat": [0, 0, 0, 0, 1],
-    }},
-    "checks": "all",
-}
 
 FLAT3D_COORDINATE_SPEC = {
     "chart": {
@@ -114,39 +60,6 @@ def mutated(base, mutate):
     bad = copy.deepcopy(base)
     mutate(bad)
     return bad
-
-
-def with_value(base, path, value):
-    """``base`` copied, with the item at the key ``path`` set to ``value``."""
-    spec = copy.deepcopy(base)
-    *head, last = path
-    target = spec
-    for key in head:
-        target = target[key]
-    target[last] = value
-    return spec
-
-
-# Numbers of P1_FRAME_SPEC replaced by values that are not finite floats
-# (JSON reads NaN, Infinity and -Infinity), and the start of the error.
-BAD_NUMBERS = [
-    (("chart", "box", 0, 0), -math.inf,
-     "chart block: box[0][0]: must be a finite number, not -Infinity"),
-    (("chart", "box", 4, 1), True,
-     "chart block: box[4][1]: must be a finite number, not true"),
-    (("chart", "box", 1), [-1e308, 1e308],
-     "chart block: box interval 1 (-1e+308, 1e+308) is wider than the "
-     "float range"),
-    (("structure", "frame", "g_hat", 1, 2), math.nan,
-     "structure.frame.g_hat[1][2]: must be a finite number, not NaN"),
-    (("structure", "frame", "phi_hat", 0, 0), math.inf,
-     "structure.frame.phi_hat[0][0]: must be a finite number, not "
-     "Infinity"),
-    (("structure", "frame", "xi_hat", 4), True,
-     "structure.frame.xi_hat[4]: must be a finite number, not true"),
-    (("structure", "frame", "eta_hat", 3), 10 ** 400,
-     "structure.frame.eta_hat[3]: must be a finite number, not 1000"),
-]
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +164,7 @@ class TestFrameTranscription:
         # expressions, so their runs agree byte for byte in all but the
         # spec digest and the preset's targets
         frame = run(spec_from_dict(P1_FRAME_SPEC), points=24, seed=seed)
-        preset = run(spec_from_dict(build_example("p1").spec_dict),
-                     points=24, seed=seed)
+        preset = run(preset_spec("p1"), points=24, seed=seed)
         for key in ("engine", "checks", "classification"):
             assert json.dumps(report_body(frame)[key]) == \
                 json.dumps(report_body(preset)[key]), key
@@ -509,9 +421,19 @@ class TestDigest:
         assert spec_from_dict(changed).digest != d
         assert spec_from_dict(dict(base, checks=["s0"])).digest != d
 
+    def test_preset_defaults_spelled_out_or_omitted(self):
+        # [TRIVIAL] a preset block normalizes to every parameter spelled
+        # out, so omitting a default moves neither digest nor text
+        for name, params in (("p1", [{"n": 2}, {"n": 2, "f": P1_F}]),
+                             ("hyperboloid", [{"n": 1}]),
+                             ("cosymplectic", [{"n": 1}, {"H": "z*(x1^2)"}])):
+            specs = [{"structure": {"preset": {"name": name, **extra}}}
+                     for extra in [{}] + params]
+            assert len({spec_from_dict(s).digest for s in specs}) == 1, name
+            assert len({spec_text(s) for s in specs}) == 1, name
+
     def test_distinct_structures_distinct_digests(self):
-        digests = {spec_from_dict(build_example(n).spec_dict).digest
-                   for n in PRESET_NAMES}
+        digests = {preset_spec(n).digest for n in PRESET_NAMES}
         assert len(digests) == len(PRESET_NAMES)
 
 
