@@ -1,14 +1,15 @@
 """End-to-end acceptance suite.
 
-Each test covers one numbered acceptance criterion and prints a single
-``ACCEPTANCE CRITERION n: PASS/FAIL`` line.  The criteria pin the
-package's headline behaviors: the curvature facts of the built-in
-families, the equivalence of the para-CR integrability criteria, the
-universal dimension-3 property, the curvature identities, the engine
-self-tests, and byte-level report determinism.  Each criterion is the
-one test of the oracles its summary names: every case, point and band
-of them is asserted here and nowhere else in the suite, and a criterion
-may assert more than its summary names.
+Each test covers one numbered acceptance criterion, with one test id
+per case of it (a family, a structure, a seed or a preset), and each id
+prints a single ``ACCEPTANCE CRITERION n: PASS/FAIL`` line.  The
+criteria pin the package's headline behaviors: the curvature facts of
+the built-in families, the equivalence of the para-CR integrability
+criteria, the universal dimension-3 property, the curvature identities,
+the engine self-tests, and byte-level report determinism.  Each
+criterion is the one test of the oracles its summary names: every case,
+point and band of them is asserted here and nowhere else in the suite,
+and a criterion may assert more than its summary names.
 
 Oracle provenance markers:
 - [TRIVIAL]: forced by definitions or documented contracts.
@@ -22,6 +23,7 @@ import json
 import pathlib
 
 import numpy as np
+import pytest
 
 from accessors import report_body_json
 from cases import (
@@ -93,67 +95,68 @@ def sectionals(frame_of, draw, count):
 # criterion 1 — hyperboloid curvature and fingerprint
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("n", (1, 2))
 @criterion(1, "hyperboloid family: constant sectional curvature -1 over "
               "200 random planes (n=1 and n=2) and the para-Sasakian "
               "para-CR fingerprint")
-def test_criterion_01_hyperboloid_curvature_and_fingerprint():
-    for case, n in (("hyperboloid_n1", 1), ("hyperboloid_n2", 2)):
-        st, frames, _ = sampled(case)
-        # [DERIVED] 200 random nondegenerate planes over the sample, then
-        # 5 at each of 4 box points
-        rng = np.random.default_rng(100 + n)
-        ks = sectionals(lambda k: frames[k % len(frames)],
-                        lambda: rng.uniform(-1, 1, (2, st.dim)), 200)
-        rng = np.random.default_rng(61)
-        for pf in box_frames(st, rng, 4):
-            ks += sectionals(lambda k: pf,
-                             lambda: rng.standard_normal((2, st.dim)), 5)
-        for k in ks:
-            assert abs(k + 1.0) < 1e-6, (case, k)
-        # classification fingerprint
-        got = classify(worst_values(case))
-        assert got == FINGERPRINTS[case], (case, got)
-        for name in ("paracontact_metric", "normal", "para_sasakian",
-                     "para_cr"):
-            assert got[name] is True
+def test_criterion_01_hyperboloid_curvature_and_fingerprint(n):
+    case = f"hyperboloid_n{n}"
+    st, frames, _ = sampled(case)
+    # [DERIVED] 200 random nondegenerate planes over the sample, then 5
+    # at each of 4 box points
+    rng = np.random.default_rng(100 + n)
+    ks = sectionals(lambda k: frames[k % len(frames)],
+                    lambda: rng.uniform(-1, 1, (2, st.dim)), 200)
+    rng = np.random.default_rng(61)
+    for pf in box_frames(st, rng, 4):
+        ks += sectionals(lambda k: pf,
+                         lambda: rng.standard_normal((2, st.dim)), 5)
+    for k in ks:
+        assert abs(k + 1.0) < 1e-6, (case, k)
+    # classification fingerprint
+    got = classify(worst_values(case))
+    assert got == FINGERPRINTS[case], (case, got)
+    for name in ("paracontact_metric", "normal", "para_sasakian",
+                 "para_cr"):
+        assert got[name] is True
 
 
 # ---------------------------------------------------------------------------
 # criterion 2 — hyperboloid n=2 scalar curvature facts
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("n", (2, 1))
 @criterion(2, "hyperboloid n=2: r = -20, r* = 4, r + r* + 16 = 0, "
               "R(X,Y)xi = eta(X)Y - eta(Y)X, and Ric xi = -4 xi")
-def test_criterion_02_hyperboloid_scalar_curvature():
+def test_criterion_02_hyperboloid_scalar_curvature(n):
     # [DERIVED] constant curvature -1 in dimension m = 2n + 1:
     # R(X,Y)Z = -(g(Y,Z) X - g(X,Z) Y), hence Ric = -2n g,
     # r = -2n(2n+1), R(X,Y)xi = eta(X)Y - eta(Y)X, and with the
     # compatibility identity Ric*(Y,Z) = g(Y,Z) - eta(Y) eta(Z), r* = 2n
     # and r + r* = -4n^2.  At n = 2: r = -20, r* = 4, Ric xi = -4 xi.
     rng = np.random.default_rng(2)
-    for n in (2, 1):
-        st, frames, _ = sampled(f"hyperboloid_n{n}")
-        eye = np.eye(st.dim)
-        pool = [*frames, *box_frames(st, np.random.default_rng(29), 3),
-                *box_frames(st, np.random.default_rng(31), 2)]
-        for pf in pool:
-            expect = -(np.einsum('by,kw->kwby', pf.g, eye)
-                       - np.einsum('wy,kb->kwby', pf.g, eye))
-            assert np.max(np.abs(pf.Riem - expect)) < 1e-6
-            assert np.max(np.abs(pf.Ric + 2 * n * pf.g)) < 1e-6
-            assert abs(pf.r + 2 * n * (2 * n + 1)) < 1e-6
-            want = pf.g - np.outer(pf.eta, pf.eta)
-            assert np.max(np.abs(pf.Ric_star - want)) < 1e-6
-            assert abs(pf.r_star - 2 * n) < 1e-6
-            assert abs(pf.r + pf.r_star + 4 * n * n) < 1e-6
-            for _ in range(4):
-                X = rng.uniform(-1, 1, pf.m)
-                Y = rng.uniform(-1, 1, pf.m)
-                got = np.einsum('kwxj,w,x,j->k', pf.Riem, X, Y, pf.xi)
-                want = (pf.eta @ X) * Y - (pf.eta @ Y) * X
-                assert np.max(np.abs(got - want)) <= 1e-6
-            ric_op = pf.ginv @ pf.Ric
-            assert np.max(np.abs(ric_op @ pf.xi + 2 * n * pf.xi)) <= 1e-6
+    st, frames, _ = sampled(f"hyperboloid_n{n}")
+    eye = np.eye(st.dim)
+    pool = [*frames, *box_frames(st, np.random.default_rng(29), 3),
+            *box_frames(st, np.random.default_rng(31), 2)]
+    for pf in pool:
+        expect = -(np.einsum('by,kw->kwby', pf.g, eye)
+                   - np.einsum('wy,kb->kwby', pf.g, eye))
+        assert np.max(np.abs(pf.Riem - expect)) < 1e-6
+        assert np.max(np.abs(pf.Ric + 2 * n * pf.g)) < 1e-6
+        assert abs(pf.r + 2 * n * (2 * n + 1)) < 1e-6
+        want = pf.g - np.outer(pf.eta, pf.eta)
+        assert np.max(np.abs(pf.Ric_star - want)) < 1e-6
+        assert abs(pf.r_star - 2 * n) < 1e-6
+        assert abs(pf.r + pf.r_star + 4 * n * n) < 1e-6
+        for _ in range(4):
+            X = rng.uniform(-1, 1, pf.m)
+            Y = rng.uniform(-1, 1, pf.m)
+            got = np.einsum('kwxj,w,x,j->k', pf.Riem, X, Y, pf.xi)
+            want = (pf.eta @ X) * Y - (pf.eta @ Y) * X
+            assert np.max(np.abs(got - want)) <= 1e-6
+        ric_op = pf.ginv @ pf.Ric
+        assert np.max(np.abs(ric_op @ pf.xi + 2 * n * pf.xi)) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +189,13 @@ def test_criterion_03_flat3d():
 # criterion 4 — the graph-frame family on R^5
 # ---------------------------------------------------------------------------
 
-@criterion(4, "graph-frame family (default f): paracontact metric, "
-              "para-CR, h^2 = 0, normality defect 2|df/dz| along the "
-              "+1 frame fields; the f = x1 variant breaks D+ "
-              "involutivity")
+criterion_04 = criterion(
+    4, "graph-frame family (default f): paracontact metric, para-CR, "
+       "h^2 = 0, normality defect 2|df/dz| along the +1 frame fields; "
+       "the f = x1 variant breaks D+ involutivity")
+
+
+@criterion_04
 def test_criterion_04_p1_family():
     st, frames, _ = sampled("p1_n2")
     vals = worst_values("p1_n2")
@@ -216,6 +222,10 @@ def test_criterion_04_p1_family():
                 normality_field_residual(pf, e_a, xi_f))) <= 1e-8
             got = normality_field_residual(pf, e_na, xi_f)
             assert scaled_diff(got, 2.0 * f_z * e_a[0]) <= 1e-8
+
+
+@criterion_04
+def test_criterion_04_p1_fx1_variant():
     # [DERIVED] for f = x1 the integrability obstruction
     # f*f_x - f_y + 2x1*f_z = x1 is nonzero, and it obstructs only the
     # +1 eigendistribution; the -1 one stays involutive.
@@ -271,42 +281,43 @@ def test_criterion_05_cosymplectic_family():
 # criterion 6 — equivalence of the para-CR criteria
 # ---------------------------------------------------------------------------
 
+PARTIAL_VERDICT = {"p1_fx1": True, "p1_skew": False}
+H_VANISHES = {"flat3d": False, "hyperboloid_n1": True, "p1_n2": False}
+
+
+@pytest.mark.parametrize("case", ("flat3d", "hyperboloid_n1", "p1_n2",
+                                  "cosymplectic_n1", "p1_fx1", "p1_skew"))
 @criterion(6, "criterion-equivalence suite: the para-CR tests agree on "
               "every family and the covariant and shape-operator "
               "characterizations match them on paracontact metric "
               "structures")
-def test_criterion_06_equivalence_suite():
-    cases = ("flat3d", "hyperboloid_n1", "p1_n2", "cosymplectic_n1",
-             "p1_fx1", "p1_skew")
-    for case in cases:
-        vals = worst_values(case)
-        # the three complete criteria -- (s0 and s1), the involutivity
-        # of both eigendistributions and the covariant characterization
-        # -- agree ...
-        full = [
-            verdict(max(vals["s0"], vals["s1"])),
-            verdict(max(vals["inv-plus"], vals["inv-minus"])),
-            verdict(vals["thm1"]),
-        ]
-        # ... and the partial forms, read as full criteria by pairing
-        # them with s1, agree with them as well.
-        five = full + [
-            verdict(max(vals["news00"], vals["s1"])),
-            verdict(max(vals["news01"], vals["s1"])),
-        ]
-        assert len(set(five)) == 1, (case, five)
-        # the partial forms agree among themselves in both directions
-        partial = {verdict(vals[cid])
-                   for cid in ("s0", "news00", "news01")}
-        assert len(partial) == 1, case
+def test_criterion_06_equivalence_suite(case):
+    vals = worst_values(case)
+    # the three complete criteria -- (s0 and s1), the involutivity of
+    # both eigendistributions and the covariant characterization --
+    # agree ...
+    full = [
+        verdict(max(vals["s0"], vals["s1"])),
+        verdict(max(vals["inv-plus"], vals["inv-minus"])),
+        verdict(vals["thm1"]),
+    ]
+    # ... and the partial forms, read as full criteria by pairing them
+    # with s1, agree with them as well.
+    five = full + [
+        verdict(max(vals["news00"], vals["s1"])),
+        verdict(max(vals["news01"], vals["s1"])),
+    ]
+    assert len(set(five)) == 1, (case, five)
+    # the partial forms agree among themselves in both directions
+    partial = {verdict(vals[cid]) for cid in ("s0", "news00", "news01")}
+    assert len(partial) == 1, case
     # they hold on fx1, where s1 fails, and fail jointly on skew
-    assert verdict(worst_values("p1_fx1")["s0"]) is True
-    assert verdict(worst_values("p1_skew")["s0"]) is False
+    if case in PARTIAL_VERDICT:
+        assert verdict(vals["s0"]) is PARTIAL_VERDICT[case]
 
     # on paracontact metric structures the partial forms hold
     # identically, and the covariant characterizations match para-CR
-    for case in ("flat3d", "hyperboloid_n1", "p1_n2", "p1_fx1"):
-        vals = worst_values(case)
+    if case in ("flat3d", "hyperboloid_n1", "p1_n2", "p1_fx1"):
         for cid in ("pcm", "s0", "news00", "news01"):
             assert vals[cid] <= 1e-7, (case, cid, vals[cid])
         para_cr = verdict(max(vals["s0"], vals["s1"]))
@@ -315,85 +326,107 @@ def test_criterion_06_equivalence_suite():
 
     # among integrable paracontact metric cases, the para-Sasakian
     # equation holds exactly when h vanishes
-    for case, h_zero in (("flat3d", False), ("hyperboloid_n1", True),
-                         ("p1_n2", False)):
+    if case in H_VANISHES:
         st, frames, _ = sampled(case)
         pool = [*frames, *box_frames(st, np.random.default_rng(17), 4)]
         h_max = max(float(np.max(np.abs(pf.h))) for pf in pool)
-        assert (h_max <= PASS_TOL) is h_zero, (case, h_max)
-        assert verdict(worst_values(case)["sas"]) is h_zero, case
+        assert (h_max <= PASS_TOL) is H_VANISHES[case], (case, h_max)
+        assert verdict(vals["sas"]) is H_VANISHES[case], case
 
 
 # ---------------------------------------------------------------------------
 # criterion 7 — every random dimension-3 structure is para-CR
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("seed", range(30))
 @criterion(7, "30 random dimension-3 frame structures (seeded "
               "generator) pass every para-CR criterion at 1e-6")
-def test_criterion_07_random_dim3_structures():
+def test_criterion_07_random_dim3_structures(seed):
     bundle = expand_checks(["para-cr"], 3)
-    worst_overall = 0.0
-    for seed in range(30):
-        st = random_dim3_structure(seed)
-        rng = np.random.default_rng(1000 + seed)
-        frames = sample_points(st, rng, 16)
-        probes = rng.uniform(-1.0, 1.0, (16, 4, 4, 3))
-        for cid, value in evaluate_conditions(bundle, frames,
-                                              probes).items():
-            worst_overall = max(worst_overall, value.scaled)
-            assert value.scaled <= 1e-6, (seed, cid, value.scaled)
+    st = random_dim3_structure(seed)
+    rng = np.random.default_rng(1000 + seed)
+    frames = sample_points(st, rng, 16)
+    probes = rng.uniform(-1.0, 1.0, (16, 4, 4, 3))
+    worst = 0.0
+    for cid, value in evaluate_conditions(bundle, frames, probes).items():
+        worst = max(worst, value.scaled)
+        assert value.scaled <= 1e-6, (seed, cid, value.scaled)
     # the property holds with a wide numerical margin
-    assert worst_overall <= 1e-9
+    assert worst <= 1e-9
 
 
 # ---------------------------------------------------------------------------
 # criterion 8 — curvature identities
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("case", ("flat3d", "hyperboloid_n1",
+                                  "hyperboloid_n2", "p1_n2",
+                                  "cosymplectic_n1", "p1_fx1"))
 @criterion(8, "curvature identities: both residuals vanish on the "
               "hyperboloid (with the h = 0 reduction) and on the flat "
               "3D family at 64 points")
-def test_criterion_08_curvature_identities():
-    # flat 3D family at 64 points
-    _, frames, probes = sampled("flat3d", 64, seed=8)
-    for value in evaluate_conditions(["k1", "k2"], frames, probes).values():
-        assert value.scaled <= 1e-7
-    # the identities hold on the integrable paracontact metric cases,
-    # and both controls outside that class break them
-    for case in ("flat3d", "hyperboloid_n1", "hyperboloid_n2", "p1_n2"):
-        vals = worst_values(case)
-        assert vals["k1"] <= 1e-7 and vals["k2"] <= 1e-7, case
-    for case in ("cosymplectic_n1", "p1_fx1"):
-        vals = worst_values(case)
+def test_criterion_08_curvature_identities(case):
+    vals = worst_values(case)
+    # both controls outside the class of integrable paracontact metric
+    # structures break the identities
+    if case in ("cosymplectic_n1", "p1_fx1"):
         assert vals["k1"] >= 1e-2 and vals["k2"] >= 1e-2, case
-    # hyperboloid n=2 at 3 box points, 4 probe draws each
-    st = structure("hyperboloid_n2")
-    rng = np.random.default_rng(18)
-    for pf in box_frames(st, rng, 3):
-        probes = rng.uniform(-1.0, 1.0, size=(4, 4, 5))
-        assert evaluate_condition("k1", pf, probes).scaled <= 1e-7
-        assert evaluate_condition("k2", pf, probes).scaled <= 1e-7
-    # [DERIVED] h = 0 reduces the first identity (h_zero_reduction_gap)
-    pool = [*sampled("hyperboloid_n1")[1], *sampled("hyperboloid_n2")[1],
-            *box_frames(st, np.random.default_rng(19), 3)]
-    for pf in pool:
-        assert h_zero_reduction_gap(pf) <= 1e-9
+        return
+    # the identities hold on the integrable paracontact metric cases
+    assert vals["k1"] <= 1e-7 and vals["k2"] <= 1e-7, case
+    if case == "flat3d":
+        # flat 3D family at 64 points
+        _, frames, probes = sampled("flat3d", 64, seed=8)
+        for value in evaluate_conditions(["k1", "k2"], frames,
+                                         probes).values():
+            assert value.scaled <= 1e-7
+    if case.startswith("hyperboloid"):
+        pool = list(sampled(case)[1])
+        if case == "hyperboloid_n2":
+            # 3 box points, 4 probe draws each
+            st = structure(case)
+            rng = np.random.default_rng(18)
+            for pf in box_frames(st, rng, 3):
+                probes = rng.uniform(-1.0, 1.0, size=(4, 4, 5))
+                assert evaluate_condition("k1", pf, probes).scaled <= 1e-7
+                assert evaluate_condition("k2", pf, probes).scaled <= 1e-7
+            pool += box_frames(st, np.random.default_rng(19), 3)
+        # [DERIVED] h = 0 reduces the first identity
+        # (h_zero_reduction_gap)
+        for pf in pool:
+            assert h_zero_reduction_gap(pf) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
 # criterion 9 — engine self-tests
 # ---------------------------------------------------------------------------
 
-@criterion(9, "engine self-tests: connection and curvature identities, "
-              "exterior-derivative nilpotency, jets against finite "
-              "differences, and conformal-flatness obstructions")
-def test_criterion_09_engine_self_tests():
-    pool = [pf for case in ("flat3d", "hyperboloid_n1", "hyperboloid_n2",
-                            "p1_n2", "cosymplectic_n1")
-            for pf in sampled(case)[1]]
-    pool += sampled("random0", 4, seed=9)[1]
-    for case in ("flat3d", "hyperboloid_n1", "p1_n2", "cosymplectic_n1"):
-        st = structure(case)
+criterion_09 = criterion(
+    9, "engine self-tests: connection and curvature identities, "
+       "exterior-derivative nilpotency, jets against finite differences, "
+       "and conformal-flatness obstructions")
+
+# [DERIVED] constant-curvature spaces, and flat ones, are conformally
+# flat: the dimension-appropriate obstruction vanishes over the sample
+# and at one more point.
+CONFORMALLY_FLAT = {
+    "hyperboloid_n2": (weyl, (0.1, -0.2, 0.3, 0.0, 0.2), 1e-5),
+    "hyperboloid_n1": (cotton, (0.2, -0.1, 0.3), 1e-5),
+    "flat3d": (cotton, (0.3, 0.1, -0.4), 1e-10),
+}
+
+
+@pytest.mark.parametrize("case", ("flat3d", "hyperboloid_n1",
+                                  "hyperboloid_n2", "p1_n2",
+                                  "cosymplectic_n1", "random0"))
+@criterion_09
+def test_criterion_09_engine_self_tests(case):
+    if case == "random0":
+        st, frames, _ = sampled(case, 4, seed=9)
+    else:
+        st, frames, _ = sampled(case)
+    pool = list(frames)
+    if case in ("flat3d", "hyperboloid_n1", "p1_n2", "cosymplectic_n1"):
         pool += box_frames(st, np.random.default_rng(19), 3)
         pool += box_frames(st, np.random.default_rng(53), 2)
     for pf in pool:
@@ -403,44 +436,42 @@ def test_criterion_09_engine_self_tests():
         assert pf.inverse_identity < 1e-12
         assert pf.bianchi <= 1e-7
         assert pf.dd_eta < 1e-8
+    if case in CONFORMALLY_FLAT:
+        obstruction, point, band = CONFORMALLY_FLAT[case]
+        values = np.concatenate([obstruction(frames),
+                                 obstruction(PointFrame(st, point).batch)])
+        assert np.max(values) < band, (case, np.max(values))
+
+
+@criterion_09
+def test_criterion_09_jets_against_finite_differences():
     # jets against central differences over 200 random expressions: the
     # gap of this corpus, pinned
     corpus = random_expression_corpus(seed=1234, count=200, max_depth=6)
     assert len(corpus) == 200
     assert jet_fd_worst(corpus) == 6.074975717954007e-09
-    # [DERIVED] constant-curvature spaces, and flat ones, are conformally
-    # flat: the dimension-appropriate obstruction vanishes over the
-    # sample and at one more point.
-    for case, obstruction, point, band in (
-            ("hyperboloid_n2", weyl, (0.1, -0.2, 0.3, 0.0, 0.2), 1e-5),
-            ("hyperboloid_n1", cotton, (0.2, -0.1, 0.3), 1e-5),
-            ("flat3d", cotton, (0.3, 0.1, -0.4), 1e-10)):
-        st, frames, _ = sampled(case)
-        values = np.concatenate([obstruction(frames),
-                                 obstruction(PointFrame(st, point).batch)])
-        assert np.max(values) < band, (case, np.max(values))
 
 
 # ---------------------------------------------------------------------------
 # criterion 10 — report determinism and golden files
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
 @criterion(10, "verification reports: byte-identical bodies across "
                "repeat runs and exact agreement with the stored golden "
                "files for all four example families")
-def test_criterion_10_report_determinism():
-    for name in ("flat3d", "hyperboloid"):
-        spec = preset_spec(name)
+def test_criterion_10_report_determinism(name):
+    spec = preset_spec(name)
+    golden = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+    assert report_body_json(run(spec)) == golden, name
+    rows = json.loads(golden)["checks"]
+    if name in ("flat3d", "hyperboloid"):
         a = run(spec, checks=["para-cr"], points=8)
         b = run(spec, checks=["para-cr"], points=8)
         assert report_body_json(a) == report_body_json(b), name
         assert a.json() != "" and b.json() != ""
-    rows = run(preset_spec("flat3d"), points=8).checks
-    for name in PRESET_NAMES:
-        report = run(preset_spec(name))
-        golden = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
-        assert report_body_json(report) == golden, name
-        rows += json.loads(golden)["checks"]
+    if name == "flat3d":
+        rows += run(spec, points=8).checks
     # stored residuals reproduce the stored verdicts
     for row in rows:
         expected = ("pass" if row["scaled"] <= PASS_TOL else
