@@ -805,6 +805,14 @@ class _Reduction:
         return table[:, self.raw], np.max(table[:, terms], axis=2)
 
 
+def _require_dimension(cond, dim):
+    """WrongDimension when the condition does not apply in dimension
+    ``dim``: a ``dim3`` identity anywhere but in dimension 3."""
+    if cond.scope == "dim3" and dim != 3:
+        raise WrongDimension(f"{cond.id}: this identity is specific to "
+                             f"dimension 3, got {dim}")
+
+
 def evaluate_conditions(cond_ids, batch, probes):
     """Worst value of each listed condition over a FrameBatch, as a dict
     in the given order of ConditionValue, or of the ParacrError its
@@ -823,10 +831,7 @@ def evaluate_conditions(cond_ids, batch, probes):
     with np.errstate(invalid="ignore", over="ignore"):
         for cond in conds:
             try:
-                if cond.scope == "dim3" and batch.m != 3:
-                    raise WrongDimension(f"{cond.id}: this identity is "
-                                         f"specific to dimension 3, got "
-                                         f"{batch.m}")
+                _require_dimension(cond, batch.m)
                 spans[cond.id] = reduction.add(cond.fn(batch, shared))
             except ParacrError as exc:
                 out[cond.id] = exc
@@ -866,7 +871,8 @@ def validate_checks(checks):
 def expand_checks(requested, dim):
     """Expand a check request (see :func:`validate_checks`) into a
     deduplicated ordered list of condition ids.  'all' means every
-    condition applicable in the given dimension."""
+    condition applicable in the given dimension; a condition named that
+    does not apply there raises WrongDimension."""
     requested = validate_checks(requested)
     out = []
     for item in ["all"] if requested == "all" else requested:
@@ -876,6 +882,7 @@ def expand_checks(requested, dim):
         else:
             ids = BUNDLES.get(item, (item,))
         for cid in ids:
+            _require_dimension(CONDITIONS[cid], dim)
             if cid not in out:
                 out.append(cid)
     return out

@@ -67,9 +67,10 @@ _MIN_FRAME_DET = 1e-6
 _MIN_PATCH_MARGIN = 1e-6
 
 # Largest chart dimension, so that a larger one is an input error and
-# not an allocation failure.  A 64-point run of every check peaks at
-# 413-440 MB of resident memory at m = 15 (the three families with n),
-# and at 639 MB at m = 17 (p1).
+# not an allocation failure.  A 64-point run of every check, in a fresh
+# process, peaks at 307-316 MB of resident memory at m = 15 (the three
+# families with n) and at 482-500 MB at m = 17 (with this bound raised;
+# Python 3.11, NumPy 2.4).
 MAX_DIM = 15
 
 

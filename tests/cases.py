@@ -41,7 +41,7 @@ from paracr.geometry import (
 )
 from paracr.presets import build_example, default_p1_f
 from paracr.runner import sample_points
-from paracr.spec_io import load_spec, spec_from_dict
+from paracr.spec_io import MAX_PROBES, load_spec, spec_from_dict
 from scalar_reference import Dual, depth_of, frame_matrix
 
 SPECS = pathlib.Path(__file__).parents[1] / "bench" / "specs"
@@ -215,6 +215,74 @@ BAD_NUMBERS = [
     (("structure", "frame", "eta_hat", 3), 10 ** 400,
      "structure.frame.eta_hat[3]: must be a finite number, not 1000"),
 ]
+
+# `paracr verify --checks all` runs at seed 0, as family:points[:n]:
+# two chunks (64 + 16) at 80 points, three (64 + 64 + 2) at 130, and a
+# full chunk of the sparse frame and tangent algebra at n = 4 (m = 9);
+# "frame" is P1_FRAME_SPEC.
+SMOKE_RUNS = ["flat3d:8", "hyperboloid:8", "p1:8", "cosymplectic:8",
+              "flat3d:80", "hyperboloid:80", "p1:130", "frame:8",
+              "p1:64:4", "cosymplectic:64:4", "hyperboloid:64:4"]
+
+
+def _coordinate_spec(g, coordinates=("x", "y", "z")):
+    """The spec with metric rows g and phi, xi, eta zero, over ±1."""
+    m = len(coordinates)
+    zero = ["0"] * m
+    return {"chart": {"coordinates": list(coordinates),
+                      "box": [[-1, 1]] * m},
+            "structure": {"coordinate": {"g": g, "phi": [zero] * m,
+                                         "xi": zero, "eta": zero}}}
+
+
+_OVERSIZED = [f"u{i}" for i in range(MAX_DIM + 2)]
+
+# Spec files that `verify --points 2` rejects with exit 2 and one
+# "error:" line, by name: the file (bytes, or a dict written as JSON)
+# and what the line says, all of it when that starts "error: ", else a
+# part of it.
+MALFORMED_SPECS = {
+    "not-utf8": (b"\xff{}", ""),
+    "deep-parens": (_coordinate_spec(
+        first_entry("(" * 10000 + "x" + ")" * 10000)), ""),
+    "long-sum": (_coordinate_spec(first_entry("+".join(["x"] * 10000))), ""),
+    "unknown-preset": ({"structure": {"preset": {"name": "nope"}}}, ""),
+    "bad-preset-parameter": ({"structure": {"preset": {
+        "name": "p1", "f": "x1 + q"}}}, "parameter f"),
+    "oversized-probes": ({"structure": {"preset": {"name": "flat3d"}},
+                          "numeric": {"probes": 10 ** 12}},
+                         f"error: numeric block: probes must be <= "
+                         f"{MAX_PROBES}"),
+    "oversized-dimension": ({"structure": {"preset": {
+        "name": "p1", "n": 30}}}, "chart dimension"),
+    # every draw is rejected: g00 = 0, and g00 = (1e200 + x)^2 overflows
+    "all-rejected": (_coordinate_spec(first_entry("0")), "DegenerateMetric"),
+    "overflowing-product": (_coordinate_spec(
+        first_entry("(1e200 + x) * (1e200 + x)")), "DomainError"),
+    "frame-constant-error": ({
+        "chart": {"coordinates": ["x", "y", "z"], "box": [[-1, 1]] * 3},
+        "structure": {"frame": {
+            "E": first_entry("1/0"),
+            "g_hat": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            "phi_hat": [[0] * 3] * 3, "xi_hat": [0] * 3,
+            "eta_hat": [0] * 3}}}, "DomainError"),
+    # the bound of every chart, not only the presets'
+    "oversized-coordinate-chart": (
+        _coordinate_spec([["0"] * len(_OVERSIZED)] * len(_OVERSIZED),
+                         _OVERSIZED),
+        f"error: chart block: chart dimension must be at most {MAX_DIM}, "
+        f"got {MAX_DIM + 2}"),
+    # an entry E[0][0] of P1_FRAME_SPEC that raises at every point
+    **{f"p1-frame-{entry}": (
+        with_value(P1_FRAME_SPEC, ("structure", "frame", "E", 0, 0), entry),
+        f"error: {line}") for entry, line in (
+            ("1/0", "DomainError in a component expression: division by "
+                    "0.0 inside guard band"),
+            ("ln(0)", "DomainError in a component expression: ln of "
+                      "non-positive value 0.0"),
+            ("exp(1000)", "OverflowError in a component expression: math "
+                          "range error"))},
+}
 
 
 def _preset(name, **params):

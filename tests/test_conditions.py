@@ -111,6 +111,11 @@ class TestRegistry:
         assert "jw3d" in ids3
         assert "jw3d" not in ids5
         assert set(ids5) | {"jw3d"} == set(CONDITION_IDS)
+        # named, it is refused where it does not apply
+        assert expand_checks(["jw3d"], 3) == ["jw3d"]
+        with pytest.raises(WrongDimension, match="^jw3d: this identity is "
+                           "specific to dimension 3, got 5$"):
+            expand_checks(["s0", "jw3d"], 5)
 
     def test_expand_deduplicates_preserving_order(self):
         out = expand_checks(["s0", "para-cr", "s0"], 5)

@@ -51,6 +51,7 @@ from paracr.errors import (
 from paracr.expr import parse
 from paracr.geometry import (
     Chart,
+    CoordinateStructure,
     FrameStructure,
     HyperboloidStructure,
     PointFrame,
@@ -550,6 +551,18 @@ class TestChartValidation:
     def test_chart_shape(self):
         chart = Chart(("x", "y", "z"), BOX3)
         assert chart.dim == 3 and chart.n == 1
+
+    def test_structures_reject_a_block_that_is_not_m_x_m(self):
+        # [TRIVIAL] two rows of three in a chart of dimension 3
+        chart = Chart(("x", "y", "z"), BOX3)
+        rows = [[parse("1", chart.coordinates)] * 3] * 2
+        zero = [parse("0", chart.coordinates)] * 3
+        with pytest.raises(ValueError, match="component matrices must be "
+                                             "m x m"):
+            CoordinateStructure(chart, rows, [zero] * 3, zero, zero)
+        with pytest.raises(ValueError, match="frame matrix must be m x m"):
+            FrameStructure(chart, rows, np.eye(3), np.eye(3), [0, 0, 1],
+                           [0, 0, 1])
 
 
 class TestFrameConversion:

@@ -12,6 +12,9 @@ criterion 10 (tests/test_acceptance.py).
 
 import json
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,16 +23,18 @@ from accessors import report_body, report_body_json
 from cases import (
     BAD_NUMBERS,
     BAD_PRESETS,
+    MALFORMED_SPECS,
     P1_FRAME_SPEC,
+    SMOKE_RUNS,
     preset_spec,
     singular_frame_structure,
     structure,
     with_value,
 )
-from paracr import cli
+from paracr import cli, runner
 from paracr.conditions import CONDITIONS, expand_checks
 from paracr.errors import SamplingExhausted, ValidationError
-from paracr.geometry import MAX_DIM, FrameBatch
+from paracr.geometry import FrameBatch
 from paracr.presets import build_example
 from paracr.runner import (
     Report,
@@ -40,8 +45,23 @@ from paracr.runner import (
     run,
     sample_points,
 )
-from paracr.spec_io import MAX_POINTS, MAX_PROBES, spec_from_dict
+from paracr.spec_io import MAX_POINTS, spec_from_dict
 from scalar_reference import sample
+
+
+def _reject_token(token):
+    """``parse_constant`` of strict JSON, which has no NaN or Infinity."""
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def _write_malformed_spec(directory, name):
+    """The path of the spec file MALFORMED_SPECS[name] written in
+    ``directory``."""
+    content = MALFORMED_SPECS[name][0]
+    path = directory / "spec.json"
+    path.write_bytes(content if isinstance(content, bytes)
+                     else json.dumps(content).encode())
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -276,43 +296,63 @@ class TestCli:
                          str(tmp_path / "absent" / "flat3d.json")]) == 2
         assert capsys.readouterr().err.startswith("error: [Errno 2]")
 
-    def test_verify_rejects_a_chart_above_the_dimension_bound(
-            self, tmp_path, capsys):
-        # [TRIVIAL] the bound of every chart, not only the presets'
-        m = MAX_DIM + 2
-        names = [f"u{i}" for i in range(m)]
-        zero = [["0"] * m for _ in range(m)]
+    @pytest.mark.parametrize("run_id", SMOKE_RUNS)
+    def test_verify_all_checks_smoke(self, tmp_path, capsys, run_id):
+        # [TRIVIAL] every family and the frame transcription of p1, with
+        # every check: exit 0 or 1, strict JSON, and the self-tests and
+        # targets within their bounds
+        family, points, *n = run_id.split(":")
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps({
-            "chart": {"coordinates": names, "box": [[-1, 1]] * m},
-            "structure": {"coordinate": {"g": zero, "phi": zero,
-                                         "xi": ["0"] * m,
-                                         "eta": ["0"] * m}}}))
-        assert cli.main(["verify", "--spec", str(path), "--points", "2"]) == 2
-        assert capsys.readouterr().err == (
-            f"error: chart block: chart dimension must be at most "
-            f"{MAX_DIM}, got {m}\n")
+        if family == "frame":
+            path.write_text(json.dumps(P1_FRAME_SPEC))
+        else:
+            assert cli.main(["example", "--name", family,
+                             *(["--n", *n] if n else []),
+                             "--emit-spec", str(path)]) == 0
+        assert cli.main(["verify", "--spec", str(path), "--points", points,
+                         "--checks", "all", "--format", "json"]) in (0, 1)
+        report = json.loads(capsys.readouterr().out,
+                            parse_constant=_reject_token)
+        for name, value in report["engine"].items():
+            bound = 1e-5 if name == "jet_vs_fd" else 1e-9
+            assert isinstance(value, (int, float)) and value <= bound, name
+        for name, entry in (report["targets"] or {}).items():
+            value = entry["max_abs_deviation"]
+            assert isinstance(value, (int, float)) and value <= 1e-9, name
 
-    @pytest.mark.parametrize("entry,first_line", [
-        ("1/0", "error: DomainError in a component expression: division "
-                "by 0.0 inside guard band"),
-        ("ln(0)", "error: DomainError in a component expression: ln of "
-                  "non-positive value 0.0"),
-        ("exp(1000)", "error: OverflowError in a component expression: "
-                      "math range error"),
-    ], ids=["1/0", "ln(0)", "exp(1000)"])
-    def test_verify_rejects_a_frame_entry_that_always_raises(
-            self, tmp_path, capsys, entry, first_line):
-        # [TRIVIAL] an error in a constant frame entry: the spec loads,
-        # its pattern leaves every entry of E live, and verify exits 2
-        data = with_value(P1_FRAME_SPEC, ("structure", "frame", "E", 0, 0),
-                          entry)
-        assert spec_from_dict(data).structure._live_entries().all()
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(data))
+    @pytest.mark.parametrize("name", MALFORMED_SPECS)
+    def test_verify_rejects_a_malformed_spec(self, tmp_path, capsys, name):
+        # [TRIVIAL] exit 2 with one "error:" line naming the cause, never
+        # a traceback or an allocation failure
+        path = _write_malformed_spec(tmp_path, name)
         assert cli.main(["verify", "--spec", str(path), "--points", "2"]) == 2
         err = capsys.readouterr().err
-        assert err.splitlines()[0] == first_line and "Traceback" not in err
+        first, cause = err.splitlines()[0], MALFORMED_SPECS[name][1]
+        assert err == first + "\n" and first.startswith("error: ")
+        assert "Traceback" not in err
+        assert first == cause if cause.startswith("error: ") else \
+            cause in first
+
+    def test_the_module_exits_with_the_status_of_main(self, tmp_path,
+                                                      capsys):
+        # [TRIVIAL] `python -m paracr.cli` exits with main's status and
+        # prints what main prints
+        argv = ["verify", "--spec", str(_write_malformed_spec(
+            tmp_path, "not-utf8")), "--points", "2"]
+        done = subprocess.run([sys.executable, "-m", "paracr.cli", *argv],
+                              capture_output=True, text=True,
+                              cwd=pathlib.Path(cli.__file__).parents[1])
+        assert cli.main(argv) == done.returncode == 2
+        assert done.stderr == capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [name for name in MALFORMED_SPECS
+                                      if name.startswith("p1-frame-")])
+    def test_a_raising_frame_entry_leaves_every_entry_live(self, name):
+        # [TRIVIAL] an error in a constant frame entry: the spec loads and
+        # its pattern leaves every entry of E live, so verify exits 2 at
+        # the first batch (test_verify_rejects_a_malformed_spec)
+        assert spec_from_dict(MALFORMED_SPECS[name][0]).structure \
+            ._live_entries().all()
 
     def test_verify_reports_an_ambiguous_row(self, tmp_path, capsys):
         # p1 with f off a para-CR solution by 1e-6 x1: s1 reads about
@@ -375,14 +415,8 @@ class TestCli:
             assert cli.main(["verify", "--spec", str(path),
                              "--points", "4"]) == 2
             assert capsys.readouterr().err.startswith(f"error: {cause}")
-        # 2, naming the field, not an allocation failure: a probe count
-        # or a --points override above its maximum
-        path.write_text(json.dumps({
-            "structure": {"preset": {"name": "flat3d"}},
-            "numeric": {"probes": 10 ** 12}}), encoding="utf-8")
-        assert cli.main(["verify", "--spec", str(path), "--points", "2"]) == 2
-        assert capsys.readouterr().err == \
-            f"error: numeric block: probes must be <= {MAX_PROBES}\n"
+        # 2, naming the field, not an allocation failure: a --points
+        # override above its maximum (a probe count: oversized-probes)
         cli.main(["example", "--name", "flat3d", "--emit-spec", str(path)])
         assert cli.main(["verify", "--spec", str(path), "--points",
                          str(MAX_POINTS + 1)]) == 2
@@ -402,9 +436,13 @@ class TestCli:
         for name in list(CONDITIONS) + ["para-cr"]:
             assert name in err
 
-    def test_verify_rejects_off_dimension_check(self, tmp_path, capsys):
+    def test_verify_rejects_off_dimension_check(self, tmp_path, capsys,
+                                                monkeypatch):
+        # [TRIVIAL] the request alone decides it, before the first draw
         path = tmp_path / "p1.json"
         cli.main(["example", "--name", "p1", "--emit-spec", str(path)])
+        monkeypatch.setattr(runner, "sample_points", lambda *args:
+                            pytest.fail("sample_points called"))
         code = cli.main(["verify", "--spec", str(path),
                          "--checks", "jw3d", "--points", "2"])
         assert code == 2
@@ -441,11 +479,8 @@ class TestCli:
         code = cli.main(["verify", "--spec", str(path), "--checks",
                          "axioms,apcos", "--points", "4", "--format", "json"])
         assert code == 1
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
-        data = json.loads(capsys.readouterr().out, parse_constant=reject)
+        data = json.loads(capsys.readouterr().out,
+                          parse_constant=_reject_token)
         rows = {row["id"]: row for row in data["checks"]}
         assert rows["apcos"]["raw"] == "Infinity"
         assert rows["apcos"]["scaled"] == "NaN"
