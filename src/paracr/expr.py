@@ -395,15 +395,12 @@ class _Parser:
         self.level = 0  # open parentheses, unary minuses and exponents
         self.depths = {}  # tree_depth's memo of the nodes built
 
-    def within(self, off, depth):
-        if depth > _MAX_DEPTH:
-            raise ParseError(off, f"expression nests deeper than "
-                                  f"{_MAX_DEPTH} levels")
-
     def deeper(self, off, parse):
         """``parse()`` one nesting level down."""
         self.level += 1
-        self.within(off, self.level)
+        if self.level > _MAX_DEPTH:
+            raise ParseError(off, f"expression nests deeper than "
+                                  f"{_MAX_DEPTH} levels")
         value = parse()
         self.level -= 1
         return value
@@ -411,7 +408,11 @@ class _Parser:
     def node(self, off, cls, *fields):
         """An operator node, its tree at most ``_MAX_DEPTH`` deep."""
         node = cls(*fields)
-        self.within(off, tree_depth(node, self.depths))
+        if tree_depth(node, self.depths) > _MAX_DEPTH:
+            raise ParseError(off, f"expression tree is deeper than "
+                                  f"{_MAX_DEPTH} levels (each operator of "
+                                  f"a chain counts one level; group a long "
+                                  f"chain in parentheses)")
         return node
 
     def peek(self):

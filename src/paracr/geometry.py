@@ -245,14 +245,14 @@ def sparse_elimination(live):
     return steps, live
 
 
-def gauss_jordan(A, B, min_det, plan):
+def gauss_jordan(A, B, plan):
     """Solve A X = B at every point of a batch by Gauss-Jordan elimination
     with partial pivoting on the values.
 
     ``A`` is an m x m and ``B`` an m x r tensor jet.  Returns X and the
-    per-point failure mask (a numerically zero pivot, or |det A| below
-    ``min_det``) together with the determinant estimate (product of the
-    pivots with swap sign).
+    per-point determinant estimate (product of the pivots with swap
+    sign), NaN where a pivot is numerically zero (``|pivot| <=
+    _DIV_GUARD``, or NaN); the caller applies its own threshold.
 
     It runs by ``plan``, from :func:`sparse_elimination`: per column a
     pivot search where the plan allows a swap, one quotient of the live
@@ -265,27 +265,24 @@ def gauss_jordan(A, B, min_det, plan):
     steps, solved = plan
     points = np.arange(count)
     det = np.ones(count)
-    failed = np.zeros(count, dtype=bool)
     for col, (search, rows, updates) in enumerate(steps):
         if search:
             piv = col + np.argmax(np.abs(W[:, col:, col, 0]), axis=1)
             W[points, col], W[points, piv] = W[points, piv], W[points, col]
             det = np.where(piv != col, -det, det)
         pval = W[:, col, col, 0]
-        failed |= ~(np.abs(pval) > _DIV_GUARD)
-        det = det * pval
+        det = np.where(np.abs(pval) > _DIV_GUARD, det * pval, np.nan)
         if updates:
             factor = (Jet(W[:, rows, col, None], A.layout)
                       / Jet(W[:, None, None, col, col], A.layout))
             for block, part, right in updates:
                 W[block] -= (factor[part] * Jet(
                     W[:, None, col, right], A.layout)).c
-    failed |= ~(np.abs(det) >= min_det)
     rows, cols = np.nonzero(solved[:, m:])
     c = np.zeros((count, m, W.shape[2] - m, W.shape[3]))
     c[:, rows, cols] = (Jet(W[:, rows, m + cols], A.layout)
                         / Jet(W[:, rows, rows], A.layout)).c
-    return Jet(c, A.layout), failed, det
+    return Jet(c, A.layout), det
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +395,7 @@ class FrameStructure(_Structure):
     def component_jets(self, xs):
         E = tensor(self.frame_matrix(xs), xs[0])
         identity = tensor(np.eye(self.dim).tolist(), xs[0])
-        Einv, singular = gauss_jordan(E, identity, _MIN_FRAME_DET,
-                                      self._plan)[:2]
+        Einv, det = gauss_jordan(E, identity, self._plan)
         E_phi, phi, xi, eta, inv_g, g = self._products  # the plans
         phi = _mat_mul(_mat_mul(E, self.phi_hat, E_phi), Einv, phi)
         xi = _mat_mul(E, self.xi_hat[:, None], xi)[:, 0]
@@ -407,7 +403,8 @@ class FrameStructure(_Structure):
         eta = _mat_mul(Einv_T, self.eta_hat[:, None], eta)[:, 0]
         g = _mat_mul(_mat_mul(Einv_T, self.g_hat, inv_g), Einv, g)
         return (g, phi, xi, eta), [(_flags(E), DomainError),
-                                   (singular, SingularFrame)]
+                                   (~(np.abs(det) >= _MIN_FRAME_DET),
+                                    SingularFrame)]
 
 
 class HyperboloidStructure(_Structure):
@@ -482,7 +479,7 @@ class HyperboloidStructure(_Structure):
         arg = self._graph_arg(xs)
         outside = ~(arg.v >= _MIN_PATCH_MARGIN)
         g, rhs = self._tangent_products(xs, sqrt(arg))
-        sol = gauss_jordan(g, rhs, _MIN_METRIC_DET, self._plan)[0]
+        sol = gauss_jordan(g, rhs, self._plan)[0]
         return (g, sol[:, :m], sol[:, m], rhs[:, m]), [(outside, OutsidePatch)]
 
 

@@ -59,15 +59,15 @@ def sample_points(structure, rng, count):
     rejects it: the structure is singular or degenerate there (frame
     not invertible, point outside the patch, a domain error or
     non-finite value in the components, metric determinant too small).
-    Draws come in waves, each as large as the number of
-    points still missing but at most ``_CHUNK``, and each wave is
-    evaluated as one batch, so memory stays bounded and the attempts
-    and the RNG stream match a one-draw-at-a-time loop.  More
-    than ten rejected-plus-accepted attempts per requested point raises
-    SamplingExhausted, which counts the rejections by error class.  The
-    accepted rows of all waves form the batch.  An error in a constant
-    subexpression would reject every draw alike, so its DomainError
-    propagates from the first wave.
+    Draws come in waves of the points still missing, at most
+    ``_CHUNK``, each evaluated as one batch (the jets of one wave are
+    alive at a time), and the attempts and the RNG stream match a
+    one-draw-at-a-time loop.  More than ten rejected-plus-accepted
+    attempts per requested point raises SamplingExhausted, which counts
+    the rejections by error class.  The accepted rows of all waves form
+    the batch, whose base arrays grow with ``count`` (ROADMAP direction
+    12).  An error in a constant subexpression would reject every draw
+    alike, so its DomainError propagates from the first wave.
     """
     chart = structure.chart
     lo = np.array([b[0] for b in chart.box])
@@ -99,9 +99,9 @@ def sample_points(structure, rng, count):
 
 # Points per evaluation chunk (and at most per sampling wave): the jets,
 # derived tensors and check candidates of one chunk are alive at a time,
-# and its batch feeds every stage of a run before it is dropped, so
-# memory stays bounded for large samples and no tensor is built twice;
-# a smaller sample is one chunk, its batch itself.
+# and its batch feeds every stage of a run before it is dropped, so no
+# tensor is built twice and they do not grow with the sample (the
+# sample does: ROADMAP direction 12); a smaller sample is one chunk.
 _CHUNK = 64
 
 

@@ -14,7 +14,9 @@ interpreter.
 """
 
 import copy
+import dataclasses
 import functools
+import json
 import math
 import pathlib
 import zlib
@@ -29,7 +31,14 @@ from paracr.conditions import (
     expand_checks,
     trit,
 )
-from paracr.errors import ParacrError
+from paracr.errors import (
+    DomainError,
+    ParacrError,
+    ParseError,
+    SamplingExhausted,
+    ValidationError,
+    WrongDimension,
+)
 from paracr.expr import parse
 from paracr.geometry import (
     MAX_DIM,
@@ -41,7 +50,12 @@ from paracr.geometry import (
 )
 from paracr.presets import build_example, default_p1_f
 from paracr.runner import sample_points
-from paracr.spec_io import MAX_PROBES, load_spec, spec_from_dict
+from paracr.spec_io import (
+    MAX_POINTS,
+    MAX_PROBES,
+    load_spec,
+    spec_from_dict,
+)
 from scalar_reference import Dual, depth_of, frame_matrix
 
 SPECS = pathlib.Path(__file__).parents[1] / "bench" / "specs"
@@ -124,44 +138,6 @@ def skew_structure():
 
 P1_F = "(1.0 + x1^2 + x2^2)/z"
 
-# Preset blocks with a bad parameter, and what the error says.
-BAD_PRESETS = [
-    ({"name": "hyperboloid", "n": 0}, "n must be >= 1"),
-    ({"name": "hyperboloid", "n": -1}, "n must be >= 1"),
-    ({"name": "hyperboloid", "n": "x"}, "parameter n must be an integer"),
-    ({"name": "p1", "n": 2.5}, "parameter n must be an integer"),
-    ({"name": "cosymplectic", "n": True}, "parameter n must be an integer"),
-    ({"name": "p1", "c": "abc"}, "does not accept parameters ['c']"),
-    ({"name": "p1", "c": True}, "does not accept parameters ['c']"),
-    ({"name": "p1", "c": math.inf}, "does not accept parameters ['c']"),
-    ({"name": "p1", "f": 3}, "parameter f must be a string"),
-    ({"name": "cosymplectic", "H": 5}, "parameter H must be a string"),
-    # H itself is 62 levels deep, its second partials 129
-    ({"name": "cosymplectic", "H": "x1*z/(1+" * 30 + "x1*z" + ")" * 30},
-     "parameter H: its second partials nest deeper than 100 levels"),
-    ({"name": "p1", "n": 1}, "the p1 family needs n >= 2"),
-    ({"name": "cosymplectic", "n": 0}, "the cosymplectic family needs n >= 1"),
-    ({"name": "cosymplectic", "H": "y1*z"},
-     "parameter H: the potential may depend on ['x1', 'z'] only, found "
-     "['y1']"),
-    # one size above the largest chart dimension
-    *(({"name": name, "n": (MAX_DIM + 1) // 2},
-       f"chart dimension must be at most {MAX_DIM}, got {MAX_DIM + 2}")
-      for name in ("hyperboloid", "p1", "cosymplectic")),
-    ({"n": 2}, "missing preset name"),
-    # a parse error in f or H is located at its offset in the
-    # parameter's own text
-    ({"name": "p1", "f": "x1 + q"},
-     "parameter f: at offset 5: unknown variable 'q'"),
-    ({"name": "cosymplectic", "H": "z*(x1^2"},
-     "parameter H: at offset 7: got 'end of input' (expected ')')"),
-    ({"name": "p1", "f": "(" * 120 + "x1" + ")" * 120},
-     "parameter f: at offset 100: expression nests deeper than 100 levels"),
-    # -f is one level deeper than f
-    ({"name": "p1", "f": "-" * 99 + "x1"},
-     "parameter f: its frame entries nest deeper than 100 levels"),
-]
-
 P1_FRAME_SPEC = {
     "chart": {
         "coordinates": ["x1", "x2", "y1", "y2", "z"],
@@ -184,37 +160,40 @@ P1_FRAME_SPEC = {
     "checks": "all",
 }
 
+# The flat example of dimension 3 written out as a coordinate block.
+FLAT3D_COORDINATE_SPEC = {
+    "chart": {
+        "coordinates": ["x", "y", "z"],
+        "box": [[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]],
+    },
+    "structure": {"coordinate": {
+        "g": [["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "phi": [["0", "0", "cosh(2*z)"],
+                ["0", "0", "-sinh(2*z)"],
+                ["cosh(2*z)", "sinh(2*z)", "0"]],
+        "xi": ["-sinh(2*z)", "cosh(2*z)", "0"],
+        "eta": ["sinh(2*z)", "cosh(2*z)", "0"],
+    }},
+    "checks": ["para-cr", "pcm"],
+}
+
+_DROP = object()
+
+
 def with_value(base, path, value):
-    """``base`` copied, with the item at the key ``path`` set to ``value``."""
+    """``base`` copied, with the item at the key ``path`` set to
+    ``value``, or deleted when ``value`` is _DROP."""
     spec = copy.deepcopy(base)
     *head, last = path
     target = spec
     for key in head:
         target = target[key]
-    target[last] = value
+    if value is _DROP:
+        del target[last]
+    else:
+        target[last] = value
     return spec
 
-
-# Numbers of P1_FRAME_SPEC replaced by values that are not finite floats
-# (JSON reads NaN, Infinity and -Infinity), and the start of the error.
-BAD_NUMBERS = [
-    (("chart", "box", 0, 0), -math.inf,
-     "chart block: box[0][0]: must be a finite number, not -Infinity"),
-    (("chart", "box", 4, 1), True,
-     "chart block: box[4][1]: must be a finite number, not true"),
-    (("chart", "box", 1), [-1e308, 1e308],
-     "chart block: box interval 1 (-1e+308, 1e+308) is wider than the "
-     "float range"),
-    (("structure", "frame", "g_hat", 1, 2), math.nan,
-     "structure.frame.g_hat[1][2]: must be a finite number, not NaN"),
-    (("structure", "frame", "phi_hat", 0, 0), math.inf,
-     "structure.frame.phi_hat[0][0]: must be a finite number, not "
-     "Infinity"),
-    (("structure", "frame", "xi_hat", 4), True,
-     "structure.frame.xi_hat[4]: must be a finite number, not true"),
-    (("structure", "frame", "eta_hat", 3), 10 ** 400,
-     "structure.frame.eta_hat[3]: must be a finite number, not 1000"),
-]
 
 # `paracr verify --checks all` runs at seed 0, as family:points[:n]:
 # two chunks (64 + 16) at 80 points, three (64 + 64 + 2) at 130, and a
@@ -223,6 +202,67 @@ BAD_NUMBERS = [
 SMOKE_RUNS = ["flat3d:8", "hyperboloid:8", "p1:8", "cosymplectic:8",
               "flat3d:80", "hyperboloid:80", "p1:130", "frame:8",
               "p1:64:4", "cosymplectic:64:4", "hyperboloid:64:4"]
+
+
+# ---------------------------------------------------------------------------
+# rejected inputs
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class Rejected:
+    """An input that paracr rejects, the class of the error and its whole
+    message (``{dir}`` stands for the directory of the input's files).
+    The input is ``spec`` (a dict, the bytes of a spec file, or None for
+    no file) with the ``run()`` keywords ``overrides``, which ``paracr
+    verify`` takes as ``flags``, or else the ``paracr example`` options
+    ``example``: ``name`` and ``n`` go to ``build_example``,
+    ``emit_spec`` names its file.  ``refused`` is the last line argparse
+    prints where it refuses a flag's text before paracr reads it."""
+
+    message: str
+    spec: object = None
+    error: type = ValidationError
+    overrides: dict = dataclasses.field(default_factory=dict)
+    flags: tuple = ()
+    example: dict = None
+    refused: str = None
+
+
+_FLAT3D_SPEC = {"structure": {"preset": {"name": "flat3d"}}}
+# run() keywords, their verify flags and the types the flags read
+_FLAGS = {"points": ("--points", int), "seed": ("--seed", int),
+          "tolerance": ("--tol", float), "checks": ("--checks", str)}
+
+
+def _override(message, spec=_FLAT3D_SPEC, error=ValidationError,
+              **overrides):
+    """The row of ``run(spec, **overrides)`` and of the verify flags that
+    spell it (--checks joins the names with commas); a value the flag's
+    type does not read, such as 2.5 or True for --points, stops in
+    argparse."""
+    flags, refused = [], None
+    for key, value in overrides.items():
+        flag, kind = _FLAGS[key]
+        if kind is str:
+            value = ",".join(value)
+        elif isinstance(value, bool) or not isinstance(value, (int, kind)):
+            refused = (f"paracr verify: error: argument {flag}: invalid "
+                       f"{kind.__name__} value: '{value}'")
+        flags.append(f"{flag}={value}")
+    return Rejected(message, spec, error, overrides, tuple(flags),
+                    refused=refused)
+
+
+def _rows(prefix, build, rows, error=ValidationError):
+    """Rows by the first item of each of ``rows``: the input ``build``
+    makes of the middle items, and ``prefix`` + the last item."""
+    return {name: Rejected(prefix + cause, build(*args), error)
+            for name, *args, cause in rows}
+
+
+def _numeric(block):
+    """The flat3d preset spec with the numeric block ``block``."""
+    return {**_FLAT3D_SPEC, "numeric": block}
 
 
 def _coordinate_spec(g, coordinates=("x", "y", "z")):
@@ -235,53 +275,286 @@ def _coordinate_spec(g, coordinates=("x", "y", "z")):
                                          "xi": zero, "eta": zero}}}
 
 
-_OVERSIZED = [f"u{i}" for i in range(MAX_DIM + 2)]
+def _frame(*path_value):
+    return with_value(P1_FRAME_SPEC, *path_value)
 
-# Spec files that `verify --points 2` rejects with exit 2 and one
-# "error:" line, by name: the file (bytes, or a dict written as JSON)
-# and what the line says, all of it when that starts "error: ", else a
-# part of it.
-MALFORMED_SPECS = {
-    "not-utf8": (b"\xff{}", ""),
-    "deep-parens": (_coordinate_spec(
-        first_entry("(" * 10000 + "x" + ")" * 10000)), ""),
-    "long-sum": (_coordinate_spec(first_entry("+".join(["x"] * 10000))), ""),
-    "unknown-preset": ({"structure": {"preset": {"name": "nope"}}}, ""),
-    "bad-preset-parameter": ({"structure": {"preset": {
-        "name": "p1", "f": "x1 + q"}}}, "parameter f"),
-    "oversized-probes": ({"structure": {"preset": {"name": "flat3d"}},
-                          "numeric": {"probes": 10 ** 12}},
-                         f"error: numeric block: probes must be <= "
-                         f"{MAX_PROBES}"),
-    "oversized-dimension": ({"structure": {"preset": {
-        "name": "p1", "n": 30}}}, "chart dimension"),
-    # every draw is rejected: g00 = 0, and g00 = (1e200 + x)^2 overflows
-    "all-rejected": (_coordinate_spec(first_entry("0")), "DegenerateMetric"),
-    "overflowing-product": (_coordinate_spec(
-        first_entry("(1e200 + x) * (1e200 + x)")), "DomainError"),
-    "frame-constant-error": ({
-        "chart": {"coordinates": ["x", "y", "z"], "box": [[-1, 1]] * 3},
-        "structure": {"frame": {
-            "E": first_entry("1/0"),
-            "g_hat": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-            "phi_hat": [[0] * 3] * 3, "xi_hat": [0] * 3,
-            "eta_hat": [0] * 3}}}, "DomainError"),
+
+def _coordinate(*path_value):
+    return with_value(FLAT3D_COORDINATE_SPEC, *path_value)
+
+
+_FRAME = ("structure", "frame")
+_COORDINATE = ("structure", "coordinate")
+# phi with the text "cosh(2*z" at (2, 0) and at (0, 2)
+_TWICE_BAD_PHI = with_value(_coordinate(_COORDINATE + ("phi", 2, 0),
+                                        "cosh(2*z"),
+                            _COORDINATE + ("phi", 0, 2), "cosh(2*z")
+_NOT_FOUND = "[Errno 2] No such file or directory: '{dir}/"
+_TREE_DEPTH = ("expression tree is deeper than 100 levels (each operator "
+               "of a chain counts one level; group a long chain in "
+               "parentheses)")
+_ONE_SOURCE = "must contain exactly one of preset, coordinate, frame"
+_KNOWN = ("apcos, axioms, compat, contparacr, dacko, h-rel, inv-minus, "
+          "inv-plus, jw3d, k1, k2, lemat, news00, news01, normal, "
+          "normal-nabla, para-cr, paracrcos, pcm, s0, s1, sas, thm1, "
+          "wlasn, wzor1, wzor2, wzorzamk")
+_NOT_A_LIST = 'must be "all" or a list of check names'
+_ANY_CHECK = "must request at least one check"
+
+# The values the numeric block rejects for the settings that are also
+# run() keywords, and the rule each breaks.
+_BAD_SETTINGS = [(key, value, rule) for key, values, rule in (
+    ("points", (2.5, True, math.inf, math.nan), "an integer"),
+    ("points", (-1, 0), ">= 1"),
+    ("points", (MAX_POINTS + 1,), f"<= {MAX_POINTS}"),
+    ("seed", (2.5, True, math.inf, math.nan), "an integer"),
+    ("seed", (-1,), ">= 0"),
+    ("tolerance", (True, -1, 0, 0.0, -1e-6, math.nan), "a positive number"),
+    ("tolerance", (math.inf,), "finite")) for value in values]
+
+# Every input that paracr rejects, by name: the library raises the
+# row's class with its message, and `paracr` exits 2 with the one line
+# "error: <message>", or argparse's line where it refuses a flag.
+REJECTED = {
+    **_rows("spec file: ", lambda content: content, [
+        ("absent-file", None, _NOT_FOUND + "spec.json'"),
+        ("not-json", b"{not json", "invalid JSON: Expecting property name "
+         "enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("not-utf8", b"\xff{}", "'utf-8' codec can't decode byte 0xff in "
+         "position 0: invalid start byte"),
+        ("deep-json", b"[" * 100000 + b"]" * 100000,
+         "invalid JSON: nested too deeply")]),
+    # JSON reads 1e400 as inf
+    **{f"{key}-1e400-json": Rejected(
+        f"numeric block: {key} must be finite",
+        json.dumps(_numeric({key: 0.5})).replace("0.5", "1e400").encode())
+       for key in ("separation", "tolerance")},
+    **_rows("", lambda spec: spec, [
+        ("unknown-block", _coordinate(("extras",), {}),
+         "spec: unknown keys ['extras']"),
+        ("no-structure-block", {"chart": FLAT3D_COORDINATE_SPEC["chart"]},
+         "spec: missing structure block"),
+        ("empty-structure-block", {"structure": {}},
+         f"structure block: {_ONE_SOURCE}"),
+        ("two-structure-sources", _coordinate(
+            ("structure", "preset"), {"name": "flat3d"}),
+         f"structure block: {_ONE_SOURCE}"),
+        ("unknown-structure-source", _coordinate(("structure", "other"), {}),
+         "structure block: unknown keys ['other']"),
+        ("chart-of-another-preset", {**_FLAT3D_SPEC, "chart": {
+            "coordinates": ["a", "b", "c"], "box": [[-1.0, 1.0]] * 3}},
+         "chart block: does not match the chart of preset 'flat3d'")]),
+    **_rows("structure.preset block: ",
+            lambda block: {"structure": {"preset": block}}, [
+        ("unknown-preset", {"name": "nope"}, "unknown preset 'nope'; "
+         "available: flat3d, hyperboloid, p1, cosymplectic"),
+        ("preset-without-name", {"n": 2}, "missing preset name"),
+        ("flat3d-n", {"name": "flat3d", "n": 2},
+         "preset 'flat3d' does not accept parameters ['n']"),
+        ("hyperboloid-n0", {"name": "hyperboloid", "n": 0}, "n must be >= 1"),
+        ("hyperboloid-n-1", {"name": "hyperboloid", "n": -1},
+         "n must be >= 1"),
+        ("n-string", {"name": "hyperboloid", "n": "x"},
+         "parameter n must be an integer, not 'x'"),
+        ("n-float", {"name": "p1", "n": 2.5},
+         "parameter n must be an integer, not 2.5"),
+        ("n-true", {"name": "cosymplectic", "n": True},
+         "parameter n must be an integer, not True"),
+        *((f"unknown-parameter-{value}", {"name": "p1", "c": value},
+           "preset 'p1' does not accept parameters ['c']")
+          for value in ("abc", True, math.inf)),
+        ("f-number", {"name": "p1", "f": 3}, "parameter f must be a string"),
+        ("H-number", {"name": "cosymplectic", "H": 5},
+         "parameter H must be a string"),
+        # H itself is 62 levels deep, its second partials 129
+        ("H-deep-partials",
+         {"name": "cosymplectic", "H": "x1*z/(1+" * 30 + "x1*z" + ")" * 30},
+         "parameter H: its second partials nest deeper than 100 levels"),
+        ("p1-n1", {"name": "p1", "n": 1}, "the p1 family needs n >= 2"),
+        ("cosymplectic-n0", {"name": "cosymplectic", "n": 0},
+         "the cosymplectic family needs n >= 1"),
+        ("H-of-y1", {"name": "cosymplectic", "H": "y1*z"}, "parameter H: "
+         "the potential may depend on ['x1', 'z'] only, found ['y1']"),
+        # one size above the largest chart dimension, and far above it
+        *((f"oversized-{name}", {"name": name, "n": (MAX_DIM + 1) // 2},
+           f"chart dimension must be at most {MAX_DIM}, got {MAX_DIM + 2}")
+          for name in ("hyperboloid", "p1", "cosymplectic")),
+        ("oversized-dimension", {"name": "p1", "n": 30},
+         f"chart dimension must be at most {MAX_DIM}, got 61"),
+        # a parse error in f or H is located at its offset in the
+        # parameter's own text
+        ("bad-preset-parameter", {"name": "p1", "f": "x1 + q"},
+         "parameter f: at offset 5: unknown variable 'q'; coordinates are "
+         "x1, x2, y1, y2, z (expected coordinate name)"),
+        ("unclosed-H", {"name": "cosymplectic", "H": "z*(x1^2"},
+         "parameter H: at offset 7: got 'end of input' (expected ')')"),
+        ("deep-parens-f", {"name": "p1", "f": "(" * 120 + "x1" + ")" * 120},
+         "parameter f: at offset 100: expression nests deeper than 100 "
+         "levels"),
+        # -f is one level deeper than f
+        ("deep-frame-f", {"name": "p1", "f": "-" * 99 + "x1"},
+         "parameter f: its frame entries nest deeper than 100 levels")]),
+    **_rows("chart block: ", _frame, [
+        ("no-chart-block", ("chart",), _DROP,
+         "required for frame structures"),
+        ("unknown-chart-key", ("chart", "volume"), 1,
+         "unknown keys ['volume']"),
+        ("coordinates-string", ("chart", "coordinates"), "x1",
+         "coordinates must be a non-empty list of names"),
+        ("repeated-coordinate", ("chart", "coordinates", 0), "x2",
+         "coordinate names must be distinct"),
+        ("box-interval-of-one", ("chart", "box", 2), [-1.0],
+         "box must be a list of [lo, hi] pairs"),
+        ("box-too-short", ("chart", "box", 4), _DROP,
+         "box must give one interval per coordinate"),
+        ("empty-interval", ("chart", "box", 0), [1.0, -1.0],
+         "empty box interval (1.0, -1.0)"),
+        # numbers that are not finite floats (JSON reads NaN, Infinity
+        # and -Infinity), or are booleans
+        ("box-minus-inf", ("chart", "box", 0, 0), -math.inf,
+         "box[0][0]: must be a finite number, not -Infinity"),
+        ("box-true", ("chart", "box", 4, 1), True,
+         "box[4][1]: must be a finite number, not true"),
+        ("box-wider-than-floats", ("chart", "box", 1), [-1e308, 1e308],
+         "box interval 1 (-1e+308, 1e+308) is wider than the float range")]),
     # the bound of every chart, not only the presets'
-    "oversized-coordinate-chart": (
-        _coordinate_spec([["0"] * len(_OVERSIZED)] * len(_OVERSIZED),
-                         _OVERSIZED),
-        f"error: chart block: chart dimension must be at most {MAX_DIM}, "
-        f"got {MAX_DIM + 2}"),
-    # an entry E[0][0] of P1_FRAME_SPEC that raises at every point
-    **{f"p1-frame-{entry}": (
-        with_value(P1_FRAME_SPEC, ("structure", "frame", "E", 0, 0), entry),
-        f"error: {line}") for entry, line in (
-            ("1/0", "DomainError in a component expression: division by "
-                    "0.0 inside guard band"),
-            ("ln(0)", "DomainError in a component expression: ln of "
-                      "non-positive value 0.0"),
-            ("exp(1000)", "OverflowError in a component expression: math "
-                          "range error"))},
+    **_rows("chart block: chart dimension must be ", lambda m: (
+        _coordinate_spec([["0"] * m] * m, [f"u{i}" for i in range(m)])), [
+            ("dimension-1", 1, "odd and >= 3, got 1"),
+            ("dimension-4", 4, "odd and >= 3, got 4"),
+            ("oversized-coordinate-chart", MAX_DIM + 2,
+             f"at most {MAX_DIM}, got {MAX_DIM + 2}")]),
+    **_rows("structure.frame", _frame, [
+        ("frame-without-g_hat", _FRAME + ("g_hat",), _DROP,
+         " block: missing fields ['g_hat']"),
+        ("unknown-frame-key", _FRAME + ("extra",), 1,
+         " block: unknown keys ['extra']"),
+        ("short-xi_hat", _FRAME + ("xi_hat",), [0, 0, 1],
+         ".xi_hat: must be a list of 5 entries"),
+        ("g_hat-strings", _FRAME + ("g_hat",), [["a"] * 5] * 5,
+         '.g_hat[0][0]: must be a finite number, not "a"'),
+        ("g_hat-nan", _FRAME + ("g_hat", 1, 2), math.nan,
+         ".g_hat[1][2]: must be a finite number, not NaN"),
+        ("phi_hat-inf", _FRAME + ("phi_hat", 0, 0), math.inf,
+         ".phi_hat[0][0]: must be a finite number, not Infinity"),
+        ("xi_hat-true", _FRAME + ("xi_hat", 4), True,
+         ".xi_hat[4]: must be a finite number, not true"),
+        ("eta_hat-10^400", _FRAME + ("eta_hat", 3), 10 ** 400,
+         f".eta_hat[3]: must be a finite number, not {10 ** 400}")]),
+    **_rows("structure.coordinate", _coordinate, [
+        ("coordinate-without-eta", _COORDINATE + ("eta",), _DROP,
+         " block: missing fields ['eta']"),
+        ("unknown-coordinate-key", _COORDINATE + ("h",), [],
+         " block: unknown keys ['h']"),
+        ("g-of-2x2", _COORDINATE + ("g",), [["1", "0"], ["0", "1"]],
+         ".g: must be a 3 x 3 matrix")]),
+    # a bad text that occurs twice is reported where it occurs first in
+    # row-major order, and a non-string entry before it first of all
+    "number-before-bad-text": Rejected(
+        "structure.coordinate.g[1][1]: expression entries must be strings",
+        with_value(_TWICE_BAD_PHI, _COORDINATE + ("g", 1, 1), 1.0)),
+    **_rows("at offset ", lambda spec: spec, [
+        ("unclosed-call", _coordinate(_COORDINATE + ("phi", 0, 2),
+                                      "cosh(2*z"),
+         "8: structure.coordinate.phi[0][2]: got 'end of input' "
+         "(expected ')')"),
+        ("repeated-bad-text", _TWICE_BAD_PHI, "8: structure.coordinate."
+         "phi[0][2]: got 'end of input' (expected ')')"),
+        ("unknown-variable", _coordinate(_COORDINATE + ("xi", 0),
+                                         "sinh(2*w)"),
+         "7: structure.coordinate.xi[0]: unknown variable 'w'; coordinates "
+         "are x, y, z (expected coordinate name)"),
+        ("deep-parens", _coordinate_spec(
+            first_entry("(" * 10000 + "x" + ")" * 10000)),
+         "100: structure.coordinate.g[0][0]: expression nests deeper than "
+         "100 levels"),
+        ("long-sum", _coordinate_spec(first_entry("+".join(["x"] * 10000))),
+         f"199: structure.coordinate.g[0][0]: {_TREE_DEPTH}")], ParseError),
+    # the checks block, and the checks of run() and of --checks
+    **_rows("checks block: ", lambda checks: _coordinate(("checks",),
+                                                         checks), [
+        ("checks-unknown", ["nope"],
+         f"unknown check 'nope'; known: {_KNOWN}"),
+        ("checks-empty", [], _ANY_CHECK),
+        ("checks-number", [3], _NOT_A_LIST),
+        ("checks-object", {"id": "s0"}, _NOT_A_LIST)]),
+    "unknown-check": _override(
+        f"checks block: unknown check 'bogus'; known: {_KNOWN}",
+        checks=["bogus"]),
+    "no-check": _override(f"checks block: {_ANY_CHECK}", checks=[]),
+    "only-commas": Rejected(f"checks block: {_ANY_CHECK}", _FLAT3D_SPEC,
+                            overrides={"checks": []}, flags=("--checks=,",)),
+    # the request alone decides it, before the first draw
+    "jw3d-in-dimension-5": _override(
+        "jw3d: this identity is specific to dimension 3, got 5",
+        {"structure": {"preset": {"name": "p1"}}}, WrongDimension,
+        checks=["jw3d"]),
+    # the numeric block, and the numeric keywords of run() and their flags
+    **{f"numeric-{key}-{value!r}": Rejected(
+        f"numeric block: {key} must be {rule}", _numeric({key: value}))
+       for key, value, rule in _BAD_SETTINGS},
+    **{f"run-{key}-{value!r}": _override(
+        f"numeric block: {key} must be {rule}", **{key: value})
+       for key, value, rule in _BAD_SETTINGS},
+    **_rows("numeric block: ", _numeric, [
+        ("numeric-array", [3], "must be a JSON object"),
+        ("numeric-unknown-key", {"budget": 3}, "unknown keys ['budget']"),
+        ("separation-true", {"separation": True},
+         "separation must be a positive number"),
+        ("separation-inf", {"separation": math.inf},
+         "separation must be finite"),
+        ("separation-10^400", {"separation": 10 ** 400},
+         "separation must be finite"),
+        ("tolerance-above-separation", {"tolerance": 0.5},
+         "tolerance must be below separation"),
+        ("separation-below-tolerance", {"separation": 1e-9},
+         "tolerance must be below separation"),
+        ("probes-above-most", {"probes": MAX_PROBES + 1},
+         f"probes must be <= {MAX_PROBES}"),
+        # an error naming the field, not an allocation failure
+        ("oversized-probes", {"probes": 10 ** 12},
+         f"probes must be <= {MAX_PROBES}")]),
+    # ten times a huge tolerance is an infinite separation
+    "run-tolerance-1e308": _override(
+        "numeric block: separation must be finite", tolerance=1e308),
+    # every draw is rejected: g00 = 0, and g00 = (1e200 + x)^2 overflows
+    **_rows("accepted 0/2 points after 20 attempts in the box (rejected: ",
+            lambda g00: _coordinate_spec(first_entry(g00)), [
+        ("all-rejected", "0", "DegenerateMetric 20)"),
+        ("overflowing-product", "(1e200 + x) * (1e200 + x)",
+         "DomainError 20)")], SamplingExhausted),
+    # an error in a constant frame entry E[0][0] rejects every draw alike
+    **_rows("", lambda spec: spec, [
+        ("frame-constant-error", {
+            "chart": {"coordinates": ["x", "y", "z"], "box": [[-1, 1]] * 3},
+            "structure": {"frame": {
+                "E": first_entry("1/0"),
+                "g_hat": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                "phi_hat": [[0] * 3] * 3, "xi_hat": [0] * 3,
+                "eta_hat": [0] * 3}}},
+         "DomainError in a component expression: division by 0.0 inside "
+         "guard band"),
+        *((f"p1-frame-{entry}", _frame(_FRAME + ("E", 0, 0), entry),
+           f"{cause} in a component expression: {detail}")
+          for entry, cause, detail in (
+              ("1/0", "DomainError", "division by 0.0 inside guard band"),
+              ("ln(0)", "DomainError", "ln of non-positive value 0.0"),
+              ("exp(1000)", "OverflowError", "math range error")))],
+        DomainError),
+    # paracr example
+    **{f"example-{name}": Rejected(message, None, error, example=example)
+       for name, example, message, error in (
+           ("flat3d-n", {"name": "flat3d", "n": 2},
+            "preset 'flat3d' does not accept parameters ['n']",
+            ValidationError),
+           ("hyperboloid-n0", {"name": "hyperboloid", "n": 0},
+            "n must be >= 1", ValidationError),
+           ("hyperboloid-n-1", {"name": "hyperboloid", "n": -1},
+            "n must be >= 1", ValidationError),
+           # a spec file that cannot be written
+           ("unwritable", {"name": "flat3d",
+                           "emit_spec": "{dir}/absent/flat3d.json"},
+            _NOT_FOUND + "absent/flat3d.json'", FileNotFoundError))},
 }
 
 

@@ -11,7 +11,6 @@ criterion 10 (tests/test_acceptance.py).
 """
 
 import json
-import math
 import pathlib
 import subprocess
 import sys
@@ -21,19 +20,16 @@ import pytest
 
 from accessors import report_body, report_body_json
 from cases import (
-    BAD_NUMBERS,
-    BAD_PRESETS,
-    MALFORMED_SPECS,
     P1_FRAME_SPEC,
+    REJECTED,
     SMOKE_RUNS,
     preset_spec,
     singular_frame_structure,
     structure,
-    with_value,
 )
 from paracr import cli, runner
 from paracr.conditions import CONDITIONS, expand_checks
-from paracr.errors import SamplingExhausted, ValidationError
+from paracr.errors import SamplingExhausted
 from paracr.geometry import FrameBatch
 from paracr.presets import build_example
 from paracr.runner import (
@@ -45,7 +41,12 @@ from paracr.runner import (
     run,
     sample_points,
 )
-from paracr.spec_io import MAX_POINTS, spec_from_dict
+from paracr.spec_io import (
+    MAX_POINTS,
+    emit_spec,
+    load_spec,
+    spec_from_dict,
+)
 from scalar_reference import sample
 
 
@@ -54,13 +55,13 @@ def _reject_token(token):
     raise ValueError(f"non-standard JSON token {token}")
 
 
-def _write_malformed_spec(directory, name):
-    """The path of the spec file MALFORMED_SPECS[name] written in
-    ``directory``."""
-    content = MALFORMED_SPECS[name][0]
+def _write_spec(directory, content):
+    """The path of the spec file ``content`` (a dict written as JSON,
+    bytes, or None for no file) in ``directory``."""
     path = directory / "spec.json"
-    path.write_bytes(content if isinstance(content, bytes)
-                     else json.dumps(content).encode())
+    if content is not None:
+        path.write_bytes(content if isinstance(content, bytes)
+                         else json.dumps(content).encode())
     return path
 
 
@@ -189,51 +190,15 @@ class TestRun:
         mixed = run(spec, checks=["para-cr", "apcos"], points=6)
         assert not mixed.all_passed
 
-    def test_unknown_check_is_a_validation_error(self):
-        with pytest.raises(ValidationError):
-            run(preset_spec("flat3d"), checks=["nope"])
-
-    def test_override_validation(self):
-        spec = preset_spec("flat3d")
-        with pytest.raises(ValidationError):
-            run(spec, points=0)
-        with pytest.raises(ValidationError):
-            run(spec, seed=-1)
-        with pytest.raises(ValidationError):
-            run(spec, tolerance=0.0)
-
-    @pytest.mark.parametrize("key", ["points", "seed", "tolerance"])
-    def test_overrides_obey_the_numeric_block_rules(self, key):
-        # [TRIVIAL] a value the numeric block rejects is rejected as an
-        # override too, naming the field, not truncated or read as 1; a
-        # separation of 1e5 leaves each value to the field's own rule
-        spec = preset_spec("flat3d")
-        rejected = []
-        for value in (2.5, True, -1, 0, math.inf, math.nan, MAX_POINTS + 1):
-            try:
-                preset_spec("flat3d", {key: value, "separation": 1e5})
-            except ValidationError:
-                rejected.append(value)
-                with pytest.raises(ValidationError, match=f"{key} must"):
-                    run(spec, checks=["axioms"], **{key: value})
-        expected = {"points": [2.5, True, -1, 0, math.inf, math.nan,
-                               MAX_POINTS + 1],
-                    "seed": [2.5, True, -1, math.inf, math.nan],
-                    "tolerance": [True, -1, 0, math.inf, math.nan]}[key]
-        assert [repr(v) for v in rejected] == [repr(v) for v in expected]
-
-    @pytest.mark.parametrize("tolerance,cause", [
-        (math.inf, "tolerance must be finite"),
-        (1e308, "separation must be finite")])
-    def test_non_finite_thresholds_are_rejected(self, tolerance, cause):
-        # an infinite tolerance would pass every check, and ten times a
-        # huge one is an infinite separation
-        with pytest.raises(ValidationError, match=cause):
-            run(preset_spec("flat3d"), tolerance=tolerance)
-
-    def test_an_empty_check_request_is_rejected(self):
-        with pytest.raises(ValidationError, match="at least one check"):
-            run(preset_spec("flat3d"), checks=[])
+    def test_the_numeric_rules_accept_what_they_do_not_reject(self):
+        # [TRIVIAL] of the values whose numeric-<key>-<value> and
+        # run-<key>-<value> rows REJECTED holds, these pass the field's
+        # rule; a separation of 1e5 leaves the tolerance to its own
+        for key, value in (("seed", 0), ("seed", MAX_POINTS + 1),
+                           ("tolerance", 2.5),
+                           ("tolerance", MAX_POINTS + 1)):
+            spec = preset_spec("flat3d", {key: value, "separation": 1e5})
+            assert spec.numeric[key] == value
 
     def test_loose_tolerance_keeps_the_ambiguity_band_open(self):
         # overriding tolerance above the stored separation widens the
@@ -288,14 +253,6 @@ class TestCli:
                          "--emit-spec", str(path)]) == 0
         assert path.read_text(encoding="utf-8") == printed
 
-    def test_example_rejects_bad_parameters(self, tmp_path, capsys):
-        assert cli.main(["example", "--name", "flat3d", "--n", "2"]) == 2
-        assert "error:" in capsys.readouterr().err
-        # a spec file that cannot be written: exit 2, not a traceback
-        assert cli.main(["example", "--name", "flat3d", "--emit-spec",
-                         str(tmp_path / "absent" / "flat3d.json")]) == 2
-        assert capsys.readouterr().err.startswith("error: [Errno 2]")
-
     @pytest.mark.parametrize("run_id", SMOKE_RUNS)
     def test_verify_all_checks_smoke(self, tmp_path, capsys, run_id):
         # [TRIVIAL] every family and the frame transcription of p1, with
@@ -320,38 +277,25 @@ class TestCli:
             value = entry["max_abs_deviation"]
             assert isinstance(value, (int, float)) and value <= 1e-9, name
 
-    @pytest.mark.parametrize("name", MALFORMED_SPECS)
-    def test_verify_rejects_a_malformed_spec(self, tmp_path, capsys, name):
-        # [TRIVIAL] exit 2 with one "error:" line naming the cause, never
-        # a traceback or an allocation failure
-        path = _write_malformed_spec(tmp_path, name)
-        assert cli.main(["verify", "--spec", str(path), "--points", "2"]) == 2
-        err = capsys.readouterr().err
-        first, cause = err.splitlines()[0], MALFORMED_SPECS[name][1]
-        assert err == first + "\n" and first.startswith("error: ")
-        assert "Traceback" not in err
-        assert first == cause if cause.startswith("error: ") else \
-            cause in first
-
     def test_the_module_exits_with_the_status_of_main(self, tmp_path,
                                                       capsys):
         # [TRIVIAL] `python -m paracr.cli` exits with main's status and
         # prints what main prints
-        argv = ["verify", "--spec", str(_write_malformed_spec(
-            tmp_path, "not-utf8")), "--points", "2"]
+        argv = ["verify", "--spec", str(_write_spec(
+            tmp_path, REJECTED["not-utf8"].spec)), "--points", "2"]
         done = subprocess.run([sys.executable, "-m", "paracr.cli", *argv],
                               capture_output=True, text=True,
                               cwd=pathlib.Path(cli.__file__).parents[1])
         assert cli.main(argv) == done.returncode == 2
         assert done.stderr == capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", [name for name in MALFORMED_SPECS
+    @pytest.mark.parametrize("name", [name for name in REJECTED
                                       if name.startswith("p1-frame-")])
     def test_a_raising_frame_entry_leaves_every_entry_live(self, name):
         # [TRIVIAL] an error in a constant frame entry: the spec loads and
-        # its pattern leaves every entry of E live, so verify exits 2 at
-        # the first batch (test_verify_rejects_a_malformed_spec)
-        assert spec_from_dict(MALFORMED_SPECS[name][0]).structure \
+        # its pattern leaves every entry of E live, so run() raises at
+        # the first batch (TestRejectedInputs)
+        assert spec_from_dict(REJECTED[name].spec).structure \
             ._live_entries().all()
 
     def test_verify_reports_an_ambiguous_row(self, tmp_path, capsys):
@@ -379,62 +323,7 @@ class TestCli:
         code = cli.main(["verify", "--spec", str(path),
                          "--checks", "apcos", "--points", "8"])
         assert code == 1
-        capsys.readouterr()
-        # 2: spec errors
-        assert cli.main(["verify", "--spec",
-                         str(tmp_path / "absent.json")]) == 2
-        assert cli.main(["verify", "--spec", str(path),
-                         "--checks", "bogus"]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err
-        # 2, not a vacuous pass: no check requested, or an infinite
-        # tolerance that every residual would pass
-        for flags, cause in ((["--checks", ""], "at least one check"),
-                             (["--checks", ","], "at least one check"),
-                             (["--tol", "inf"], "tolerance must be finite")):
-            assert cli.main(["verify", "--spec", str(path), "--points", "2"]
-                            + flags) == 2
-            assert cause in capsys.readouterr().err
-        # 2, not a traceback or a silent coercion: bad preset parameters
-        for n in ("0", "-1"):
-            assert cli.main(["example", "--name", "hyperboloid",
-                             "--n", n]) == 2
-            assert "error: n must be >= 1" in capsys.readouterr().err
-        for preset, cause in BAD_PRESETS:
-            path.write_text(json.dumps({"structure": {"preset": preset}}),
-                            encoding="utf-8")
-            assert cli.main(["verify", "--spec", str(path),
-                             "--points", "2"]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and cause in err, preset
-        # 2, naming the field: a number in the spec that is not finite,
-        # or a JSON boolean where a number belongs
-        for where, value, cause in BAD_NUMBERS:
-            path.write_text(json.dumps(with_value(P1_FRAME_SPEC, where,
-                                                  value)), encoding="utf-8")
-            assert cli.main(["verify", "--spec", str(path),
-                             "--points", "4"]) == 2
-            assert capsys.readouterr().err.startswith(f"error: {cause}")
-        # 2, naming the field, not an allocation failure: a --points
-        # override above its maximum (a probe count: oversized-probes)
-        cli.main(["example", "--name", "flat3d", "--emit-spec", str(path)])
-        assert cli.main(["verify", "--spec", str(path), "--points",
-                         str(MAX_POINTS + 1)]) == 2
-        assert capsys.readouterr().err == \
-            f"error: numeric block: points must be <= {MAX_POINTS}\n"
-
-    def test_verify_unknown_check_lists_the_known_checks(self, tmp_path,
-                                                         capsys):
-        # [TRIVIAL] --checks obeys the checks block's rule and message
-        path = tmp_path / "flat3d.json"
-        cli.main(["example", "--name", "flat3d", "--emit-spec", str(path)])
-        assert cli.main(["verify", "--spec", str(path), "--checks", "bogus",
-                         "--points", "2"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: checks block: unknown check 'bogus'; "
-                              "known: ")
-        for name in list(CONDITIONS) + ["para-cr"]:
-            assert name in err
+        # (2, a rejected input: TestRejectedInputs)
 
     def test_verify_rejects_off_dimension_check(self, tmp_path, capsys,
                                                 monkeypatch):
@@ -445,9 +334,7 @@ class TestCli:
                             pytest.fail("sample_points called"))
         code = cli.main(["verify", "--spec", str(path),
                          "--checks", "jw3d", "--points", "2"])
-        assert code == 2
-        assert capsys.readouterr().err.splitlines()[0] == (
-            "error: jw3d: this identity is specific to dimension 3, got 5")
+        assert code == 2  # its message: REJECTED["jw3d-in-dimension-5"]
 
     def test_verify_json_format(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
@@ -523,3 +410,69 @@ class TestCli:
             del data["wall_clock_seconds"]
             bodies.append(json.dumps(data))
         assert bodies[0] == bodies[1]
+
+
+# ---------------------------------------------------------------------------
+# rejected inputs
+# ---------------------------------------------------------------------------
+
+def _library_call(row, directory):
+    """What the library does with the input of a REJECTED row: build the
+    example and write its spec, or load the spec and run it at 2 points
+    with the row's overrides."""
+    if row.example is not None:
+        params = dict(row.example)
+        path = params.pop("emit_spec", None)
+        descriptor = build_example(**params)
+        if path is not None:
+            emit_spec(descriptor.spec_dict, path.replace("{dir}",
+                                                         str(directory)))
+        return
+    if isinstance(row.spec, dict):
+        spec = spec_from_dict(row.spec)
+    else:
+        spec = load_spec(_write_spec(directory, row.spec))
+    run(spec, **{"points": 2, **row.overrides})
+
+
+def _argv(row, directory):
+    """The paracr command line of the input of a REJECTED row."""
+    if row.example is not None:
+        return ["example"] + [
+            item for key, value in row.example.items()
+            for item in (f"--{key.replace('_', '-')}",
+                         str(value).replace("{dir}", str(directory)))]
+    return ["verify", "--spec", str(_write_spec(directory, row.spec)),
+            "--points", "2", *row.flags]
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("name", REJECTED)
+    def test_the_library_raises_the_class_and_message(self, tmp_path, name):
+        # [TRIVIAL] the error class itself, not a base class, and the
+        # whole message
+        row = REJECTED[name]
+        with pytest.raises(row.error) as info:
+            _library_call(row, tmp_path)
+        assert type(info.value) is row.error
+        assert str(info.value) == row.message.replace("{dir}",
+                                                      str(tmp_path))
+
+    @pytest.mark.parametrize("name", REJECTED)
+    def test_paracr_exits_2_with_one_error_line(self, tmp_path, capsys,
+                                                name):
+        # [TRIVIAL] exit 2, nothing on stdout and the one line "error:
+        # <message>", never a traceback or an allocation failure; a flag
+        # argparse refuses exits 2 with its usage and error lines
+        row = REJECTED[name]
+        try:
+            code = cli.main(_argv(row, tmp_path))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "Traceback" not in err
+        if row.refused is not None:
+            assert err.splitlines()[-1] == row.refused
+        else:
+            assert err == "error: " + row.message.replace(
+                "{dir}", str(tmp_path)) + "\n"
